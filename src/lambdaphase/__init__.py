@@ -10,15 +10,12 @@ from .algebra import (generator, inversion, lowering, noncomposition_witness,
                       phase_distribution, phase_eigensystem,
                       phase_exponential, phase_function_mean, phase_operator,
                       raising, verify_polar_identity)
-from .dynamics import (BasisMember, BlockDiagonalPropagator, BlockOperator,
-                       SubspaceBasis, SubspaceIndex, SystemParams,
-                       SystemState, block_evolution, block_hamiltonian,
-                       evolve, initial_state, level_populations,
-                       poisson_weight, subspace_basis, truncation_cutoff)
+from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians,
+                       block_members, initial_state, poisson_weight,
+                       truncation_cutoff)
 from .oracle import (FullSpaceOperator, build_full_hamiltonian, embed_state,
                      excitation_diagonals, full_evolve)
-from .relphase import (PhaseDistribution, RelPhaseEigenstates,
-                       joint_distribution, marginal_distribution,
+from .relphase import (PHASE_VECTORS, PhaseDistribution, marginal_distribution,
                        rel_phase_eigenstates, time_series, trapping_config,
                        verify_deformed_algebra, verify_deformed_polar)
 

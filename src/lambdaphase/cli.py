@@ -18,6 +18,7 @@ configurations produce byte-identical files.
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -64,6 +65,10 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
         object.__setattr__(self, "transitions", tuple(str(t) for t in self.transitions))
+        for name in ("tau_max", "tau_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.tau_max <= 0:
             raise ValueError(f"tau_max must be > 0, got {self.tau_max}")
         if int(self.tau_steps) != self.tau_steps or self.tau_steps < 2:
@@ -161,14 +166,15 @@ def _worker_count(explicit: int | None) -> int:
 
 
 def _check_rows(data: dict[str, np.ndarray]) -> None:
+    # Written as "not <=" so that a NaN residual fails the check.
     for stem in ("p13", "p23", "p12"):
         total = data[f"{stem}_0"] + data[f"{stem}_p"] + data[f"{stem}_m"]
         worst = float(np.max(np.abs(total - 1.0)))
-        if worst > ROW_TOLERANCE:
+        if not (worst <= ROW_TOLERANCE):
             raise RuntimeError(f"{stem} probabilities sum to 1 only within "
                                f"{worst:.3g}")
     worst = float(np.max(np.abs(data["norm"] - 1.0)))
-    if worst > ROW_TOLERANCE:
+    if not (worst <= ROW_TOLERANCE):
         raise RuntimeError(f"state norm drifted by {worst:.3g}")
 
 

@@ -2,66 +2,37 @@
 
 Mode a drives the 1<->3 transition, mode b drives 2<->3, in the dipole and
 rotating-wave approximations.  One excitation number per mode is conserved,
-so the state space splits into invariant subspaces labelled by the pair
-(N_a, N_b).  Each subspace holds at most three product states, one per
-atomic level, with photon numbers fixed by the offsets MU and NU below;
-states that would need a negative photon number are dropped.  On a
-subspace the interaction Hamiltonian is a real symmetric matrix of
-dimension <= 3 and the exact propagator follows from its
-eigendecomposition.
+so the state space splits into invariant blocks labelled by the pair
+(N_a, N_b).  Each block holds at most three product states, one per atomic
+level, with photon numbers fixed by the offsets MU and NU below.
+
+The state is one padded array: row b holds the amplitudes of the level-1,
+2 and 3 members of block b, next to a (B, 2) array of excitation pairs.  A
+member that would need a negative photon number does not exist and its
+slot holds zero amplitude.  This is exact: the slot's coupling to the
+surviving member carries a factor sqrt(0), so no amplitude ever enters
+it.  Every block Hamiltonian is then a real symmetric 3x3 matrix and one
+batched eigendecomposition gives the exact propagator of all of them.
 
 Initial states are an atomic superposition times a two-mode coherent state
 with real (zero-phase) Poissonian amplitudes.  The coherent ensemble is
 truncated once, up front: because the excitation numbers are conserved,
-the truncated set of subspaces is closed under the evolution and no
-amplitude ever leaks out of it.
-
-States are treated as immutable; evolution returns new objects.
-Per-subspace work is independent, and reductions always run in ascending
-(N_a, N_b) order so results do not depend on how the work is scheduled.
+the truncated set of blocks is closed under the evolution and no amplitude
+ever leaks out of it.  Blocks are kept in ascending (N_a, N_b) order.
 """
 
+import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+import numbers
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-# Photon-number offsets per atomic level: the basis member for level i in
-# subspace (N_a, N_b) is |i; N_a - MU[i-1], N_b - NU[i-1]>.
+# Photon-number offsets per atomic level: the member for level i in block
+# (N_a, N_b) is |i; N_a - MU[i-1], N_b - NU[i-1]>.
 MU = (0, 1, 1)
 NU = (1, 0, 1)
-
-
-class SubspaceIndex(NamedTuple):
-    """Conserved excitation pair labelling one invariant subspace."""
-
-    na: int
-    nb: int
-
-
-class BasisMember(NamedTuple):
-    """One atom-field product state: atomic level and photon occupations."""
-
-    level: int
-    n_a: int
-    n_b: int
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Valid basis members of one subspace, ordered by atomic level."""
-
-    index: SubspaceIndex
-    members: tuple[BasisMember, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.members)
-
-    def positions(self) -> dict[int, int]:
-        """Map atomic level -> row/column position within the block."""
-        return {m.level: k for k, m in enumerate(self.members)}
 
 
 @dataclass(frozen=True)
@@ -87,6 +58,12 @@ class SystemParams:
         object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
         if len(self.c) != 3:
             raise ValueError(f"c must have three amplitudes, got {len(self.c)}")
+        for name in ("g_a", "g_b", "nbar_a", "nbar_b", "delta_a", "delta_b", "epsilon"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not all(cmath.isfinite(x) for x in self.c):
+            raise ValueError(f"c must hold finite amplitudes, got {self.c}")
         norm_sq = sum(abs(x) ** 2 for x in self.c)
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"c must be normalized, |c|^2 = {norm_sq:.15g}")
@@ -133,109 +110,59 @@ def truncation_cutoff(nbar: float, epsilon: float) -> int:
     return n
 
 
-def subspace_basis(index: SubspaceIndex) -> SubspaceBasis:
-    """Valid members of subspace (N_a, N_b), ascending in atomic level.
+def block_members(index) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers (n_a, n_b) of the level-1, 2 and 3 members of each block.
 
-    The basis is empty for (0, 0), one-dimensional when exactly one
-    excitation number vanishes, and three-dimensional otherwise.
+    ``index`` holds one excitation pair (N_a, N_b) per row; both results
+    have shape (B, 3), one column per atomic level.  A member with a
+    negative photon number does not exist.  Raises ValueError for negative
+    excitation numbers and for the pair (0, 0), whose block has no member.
     """
-    index = SubspaceIndex(*index)
-    if index.na < 0 or index.nb < 0:
-        raise ValueError(f"excitation numbers must be >= 0, got {index}")
-    members = []
-    for level in (1, 2, 3):
-        n_a = index.na - MU[level - 1]
-        n_b = index.nb - NU[level - 1]
-        if n_a >= 0 and n_b >= 0:
-            members.append(BasisMember(level, n_a, n_b))
-    return SubspaceBasis(index, tuple(members))
+    index = np.asarray(index, dtype=int).reshape(-1, 2)
+    if np.any(index < 0):
+        raise ValueError("excitation numbers must be >= 0")
+    if np.any(np.all(index == 0, axis=1)):
+        raise ValueError("block (0, 0) has no members")
+    return index[:, :1] - np.array(MU), index[:, 1:] - np.array(NU)
 
 
-@dataclass(frozen=True)
-class BlockOperator:
-    """A dense complex matrix attached to one invariant subspace."""
+def block_hamiltonians(params: SystemParams, index) -> np.ndarray:
+    """Interaction Hamiltonian of every block, shape (B, 3, 3), in level order.
 
-    index: SubspaceIndex
-    matrix: np.ndarray
-
-
-def block_hamiltonian(params: SystemParams, basis: SubspaceBasis) -> BlockOperator:
-    """Interaction Hamiltonian restricted to one subspace.
-
-    In a full (dim 3) block, with rows/columns ordered by atomic level,
+    Each block is the real symmetric matrix
 
         [[-delta_a,        0,  g_a sqrt(N_a)],
          [       0, -delta_b,  g_b sqrt(N_b)],
          [g_a sqrt(N_a), g_b sqrt(N_b),   0]]
 
     since the detunings weigh the two lower-level projectors and each mode
-    couples its lower level to level 3 with the usual sqrt(photon) matrix
-    element.  Degenerate blocks are the restriction of this matrix to the
-    surviving member.  The result is exactly Hermitian by construction.
+    couples its lower level to level 3 with the sqrt(photon) matrix
+    element of the lower member.  Blocks with a missing member keep the
+    full 3x3 form: the missing member's slot is decoupled from the
+    surviving member, because their coupling carries a factor sqrt(0).
     """
-    if basis.dim == 0:
-        raise ValueError(f"subspace {basis.index} has an empty basis")
-    pos = basis.positions()
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    if 1 in pos:
-        h[pos[1], pos[1]] = -params.delta_a
-    if 2 in pos:
-        h[pos[2], pos[2]] = -params.delta_b
-    if 1 in pos and 3 in pos:
-        coupling = params.g_a * math.sqrt(basis.index.na)
-        h[pos[1], pos[3]] = coupling
-        h[pos[3], pos[1]] = coupling
-    if 2 in pos and 3 in pos:
-        coupling = params.g_b * math.sqrt(basis.index.nb)
-        h[pos[2], pos[3]] = coupling
-        h[pos[3], pos[2]] = coupling
-    return BlockOperator(basis.index, h)
-
-
-def block_evolution(block: BlockOperator, t: float) -> BlockOperator:
-    """Propagator exp(-i H t) of a Hermitian block, via eigendecomposition."""
-    h = block.matrix
-    if np.max(np.abs(h - h.conj().T)) > 1e-12:
-        raise ValueError(f"block {block.index} is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return BlockOperator(block.index, u)
-
-
-@dataclass
-class SystemState:
-    """Global wavefunction as per-subspace amplitude vectors.
-
-    ``amplitudes`` maps a SubspaceIndex to a complex vector in the
-    ordering of ``subspace_basis``.  ``time`` is the elapsed interaction
-    time.  Treat instances as immutable snapshots.
-    """
-
-    amplitudes: dict[SubspaceIndex, np.ndarray]
-    time: float = 0.0
-
-    def norm(self) -> float:
-        total = 0.0
-        for index in sorted(self.amplitudes):
-            total += float(np.sum(np.abs(self.amplitudes[index]) ** 2))
-        return math.sqrt(total)
-
-    def items(self) -> Iterator[tuple[SubspaceIndex, np.ndarray]]:
-        """Amplitudes in ascending (N_a, N_b) order."""
-        for index in sorted(self.amplitudes):
-            yield index, self.amplitudes[index]
+    n_a, n_b = block_members(index)
+    h = np.zeros((len(n_a), 3, 3))
+    h[:, 0, 0] = -params.delta_a
+    h[:, 1, 1] = -params.delta_b
+    h[:, 0, 2] = h[:, 2, 0] = params.g_a * np.sqrt(n_a[:, 0])
+    h[:, 1, 2] = h[:, 2, 1] = params.g_b * np.sqrt(n_b[:, 1])
+    return h
 
 
 def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
-                  cutoff_b: Optional[int] = None) -> SystemState:
+                  cutoff_b: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """Product of the atomic superposition and the two-mode coherent state.
 
     Each mode's Fock ladder is truncated at the epsilon tail cutoff (or the
-    explicit override).  The amplitude of the level-j member of subspace
+    explicit override).  The amplitude of the level-j member of block
     (N_a, N_b) is Q_a(N_a - MU[j-1]) Q_b(N_b - NU[j-1]) c_j whenever both
-    photon numbers fall inside the kept range.  Subspaces with no weight
-    are dropped and the captured state, of squared norm at least
-    (1 - epsilon)^2, is renormalized to exactly 1.
+    photon numbers fall inside the kept range, and zero otherwise.
+
+    Returns ``(index, amplitudes)``: the (B, 2) excitation pairs of the
+    blocks with nonzero weight, in ascending (N_a, N_b) order, and their
+    (B, 3) member amplitudes.  The captured state, of squared norm at
+    least (1 - epsilon)^2, is renormalized to exactly 1.
     """
     if cutoff_a is None:
         cutoff_a = truncation_cutoff(params.nbar_a, params.epsilon)
@@ -244,133 +171,49 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
     weights_a = np.array([poisson_weight(params.nbar_a, n) for n in range(cutoff_a + 1)])
     weights_b = np.array([poisson_weight(params.nbar_b, n) for n in range(cutoff_b + 1)])
 
-    amplitudes: dict[SubspaceIndex, np.ndarray] = {}
-    for na in range(cutoff_a + 2):
-        for nb in range(cutoff_b + 2):
-            basis = subspace_basis(SubspaceIndex(na, nb))
-            if basis.dim == 0:
-                continue
-            vec = np.zeros(basis.dim, dtype=complex)
-            for k, member in enumerate(basis.members):
-                if member.n_a <= cutoff_a and member.n_b <= cutoff_b:
-                    vec[k] = (weights_a[member.n_a] * weights_b[member.n_b]
-                              * params.c[member.level - 1])
-            if np.any(vec != 0):
-                amplitudes[basis.index] = vec
-
-    state = SystemState(amplitudes, time=0.0)
-    total = state.norm()
-    for vec in amplitudes.values():
-        vec /= total
-    return state
-
-
-def evolve(state: SystemState, params: SystemParams, t: float) -> SystemState:
-    """Apply the block propagators for a time increment t.
-
-    Amplitude never moves between subspaces, so each block's weight is
-    individually conserved.  Negative t runs the conjugate evolution.
-    """
-    evolved: dict[SubspaceIndex, np.ndarray] = {}
-    for index, vec in state.items():
-        basis = subspace_basis(index)
-        block = block_hamiltonian(params, basis)
-        u = block_evolution(block, t).matrix
-        evolved[index] = u @ vec
-    return SystemState(evolved, time=state.time + t)
-
-
-def level_populations(state: SystemState) -> np.ndarray:
-    """Occupation probability of each atomic level, summed over subspaces."""
-    pops = np.zeros(3)
-    for index, vec in state.items():
-        for k, member in enumerate(subspace_basis(index).members):
-            pops[member.level - 1] += abs(vec[k]) ** 2
-    return pops
+    na, nb = np.meshgrid(np.arange(cutoff_a + 2), np.arange(cutoff_b + 2), indexing="ij")
+    index = np.column_stack([na.ravel(), nb.ravel()])[1:]  # drop the empty (0, 0)
+    n_a, n_b = block_members(index)
+    inside = (n_a >= 0) & (n_b >= 0) & (n_a <= cutoff_a) & (n_b <= cutoff_b)
+    amplitudes = np.where(inside, weights_a[np.clip(n_a, 0, cutoff_a)]
+                          * weights_b[np.clip(n_b, 0, cutoff_b)]
+                          * np.array(params.c), 0.0)
+    keep = np.any(amplitudes != 0, axis=1)
+    index, amplitudes = index[keep], amplitudes[keep]
+    amplitudes /= math.sqrt(float(np.sum(np.abs(amplitudes) ** 2)))
+    return index, amplitudes
 
 
 class BlockDiagonalPropagator:
-    """Amortized evolution over a time grid.
+    """Amortized evolution of the initial state over a time grid.
 
-    Blocks are time independent, so every populated block is
-    eigendecomposed once at construction; evaluating the state at a time t
-    then costs one phase twist and one small matrix product per block,
-    vectorized across all full blocks.  Degenerate (single-member) blocks
-    only pick up a detuning phase and are handled separately.
+    Blocks are time independent, so every block Hamiltonian is
+    eigendecomposed once, in one batched call, at construction; the state
+    at a time t then costs one phase twist and one 3x3 matrix-vector
+    product per block.  ``index`` and ``initial`` are the excitation pairs
+    and amplitudes returned by :func:`initial_state`.
     """
 
     def __init__(self, params: SystemParams, cutoff_a: Optional[int] = None,
                  cutoff_b: Optional[int] = None):
         self.params = params
-        state0 = initial_state(params, cutoff_a, cutoff_b)
+        self.index, self.initial = initial_state(params, cutoff_a, cutoff_b)
+        eigvals, eigvecs = np.linalg.eigh(block_hamiltonians(params, self.index))
+        self.eigvals = eigvals
+        # Complex eigenvectors keep the per-sample einsum on one dtype; a
+        # real-by-complex einsum is slower.
+        self.eigvecs = eigvecs.astype(complex)
+        self.coeff0 = np.einsum("bji,bj->bi", self.eigvecs.conj(), self.initial)
 
-        tri_indices: list[SubspaceIndex] = []
-        tri_amp0: list[np.ndarray] = []
-        one_indices: list[SubspaceIndex] = []
-        one_levels: list[int] = []
-        one_amp0: list[complex] = []
-        for index, vec in state0.items():
-            basis = subspace_basis(index)
-            if basis.dim == 3:
-                tri_indices.append(index)
-                tri_amp0.append(vec)
-            else:
-                member = basis.members[0]
-                one_indices.append(index)
-                one_levels.append(member.level)
-                one_amp0.append(vec[0])
+    def amplitudes_at(self, t: float) -> np.ndarray:
+        """Member amplitudes of every block at time t, shape (B, 3).
 
-        self.tri_indices = tuple(tri_indices)
-        self.one_indices = tuple(one_indices)
-        self.one_levels = np.array(one_levels, dtype=int)
-        self.one_amp0 = np.array(one_amp0, dtype=complex)
-        # A lone member is level 1 or 2; level 3 needs both partners present.
-        energies = {1: -params.delta_a, 2: -params.delta_b}
-        self.one_energies = np.array([energies[lv] for lv in one_levels])
-
-        if tri_indices:
-            blocks = np.stack([
-                block_hamiltonian(params, subspace_basis(ix)).matrix.real
-                for ix in tri_indices
-            ])
-            eigvals, eigvecs = np.linalg.eigh(blocks)
-            self.tri_eigvals = eigvals
-            self.tri_eigvecs = eigvecs.astype(complex)
-            amp0 = np.stack(tri_amp0)
-            self.tri_coeff0 = np.einsum("bji,bj->bi", self.tri_eigvecs.conj(), amp0)
-        else:
-            self.tri_eigvals = np.zeros((0, 3))
-            self.tri_eigvecs = np.zeros((0, 3, 3), dtype=complex)
-            self.tri_coeff0 = np.zeros((0, 3), dtype=complex)
-
-    def amplitudes_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Block amplitudes at time t.
-
-        Returns ``(tri, one)`` where ``tri[b, k]`` is the amplitude of the
-        level-(k+1) member of the b-th full subspace and ``one[d]`` the
-        amplitude of the d-th single-member subspace.
+        Rows follow ``index``; columns are the atomic levels 1, 2, 3.
         """
-        phases = np.exp(-1j * self.tri_eigvals * t)
-        tri = np.einsum("bij,bj->bi", self.tri_eigvecs, phases * self.tri_coeff0)
-        one = np.exp(-1j * self.one_energies * t) * self.one_amp0
-        return tri, one
+        phases = np.exp(-1j * self.eigvals * t)
+        return np.einsum("bij,bj->bi", self.eigvecs, phases * self.coeff0)
 
-    def state_at(self, t: float) -> SystemState:
-        """Materialize the full SystemState at time t."""
-        tri, one = self.amplitudes_at(t)
-        amplitudes: dict[SubspaceIndex, np.ndarray] = {}
-        for b, index in enumerate(self.tri_indices):
-            amplitudes[index] = tri[b].copy()
-        for d, index in enumerate(self.one_indices):
-            amplitudes[index] = np.array([one[d]])
-        return SystemState(amplitudes, time=t)
-
-    def populations_at(self, t: float) -> np.ndarray:
-        """Level populations at time t without materializing a state."""
-        tri, one = self.amplitudes_at(t)
-        pops = np.sum(np.abs(tri) ** 2, axis=0) if tri.size else np.zeros(3)
-        for level in (1, 2):
-            mask = self.one_levels == level
-            if np.any(mask):
-                pops[level - 1] += float(np.sum(np.abs(one[mask]) ** 2))
-        return pops
+    def propagators(self, t: float) -> np.ndarray:
+        """Block propagators exp(-i H t), shape (B, 3, 3); negative t runs back."""
+        phases = np.exp(-1j * self.eigvals * t)
+        return np.einsum("bij,bj,bkj->bik", self.eigvecs, phases, self.eigvecs.conj())

@@ -5,7 +5,7 @@ atom x Fock_a x Fock_b and evolves by dense Hermitian eigendecomposition.
 This is the independent cross-check of the block-diagonal fast path: the
 basis enumeration and the matrix elements here are written directly from
 the coupling rules, sharing nothing with :mod:`.dynamics` beyond the
-scalar parameters.  Desk scale only; the dimension is capped.
+scalar parameters.  Desk scale only; the dense matrix is capped in bytes.
 """
 
 import math
@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemParams, SystemState, subspace_basis
+from .dynamics import SystemParams, block_members
 
-MAX_DIMENSION = 20_000
+# Cap on the dense Hamiltonian; eigh needs a few times this in workspace.
+MAX_MATRIX_BYTES = 256 * 2**20
 
 
 def _dimension(cutoff_a: int, cutoff_b: int) -> int:
@@ -58,10 +59,12 @@ def build_full_hamiltonian(params: SystemParams, cutoff_a: int,
     if cutoff_a < 1 or cutoff_b < 1:
         raise ValueError("cutoffs must be >= 1")
     dim = _dimension(cutoff_a, cutoff_b)
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"full-space dimension {dim} exceeds the desk-scale "
-                         f"cap {MAX_DIMENSION}")
-    op = FullSpaceOperator(np.zeros((dim, dim), dtype=complex), cutoff_a, cutoff_b)
+    size = dim * dim * np.dtype(float).itemsize
+    if size > MAX_MATRIX_BYTES:
+        raise ValueError(f"full-space dimension {dim} needs a {size} byte matrix, "
+                         f"above the desk-scale cap of {MAX_MATRIX_BYTES} bytes")
+    # Every matrix element is real, so the matrix and its eigh are real.
+    op = FullSpaceOperator(np.zeros((dim, dim)), cutoff_a, cutoff_b)
     h = op.matrix
     for n_a in range(cutoff_a + 1):
         for n_b in range(cutoff_b + 1):
@@ -102,20 +105,25 @@ def excitation_diagonals(cutoff_a: int, cutoff_b: int) -> tuple[np.ndarray, np.n
     return diag_a, diag_b
 
 
-def embed_state(state: SystemState, cutoff_a: int, cutoff_b: int) -> np.ndarray:
-    """Write a block-structured state as a vector in the full-space basis.
+def embed_state(index, amplitudes: np.ndarray, cutoff_a: int,
+                cutoff_b: int) -> np.ndarray:
+    """Write a padded block state as a vector in the full-space basis.
 
-    Every member of every populated subspace must fit under the cutoffs,
-    which holds when the state was truncated at least one Fock level below
-    them; blocks are then exactly representable and the full-space
-    evolution of the embedded vector is leak free.  Raises ValueError for
-    members outside the space.
+    ``index`` and ``amplitudes`` are the (B, 2) excitation pairs and (B, 3)
+    member amplitudes of :mod:`.dynamics`.  Every existing member of every
+    block must fit under the cutoffs, which holds when the state was
+    truncated at least one Fock level below them; blocks are then exactly
+    representable and the full-space evolution of the embedded vector is
+    leak free.  Raises ValueError for members outside the space.
     """
-    reference = FullSpaceOperator(np.zeros((0, 0)), cutoff_a, cutoff_b)
+    n_a, n_b = block_members(index)
+    present = (n_a >= 0) & (n_b >= 0)
+    if np.any(present & ((n_a > cutoff_a) | (n_b > cutoff_b))):
+        raise ValueError(f"block members lie outside the truncated space with "
+                         f"cutoffs {cutoff_a}, {cutoff_b}")
+    flat = (np.arange(3) * (cutoff_a + 1) + n_a) * (cutoff_b + 1) + n_b
     vec = np.zeros(_dimension(cutoff_a, cutoff_b), dtype=complex)
-    for index, amp in state.items():
-        for k, member in enumerate(subspace_basis(index).members):
-            vec[reference.state_index(member.level, member.n_a, member.n_b)] = amp[k]
+    vec[flat[present]] = np.asarray(amplitudes)[present]
     return vec
 
 

@@ -3,12 +3,12 @@
 Dressing the atomic ladder operators with the matching mode operator
 (annihilation for raising, creation for lowering) produces operators that
 close a polynomially deformed algebra instead of su(3).  Their polar
-decomposition, taken inside one invariant subspace, gives a unitary
+decomposition, taken inside one invariant block, gives a unitary
 relative-phase exponential with the same three-point spectrum as the bare
-atomic one, {0, +pi/2, -pi/2}, and eigenstates built from the subspace
-members.  This module constructs those eigenstates, the joint and
-marginal probability distributions of an evolved state, and brute-force
-verifications of the deformed algebra on a truncated product space.
+atomic one, {0, +pi/2, -pi/2}, and eigenstates built from the block
+members.  This module holds those eigenstates, the phase distributions
+of an evolved state over a time grid, and brute-force verifications of
+the deformed algebra on a truncated product space.
 
 Labels for the 1<->2 pair are defined analogously even though that
 transition is dynamically forbidden; its "0" outcome is the upper-level
@@ -19,11 +19,12 @@ Label convention, shared with :mod:`.algebra`: the "+" eigenstate is
 (upper - i partner)/sqrt(2), on which the phase exponential has
 eigenvalue exp(+i pi/2).
 
-Edge convention: in degenerate subspaces some members of an eigenstate do
-not exist.  The missing members are dropped *without* renormalizing, so a
-lone surviving partner contributes half of its weight to each of the "+"
-and "-" outcomes.  This keeps the three outcomes complete in every block
-and hence keeps the marginal distribution summing to one.
+Edge convention: in a block with a missing member, the eigenstates keep
+only the entries of the members that exist, without renormalizing.  A
+lone surviving partner then contributes half of its weight to each of
+the "+" and "-" outcomes, which keeps the three outcomes complete in
+every block.  The padded state representation of :mod:`.dynamics` gives
+this for free: the missing member's slot holds zero amplitude.
 """
 
 import math
@@ -32,29 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (BlockDiagonalPropagator, SubspaceBasis, SubspaceIndex,
-                       SystemParams, SystemState, subspace_basis)
+from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
 TRANSITIONS = ("13", "23", "12")
 
 # transition -> (zero-label level, upper member level, partner member level)
 _STRUCTURE = {"13": (2, 3, 1), "23": (1, 3, 2), "12": (3, 2, 1)}
-
-
-@dataclass(frozen=True)
-class RelPhaseEigenstates:
-    """Labelled relative-phase eigenstates of one transition in one subspace.
-
-    ``states`` maps a label in ("0", "+", "-") to a vector in the block
-    basis ordering.  In a full subspace the three vectors are orthonormal
-    and complete; in a degenerate subspace surviving vectors may be
-    sub-normalized (see the module docstring) and absent labels are
-    omitted.
-    """
-
-    transition: str
-    index: SubspaceIndex
-    states: dict[str, np.ndarray]
 
 
 def _structure(transition: str) -> tuple[int, int, int]:
@@ -65,62 +49,59 @@ def _structure(transition: str) -> tuple[int, int, int]:
                          f"{TRANSITIONS}") from None
 
 
-def rel_phase_eigenstates(transition: str, index: SubspaceIndex) -> RelPhaseEigenstates:
-    """Relative-phase eigenstates of a transition within one subspace.
+def _phase_vectors() -> np.ndarray:
+    table = np.zeros((3, 3 * len(TRANSITIONS)), dtype=complex)
+    for k, transition in enumerate(TRANSITIONS):
+        zero_level, upper_level, partner_level = _structure(transition)
+        table[zero_level - 1, 3 * k] = 1.0
+        table[upper_level - 1, 3 * k + 1:3 * k + 3] = 1.0 / math.sqrt(2.0)
+        table[partner_level - 1, 3 * k + 1] = -1j / math.sqrt(2.0)
+        table[partner_level - 1, 3 * k + 2] = 1j / math.sqrt(2.0)
+    return table
 
-    For the full three-member block the "0" state is the bare zero-label
-    member and the "+"/"-" states are (upper -+ i partner)/sqrt(2).
-    Members eliminated by the photon-number bookkeeping are dropped from
-    these expressions without renormalization.
+
+# Relative-phase eigenstates of a full block in level order, one column per
+# (transition, label): "0", "+", "-" of 13, then of 23, then of 12.
+PHASE_VECTORS = _phase_vectors()
+
+
+def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
+    """Relative-phase eigenstates of one transition in every block.
+
+    Returns shape (B, 3, 3): ``states[b, :, k]`` is the eigenstate with
+    label ("0", "+", "-")[k] in block ``index[b]``, in level order.  These
+    are the transition's columns of :data:`PHASE_VECTORS` with the entries
+    of missing members set to zero, without renormalizing (see the module
+    docstring); in a full block they are orthonormal and complete.
     """
-    zero_level, upper_level, partner_level = _structure(transition)
-    basis = subspace_basis(index)
-    if basis.dim == 0:
-        raise ValueError(f"subspace {tuple(index)} has an empty basis")
-    pos = basis.positions()
-    states: dict[str, np.ndarray] = {}
-    if zero_level in pos:
-        v0 = np.zeros(basis.dim, dtype=complex)
-        v0[pos[zero_level]] = 1.0
-        states["0"] = v0
-    if upper_level in pos or partner_level in pos:
-        for label, sign in (("+", -1.0), ("-", 1.0)):
-            v = np.zeros(basis.dim, dtype=complex)
-            if upper_level in pos:
-                v[pos[upper_level]] = 1.0 / math.sqrt(2.0)
-            if partner_level in pos:
-                v[pos[partner_level]] = sign * 1j / math.sqrt(2.0)
-            states[label] = v
-    return RelPhaseEigenstates(transition, basis.index, states)
+    _structure(transition)  # rejects unknown transitions
+    k = 3 * TRANSITIONS.index(str(transition))
+    n_a, n_b = block_members(index)
+    present = (n_a >= 0) & (n_b >= 0)
+    return present[:, :, None] * PHASE_VECTORS[:, k:k + 3]
 
 
-def block_phase_exponential(transition: str, basis: SubspaceBasis) -> np.ndarray:
-    """Relative-phase exponential restricted to one full subspace.
+def block_phase_exponential(transition: str) -> np.ndarray:
+    """Relative-phase exponential of one transition in a full block.
 
     With members m_zero, m_upper, m_partner it is
     |m_partner><m_upper| - |m_upper><m_partner| + |m_zero><m_zero|,
     the same ladder-with-spectator structure as the bare atomic operator.
-    Only defined on three-member blocks, where it is unitary.
+    Rows and columns are in level order; the operator is unitary.
     """
     zero_level, upper_level, partner_level = _structure(transition)
-    if basis.dim != 3:
-        raise ValueError(f"subspace {tuple(basis.index)} is degenerate "
-                         f"(dim {basis.dim}); the block phase exponential "
-                         "needs all three members")
-    pos = basis.positions()
     op = np.zeros((3, 3), dtype=complex)
-    op[pos[partner_level], pos[upper_level]] = 1.0
-    op[pos[upper_level], pos[partner_level]] = -1.0
-    op[pos[zero_level], pos[zero_level]] = 1.0
+    op[partner_level - 1, upper_level - 1] = 1.0
+    op[upper_level - 1, partner_level - 1] = -1.0
+    op[zero_level - 1, zero_level - 1] = 1.0
     return op
 
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """The three relative-phase probabilities of one transition at one time."""
+    """The three relative-phase probabilities of one transition."""
 
     transition: str
-    time: float
     p0: float
     p_plus: float
     p_minus: float
@@ -129,37 +110,22 @@ class PhaseDistribution:
     def total(self) -> float:
         return self.p0 + self.p_plus + self.p_minus
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p0, self.p_plus, self.p_minus])
 
+def marginal_distribution(index, amplitudes: np.ndarray,
+                          transition: str) -> PhaseDistribution:
+    """Relative-phase distribution of a block state, by direct projection.
 
-def joint_distribution(state: SystemState,
-                       transition: str) -> dict[tuple[SubspaceIndex, str], float]:
-    """Joint probabilities over (subspace, phase label) by direct projection.
-
-    Probability of outcome (index, label) is |<state_label | psi_index>|^2.
-    Summing over all entries gives the squared norm of the state.
+    ``index`` and ``amplitudes`` are a padded block state as returned by
+    :meth:`BlockDiagonalPropagator.amplitudes_at` (with the propagator's
+    ``index``).  Outcome probabilities are the squared overlaps
+    |<state_label | psi_b>|^2 summed over the blocks b.  This is the
+    cross-check of :func:`time_series`, which reduces the same state
+    through the block-summed matrix R instead.
     """
-    result: dict[tuple[SubspaceIndex, str], float] = {}
-    for index, vec in state.items():
-        eig = rel_phase_eigenstates(transition, index)
-        for label, phi in eig.states.items():
-            result[(index, label)] = float(abs(np.vdot(phi, vec)) ** 2)
-    return result
-
-
-def marginal_distribution(state: SystemState, transition: str) -> PhaseDistribution:
-    """Relative-phase distribution, marginalized over the excitation numbers.
-
-    This is the projection path: it sums the joint distribution built from
-    explicit eigenstate vectors.  It agrees with the closed-form evaluation
-    used by :func:`time_series` to numerical precision.
-    """
-    totals = {"0": 0.0, "+": 0.0, "-": 0.0}
-    for (_, label), prob in joint_distribution(state, transition).items():
-        totals[label] += prob
-    return PhaseDistribution(transition, state.time,
-                             totals["0"], totals["+"], totals["-"])
+    states = rel_phase_eigenstates(transition, index)
+    overlaps = np.einsum("bik,bi->bk", states.conj(), amplitudes)
+    p0, p_plus, p_minus = np.sum(np.abs(overlaps) ** 2, axis=0)
+    return PhaseDistribution(str(transition), float(p0), float(p_plus), float(p_minus))
 
 
 # Column names of the quantities produced per time sample.
@@ -167,48 +133,16 @@ SERIES_KEYS = ("p13_0", "p13_p", "p13_m", "p23_0", "p23_p", "p23_m",
                "p12_0", "p12_p", "p12_m", "pop1", "pop2", "pop3", "norm")
 
 
-def _series_row(tri: np.ndarray, one: np.ndarray, one_levels: np.ndarray) -> tuple:
-    """Closed-form phase probabilities and populations from block amplitudes.
-
-    For a full block with member amplitudes (A1, A2, A3) the projections
-    reduce to index combinations, e.g. p13_0 = |A2|^2 and
-    p13_± = |A3 ± i A1|^2 / 2.  A single-member block contributes its
-    weight to the outcome labels its member takes part in, split evenly
-    between "+" and "-" when the member is half of a pair.
-    """
-    a1, a2, a3 = tri[:, 0], tri[:, 1], tri[:, 2]
-    w1 = float(np.sum(np.abs(one[one_levels == 1]) ** 2))
-    w2 = float(np.sum(np.abs(one[one_levels == 2]) ** 2))
-
-    abs1 = np.abs(a1) ** 2
-    abs2 = np.abs(a2) ** 2
-    abs3 = np.abs(a3) ** 2
-
-    p13_0 = float(np.sum(abs2)) + w2
-    p13_p = float(np.sum(np.abs(a3 + 1j * a1) ** 2)) / 2.0 + w1 / 2.0
-    p13_m = float(np.sum(np.abs(a3 - 1j * a1) ** 2)) / 2.0 + w1 / 2.0
-    p23_0 = float(np.sum(abs1)) + w1
-    p23_p = float(np.sum(np.abs(a3 + 1j * a2) ** 2)) / 2.0 + w2 / 2.0
-    p23_m = float(np.sum(np.abs(a3 - 1j * a2) ** 2)) / 2.0 + w2 / 2.0
-    p12_0 = float(np.sum(abs3))
-    p12_p = float(np.sum(np.abs(a2 + 1j * a1) ** 2)) / 2.0 + (w1 + w2) / 2.0
-    p12_m = float(np.sum(np.abs(a2 - 1j * a1) ** 2)) / 2.0 + (w1 + w2) / 2.0
-
-    pop1 = float(np.sum(abs1)) + w1
-    pop2 = float(np.sum(abs2)) + w2
-    pop3 = float(np.sum(abs3))
-    norm = pop1 + pop2 + pop3
-    return (p13_0, p13_p, p13_m, p23_0, p23_p, p23_m,
-            p12_0, p12_p, p12_m, pop1, pop2, pop3, norm)
-
-
 def time_series(params: SystemParams, times: np.ndarray, workers: int = 1,
                 cutoff_a=None, cutoff_b=None) -> dict[str, np.ndarray]:
     """Phase distributions and populations of all three transitions over a grid.
 
     This is the production path: every block is eigendecomposed once, and
-    each time sample costs one vectorized propagator application plus the
-    closed-form index combinations of :func:`_series_row`.  Samples are
+    each time sample costs one vectorized propagator application plus one
+    3x3 reduction.  All 13 columns are linear in the block-summed matrix
+    R = sum_b a_b a_b^dagger of the member amplitudes a_b: each phase
+    probability is <phi|R|phi> for a column phi of :data:`PHASE_VECTORS`,
+    the populations are diag R and the norm is tr R.  Samples are
     independent, so with ``workers > 1`` the grid is split across a thread
     pool; results are assembled in grid order and are bit-identical to the
     serial evaluation.
@@ -218,13 +152,14 @@ def time_series(params: SystemParams, times: np.ndarray, workers: int = 1,
     """
     times = np.asarray(times, dtype=float)
     prop = BlockDiagonalPropagator(params, cutoff_a, cutoff_b)
-    out = {key: np.empty(times.shape) for key in SERIES_KEYS}
+    rows = np.empty((len(times), len(SERIES_KEYS)))
 
     def fill(k: int) -> None:
-        tri, one = prop.amplitudes_at(times[k])
-        row = _series_row(tri, one, prop.one_levels)
-        for key, value in zip(SERIES_KEYS, row):
-            out[key][k] = value
+        amplitudes = prop.amplitudes_at(times[k])
+        r = amplitudes.T @ amplitudes.conj()
+        rows[k, :9] = np.einsum("ik,ij,jk->k", PHASE_VECTORS.conj(), r, PHASE_VECTORS).real
+        rows[k, 9:12] = np.diag(r).real
+        rows[k, 12] = np.trace(r).real
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -233,9 +168,9 @@ def time_series(params: SystemParams, times: np.ndarray, workers: int = 1,
         for k in range(len(times)):
             fill(k)
 
-    out_with_t = {"t": times.copy()}
-    out_with_t.update(out)
-    return out_with_t
+    out = {"t": times.copy()}
+    out.update(zip(SERIES_KEYS, rows.T))
+    return out
 
 
 def trapping_config(phi: float, nbar: float, g: float = 1.0,
@@ -256,7 +191,7 @@ def trapping_config(phi: float, nbar: float, g: float = 1.0,
 # ---------------------------------------------------------------------------
 # Brute-force verification of the deformed algebra on a truncated space.
 # The basis ordering here (atom x mode a x mode b, Kronecker products) is
-# unrelated to the subspace machinery above; these operators exist only to
+# unrelated to the block machinery above; these operators exist only to
 # check operator identities and are desk-scale by design.
 # ---------------------------------------------------------------------------
 
@@ -374,31 +309,28 @@ def verify_deformed_algebra(cutoff: int) -> float:
 def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
     """Relative-phase exponential assembled over a whole truncated space.
 
-    The operator acts as the block form on every subspace whose three
+    The operator acts as the block form on every block whose three
     members fit under the Fock cutoffs and as the identity elsewhere, so
     it is unitary and commutes with both excitation numbers exactly.
     Basis ordering matches :func:`deformed_generators`.
     """
     gen = deformed_generators(cutoff)
     n_fock = cutoff + 1
-
-    def flat(level, na, nb):
-        return ((level - 1) * n_fock + na) * n_fock + nb
+    na, nb = np.meshgrid(np.arange(1, cutoff + 1), np.arange(1, cutoff + 1), indexing="ij")
+    n_a, n_b = block_members(np.column_stack([na.ravel(), nb.ravel()]))
+    flat = (np.arange(3) * n_fock + n_a) * n_fock + n_b
 
     op = np.eye(gen.dim, dtype=complex)
-    for na_exc in range(1, cutoff + 1):
-        for nb_exc in range(1, cutoff + 1):
-            basis = subspace_basis(SubspaceIndex(na_exc, nb_exc))
-            block = block_phase_exponential(transition, basis)
-            idx = [flat(m.level, m.n_a, m.n_b) for m in basis.members]
-            op[np.ix_(idx, idx)] = block
+    block = block_phase_exponential(transition)
+    for idx in flat:
+        op[np.ix_(idx, idx)] = block
     return op
 
 
-def verify_deformed_polar(index: SubspaceIndex, transition: str = "13") -> float:
+def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> float:
     """Residual of the in-block polar decomposition of the dressed lowering.
 
-    Within a full subspace the dressed lowering operator of the 1<->3
+    Within a full block the dressed lowering operator of the 1<->3
     transition sends the level-3 member to sqrt(N_a) times the level-1
     member, its modulus is diagonal, and dividing the modulus out leaves
     exactly the block phase exponential.  Returns the max-entry residual
@@ -407,18 +339,17 @@ def verify_deformed_polar(index: SubspaceIndex, transition: str = "13") -> float
     if transition not in ("13", "23"):
         raise ValueError("the dressed polar decomposition is defined for the "
                          f"allowed transitions 13 and 23, not {transition!r}")
-    basis = subspace_basis(SubspaceIndex(*index))
-    if basis.dim != 3:
-        raise ValueError(f"subspace {tuple(basis.index)} is degenerate; the polar "
+    na, nb = index
+    if na < 1 or nb < 1:
+        raise ValueError(f"block {tuple(index)} is degenerate; the polar "
                          "decomposition needs a full block")
-    pos = basis.positions()
     lower_block = np.zeros((3, 3), dtype=complex)
     if transition == "13":
-        lower_block[pos[1], pos[3]] = math.sqrt(basis.index.na)
+        lower_block[0, 2] = math.sqrt(na)
     else:
-        lower_block[pos[2], pos[3]] = math.sqrt(basis.index.nb)
+        lower_block[1, 2] = math.sqrt(nb)
     raise_block = lower_block.conj().T
     modulus_sq = lower_block @ raise_block
     modulus = np.diag(np.sqrt(np.real(np.diag(modulus_sq))))
-    residual = lower_block - modulus @ block_phase_exponential(transition, basis)
+    residual = lower_block - modulus @ block_phase_exponential(transition)
     return float(np.max(np.abs(residual)))

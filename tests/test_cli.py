@@ -1,14 +1,19 @@
 """Tests for the configuration, scenario runner and CLI plumbing."""
 
+import dataclasses
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lambdaphase.cli import (COLUMNS, PRESETS, RunConfig, config_from_dict,
-                             load_config, main, run_scenario, time_scale)
+from lambdaphase.cli import (COLUMNS, PRESETS, RunConfig, _check_rows,
+                             config_from_dict, load_config, main, run_scenario,
+                             time_scale)
+from lambdaphase.verify import SUITES
 
 BASE_CONFIG = {
     "g_a": 1.0,
@@ -127,13 +132,27 @@ def test_run_scenario_deterministic(tmp_path):
 
 
 def test_run_scenario_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    config = load_config(write_config(tmp_path))
+    # a desk config and fig3b's ~10k blocks on a shortened grid
+    configs = [load_config(write_config(tmp_path)),
+               dataclasses.replace(PRESETS["fig3b"], tau_steps=25)]
     serial = tmp_path / "serial.csv"
     threaded = tmp_path / "threaded.csv"
-    run_scenario(config, csv_path=serial, workers=1)
     monkeypatch.setenv("LAMBDAPHASE_THREADS", "3")
-    run_scenario(config, csv_path=threaded)
-    assert serial.read_bytes() == threaded.read_bytes()
+    for config in configs:
+        run_scenario(config, csv_path=serial, workers=1)
+        run_scenario(config, csv_path=threaded)
+        assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_check_rows_rejects_nan():
+    data = run_scenario(config_from_dict(BASE_CONFIG))
+    _check_rows(data)
+    for column, message in (("p23_m", "p23"), ("norm", "norm")):
+        bad = dict(data)
+        bad[column] = data[column].copy()
+        bad[column][5] = math.nan
+        with pytest.raises(RuntimeError, match=message):
+            _check_rows(bad)
 
 
 def test_run_scenario_constant_for_zero_couplings(tmp_path):
@@ -173,6 +192,20 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["nbar_a", "g_a", "tau_max", "tau_steps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, "1"])
+def test_main_rejects_non_finite_config(tmp_path, capsys, field, value):
+    # Python's json reads NaN and Infinity, so the config must reject them
+    # (and non-numbers) by name
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BASE_CONFIG, field: value}))
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_main_rejects_unwritable_output(tmp_path):
     config_path = write_config(tmp_path)
     code = main(["simulate", "--config", str(config_path),
@@ -180,13 +213,24 @@ def test_main_rejects_unwritable_output(tmp_path):
     assert code == 2
 
 
-def test_main_verify_algebra(capsys):
-    code = main(["verify", "--suite", "algebra"])
+@pytest.mark.parametrize("suite", SUITES + ("all",))
+def test_main_verify_suite(capsys, suite):
+    code = main(["verify", "--suite", suite])
     assert code == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    if suite == "all":
+        assert "31/31 checks passed" in out
 
 
 def test_main_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"## Library example\n\n```python\n(.*?)```", readme,
+                            flags=re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+    assert "PhaseDistribution(transition='13'" in capsys.readouterr().out

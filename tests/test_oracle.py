@@ -1,12 +1,15 @@
 """Tests for the full-space brute-force reference."""
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lambdaphase import oracle
-from lambdaphase.dynamics import (BlockDiagonalPropagator, SubspaceIndex,
-                                  SystemParams, block_hamiltonian,
-                                  subspace_basis)
+from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
+                                  block_hamiltonians, block_members)
 
 GROUND = (1.0, 0.0, 0.0)
 
@@ -48,30 +51,30 @@ def test_full_hamiltonian_matches_embedded_blocks():
     cut = 3
     full = oracle.build_full_hamiltonian(params, cut, cut)
     accounted = np.zeros_like(full.matrix, dtype=bool)
-    for na in range(2 * cut + 2):
-        for nb in range(2 * cut + 2):
-            basis = subspace_basis(SubspaceIndex(na, nb))
-            if basis.dim == 0:
-                continue
-            # members beyond the Fock cutoff fall outside the full space;
-            # the full matrix sees the block restricted to the rest
-            kept = [k for k, m in enumerate(basis.members)
-                    if m.n_a <= cut and m.n_b <= cut]
-            if not kept:
-                continue
-            idx = [full.state_index(m.level, m.n_a, m.n_b)
-                   for k, m in enumerate(basis.members) if k in kept]
-            sub = full.matrix[np.ix_(idx, idx)]
-            blk = block_hamiltonian(params, basis).matrix[np.ix_(kept, kept)]
-            assert np.max(np.abs(sub - blk)) == 0.0
-            accounted[np.ix_(idx, idx)] = True
+    na, nb = np.meshgrid(np.arange(2 * cut + 2), np.arange(2 * cut + 2), indexing="ij")
+    index = np.column_stack([na.ravel(), nb.ravel()])[1:]
+    blocks = block_hamiltonians(params, index)
+    n_a, n_b = block_members(index)
+    for b in range(len(index)):
+        # members beyond the Fock cutoff fall outside the full space;
+        # the full matrix sees the block restricted to the rest
+        kept = [level for level in range(3)
+                if 0 <= n_a[b, level] <= cut and 0 <= n_b[b, level] <= cut]
+        if not kept:
+            continue
+        idx = [full.state_index(level + 1, n_a[b, level], n_b[b, level])
+               for level in kept]
+        sub = full.matrix[np.ix_(idx, idx)]
+        assert np.max(np.abs(sub - blocks[b][np.ix_(kept, kept)])) == 0.0
+        accounted[np.ix_(idx, idx)] = True
     # entries connecting different subspaces must vanish
     assert np.max(np.abs(full.matrix[~accounted])) == 0.0
 
 
 def test_dimension_guard():
     params = make_params()
-    with pytest.raises(ValueError, match="dimension"):
+    # dimension 30603: a 7.5 GB matrix, refused before anything is allocated
+    with pytest.raises(ValueError, match="dimension 30603 needs a 7492348872 byte"):
         oracle.build_full_hamiltonian(params, 100, 100)
     with pytest.raises(ValueError, match="cutoff"):
         oracle.build_full_hamiltonian(params, 0, 4)
@@ -104,15 +107,41 @@ def test_block_and_full_evolution_agree():
     cut = 8
     full = oracle.build_full_hamiltonian(params, cut, cut)
     prop = BlockDiagonalPropagator(params, cutoff_a=cut - 1, cutoff_b=cut - 1)
-    psi0 = oracle.embed_state(prop.state_at(0.0), cut, cut)
+    psi0 = oracle.embed_state(prop.index, prop.initial, cut, cut)
     assert abs(np.linalg.norm(psi0) - 1.0) < 1e-12
     worst = 0.0
     for tau in np.linspace(0.0, 2.0, 11):
         t = 2 * np.pi * tau
-        block_vec = oracle.embed_state(prop.state_at(t), cut, cut)
+        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), cut, cut)
         full_vec = oracle.full_evolve(full, psi0, t)
         worst = max(worst, float(np.max(np.abs(block_vec - full_vec))))
     assert worst < 1e-8
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@given(g_a=st.floats(0.0, 2.0), g_b=st.floats(0.0, 2.0),
+       delta_a=st.floats(-1.5, 1.5), delta_b=st.floats(-1.5, 1.5),
+       nbar_a=st.floats(0.05, 2.0), nbar_b=st.floats(0.05, 2.0),
+       cutoff_a=st.integers(1, 5), cutoff_b=st.integers(1, 5),
+       c=st.tuples(unit, unit, unit, unit, unit, unit), t=st.floats(0.0, 10.0))
+@settings(max_examples=30, deadline=None)
+def test_padded_blocks_match_oracle(g_a, g_b, delta_a, delta_b, nbar_a, nbar_b,
+                                    cutoff_a, cutoff_b, c, t):
+    # detuned, complex-c states: the padded slots of lone-member blocks must
+    # stay empty and each lone member must pick up only its detuning phase
+    amps = np.array([complex(c[0], c[1]), complex(c[2], c[3]), complex(c[4], c[5])])
+    norm = np.linalg.norm(amps)
+    assume(norm > 0.1)
+    params = SystemParams(g_a=g_a, g_b=g_b, nbar_a=nbar_a, nbar_b=nbar_b,
+                          c=tuple(amps / norm), delta_a=delta_a, delta_b=delta_b)
+    prop = BlockDiagonalPropagator(params, cutoff_a=cutoff_a, cutoff_b=cutoff_b)
+    full = oracle.build_full_hamiltonian(params, cutoff_a + 1, cutoff_b + 1)
+    psi0 = oracle.embed_state(prop.index, prop.initial, cutoff_a + 1, cutoff_b + 1)
+    block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t),
+                                   cutoff_a + 1, cutoff_b + 1)
+    assert np.max(np.abs(block_vec - oracle.full_evolve(full, psi0, t))) < 1e-8
 
 
 def test_full_evolution_conserves_norm_and_excitations():
@@ -120,7 +149,7 @@ def test_full_evolution_conserves_norm_and_excitations():
     cut = 6
     full = oracle.build_full_hamiltonian(params, cut, cut)
     prop = BlockDiagonalPropagator(params, cutoff_a=cut - 1, cutoff_b=cut - 1)
-    psi0 = oracle.embed_state(prop.state_at(0.0), cut, cut)
+    psi0 = oracle.embed_state(prop.index, prop.initial, cut, cut)
     diag_a, diag_b = oracle.excitation_diagonals(cut, cut)
     exp_a0 = float(np.sum(np.abs(psi0) ** 2 * diag_a))
     exp_b0 = float(np.sum(np.abs(psi0) ** 2 * diag_b))
@@ -135,4 +164,4 @@ def test_embed_state_rejects_members_outside_space():
     params = make_params()
     prop = BlockDiagonalPropagator(params, cutoff_a=4, cutoff_b=4)
     with pytest.raises(ValueError, match="outside"):
-        oracle.embed_state(prop.state_at(0.0), 4, 4)
+        oracle.embed_state(prop.index, prop.initial, 4, 4)

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdaphase import relphase
-from lambdaphase.dynamics import (SubspaceIndex, SystemParams, evolve,
-                                  initial_state, level_populations,
-                                  subspace_basis)
-from lambdaphase.relphase import (block_phase_exponential,
+from lambdaphase import algebra, relphase
+from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
+from lambdaphase.relphase import (PHASE_VECTORS, block_phase_exponential,
                                   deformed_generators,
                                   global_phase_exponential,
-                                  joint_distribution, marginal_distribution,
+                                  marginal_distribution,
                                   rel_phase_eigenstates, time_series,
                                   trapping_config, verify_deformed_algebra,
                                   verify_deformed_polar)
 
 GROUND = (1.0, 0.0, 0.0)
+LABELS = ("0", "+", "-")
 
 
 def desk_params(**overrides):
@@ -29,32 +28,44 @@ def desk_params(**overrides):
     return SystemParams(**defaults)
 
 
+def eigenstates(transition, index):
+    """Labelled eigenstates of one block, as label -> vector in level order."""
+    states = rel_phase_eigenstates(transition, [index])[0]
+    return dict(zip(LABELS, states.T))
+
+
 # ---------------------------------------------------------------------------
-# eigenstates per subspace
+# eigenstates per block
 # ---------------------------------------------------------------------------
 
+def test_phase_vectors_match_bare_eigensystems():
+    # the 13 and 23 columns of the table are the bare atomic eigenvectors
+    for k, transition in enumerate(("13", "23")):
+        bare = algebra.phase_eigensystem(transition).eigenvectors
+        assert np.max(np.abs(PHASE_VECTORS[:, 3 * k:3 * k + 3] - bare)) < 1e-15
+
+
 def test_eigenstates_13_full_block():
-    eig = rel_phase_eigenstates("13", SubspaceIndex(1, 1))
+    eig = eigenstates("13", (1, 1))
     # members ordered (1;1,0), (2;0,1), (3;0,0)
-    assert np.allclose(eig.states["0"], [0, 1, 0])
+    assert np.allclose(eig["0"], [0, 1, 0])
     root_half = 1 / math.sqrt(2)
-    assert np.allclose(eig.states["+"], [-1j * root_half, 0, root_half])
-    assert np.allclose(eig.states["-"], [1j * root_half, 0, root_half])
+    assert np.allclose(eig["+"], [-1j * root_half, 0, root_half])
+    assert np.allclose(eig["-"], [1j * root_half, 0, root_half])
 
 
 def test_eigenstates_12_full_block():
-    eig = rel_phase_eigenstates("12", SubspaceIndex(1, 1))
-    assert np.allclose(eig.states["0"], [0, 0, 1.0])
+    eig = eigenstates("12", (1, 1))
+    assert np.allclose(eig["0"], [0, 0, 1.0])
     root_half = 1 / math.sqrt(2)
-    assert np.allclose(eig.states["+"], [-1j * root_half, root_half, 0])
-    assert np.allclose(eig.states["-"], [1j * root_half, root_half, 0])
+    assert np.allclose(eig["+"], [-1j * root_half, root_half, 0])
+    assert np.allclose(eig["-"], [1j * root_half, root_half, 0])
 
 
 @pytest.mark.parametrize("transition", ["13", "23", "12"])
 @pytest.mark.parametrize("index", [(1, 1), (2, 3), (5, 1)])
 def test_eigenstates_orthonormal_complete_in_full_blocks(transition, index):
-    eig = rel_phase_eigenstates(transition, SubspaceIndex(*index))
-    vectors = np.column_stack([eig.states[label] for label in ("0", "+", "-")])
+    vectors = rel_phase_eigenstates(transition, [index])[0]
     gram = vectors.conj().T @ vectors
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
     completeness = vectors @ vectors.conj().T
@@ -66,92 +77,88 @@ def test_eigenstates_orthonormal_complete_in_full_blocks(transition, index):
 def test_eigenstates_match_block_exponential(transition, index):
     # defining property: the block phase exponential has eigenvalue
     # exp(i phi_label) on each labelled state
-    basis = subspace_basis(SubspaceIndex(*index))
-    op = block_phase_exponential(transition, basis)
-    eig = rel_phase_eigenstates(transition, SubspaceIndex(*index))
+    op = block_phase_exponential(transition)
     phases = {"0": 1.0, "+": 1j, "-": -1j}
-    for label, vec in eig.states.items():
+    for label, vec in eigenstates(transition, index).items():
         assert np.max(np.abs(op @ vec - phases[label] * vec)) < 1e-12
 
 
 def test_eigenstates_degenerate_level1_member():
-    # subspace (0, nb): only the level-1 member exists
-    eig = rel_phase_eigenstates("13", SubspaceIndex(0, 2))
-    assert "0" not in eig.states
-    assert np.allclose(eig.states["+"], [-1j / math.sqrt(2)])
-    assert np.allclose(eig.states["-"], [1j / math.sqrt(2)])
-    eig = rel_phase_eigenstates("23", SubspaceIndex(0, 2))
-    assert set(eig.states) == {"0"}
-    assert np.allclose(eig.states["0"], [1.0])
+    # block (0, nb): only the level-1 member exists; the "0" state of 13
+    # (level 2) has no entry left
+    eig = eigenstates("13", (0, 2))
+    assert np.array_equal(eig["0"], np.zeros(3))
+    assert np.allclose(eig["+"], [-1j / math.sqrt(2), 0, 0])
+    assert np.allclose(eig["-"], [1j / math.sqrt(2), 0, 0])
+    eig = eigenstates("23", (0, 2))
+    assert np.allclose(eig["0"], [1.0, 0, 0])
+    assert np.array_equal(eig["+"], np.zeros(3))
+    assert np.array_equal(eig["-"], np.zeros(3))
 
 
 def test_eigenstates_degenerate_level2_member():
-    # subspace (na, 0): only the level-2 member exists
-    eig = rel_phase_eigenstates("23", SubspaceIndex(3, 0))
-    assert "0" not in eig.states
-    assert np.allclose(eig.states["+"], [-1j / math.sqrt(2)])
-    eig13 = rel_phase_eigenstates("13", SubspaceIndex(3, 0))
-    assert set(eig13.states) == {"0"}
+    # block (na, 0): only the level-2 member exists
+    eig = eigenstates("23", (3, 0))
+    assert np.array_equal(eig["0"], np.zeros(3))
+    assert np.allclose(eig["+"], [0, -1j / math.sqrt(2), 0])
+    eig13 = eigenstates("13", (3, 0))
+    assert np.allclose(eig13["0"], [0, 1.0, 0])
+    assert np.array_equal(eig13["+"], np.zeros(3))
 
 
 def test_eigenstates_resolve_block_norm_everywhere():
-    # sum_r |<state_r|psi>|^2 equals |psi|^2 even in degenerate subspaces
+    # sum_r |<state_r|psi>|^2 equals |psi|^2 even in degenerate blocks,
+    # with psi supported on the existing members
     rng = np.random.default_rng(3)
-    for index in [(1, 1), (0, 2), (3, 0), (4, 4)]:
-        basis = subspace_basis(SubspaceIndex(*index))
-        psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-        for transition in ("13", "23", "12"):
-            eig = rel_phase_eigenstates(transition, SubspaceIndex(*index))
-            total = sum(abs(np.vdot(v, psi)) ** 2 for v in eig.states.values())
-            assert total == pytest.approx(float(np.sum(np.abs(psi) ** 2)),
-                                          rel=1e-12)
+    index = [(1, 1), (0, 2), (3, 0), (4, 4)]
+    present = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    psi = present * (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    for transition in ("13", "23", "12"):
+        states = rel_phase_eigenstates(transition, index)
+        total = np.sum(np.abs(np.einsum("bik,bi->bk", states.conj(), psi)) ** 2, axis=1)
+        assert np.allclose(total, np.sum(np.abs(psi) ** 2, axis=1), rtol=1e-12)
 
 
 def test_eigenstates_reject_empty_subspace():
     with pytest.raises(ValueError):
-        rel_phase_eigenstates("13", SubspaceIndex(0, 0))
+        rel_phase_eigenstates("13", [(0, 0)])
 
 
 def test_block_exponential_ladder_action():
-    basis = subspace_basis(SubspaceIndex(2, 2))
-    op = block_phase_exponential("13", basis)
-    pos = basis.positions()
-    e_upper = np.eye(3)[pos[3]]
-    e_partner = np.eye(3)[pos[1]]
-    e_zero = np.eye(3)[pos[2]]
+    op = block_phase_exponential("13")
+    e_partner, e_zero, e_upper = np.eye(3)  # levels 1, 2, 3
     assert np.allclose(op @ e_upper, e_partner)   # upper member maps down
     assert np.allclose(op @ e_zero, e_zero)       # zero member is fixed
     assert np.max(np.abs(op @ op.conj().T - np.eye(3))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
-# joint and marginal distributions
+# marginal distributions by projection
 # ---------------------------------------------------------------------------
 
 def test_joint_distribution_vacuum_ground_atom():
     params = SystemParams(g_a=1, g_b=1, nbar_a=0.0, nbar_b=0.0, c=GROUND)
-    state = initial_state(params)
-    joint = joint_distribution(state, "13")
-    nonzero = {key: p for key, p in joint.items() if p > 1e-20}
-    assert set(key[0] for key in nonzero) == {SubspaceIndex(0, 1)}
-    assert sum(nonzero.values()) == pytest.approx(1.0)
+    prop = BlockDiagonalPropagator(params)
+    assert prop.index.tolist() == [[0, 1]]
+    dist = marginal_distribution(prop.index, prop.initial, "13")
+    assert dist.total == pytest.approx(1.0)
+    assert dist.p_plus == pytest.approx(0.5)
 
 
 def test_joint_distribution_sums_to_one():
-    params = desk_params()
-    state = evolve(initial_state(params), params, 1.3)
+    prop = BlockDiagonalPropagator(desk_params())
+    state = prop.amplitudes_at(1.3)
     for transition in ("13", "23", "12"):
-        total = sum(joint_distribution(state, transition).values())
+        total = marginal_distribution(prop.index, state, transition).total
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_initial_marginals_ground_atom():
-    params = desk_params(c=GROUND)
-    state = initial_state(params)
-    d23 = marginal_distribution(state, "23")
+    prop = BlockDiagonalPropagator(desk_params(c=GROUND))
+    d23 = marginal_distribution(prop.index, prop.initial, "23")
     assert d23.p0 == pytest.approx(1.0, abs=1e-12)
     assert d23.p_plus == pytest.approx(0.0, abs=1e-12)
-    d13 = marginal_distribution(state, "13")
+    d13 = marginal_distribution(prop.index, prop.initial, "13")
     assert d13.p0 == pytest.approx(0.0, abs=1e-12)
     assert d13.p_plus == pytest.approx(0.5, abs=1e-12)
     assert d13.p_minus == pytest.approx(0.5, abs=1e-12)
@@ -159,37 +166,38 @@ def test_initial_marginals_ground_atom():
 
 @pytest.mark.parametrize("time", [0.0, 0.9, 2.7])
 def test_zero_label_equals_populations(time):
-    params = desk_params()
-    state = evolve(initial_state(params), params, time)
-    pops = level_populations(state)
-    assert marginal_distribution(state, "13").p0 == pytest.approx(pops[1], abs=1e-10)
-    assert marginal_distribution(state, "23").p0 == pytest.approx(pops[0], abs=1e-10)
-    assert marginal_distribution(state, "12").p0 == pytest.approx(pops[2], abs=1e-10)
+    prop = BlockDiagonalPropagator(desk_params())
+    state = prop.amplitudes_at(time)
+    pops = np.sum(np.abs(state) ** 2, axis=0)
+    for transition, level in (("13", 2), ("23", 1), ("12", 3)):
+        dist = marginal_distribution(prop.index, state, transition)
+        assert dist.p0 == pytest.approx(pops[level - 1], abs=1e-10)
 
 
 @given(t=st.floats(0.0, 8.0))
 @settings(max_examples=15, deadline=None)
 def test_marginals_complete_over_time(t):
-    params = desk_params(nbar_a=0.7, nbar_b=0.4)
-    state = evolve(initial_state(params), params, t)
+    prop = BlockDiagonalPropagator(desk_params(nbar_a=0.7, nbar_b=0.4))
+    state = prop.amplitudes_at(t)
     for transition in ("13", "23", "12"):
-        dist = marginal_distribution(state, transition)
+        dist = marginal_distribution(prop.index, state, transition)
         assert dist.total == pytest.approx(1.0, abs=1e-10)
         assert min(dist.p0, dist.p_plus, dist.p_minus) > -1e-12
 
 
 def test_projection_agrees_with_closed_form_series():
-    # the projection path (explicit eigenvectors) and the closed-form index
-    # combinations must agree on every transition and time
-    params = desk_params()
+    # the projection path (explicit per-block eigenstates) and the R-matrix
+    # reduction of time_series must agree on every transition and time,
+    # with detunings so that the lone-member blocks pick up phases
+    params = desk_params(delta_a=0.3, delta_b=-0.45)
     times = np.linspace(0.0, 5.0, 9)
     series = time_series(params, times)
-    state0 = initial_state(params)
-    stems = {"13": "p13", "23": "p23", "12": "p12"}
+    prop = BlockDiagonalPropagator(params)
     for k, t in enumerate(times):
-        state = evolve(state0, params, float(t))
-        for transition, stem in stems.items():
-            dist = marginal_distribution(state, transition)
+        state = prop.amplitudes_at(float(t))
+        for transition in relphase.TRANSITIONS:
+            dist = marginal_distribution(prop.index, state, transition)
+            stem = "p" + transition
             assert dist.p0 == pytest.approx(series[f"{stem}_0"][k], abs=1e-10)
             assert dist.p_plus == pytest.approx(series[f"{stem}_p"][k], abs=1e-10)
             assert dist.p_minus == pytest.approx(series[f"{stem}_m"][k], abs=1e-10)
@@ -264,13 +272,13 @@ def test_global_phase_exponential_commutes_with_excitations():
 
 @pytest.mark.parametrize("index", [(1, 1), (2, 3), (4, 4)])
 def test_deformed_polar_identity(index):
-    assert verify_deformed_polar(SubspaceIndex(*index)) < 1e-12
-    assert verify_deformed_polar(SubspaceIndex(*index), "23") < 1e-12
+    assert verify_deformed_polar(index) < 1e-12
+    assert verify_deformed_polar(index, "23") < 1e-12
 
 
 def test_deformed_polar_rejects_degenerate_subspace():
     with pytest.raises(ValueError):
-        verify_deformed_polar(SubspaceIndex(0, 2))
+        verify_deformed_polar((0, 2))
 
 
 # ---------------------------------------------------------------------------
