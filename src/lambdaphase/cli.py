@@ -178,17 +178,21 @@ def _check_rows(data: dict[str, np.ndarray]) -> None:
         raise RuntimeError(f"state norm drifted by {worst:.3g}")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# One CSV row: every column with 17 significant digits.
+ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+
+# Rows converted to Python floats at a time while writing the CSV, which
+# bounds the memory the formatting holds on long grids.
+CSV_CHUNK = 1024
 
 
 def write_csv(path, data: dict[str, np.ndarray]) -> None:
-    lines = [",".join(COLUMNS)]
-    n_rows = len(data["tau"])
-    for k in range(n_rows):
-        lines.append(",".join(_fmt(float(data[col][k])) for col in COLUMNS))
+    table = np.column_stack([np.asarray(data[col], dtype=float) for col in COLUMNS])
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(COLUMNS) + "\n")
+        for start in range(0, len(table), CSV_CHUNK):
+            handle.write("".join(ROW_FORMAT % tuple(row)
+                                 for row in table[start:start + CSV_CHUNK].tolist()))
 
 
 def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:

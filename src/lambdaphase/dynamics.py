@@ -34,6 +34,12 @@ import numpy as np
 MU = (0, 1, 1)
 NU = (1, 0, 1)
 
+# Largest Fock cutoff the truncation search considers, per mode.
+MAX_PHOTONS = 100_000
+
+# Rounding allowance of the captured-weight check in initial_state.
+CAPTURE_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -91,23 +97,47 @@ def poisson_weight(nbar: float, n: int) -> float:
     return math.exp(0.5 * log_p)
 
 
+def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
+    """Poisson(nbar) probabilities of the photon numbers 0..top.
+
+    One cumulative sum of log(nbar / n) gives every log probability, so no
+    factorial is formed and nothing passes through the subnormal range
+    before the exponential; probabilities far out in either tail
+    underflow to zero.
+    """
+    if nbar < 0:
+        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if nbar == 0.0:
+        return (np.arange(top + 1) == 0).astype(float)
+    log_p = np.empty(top + 1)
+    log_p[0] = 0.0
+    np.cumsum(np.log(nbar / np.arange(1, top + 1)), out=log_p[1:])
+    return np.exp(log_p - nbar)
+
+
 def truncation_cutoff(nbar: float, epsilon: float) -> int:
-    """Smallest N with cumulative Poisson weight sum(Q_n^2, n<=N) >= 1 - epsilon."""
+    """Smallest N with cumulative Poisson weight sum(Q_n^2, n<=N) >= 1 - epsilon.
+
+    The search runs over one table of :func:`poisson_probabilities` that
+    reaches past the Chernoff bound P(n >= nbar + x) <= exp(-x^2 / (2 (nbar
+    + x))) for a tail below epsilon, and raises ValueError when that table
+    would exceed MAX_PHOTONS entries.
+    """
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    prob = math.exp(-nbar)
-    cumulative = prob
-    n = 0
-    target = 1.0 - epsilon
-    while cumulative < target:
-        n += 1
-        if n > 100_000:
-            raise RuntimeError("Poisson cutoff search did not converge")
-        prob *= nbar / n
-        cumulative += prob
-    return n
+    log_tail = 1.0 - math.log(epsilon)
+    top = math.ceil(nbar + log_tail + math.sqrt(log_tail * (log_tail + 2.0 * nbar)))
+    if top > MAX_PHOTONS:
+        raise ValueError(f"nbar = {nbar} needs a Fock cutoff near {top}, above "
+                         f"the limit of {MAX_PHOTONS} photons")
+    cumulative = np.cumsum(poisson_probabilities(nbar, top))
+    cutoff = int(np.searchsorted(cumulative, 1.0 - epsilon))
+    if cutoff > top:
+        raise RuntimeError(f"Poisson weight of nbar = {nbar} never reaches "
+                           f"1 - {epsilon:g} in double precision")
+    return cutoff
 
 
 def block_members(index) -> tuple[np.ndarray, np.ndarray]:
@@ -161,15 +191,18 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
 
     Returns ``(index, amplitudes)``: the (B, 2) excitation pairs of the
     blocks with nonzero weight, in ascending (N_a, N_b) order, and their
-    (B, 3) member amplitudes.  The captured state, of squared norm at
-    least (1 - epsilon)^2, is renormalized to exactly 1.
+    (B, 3) member amplitudes.  The captured state is renormalized to
+    exactly 1.  With both cutoffs from the epsilon rule its squared norm
+    before that must be at least (1 - epsilon)^2; RuntimeError reports a
+    truncation that captured less than 1 - 2 epsilon.
     """
+    from_epsilon = cutoff_a is None and cutoff_b is None
     if cutoff_a is None:
         cutoff_a = truncation_cutoff(params.nbar_a, params.epsilon)
     if cutoff_b is None:
         cutoff_b = truncation_cutoff(params.nbar_b, params.epsilon)
-    weights_a = np.array([poisson_weight(params.nbar_a, n) for n in range(cutoff_a + 1)])
-    weights_b = np.array([poisson_weight(params.nbar_b, n) for n in range(cutoff_b + 1)])
+    weights_a = np.sqrt(poisson_probabilities(params.nbar_a, cutoff_a))
+    weights_b = np.sqrt(poisson_probabilities(params.nbar_b, cutoff_b))
 
     na, nb = np.meshgrid(np.arange(cutoff_a + 2), np.arange(cutoff_b + 2), indexing="ij")
     index = np.column_stack([na.ravel(), nb.ravel()])[1:]  # drop the empty (0, 0)
@@ -180,7 +213,11 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
                           * np.array(params.c), 0.0)
     keep = np.any(amplitudes != 0, axis=1)
     index, amplitudes = index[keep], amplitudes[keep]
-    amplitudes /= math.sqrt(float(np.sum(np.abs(amplitudes) ** 2)))
+    captured = float(np.sum(np.abs(amplitudes) ** 2))
+    if from_epsilon and not captured >= 1.0 - 2.0 * params.epsilon - CAPTURE_SLACK:
+        raise RuntimeError(f"truncation at cutoffs {cutoff_a}, {cutoff_b} captured "
+                           f"Poisson weight {captured:.17g}, below 1 - 2 epsilon")
+    amplitudes /= math.sqrt(captured)
     return index, amplitudes
 
 
@@ -189,9 +226,15 @@ class BlockDiagonalPropagator:
 
     Blocks are time independent, so every block Hamiltonian is
     eigendecomposed once, in one batched call, at construction; the state
-    at a time t then costs one phase twist and one 3x3 matrix-vector
-    product per block.  ``index`` and ``initial`` are the excitation pairs
-    and amplitudes returned by :func:`initial_state`.
+    at a time t then costs one phase twist of the eigenbasis coefficients
+    and one real 3x3 contraction per block.  ``index`` and ``initial`` are
+    the excitation pairs and amplitudes returned by :func:`initial_state`.
+
+    Per-block arrays are held once, level-major: ``frequencies`` (3, B),
+    ``coeff0`` (3, B) and the real eigenvectors ``vectors`` (3, 3, 2B), each
+    entry written twice so that it meets the real and the imaginary part
+    of the interleaved complex twist.  The eigenvectors are real because
+    every block Hamiltonian is real symmetric.
     """
 
     def __init__(self, params: SystemParams, cutoff_a: Optional[int] = None,
@@ -199,21 +242,41 @@ class BlockDiagonalPropagator:
         self.params = params
         self.index, self.initial = initial_state(params, cutoff_a, cutoff_b)
         eigvals, eigvecs = np.linalg.eigh(block_hamiltonians(params, self.index))
-        self.eigvals = eigvals
-        # Complex eigenvectors keep the per-sample einsum on one dtype; a
-        # real-by-complex einsum is slower.
-        self.eigvecs = eigvecs.astype(complex)
-        self.coeff0 = np.einsum("bji,bj->bi", self.eigvecs.conj(), self.initial)
+        self.frequencies = np.ascontiguousarray(eigvals.T)
+        self.coeff0 = np.ascontiguousarray(np.einsum("bji,bj->ib", eigvecs, self.initial))
+        self.vectors = np.repeat(eigvecs.transpose(1, 2, 0), 2, axis=2)
 
-    def amplitudes_at(self, t: float) -> np.ndarray:
+    @property
+    def eigvals(self) -> np.ndarray:
+        """Block eigenvalues in ascending order, shape (B, 3)."""
+        return self.frequencies.T
+
+    def phases(self, t: float) -> np.ndarray:
+        """Eigenphase factors exp(-i w t) of every block, shape (3, B)."""
+        phases = (-1j * t) * self.frequencies
+        return np.exp(phases, out=phases)
+
+    def twist(self, t: float) -> np.ndarray:
+        """Eigenbasis coefficients at time t, exp(-i w t) coeff0, shape (3, B)."""
+        twisted = self.phases(t)
+        twisted *= self.coeff0
+        return twisted
+
+    def amplitudes_at(self, t: float, coefficients: Optional[np.ndarray] = None) -> np.ndarray:
         """Member amplitudes of every block at time t, shape (B, 3).
 
         Rows follow ``index``; columns are the atomic levels 1, 2, 3.
+        ``coefficients`` are the eigenbasis coefficients at t as given by
+        :meth:`twist`, or as stepped there by a caller walking a uniform
+        grid; without them the twist is computed here with an exact
+        ``exp``.  The result is a transposed view of a level-major array.
         """
-        phases = np.exp(-1j * self.eigvals * t)
-        return np.einsum("bij,bj->bi", self.eigvecs, phases * self.coeff0)
+        if coefficients is None:
+            coefficients = self.twist(t)
+        real = np.einsum("ijk,jk->ik", self.vectors, coefficients.view(float))
+        return real.view(complex).T
 
     def propagators(self, t: float) -> np.ndarray:
         """Block propagators exp(-i H t), shape (B, 3, 3); negative t runs back."""
-        phases = np.exp(-1j * self.eigvals * t)
-        return np.einsum("bij,bj,bkj->bik", self.eigvecs, phases, self.eigvecs.conj())
+        eigvecs = self.vectors[:, :, ::2]
+        return np.einsum("ijb,jb,kjb->bik", eigvecs, self.phases(t), eigvecs)

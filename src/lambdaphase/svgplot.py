@@ -82,10 +82,12 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel="",
                      f'font-family="sans-serif" font-size="13" '
                      f'transform="rotate(-90 {yx} {yy:.1f})">{ylabel}</text>')
 
+    x_px = sx(x)
+    point_format = " ".join(["%.3f,%.3f"] * len(x))
     for k, (label, y) in enumerate(series):
-        y = np.asarray(y, dtype=float)
+        y_px = sy(np.asarray(y, dtype=float))
         color = PALETTE[k % len(PALETTE)]
-        points = " ".join(f"{_fmt(sx(xv))},{_fmt(sy(yv))}" for xv, yv in zip(x, y))
+        points = point_format % tuple(np.column_stack([x_px, y_px]).ravel().tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.3" points="{points}"/>')
         ly = margin_top + 16 + 18 * k

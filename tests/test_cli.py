@@ -3,16 +3,20 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lambdaphase
 from lambdaphase.cli import (COLUMNS, PRESETS, RunConfig, _check_rows,
                              config_from_dict, load_config, main, run_scenario,
-                             time_scale)
+                             time_scale, write_csv, write_svg)
 from lambdaphase.verify import SUITES
 
 BASE_CONFIG = {
@@ -142,6 +146,81 @@ def test_run_scenario_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         run_scenario(config, csv_path=serial, workers=1)
         run_scenario(config, csv_path=threaded)
         assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_simulate_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
+    # fig3b's ~10.4k blocks over 67 samples cross one segment boundary;
+    # child processes under different BLAS and worker thread counts must
+    # write the bytes of the in-process run
+    raw = {field.name: getattr(PRESETS["fig3b"], field.name)
+           for field in dataclasses.fields(RunConfig)}
+    raw.update(c=[1.0, 0.0, 0.0], tau_steps=67, transitions=list(raw["transitions"]))
+    config_path = tmp_path / "fig3b_67.json"
+    config_path.write_text(json.dumps(raw))
+    reference = tmp_path / "in_process.csv"
+    run_scenario(load_config(config_path), csv_path=reference, workers=1)
+
+    src = str(Path(lambdaphase.__file__).resolve().parents[1])
+    for blas in ("1", "2"):
+        for workers in ("1", "3"):
+            out = tmp_path / f"blas{blas}_workers{workers}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, LAMBDAPHASE_THREADS=workers,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "lambdaphase.cli", "simulate",
+                            "--config", str(config_path), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            assert out.read_bytes() == reference.read_bytes(), (blas, workers)
+
+
+def per_cell_csv(data):
+    """write_csv's output, one f-string per cell."""
+    lines = [",".join(COLUMNS)]
+    for k in range(len(data["tau"])):
+        lines.append(",".join(f"{float(data[col][k]):.17g}" for col in COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def per_point_polylines(x, series):
+    """The points attribute of every polyline, one sx/sy call per point."""
+    width, height = 900, 480
+    plot_w, plot_h = width - 64 - 150, height - 36 - 48
+    ymin = min(0.0, min(float(np.min(y)) for _, y in series))
+    ymax = max(float(np.max(y)) for _, y in series)
+    if ymax <= ymin:
+        ymax = ymin + 1.0
+    pad = 0.05 * (ymax - ymin)
+    ymin, ymax = ymin - pad, ymax + pad
+    xmin, xmax = float(x[0]), float(x[-1])
+
+    def sx(v):
+        return 64 + (v - xmin) / (xmax - xmin) * plot_w
+
+    def sy(v):
+        return 36 + (ymax - v) / (ymax - ymin) * plot_h
+
+    return [" ".join(f"{sx(xv):.3f},{sy(yv):.3f}" for xv, yv in zip(x, y))
+            for _, y in series]
+
+
+@pytest.mark.parametrize("config", [
+    PRESETS["fig2"],
+    config_from_dict({"g_a": 1.0, "g_b": 0.8, "nbar_a": 3.0, "nbar_b": 2.0,
+                      "c": [[0.6, 0.0], [0.0, 0.64], [0.48, 0.0]],
+                      "delta_a": 0.3, "delta_b": -0.2, "tau_max": 2.0,
+                      "tau_steps": 101}),
+], ids=["fig2", "detuned_complex_c"])
+def test_writers_match_per_cell_formatting(tmp_path, config):
+    data = run_scenario(config)
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    write_csv(csv_path, data)
+    assert csv_path.read_text() == per_cell_csv(data)
+
+    write_svg(svg_path, config, data)
+    series = [(f"p{trans}_{suffix}", data[f"p{trans}_{suffix}"])
+              for trans in config.transitions for suffix in ("0", "p", "m")]
+    points = re.findall(r'points="([^"]*)"', svg_path.read_text())
+    assert points == per_point_polylines(data["tau"], series)
+    assert len(points) == 3 * len(config.transitions)
 
 
 def test_check_rows_rejects_nan():

@@ -11,8 +11,8 @@ from scipy.linalg import expm
 
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   block_hamiltonians, block_members,
-                                  initial_state, poisson_weight,
-                                  truncation_cutoff)
+                                  initial_state, poisson_probabilities,
+                                  poisson_weight, truncation_cutoff)
 from lambdaphase.relphase import time_series
 
 GROUND = (1.0, 0.0, 0.0)
@@ -104,6 +104,43 @@ def test_truncation_cutoff_is_minimal(nbar, log_eps):
     assert stats.poisson.cdf(cut, nbar) >= 1 - epsilon - 1e-13
     if cut > 0:
         assert stats.poisson.cdf(cut - 1, nbar) < 1 - epsilon + 1e-13
+
+
+def test_truncation_cutoff_large_nbar_keeps_the_tail_bound():
+    # exp(-nbar) is subnormal here: a search that starts from it and
+    # multiplies up stops at 817 (losing 2.5e-3 of the weight) and at 750
+    # (losing 42%); the cumulative-Poisson cutoffs are 920 and 925
+    assert truncation_cutoff(740.0, 1e-10) == 920
+    assert truncation_cutoff(745.0, 1e-10) == 925
+
+
+def test_truncation_cutoff_keeps_the_benchmark_cutoffs():
+    cutoffs = [truncation_cutoff(nbar, 1e-10) for nbar in (0.5, 1.0, 50.0, 100.0, 200.0)]
+    assert cutoffs == [10, 12, 101, 170, 296]
+
+
+def test_truncation_cutoff_rejects_a_huge_table():
+    with pytest.raises(ValueError, match="nbar"):
+        truncation_cutoff(1e9, 1e-10)
+
+
+def test_poisson_probabilities_match_pmf():
+    for nbar in (0.0, 0.5, 50.0, 740.0):
+        expected = stats.poisson.pmf(np.arange(1200), nbar)
+        got = poisson_probabilities(nbar, 1199)
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-300)
+
+
+def test_initial_state_rejects_a_truncation_that_loses_weight(monkeypatch):
+    # a cutoff search that stops early (as the subnormal one did) must not
+    # be renormalized away silently
+    import lambdaphase.dynamics as dynamics
+    params = desk_params(nbar_a=20.0)
+    monkeypatch.setattr(dynamics, "truncation_cutoff", lambda nbar, eps: 20)
+    with pytest.raises(RuntimeError, match="captured"):
+        initial_state(params)
+    # explicit cutoffs are the caller's choice and are not checked
+    assert len(initial_state(params, cutoff_a=20, cutoff_b=20)[0]) > 0
 
 
 def test_poisson_weights_normalized_to_cutoff():

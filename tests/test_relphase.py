@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from lambdaphase import algebra, relphase
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
-from lambdaphase.relphase import (PHASE_VECTORS, block_phase_exponential,
+from lambdaphase.relphase import (PHASE_VECTORS, SEGMENT, SERIES_KEYS,
+                                  block_phase_exponential,
                                   deformed_generators,
-                                  global_phase_exponential,
+                                  global_phase_exponential, grid_segments,
                                   marginal_distribution,
-                                  rel_phase_eigenstates, time_series,
-                                  trapping_config, verify_deformed_algebra,
+                                  rel_phase_eigenstates, series_rows,
+                                  time_series, trapping_config,
+                                  verify_deformed_algebra,
                                   verify_deformed_polar)
 
 GROUND = (1.0, 0.0, 0.0)
@@ -204,8 +206,10 @@ def test_projection_agrees_with_closed_form_series():
 
 
 def test_time_series_columns_and_threads():
+    # three segments, so the pool has more than one segment to split
     params = desk_params()
-    times = np.linspace(0.0, 2.0, 17)
+    times = np.linspace(0.0, 2.0, 2 * SEGMENT + 5)
+    assert len(grid_segments(times)[1]) == 3
     serial = time_series(params, times, workers=1)
     threaded = time_series(params, times, workers=4)
     for key in relphase.SERIES_KEYS:
@@ -213,9 +217,65 @@ def test_time_series_columns_and_threads():
     total = serial["pop1"] + serial["pop2"] + serial["pop3"]
     assert np.allclose(total, 1.0, atol=1e-10)
     assert np.allclose(serial["norm"], 1.0, atol=1e-10)
-    assert np.allclose(serial["p13_0"], serial["pop2"], atol=1e-12)
-    assert np.allclose(serial["p23_0"], serial["pop1"], atol=1e-12)
-    assert np.allclose(serial["p12_0"], serial["pop3"], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# segment recurrence against the exact per-sample path
+# ---------------------------------------------------------------------------
+
+def exact_rows(params, times):
+    """The 13 columns of each sample from amplitudes_at(t) and its exact exp."""
+    prop = BlockDiagonalPropagator(params)
+    rows = []
+    for t in times:
+        amplitudes = prop.amplitudes_at(float(t))
+        rows.append(series_rows((amplitudes.T @ amplitudes.conj())[None])[0])
+    return np.array(rows)
+
+
+def series_table(series):
+    return np.column_stack([series[key] for key in SERIES_KEYS])
+
+
+def test_recurrence_matches_exact_exp_on_a_long_grid():
+    # weak_long's physics over tau 0..40: t reaches 251 and w t about 1300,
+    # with 157 segments of stepped phases
+    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND)
+    times = np.linspace(0.0, 40.0, 10001) * 2.0 * math.pi
+    assert len(grid_segments(times)[1]) == 157
+    got = series_table(time_series(params, times))
+    assert np.max(np.abs(got - exact_rows(params, times))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, SEGMENT, SEGMENT + 1])
+def test_recurrence_matches_exact_exp_at_segment_edges(n):
+    params = desk_params(delta_a=0.35, delta_b=-0.2)
+    times = np.linspace(0.3, 9.0, n)
+    got = series_table(time_series(params, times))
+    expected = exact_rows(params, times)
+    assert np.max(np.abs(got - expected)) < 1e-12
+    # each segment's first sample is the exact twist itself
+    assert np.array_equal(got[0], expected[0])
+    if n > SEGMENT:
+        assert np.array_equal(got[SEGMENT], expected[SEGMENT])
+
+
+def test_non_uniform_grid_is_the_exact_path():
+    params = desk_params(delta_a=-0.25, delta_b=0.4)
+    times = np.sort(np.random.default_rng(7).uniform(0.0, 12.0, SEGMENT + 9))
+    dt, segments = grid_segments(times)
+    assert dt == 0.0 and segments == [(k, k + 1) for k in range(len(times))]
+    got = series_table(time_series(params, times))
+    assert np.array_equal(got, exact_rows(params, times))
+
+
+def test_grid_segments_tolerate_only_rounding():
+    times = np.linspace(0.0, 3.0, 200) * 2.0 * math.pi * math.sqrt(50.0)
+    dt, segments = grid_segments(times)
+    assert dt > 0.0 and len(segments) == 4 and segments[-1] == (192, 200)
+    nudged = times.copy()
+    nudged[77] += 1e-9
+    assert grid_segments(nudged)[1] == [(k, k + 1) for k in range(200)]
 
 
 # ---------------------------------------------------------------------------
