@@ -246,11 +246,6 @@ class BlockDiagonalPropagator:
         self.coeff0 = np.ascontiguousarray(np.einsum("bji,bj->ib", eigvecs, self.initial))
         self.vectors = np.repeat(eigvecs.transpose(1, 2, 0), 2, axis=2)
 
-    @property
-    def eigvals(self) -> np.ndarray:
-        """Block eigenvalues in ascending order, shape (B, 3)."""
-        return self.frequencies.T
-
     def phases(self, t: float) -> np.ndarray:
         """Eigenphase factors exp(-i w t) of every block, shape (3, B)."""
         phases = (-1j * t) * self.frequencies

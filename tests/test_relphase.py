@@ -217,6 +217,9 @@ def test_time_series_columns_and_threads():
     total = serial["pop1"] + serial["pop2"] + serial["pop3"]
     assert np.allclose(total, 1.0, atol=1e-10)
     assert np.allclose(serial["norm"], 1.0, atol=1e-10)
+    assert np.allclose(serial["p13_0"], serial["pop2"], atol=1e-12)
+    assert np.allclose(serial["p23_0"], serial["pop1"], atol=1e-12)
+    assert np.allclose(serial["p12_0"], serial["pop3"], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
