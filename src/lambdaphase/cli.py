@@ -11,15 +11,14 @@ When g_a or nbar_a vanishes the rescaling is degenerate and tau is read
 as bare time.
 
 CSV output is deterministic: fixed column order, 17 significant digits,
-and a reduction order independent of the worker count, so identical
-configurations produce byte-identical files.
+and a fixed reduction order, so identical configurations produce
+byte-identical files.
 """
 
 import argparse
 import json
 import math
 import numbers
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -29,8 +28,6 @@ import numpy as np
 from . import relphase, svgplot
 from .dynamics import SystemParams
 from .verify import SUITES, run_suite
-
-THREADS_ENV_VAR = "LAMBDAPHASE_THREADS"
 
 COLUMNS = ("tau", "p13_0", "p13_p", "p13_m", "p23_0", "p23_p", "p23_m",
            "p12_0", "p12_p", "p12_m", "pop1", "pop2", "pop3", "norm")
@@ -153,18 +150,6 @@ def time_scale(params: SystemParams) -> float:
     return 1.0
 
 
-def _worker_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _check_rows(data: dict[str, np.ndarray]) -> None:
     # Written as "not <=" so that a NaN residual fails the check.
     for stem in ("p13", "p23", "p12"):
@@ -207,8 +192,7 @@ def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:
         xlabel="rescaled time tau", ylabel="probability")
 
 
-def run_scenario(config: RunConfig, csv_path=None, svg_path=None,
-                 workers: int | None = None) -> dict[str, np.ndarray]:
+def run_scenario(config: RunConfig, csv_path=None, svg_path=None) -> dict[str, np.ndarray]:
     """Evolve the configured scenario over its tau grid.
 
     Writes the CSV (and optional SVG) when a path is configured or given,
@@ -217,7 +201,7 @@ def run_scenario(config: RunConfig, csv_path=None, svg_path=None,
     params = config.system_params()
     taus = np.linspace(0.0, config.tau_max, config.tau_steps)
     times = taus * time_scale(params)
-    series = relphase.time_series(params, times, workers=_worker_count(workers))
+    series = relphase.time_series(params, times)
     data = {"tau": taus}
     for key in relphase.SERIES_KEYS:
         data[key] = series[key]

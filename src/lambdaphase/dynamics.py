@@ -16,7 +16,8 @@ batched eigendecomposition gives the exact propagator of all of them.
 
 Initial states are an atomic superposition times a two-mode coherent state
 with real (zero-phase) Poissonian amplitudes.  The coherent ensemble is
-truncated once, up front: because the excitation numbers are conserved,
+truncated once, up front, to a window of photon numbers per mode that
+drops both Poisson tails: because the excitation numbers are conserved,
 the truncated set of blocks is closed under the evolution and no amplitude
 ever leaks out of it.  Blocks are kept in ascending (N_a, N_b) order.
 """
@@ -48,7 +49,7 @@ class SystemParams:
     Couplings and detunings are in the same frequency units; time is their
     inverse.  ``c`` holds the three initial atomic amplitudes and must be
     normalized.  ``epsilon`` is the probability weight allowed in the
-    discarded Poisson tail of each mode.
+    discarded tails of each mode, the lower and the upper together.
     """
 
     g_a: float
@@ -118,6 +119,10 @@ def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
 def truncation_cutoff(nbar: float, epsilon: float) -> int:
     """Smallest N with cumulative Poisson weight sum(Q_n^2, n<=N) >= 1 - epsilon.
 
+    This is the upper edge of the kept photon numbers; :func:`photon_window`
+    spends what the upper tail leaves of epsilon on the lower tail, so the
+    discarded tails of each mode hold at most epsilon together.
+
     The search runs over one table of :func:`poisson_probabilities` that
     reaches past the Chernoff bound P(n >= nbar + x) <= exp(-x^2 / (2 (nbar
     + x))) for a tail below epsilon, and raises ValueError when that table
@@ -138,6 +143,20 @@ def truncation_cutoff(nbar: float, epsilon: float) -> int:
         raise RuntimeError(f"Poisson weight of nbar = {nbar} never reaches "
                            f"1 - {epsilon:g} in double precision")
     return cutoff
+
+
+def photon_window(nbar: float, epsilon: float) -> tuple[int, int]:
+    """Kept photon numbers [lo, N] of one mode under the epsilon rule.
+
+    N is :func:`truncation_cutoff`.  With u the Poisson weight above N, lo
+    is the largest number of leading photon numbers whose summed weight is
+    at most epsilon - u, read off the cumulative table up to N, so the two
+    discarded tails together hold at most epsilon.
+    """
+    cutoff = truncation_cutoff(nbar, epsilon)
+    cumulative = np.cumsum(poisson_probabilities(nbar, cutoff))
+    budget = epsilon - (1.0 - cumulative[-1])
+    return int(np.searchsorted(cumulative, budget, side="right")), cutoff
 
 
 def block_members(index) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +203,13 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
                   cutoff_b: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """Product of the atomic superposition and the two-mode coherent state.
 
-    Each mode's Fock ladder is truncated at the epsilon tail cutoff (or the
-    explicit override).  The amplitude of the level-j member of block
-    (N_a, N_b) is Q_a(N_a - MU[j-1]) Q_b(N_b - NU[j-1]) c_j whenever both
-    photon numbers fall inside the kept range, and zero otherwise.
+    With both cutoffs left to the epsilon rule, each mode keeps the photon
+    numbers of its :func:`photon_window` [lo, N], which discards both tails
+    of its Poisson ladder; explicit cutoffs keep [0, cutoff] of each mode
+    (a missing one comes from :func:`truncation_cutoff`).  The amplitude of
+    the level-j member of block (N_a, N_b) is
+    Q_a(N_a - MU[j-1]) Q_b(N_b - NU[j-1]) c_j whenever both photon numbers
+    fall inside the kept windows, and zero otherwise.
 
     Returns ``(index, amplitudes)``: the (B, 2) excitation pairs of the
     blocks with nonzero weight, in ascending (N_a, N_b) order, and their
@@ -197,17 +219,25 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
     truncation that captured less than 1 - 2 epsilon.
     """
     from_epsilon = cutoff_a is None and cutoff_b is None
-    if cutoff_a is None:
-        cutoff_a = truncation_cutoff(params.nbar_a, params.epsilon)
-    if cutoff_b is None:
-        cutoff_b = truncation_cutoff(params.nbar_b, params.epsilon)
+    if from_epsilon:
+        lo_a, cutoff_a = photon_window(params.nbar_a, params.epsilon)
+        lo_b, cutoff_b = photon_window(params.nbar_b, params.epsilon)
+    else:
+        lo_a = lo_b = 0
+        if cutoff_a is None:
+            cutoff_a = truncation_cutoff(params.nbar_a, params.epsilon)
+        if cutoff_b is None:
+            cutoff_b = truncation_cutoff(params.nbar_b, params.epsilon)
     weights_a = np.sqrt(poisson_probabilities(params.nbar_a, cutoff_a))
     weights_b = np.sqrt(poisson_probabilities(params.nbar_b, cutoff_b))
 
-    na, nb = np.meshgrid(np.arange(cutoff_a + 2), np.arange(cutoff_b + 2), indexing="ij")
-    index = np.column_stack([na.ravel(), nb.ravel()])[1:]  # drop the empty (0, 0)
+    # A block below either window's lower edge has no member inside it.
+    na, nb = np.meshgrid(np.arange(lo_a, cutoff_a + 2), np.arange(lo_b, cutoff_b + 2),
+                         indexing="ij")
+    index = np.column_stack([na.ravel(), nb.ravel()])
+    index = index[np.any(index != 0, axis=1)]  # drop the empty (0, 0)
     n_a, n_b = block_members(index)
-    inside = (n_a >= 0) & (n_b >= 0) & (n_a <= cutoff_a) & (n_b <= cutoff_b)
+    inside = (n_a >= lo_a) & (n_b >= lo_b) & (n_a <= cutoff_a) & (n_b <= cutoff_b)
     amplitudes = np.where(inside, weights_a[np.clip(n_a, 0, cutoff_a)]
                           * weights_b[np.clip(n_b, 0, cutoff_b)]
                           * np.array(params.c), 0.0)

@@ -28,7 +28,6 @@ this for free: the missing member's slot holds zero amplitude.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +170,7 @@ def series_rows(r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def time_series(params: SystemParams, times: np.ndarray, workers: int = 1,
+def time_series(params: SystemParams, times: np.ndarray,
                 cutoff_a=None, cutoff_b=None) -> dict[str, np.ndarray]:
     """Phase distributions and populations of all three transitions over a grid.
 
@@ -188,9 +187,11 @@ def time_series(params: SystemParams, times: np.ndarray, workers: int = 1,
     uniform grid, multiplies it by exp(-i w dt) for each later sample, so
     the complex exponential runs once per segment instead of once per
     sample; the rows of a segment come from one reduction over its R
-    matrices.  Segments are independent, so with ``workers > 1`` they are
-    split across a thread pool; the output is bit-identical to the serial
-    evaluation.
+    matrices.
+
+    ``cutoff_a``/``cutoff_b`` go to :func:`.dynamics.initial_state`: left
+    out, each mode keeps its epsilon photon window; given, the full ladder
+    [0, cutoff] of each mode.
 
     Returns a dict with key "t" (the input grid) plus one array per entry
     of ``SERIES_KEYS``.
@@ -200,9 +201,7 @@ def time_series(params: SystemParams, times: np.ndarray, workers: int = 1,
     dt, segments = grid_segments(times)
     step = prop.phases(dt) if len(segments) < len(times) else None
     rows = np.empty((len(times), len(SERIES_KEYS)))
-
-    def fill(segment: tuple[int, int]) -> None:
-        start, stop = segment
+    for start, stop in segments:
         r = np.empty((stop - start, 3, 3), dtype=complex)
         twisted = prop.twist(times[start])
         for k in range(start, stop):
@@ -212,13 +211,6 @@ def time_series(params: SystemParams, times: np.ndarray, workers: int = 1,
             r[k - start] = amplitudes.T @ amplitudes.conj()
             del amplitudes  # before the next sample's is allocated
         rows[start:stop] = series_rows(r)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, segments))
-    else:
-        for segment in segments:
-            fill(segment)
 
     out = {"t": times.copy()}
     out.update(zip(SERIES_KEYS, rows.T))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lambdaphase
+from lambdaphase import dynamics
 from lambdaphase.cli import (COLUMNS, PRESETS, RunConfig, _check_rows,
                              config_from_dict, load_config, main, run_scenario,
                              time_scale, write_csv, write_svg)
@@ -127,49 +128,52 @@ def test_run_scenario_writes_csv_and_svg(tmp_path):
 
 
 def test_run_scenario_deterministic(tmp_path):
-    config = load_config(write_config(tmp_path))
-    path_one = tmp_path / "one.csv"
-    path_two = tmp_path / "two.csv"
-    run_scenario(config, csv_path=path_one)
-    run_scenario(config, csv_path=path_two)
-    assert path_one.read_bytes() == path_two.read_bytes()
-
-
-def test_run_scenario_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    # a desk config and fig3b's ~10k blocks on a shortened grid
+    # a desk config and fig3b's ~8.3k blocks on a shortened grid
     configs = [load_config(write_config(tmp_path)),
                dataclasses.replace(PRESETS["fig3b"], tau_steps=25)]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    monkeypatch.setenv("LAMBDAPHASE_THREADS", "3")
+    path_one = tmp_path / "one.csv"
+    path_two = tmp_path / "two.csv"
     for config in configs:
-        run_scenario(config, csv_path=serial, workers=1)
-        run_scenario(config, csv_path=threaded)
-        assert serial.read_bytes() == threaded.read_bytes()
+        run_scenario(config, csv_path=path_one)
+        run_scenario(config, csv_path=path_two)
+        assert path_one.read_bytes() == path_two.read_bytes()
 
 
-def test_simulate_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
-    # fig3b's ~10.4k blocks over 67 samples cross one segment boundary;
-    # child processes under different BLAS and worker thread counts must
-    # write the bytes of the in-process run
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fig3b's ~8.3k blocks over 67 samples cross one segment boundary;
+    # child processes under different BLAS thread counts must write the
+    # bytes of the in-process run
     raw = {field.name: getattr(PRESETS["fig3b"], field.name)
            for field in dataclasses.fields(RunConfig)}
     raw.update(c=[1.0, 0.0, 0.0], tau_steps=67, transitions=list(raw["transitions"]))
     config_path = tmp_path / "fig3b_67.json"
     config_path.write_text(json.dumps(raw))
     reference = tmp_path / "in_process.csv"
-    run_scenario(load_config(config_path), csv_path=reference, workers=1)
+    run_scenario(load_config(config_path), csv_path=reference)
 
     src = str(Path(lambdaphase.__file__).resolve().parents[1])
     for blas in ("1", "2"):
-        for workers in ("1", "3"):
-            out = tmp_path / f"blas{blas}_workers{workers}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, LAMBDAPHASE_THREADS=workers,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-m", "lambdaphase.cli", "simulate",
-                            "--config", str(config_path), "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=120)
-            assert out.read_bytes() == reference.read_bytes(), (blas, workers)
+        out = tmp_path / f"blas{blas}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "lambdaphase.cli", "simulate",
+                        "--config", str(config_path), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert out.read_bytes() == reference.read_bytes(), blas
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_presets_match_the_full_rectangle(tmp_path, monkeypatch, name):
+    # the photon window moves the columns by about the weight it drops;
+    # fig2's nbar 1 has no lower cut, so its bytes do not move at all
+    windowed_path, full_path = tmp_path / "window.csv", tmp_path / "full.csv"
+    windowed = run_scenario(PRESETS[name], csv_path=windowed_path)
+    monkeypatch.setattr(dynamics, "photon_window",
+                        lambda nbar, eps: (0, dynamics.truncation_cutoff(nbar, eps)))
+    full = run_scenario(PRESETS[name], csv_path=full_path)
+    assert max(np.max(np.abs(windowed[col] - full[col])) for col in COLUMNS) <= 1e-10
+    if name == "fig2":
+        assert windowed_path.read_bytes() == full_path.read_bytes()
 
 
 def per_cell_csv(data):
@@ -269,6 +273,22 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_config_rejects_an_unnormalized_c_and_shows_the_norm():
+    # hand-typed amplitudes are rejected, not renormalized
+    with pytest.raises(ValueError, match=r"c must be normalized, \|c\|\^2 = 0\.99998"):
+        config_from_dict({**BASE_CONFIG, "c": [0.7071, 0.7071, 0]})
+
+
+def test_main_rejects_an_unnormalized_c(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "c": [0.7071, 0.7071, 0]}))
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    assert "|c|^2 = 0.99998" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("field", ["nbar_a", "g_a", "tau_max", "tau_steps"])

@@ -11,8 +11,9 @@ from scipy.linalg import expm
 
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   block_hamiltonians, block_members,
-                                  initial_state, poisson_probabilities,
-                                  poisson_weight, truncation_cutoff)
+                                  initial_state, photon_window,
+                                  poisson_probabilities, poisson_weight,
+                                  truncation_cutoff)
 from lambdaphase.relphase import time_series
 
 GROUND = (1.0, 0.0, 0.0)
@@ -141,6 +142,42 @@ def test_initial_state_rejects_a_truncation_that_loses_weight(monkeypatch):
         initial_state(params)
     # explicit cutoffs are the caller's choice and are not checked
     assert len(initial_state(params, cutoff_a=20, cutoff_b=20)[0]) > 0
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.5, 1.0, 20.0, 50.0, 100.0, 200.0, 740.0])
+def test_photon_window_discards_at_most_epsilon(nbar):
+    lo, cutoff = photon_window(nbar, 1e-10)
+    assert cutoff == truncation_cutoff(nbar, 1e-10)
+    lower = stats.poisson.cdf(lo - 1, nbar) if lo > 0 else 0.0
+    upper = stats.poisson.sf(cutoff, nbar)
+    assert lower + upper <= 1e-10
+
+
+def test_photon_window_lower_edges():
+    lower = [photon_window(nbar, 1e-10)[0] for nbar in (0.0, 0.5, 1.0, 20.0, 50.0, 100.0)]
+    assert lower == [0, 0, 0, 0, 11, 42]
+
+
+def test_initial_state_keeps_the_photon_window():
+    # both modes of scale_setup's nbar 100 drop photon numbers 0..41
+    params = desk_params(nbar_a=100.0, nbar_b=100.0, c=GROUND)
+    index, amplitudes = initial_state(params)
+    assert len(index) == 129 * 129
+    n_a, n_b = block_members(index)
+    present = amplitudes != 0
+    assert n_a[present].min() == n_b[present].min() == 42
+    assert n_a[present].max() == n_b[present].max() == 170
+
+
+def test_explicit_cutoffs_have_no_lower_cut():
+    params = desk_params(nbar_a=50.0, nbar_b=50.0, c=GROUND)
+    index, amplitudes = initial_state(params, cutoff_a=101, cutoff_b=101)
+    assert len(index) == 102 * 102
+    n_a, n_b = block_members(index)
+    present = amplitudes != 0
+    assert n_a[present].min() == n_b[present].min() == 0
+    # a window below cuts 11 photon numbers from each mode
+    assert len(initial_state(params)[0]) == 91 * 91
 
 
 def test_poisson_weights_normalized_to_cutoff():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaphase import algebra, relphase
-from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
+from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
+                                  truncation_cutoff)
 from lambdaphase.relphase import (PHASE_VECTORS, SEGMENT, SERIES_KEYS,
                                   block_phase_exponential,
                                   deformed_generators,
@@ -205,21 +206,29 @@ def test_projection_agrees_with_closed_form_series():
             assert dist.p_minus == pytest.approx(series[f"{stem}_m"][k], abs=1e-10)
 
 
-def test_time_series_columns_and_threads():
-    # three segments, so the pool has more than one segment to split
+def test_time_series_columns_over_segments():
+    # three segments, so the identities hold across segment boundaries
     params = desk_params()
     times = np.linspace(0.0, 2.0, 2 * SEGMENT + 5)
     assert len(grid_segments(times)[1]) == 3
-    serial = time_series(params, times, workers=1)
-    threaded = time_series(params, times, workers=4)
-    for key in relphase.SERIES_KEYS:
-        assert np.array_equal(serial[key], threaded[key])
-    total = serial["pop1"] + serial["pop2"] + serial["pop3"]
+    series = time_series(params, times)
+    total = series["pop1"] + series["pop2"] + series["pop3"]
     assert np.allclose(total, 1.0, atol=1e-10)
-    assert np.allclose(serial["norm"], 1.0, atol=1e-10)
-    assert np.allclose(serial["p13_0"], serial["pop2"], atol=1e-12)
-    assert np.allclose(serial["p23_0"], serial["pop1"], atol=1e-12)
-    assert np.allclose(serial["p12_0"], serial["pop3"], atol=1e-12)
+    assert np.allclose(series["norm"], 1.0, atol=1e-10)
+    assert np.allclose(series["p13_0"], series["pop2"], atol=1e-12)
+    assert np.allclose(series["p23_0"], series["pop1"], atol=1e-12)
+    assert np.allclose(series["p12_0"], series["pop3"], atol=1e-12)
+
+
+def test_photon_window_matches_the_full_rectangle():
+    # nbar 50 drops the 11 lowest photon numbers of each mode; the full
+    # rectangle comes from passing the epsilon cutoffs explicitly
+    params = desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2)
+    cutoff = truncation_cutoff(50.0, params.epsilon)
+    times = np.linspace(0.0, 3.0, 9)
+    windowed = series_table(time_series(params, times))
+    full = series_table(time_series(params, times, cutoff_a=cutoff, cutoff_b=cutoff))
+    assert np.max(np.abs(windowed - full)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
