@@ -128,15 +128,29 @@ def test_run_scenario_writes_csv_and_svg(tmp_path):
 
 
 def test_run_scenario_deterministic(tmp_path):
-    # a desk config and fig3b's ~8.3k blocks on a shortened grid
-    configs = [load_config(write_config(tmp_path)),
-               dataclasses.replace(PRESETS["fig3b"], tau_steps=25)]
+    config = load_config(write_config(tmp_path))
     path_one = tmp_path / "one.csv"
     path_two = tmp_path / "two.csv"
+    run_scenario(config, csv_path=path_one)
+    run_scenario(config, csv_path=path_two)
+    assert path_one.read_bytes() == path_two.read_bytes()
+
+
+def test_run_scenario_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # a desk config and fig3b's ~8.3k blocks on a shortened grid; the
+    # program has no worker threads, so a worker-count variable left in
+    # the environment (the benchmark still sets LAMBDAPHASE_THREADS) must
+    # not change the bytes
+    configs = [load_config(write_config(tmp_path)),
+               dataclasses.replace(PRESETS["fig3b"], tau_steps=25)]
+    unset = tmp_path / "unset.csv"
+    threaded = tmp_path / "threaded.csv"
     for config in configs:
-        run_scenario(config, csv_path=path_one)
-        run_scenario(config, csv_path=path_two)
-        assert path_one.read_bytes() == path_two.read_bytes()
+        monkeypatch.delenv("LAMBDAPHASE_THREADS", raising=False)
+        run_scenario(config, csv_path=unset)
+        monkeypatch.setenv("LAMBDAPHASE_THREADS", "3")
+        run_scenario(config, csv_path=threaded)
+        assert unset.read_bytes() == threaded.read_bytes()
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
