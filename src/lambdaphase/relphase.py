@@ -32,20 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import spectator_level, transition_levels
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
 TRANSITIONS = ("13", "23", "12")
 
-# transition -> (zero-label level, upper member level, partner member level)
-_STRUCTURE = {"13": (2, 3, 1), "23": (1, 3, 2), "12": (3, 2, 1)}
-
 
 def _structure(transition: str) -> tuple[int, int, int]:
-    try:
-        return _STRUCTURE[str(transition)]
-    except KeyError:
-        raise ValueError(f"unknown transition {transition!r}, expected one of "
-                         f"{TRANSITIONS}") from None
+    """(zero-label level, upper member level, partner member level) of a transition.
+
+    These are the spectator, the upper and the lower level of
+    :func:`.algebra.transition_levels`, which rejects unknown transitions.
+    """
+    lower, upper = transition_levels(transition)
+    return spectator_level(transition), upper, lower
 
 
 def _phase_vectors() -> np.ndarray:
@@ -139,6 +139,13 @@ SEGMENT = 64
 # its nominal position t_0 + k dt on a grid taken as uniform.
 UNIFORM_ULPS = 4
 
+# Largest number of blocks in one dot product of :func:`block_sum`.
+# OpenBLAS splits a dot product over its threads above 10000 elements, at
+# points that depend on the thread count, which would make the bytes of a
+# run depend on it; chunks this short stay on one thread and are summed in
+# a fixed order.
+REDUCE_CHUNK = 8192
+
 # Phase vectors, then the three level unit vectors: <v|R|v> over these
 # columns gives the nine phase probabilities and the three populations.
 _READOUT = np.hstack([PHASE_VECTORS, np.eye(3)])
@@ -162,6 +169,22 @@ def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return 0.0, [(k, k + 1) for k in range(n)]
 
 
+def block_sum(amplitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """R = sum_b a_b a_b^dagger of padded amplitudes (B, 3), written into ``out`` (3, 3).
+
+    R[i, j] = sum_b a_bi conj(a_bj), summed over chunks of REDUCE_CHUNK
+    blocks in block order.  Returns ``out``.
+    """
+    levels = amplitudes.T
+    for start in range(0, levels.shape[1], REDUCE_CHUNK):
+        chunk = levels[:, start:start + REDUCE_CHUNK]
+        if start == 0:
+            np.vecdot(chunk[None, :], chunk[:, None], out=out)
+        else:
+            out += np.vecdot(chunk[None, :], chunk[:, None])
+    return out
+
+
 def series_rows(r: np.ndarray) -> np.ndarray:
     """The 13 output columns of a stack of block-summed matrices R, shape (T, 13)."""
     rows = np.empty((len(r), len(SERIES_KEYS)))
@@ -176,11 +199,12 @@ def time_series(params: SystemParams, times: np.ndarray,
 
     This is the production path: every block is eigendecomposed once, and
     each time sample costs one eigenphase twist, one real 3x3 contraction
-    per block (:meth:`BlockDiagonalPropagator.amplitudes_at`) and one 3x3
-    product.  All 13 columns are linear in the block-summed matrix
-    R = sum_b a_b a_b^dagger of the member amplitudes a_b: each phase
-    probability is <phi|R|phi> for a column phi of :data:`PHASE_VECTORS`,
-    the populations are diag R and the norm is tr R.
+    per block (:meth:`BlockDiagonalPropagator.amplitudes_at`) and one
+    reduction over the blocks (:func:`block_sum`).  All 13 columns are
+    linear in the block-summed matrix R = sum_b a_b a_b^dagger of the
+    member amplitudes a_b: each phase probability is <phi|R|phi> for a
+    column phi of :data:`PHASE_VECTORS`, the populations are diag R and
+    the norm is tr R.
 
     The grid is walked in the segments of :func:`grid_segments`.  Each
     segment starts from the exact twist exp(-i w t_s) coeff0 and, on a
@@ -207,9 +231,7 @@ def time_series(params: SystemParams, times: np.ndarray,
         for k in range(start, stop):
             if k > start:
                 twisted *= step
-            amplitudes = prop.amplitudes_at(times[k], twisted)
-            r[k - start] = amplitudes.T @ amplitudes.conj()
-            del amplitudes  # before the next sample's is allocated
+            block_sum(prop.amplitudes_at(times[k], twisted), r[k - start])
         rows[start:stop] = series_rows(r)
 
     out = {"t": times.copy()}

@@ -153,14 +153,9 @@ def test_run_scenario_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         assert unset.read_bytes() == threaded.read_bytes()
 
 
-def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # fig3b's ~8.3k blocks over 67 samples cross one segment boundary;
-    # child processes under different BLAS thread counts must write the
-    # bytes of the in-process run
-    raw = {field.name: getattr(PRESETS["fig3b"], field.name)
-           for field in dataclasses.fields(RunConfig)}
-    raw.update(c=[1.0, 0.0, 0.0], tau_steps=67, transitions=list(raw["transitions"]))
-    config_path = tmp_path / "fig3b_67.json"
+def assert_blas_threads_keep_bytes(tmp_path, raw):
+    """Child processes under 1 and 2 BLAS threads write the in-process bytes."""
+    config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     reference = tmp_path / "in_process.csv"
     run_scenario(load_config(config_path), csv_path=reference)
@@ -174,6 +169,27 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
                         "--config", str(config_path), "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=120)
         assert out.read_bytes() == reference.read_bytes(), blas
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fig3b's ~8.3k blocks over 67 samples cross one segment boundary;
+    # child processes under different BLAS thread counts must write the
+    # bytes of the in-process run
+    raw = {field.name: getattr(PRESETS["fig3b"], field.name)
+           for field in dataclasses.fields(RunConfig)}
+    raw.update(c=[1.0, 0.0, 0.0], tau_steps=67, transitions=list(raw["transitions"]))
+    assert_blas_threads_keep_bytes(tmp_path, raw)
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads_above_its_cutoff(tmp_path):
+    # OpenBLAS threads a dot product above 10000 elements, at split points
+    # that depend on the thread count; nbar 100/100 has 16641 blocks, so
+    # an unchunked reduction over the blocks would change the bytes here
+    raw = dict(BASE_CONFIG, nbar_a=100.0, nbar_b=100.0, c=[1.0, 0.0, 0.0],
+               tau_max=2.0, tau_steps=5)
+    params = config_from_dict(raw).system_params()
+    assert len(dynamics.initial_state(params)[0]) == 16641
+    assert_blas_threads_keep_bytes(tmp_path, raw)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

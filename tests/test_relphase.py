@@ -11,7 +11,7 @@ from lambdaphase import algebra, relphase
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   truncation_cutoff)
 from lambdaphase.relphase import (PHASE_VECTORS, SEGMENT, SERIES_KEYS,
-                                  block_phase_exponential,
+                                  block_phase_exponential, block_sum,
                                   deformed_generators,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
@@ -240,8 +240,9 @@ def exact_rows(params, times):
     prop = BlockDiagonalPropagator(params)
     rows = []
     for t in times:
-        amplitudes = prop.amplitudes_at(float(t))
-        rows.append(series_rows((amplitudes.T @ amplitudes.conj())[None])[0])
+        r = np.empty((1, 3, 3), dtype=complex)
+        block_sum(prop.amplitudes_at(float(t)), r[0])
+        rows.append(series_rows(r)[0])
     return np.array(rows)
 
 
