@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import relphase, svgplot
+from . import algebra, relphase, svgplot
 from .dynamics import SystemParams
 from .verify import SUITES, run_suite
 
@@ -34,6 +34,10 @@ COLUMNS = ("tau", "p13_0", "p13_p", "p13_m", "p23_0", "p23_p", "p23_m",
 
 # Per-row sanity bounds checked on every emitted row.
 ROW_TOLERANCE = 1e-9
+
+# Cap on a run's (tau_steps, len(COLUMNS)) float table, checked before the
+# grid is allocated; the same size as the dense oracle's cap.
+MAX_TABLE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,14 @@ class RunConfig:
         if int(self.tau_steps) != self.tau_steps or self.tau_steps < 2:
             raise ValueError(f"tau_steps must be an integer >= 2, got {self.tau_steps}")
         object.__setattr__(self, "tau_steps", int(self.tau_steps))
+        size = self.tau_steps * len(COLUMNS) * np.dtype(float).itemsize
+        if size > MAX_TABLE_BYTES:
+            raise ValueError(f"tau_steps={self.tau_steps} needs a {size} byte table, "
+                             f"above the cap of {MAX_TABLE_BYTES} bytes")
         if not self.transitions:
             raise ValueError("transitions must name at least one transition")
         for t in self.transitions:
-            if t not in relphase.TRANSITIONS:
+            if t not in algebra.ALL_TRANSITIONS:
                 raise ValueError(f"transitions: unknown transition {t!r}")
         self.system_params()  # physics field validation, with field names
 
@@ -166,18 +174,20 @@ def _check_rows(data: dict[str, np.ndarray]) -> None:
 # One CSV row: every column with 17 significant digits.
 ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 
-# Rows converted to Python floats at a time while writing the CSV, which
-# bounds the memory the formatting holds on long grids.
-CSV_CHUNK = 1024
+# Rows formatted at a time while writing the CSV, so the text and Python
+# floats the writer holds are one chunk whatever the grid length.  The
+# SVG polylines are written in chunks of the same length.
+CSV_CHUNK = svgplot.CHUNK
 
 
 def write_csv(path, data: dict[str, np.ndarray]) -> None:
-    table = np.column_stack([np.asarray(data[col], dtype=float) for col in COLUMNS])
+    """Write the ``COLUMNS`` of ``data`` as CSV, ``CSV_CHUNK`` rows at a time."""
+    columns = [np.asarray(data[col], dtype=float) for col in COLUMNS]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(COLUMNS) + "\n")
-        for start in range(0, len(table), CSV_CHUNK):
-            handle.write("".join(ROW_FORMAT % tuple(row)
-                                 for row in table[start:start + CSV_CHUNK].tolist()))
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            rows = zip(*(col[start:start + CSV_CHUNK].tolist() for col in columns))
+            handle.write("".join(ROW_FORMAT % row for row in rows))
 
 
 def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:

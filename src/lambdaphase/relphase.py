@@ -32,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import spectator_level, transition_levels
+from .algebra import ALL_TRANSITIONS, spectator_level, transition_levels
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
-
-TRANSITIONS = ("13", "23", "12")
 
 
 def _structure(transition: str) -> tuple[int, int, int]:
@@ -49,8 +47,8 @@ def _structure(transition: str) -> tuple[int, int, int]:
 
 
 def _phase_vectors() -> np.ndarray:
-    table = np.zeros((3, 3 * len(TRANSITIONS)), dtype=complex)
-    for k, transition in enumerate(TRANSITIONS):
+    table = np.zeros((3, 3 * len(ALL_TRANSITIONS)), dtype=complex)
+    for k, transition in enumerate(ALL_TRANSITIONS):
         zero_level, upper_level, partner_level = _structure(transition)
         table[zero_level - 1, 3 * k] = 1.0
         table[upper_level - 1, 3 * k + 1:3 * k + 3] = 1.0 / math.sqrt(2.0)
@@ -74,7 +72,7 @@ def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
     docstring); in a full block they are orthonormal and complete.
     """
     _structure(transition)  # rejects unknown transitions
-    k = 3 * TRANSITIONS.index(str(transition))
+    k = 3 * ALL_TRANSITIONS.index(str(transition))
     n_a, n_b = block_members(index)
     present = (n_a >= 0) & (n_b >= 0)
     return present[:, :, None] * PHASE_VECTORS[:, k:k + 3]

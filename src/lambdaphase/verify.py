@@ -139,7 +139,7 @@ def suite_relphase() -> list[CheckResult]:
     prop = BlockDiagonalPropagator(params)
     state = prop.amplitudes_at(1.9)
     dists = {trans: relphase.marginal_distribution(prop.index, state, trans)
-             for trans in relphase.TRANSITIONS}
+             for trans in algebra.ALL_TRANSITIONS}
 
     pops = np.sum(np.abs(state) ** 2, axis=0)
     zero_pop = {"13": pops[1], "23": pops[0], "12": pops[2]}

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,9 +16,10 @@ import pytest
 
 import lambdaphase
 from lambdaphase import dynamics
-from lambdaphase.cli import (COLUMNS, PRESETS, RunConfig, _check_rows,
-                             config_from_dict, load_config, main, run_scenario,
-                             time_scale, write_csv, write_svg)
+from lambdaphase.cli import (COLUMNS, CSV_CHUNK, MAX_TABLE_BYTES, PRESETS,
+                             RunConfig, _check_rows, config_from_dict,
+                             load_config, main, run_scenario, time_scale,
+                             write_csv, write_svg)
 from lambdaphase.verify import SUITES
 
 BASE_CONFIG = {
@@ -242,7 +244,8 @@ def per_point_polylines(x, series):
                       "c": [[0.6, 0.0], [0.0, 0.64], [0.48, 0.0]],
                       "delta_a": 0.3, "delta_b": -0.2, "tau_max": 2.0,
                       "tau_steps": 101}),
-], ids=["fig2", "detuned_complex_c"])
+    dataclasses.replace(PRESETS["fig2"], tau_max=8.0, tau_steps=2 * CSV_CHUNK + 3),
+], ids=["fig2", "detuned_complex_c", "across_chunk_edges"])
 def test_writers_match_per_cell_formatting(tmp_path, config):
     data = run_scenario(config)
     csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
@@ -255,6 +258,25 @@ def test_writers_match_per_cell_formatting(tmp_path, config):
     points = re.findall(r'points="([^"]*)"', svg_path.read_text())
     assert points == per_point_polylines(data["tau"], series)
     assert len(points) == 3 * len(config.transitions)
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path):
+    # both writers stream one chunk of rows or points at a time, so their
+    # peak allocation is the same for a short and a ten times longer grid
+    config = PRESETS["fig2"]
+    peaks = []
+    for rows in (5001, 50001):
+        rng = np.random.default_rng(rows)
+        data = {col: rng.random(rows) for col in COLUMNS}
+        data["tau"] = np.linspace(0.0, 1.0, rows)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "out.csv", data)
+            write_svg(tmp_path / "out.svg", config, data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
 
 def test_check_rows_rejects_nan():
@@ -318,6 +340,22 @@ def test_main_rejects_an_unnormalized_c(tmp_path, capsys):
     code = main(["simulate", "--config", str(path), "--out", str(out_path)])
     assert code == 2
     assert "|c|^2 = 0.99998" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_tau_steps_above_the_table_cap_is_rejected(tmp_path, capsys):
+    # the cap is checked in RunConfig, before any grid is allocated
+    steps = 10**12
+    size = steps * len(COLUMNS) * 8
+    assert size > MAX_TABLE_BYTES
+    with pytest.raises(ValueError, match=f"tau_steps={steps} needs a {size} byte"):
+        config_from_dict({**BASE_CONFIG, "tau_steps": steps})
+    path = write_config(tmp_path, tau_steps=steps)
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "tau_steps" in err and str(MAX_TABLE_BYTES) in err
     assert not out_path.exists()
 
 

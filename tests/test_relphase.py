@@ -198,7 +198,7 @@ def test_projection_agrees_with_closed_form_series():
     prop = BlockDiagonalPropagator(params)
     for k, t in enumerate(times):
         state = prop.amplitudes_at(float(t))
-        for transition in relphase.TRANSITIONS:
+        for transition in algebra.ALL_TRANSITIONS:
             dist = marginal_distribution(prop.index, state, transition)
             stem = "p" + transition
             assert dist.p0 == pytest.approx(series[f"{stem}_0"][k], abs=1e-10)
