@@ -29,8 +29,7 @@ from . import algebra, relphase, svgplot
 from .dynamics import SystemParams
 from .verify import SUITES, run_suite
 
-COLUMNS = ("tau", "p13_0", "p13_p", "p13_m", "p23_0", "p23_p", "p23_m",
-           "p12_0", "p12_p", "p12_m", "pop1", "pop2", "pop3", "norm")
+COLUMNS = ("tau",) + relphase.SERIES_KEYS
 
 # Per-row sanity bounds checked on every emitted row.
 ROW_TOLERANCE = 1e-9
@@ -59,7 +58,7 @@ class RunConfig:
     epsilon: float = 1e-10
     tau_max: float = 2.0
     tau_steps: int = 401
-    transitions: tuple[str, ...] = ("13", "23", "12")
+    transitions: tuple[str, ...] = algebra.ALL_TRANSITIONS
     csv: str | None = None
     svg: str | None = None
 

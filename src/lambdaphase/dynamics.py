@@ -11,9 +11,10 @@ The state is one padded array: row b holds the amplitudes of the level-1,
 member that would need a negative photon number does not exist and its
 slot holds zero amplitude.  This is exact: the slot's coupling to the
 surviving member carries a factor sqrt(0), so no amplitude ever enters
-it.  Every block Hamiltonian is then a real symmetric 3x3 matrix, and one
-cyclic Jacobi solve, vectorized over all blocks, gives the exact
-propagator of all of them.
+it.  Every block Hamiltonian is then a real symmetric 3x3 matrix.  At
+two-photon resonance (equal detunings) a closed-form dark/bright split
+diagonalizes all of them; otherwise one cyclic Jacobi solve, vectorized
+over all blocks, does.  Either gives the exact propagator of every block.
 
 Initial states are an atomic superposition times a two-mode coherent state
 with real (zero-phase) Poissonian amplitudes.  The coherent ensemble is
@@ -38,6 +39,10 @@ NU = (1, 0, 1)
 
 # Largest Fock cutoff the truncation search considers, per mode.
 MAX_PHOTONS = 100_000
+
+# Share of epsilon that the Poisson table of _upper_tails leaves beyond its
+# last entry.
+TABLE_TAIL = 1e-3
 
 # Rounding allowance of the captured-weight check in initial_state.
 CAPTURE_SLACK = 1e-12
@@ -117,47 +122,55 @@ def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
     return np.exp(log_p - nbar)
 
 
-def truncation_cutoff(nbar: float, epsilon: float) -> int:
-    """Smallest N with cumulative Poisson weight sum(Q_n^2, n<=N) >= 1 - epsilon.
+def _upper_tails(nbar: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson table of the photon numbers 0..top and the weight above each.
 
-    This is the upper edge of the kept photon numbers; :func:`photon_window`
-    spends what the upper tail leaves of epsilon on the lower tail, so the
-    discarded tails of each mode hold at most epsilon together.
-
-    The search runs over one table of :func:`poisson_probabilities` that
-    reaches past the Chernoff bound P(n >= nbar + x) <= exp(-x^2 / (2 (nbar
-    + x))) for a tail below epsilon, and raises ValueError when that table
-    would exceed MAX_PHOTONS entries.
+    The table reaches past the Chernoff bound P(n >= nbar + x) <= exp(-x^2 /
+    (2 (nbar + x))) for a tail of TABLE_TAIL * epsilon.  The bound at
+    top + 1 stands in for the weight beyond the table; each upper tail is
+    that bound plus a reverse cumulative sum of the table, never 1 minus a
+    sum, so it keeps its accuracy however small it is.  Raises ValueError
+    when the table would exceed MAX_PHOTONS entries.
     """
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    log_tail = 1.0 - math.log(epsilon)
+    log_tail = 1.0 - math.log(TABLE_TAIL * epsilon)
     top = math.ceil(nbar + log_tail + math.sqrt(log_tail * (log_tail + 2.0 * nbar)))
     if top > MAX_PHOTONS:
         raise ValueError(f"nbar = {nbar} needs a Fock cutoff near {top}, above "
                          f"the limit of {MAX_PHOTONS} photons")
-    cumulative = np.cumsum(poisson_probabilities(nbar, top))
-    cutoff = int(np.searchsorted(cumulative, 1.0 - epsilon))
-    if cutoff > top:
-        raise RuntimeError(f"Poisson weight of nbar = {nbar} never reaches "
-                           f"1 - {epsilon:g} in double precision")
-    return cutoff
+    probabilities = poisson_probabilities(nbar, top)
+    beyond = math.exp(-(top + 1 - nbar) ** 2 / (2.0 * (top + 1)))
+    upper = np.cumsum(np.append(beyond, probabilities[:0:-1]))[::-1]
+    return probabilities, upper
+
+
+def truncation_cutoff(nbar: float, epsilon: float) -> int:
+    """Smallest N whose Poisson weight above it, sum(Q_n^2, n > N), is at most epsilon.
+
+    This is the upper edge of the kept photon numbers; :func:`photon_window`
+    spends what the upper tail leaves of epsilon on the lower tail, so the
+    discarded tails of each mode hold at most epsilon together.  The tails
+    come from :func:`_upper_tails`, which raises ValueError for a table
+    above MAX_PHOTONS entries.
+    """
+    return int(np.searchsorted(-_upper_tails(nbar, epsilon)[1], -epsilon))
 
 
 def photon_window(nbar: float, epsilon: float) -> tuple[int, int]:
     """Kept photon numbers [lo, N] of one mode under the epsilon rule.
 
     N is :func:`truncation_cutoff`.  With u the Poisson weight above N, lo
-    is the largest number of leading photon numbers whose summed weight is
-    at most epsilon - u, read off the cumulative table up to N, so the two
-    discarded tails together hold at most epsilon.
+    is the largest number of leading photon numbers whose summed weight,
+    a forward cumulative sum, is at most epsilon - u, so the two discarded
+    tails together hold at most epsilon.
     """
     cutoff = truncation_cutoff(nbar, epsilon)
-    cumulative = np.cumsum(poisson_probabilities(nbar, cutoff))
-    budget = epsilon - (1.0 - cumulative[-1])
-    return int(np.searchsorted(cumulative, budget, side="right")), cutoff
+    probabilities, upper = _upper_tails(nbar, epsilon)
+    lower = np.cumsum(probabilities[:cutoff + 1])
+    return int(np.searchsorted(lower, epsilon - upper[cutoff], side="right")), cutoff
 
 
 def block_members(index) -> tuple[np.ndarray, np.ndarray]:
@@ -176,6 +189,16 @@ def block_members(index) -> tuple[np.ndarray, np.ndarray]:
     return index[:, :1] - np.array(MU), index[:, 1:] - np.array(NU)
 
 
+def block_couplings(params: SystemParams, index) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings g_a sqrt(N_a) (1<->3) and g_b sqrt(N_b) (2<->3) of every block.
+
+    Each is the sqrt(photon) matrix element of the lower member of its
+    transition; validation as in :func:`block_members`.
+    """
+    n_a, n_b = block_members(index)
+    return params.g_a * np.sqrt(n_a[:, 0]), params.g_b * np.sqrt(n_b[:, 1])
+
+
 def block_hamiltonians(params: SystemParams, index) -> np.ndarray:
     """Interaction Hamiltonian of every block, shape (B, 3, 3), in level order.
 
@@ -187,16 +210,17 @@ def block_hamiltonians(params: SystemParams, index) -> np.ndarray:
 
     since the detunings weigh the two lower-level projectors and each mode
     couples its lower level to level 3 with the sqrt(photon) matrix
-    element of the lower member.  Blocks with a missing member keep the
-    full 3x3 form: the missing member's slot is decoupled from the
-    surviving member, because their coupling carries a factor sqrt(0).
+    element of the lower member (:func:`block_couplings`).  Blocks with a
+    missing member keep the full 3x3 form: the missing member's slot is
+    decoupled from the surviving member, because their coupling carries a
+    factor sqrt(0).
     """
-    n_a, n_b = block_members(index)
-    h = np.zeros((len(n_a), 3, 3))
+    x, y = block_couplings(params, index)
+    h = np.zeros((len(x), 3, 3))
     h[:, 0, 0] = -params.delta_a
     h[:, 1, 1] = -params.delta_b
-    h[:, 0, 2] = h[:, 2, 0] = params.g_a * np.sqrt(n_a[:, 0])
-    h[:, 1, 2] = h[:, 2, 1] = params.g_b * np.sqrt(n_b[:, 1])
+    h[:, 0, 2] = h[:, 2, 0] = x
+    h[:, 1, 2] = h[:, 2, 1] = y
     return h
 
 
@@ -214,10 +238,11 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
 
     Returns ``(index, amplitudes)``: the (B, 2) excitation pairs of the
     blocks with nonzero weight, in ascending (N_a, N_b) order, and their
-    (B, 3) member amplitudes.  The captured state is renormalized to
-    exactly 1.  With both cutoffs from the epsilon rule its squared norm
-    before that must be at least (1 - epsilon)^2; RuntimeError reports a
-    truncation that captured less than 1 - 2 epsilon.
+    (B, 3) member amplitudes, a transposed view of a level-major array.
+    The captured state is renormalized to exactly 1.  With both cutoffs
+    from the epsilon rule its squared norm before that must be at least
+    (1 - epsilon)^2; RuntimeError reports a truncation that captured less
+    than 1 - 2 epsilon.
     """
     from_epsilon = cutoff_a is None and cutoff_b is None
     if from_epsilon:
@@ -229,27 +254,26 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
             cutoff_a = truncation_cutoff(params.nbar_a, params.epsilon)
         if cutoff_b is None:
             cutoff_b = truncation_cutoff(params.nbar_b, params.epsilon)
-    weights_a = np.sqrt(poisson_probabilities(params.nbar_a, cutoff_a))
-    weights_b = np.sqrt(poisson_probabilities(params.nbar_b, cutoff_b))
+    weights_a = np.sqrt(poisson_probabilities(params.nbar_a, cutoff_a)[lo_a:])
+    weights_b = np.sqrt(poisson_probabilities(params.nbar_b, cutoff_b)[lo_b:])
+    weights = np.multiply.outer(weights_a, weights_b)
 
-    # A block below either window's lower edge has no member inside it.
-    na, nb = np.meshgrid(np.arange(lo_a, cutoff_a + 2), np.arange(lo_b, cutoff_b + 2),
-                         indexing="ij")
-    index = np.column_stack([na.ravel(), nb.ravel()])
-    index = index[np.any(index != 0, axis=1)]  # drop the empty (0, 0)
-    n_a, n_b = block_members(index)
-    inside = (n_a >= lo_a) & (n_b >= lo_b) & (n_a <= cutoff_a) & (n_b <= cutoff_b)
-    amplitudes = np.where(inside, weights_a[np.clip(n_a, 0, cutoff_a)]
-                          * weights_b[np.clip(n_b, 0, cutoff_b)]
-                          * np.array(params.c), 0.0)
-    keep = np.any(amplitudes != 0, axis=1)
-    index, amplitudes = index[keep], amplitudes[keep]
-    captured = float(np.sum(np.abs(amplitudes) ** 2))
+    # grid[j, N_a - lo_a, N_b - lo_b] is the level-j member of block (N_a, N_b):
+    # the window's weights shifted by the member's photon offsets.  Blocks
+    # past either window's upper edge by one still hold a member inside it.
+    rows, cols = weights.shape
+    grid = np.zeros((3, rows + 1, cols + 1), dtype=complex)
+    for level, (mu, nu) in enumerate(zip(MU, NU)):
+        np.multiply(weights, params.c[level], out=grid[level, mu:mu + rows, nu:nu + cols])
+    keep = np.any(grid != 0, axis=0)  # (0, 0) has no member, so it is never kept
+    index = np.argwhere(keep) + (lo_a, lo_b)
+    amplitudes = np.compress(keep.ravel(), grid.reshape(3, -1), axis=1)
+    captured = float(np.sum(np.square(amplitudes.view(float))))
     if from_epsilon and not captured >= 1.0 - 2.0 * params.epsilon - CAPTURE_SLACK:
         raise RuntimeError(f"truncation at cutoffs {cutoff_a}, {cutoff_b} captured "
                            f"Poisson weight {captured:.17g}, below 1 - 2 epsilon")
     amplitudes /= math.sqrt(captured)
-    return index, amplitudes
+    return index, amplitudes.T
 
 
 # Sweep cap of :func:`jacobi_eigh`; the blocks of the presets converge in
@@ -269,6 +293,21 @@ def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
     x -= s * y
     y *= c
     y += s * x_old
+
+
+def _jacobi_rotation(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """tan, cos and sin of the rotation that zeroes a_pq, with d = a_qq - a_pp.
+
+    t = 2 a_pq sgn(d) / (|d| + hypot(d, 2 a_pq)), and t = 0 where the
+    denominator is 0.  The caller scales a_pq and d so that d^2 + 4 a_pq^2
+    cannot overflow; hypot is then sqrt(d^2 + 4 a_pq^2).  The rotation
+    moves a_pp to a_pp - t a_pq and a_qq to a_qq + t a_pq.
+    """
+    denominator = np.abs(d) + np.sqrt(d * d + 4.0 * a * a)
+    t = np.divide(2.0 * a * np.copysign(1.0, d), denominator,
+                  out=np.zeros_like(d), where=denominator > 0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return t, c, t * c
 
 
 def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,12 +345,7 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                f"{_JACOBI_SWEEPS} sweeps")
         for p, q, pq, rp, rq in _JACOBI_PAIRS:
             a = off[pq]
-            d = diag[q] - diag[p]
-            denominator = np.abs(d) + np.sqrt(d * d + 4.0 * a * a)
-            t = np.divide(2.0 * a * np.copysign(1.0, d), denominator,
-                          out=np.zeros_like(d), where=denominator > 0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
+            t, c, s = _jacobi_rotation(a, diag[q] - diag[p])
             t *= a  # now the shift t a_pq of the two diagonal entries
             diag[p] -= t
             diag[q] += t
@@ -324,30 +358,82 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues.T, vectors.transpose(2, 0, 1)
 
 
+def resonant_eigh(delta: float, x: np.ndarray,
+                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigensystems of the blocks [[-delta, 0, x], [0, -delta, y], [x, y, 0]].
+
+    At two-photon resonance (equal detunings) every block splits into the
+    dark state (y, -x, 0)/s at -delta, s = hypot(x, y), and the bright pair
+    [[-delta, s], [s, 0]] on (x, y, 0)/s and level 3 (coherent population
+    trapping; Arimondo, Prog. Opt. 35, 257 (1996)); s = 0 takes (1, 0, 0)
+    for (x, y, 0)/s.  One :func:`_jacobi_rotation` of the bright pair, with
+    p its entry of lower diagonal, finishes the job.  Its eigenvalues
+
+        min(-delta, 0) - t s  <=  -delta  <=  max(-delta, 0) + t s
+
+    come out ascending, so nothing is sorted.  Returns what
+    :func:`jacobi_eigh` returns for the same blocks.
+    """
+    # Each step works on its entries scaled by a power of two, which is
+    # exact: a subnormal (x, y) would lose the norm of (x, y, 0)/s, and
+    # d^2 + 4 s^2 must not overflow.
+    exponent = np.frexp(np.maximum(x, y))[1]
+    x, y = np.ldexp(x, -exponent), np.ldexp(y, -exponent)
+    s = np.hypot(x, y)
+    u = np.divide(x, s, out=np.ones_like(s), where=s > 0)
+    v = np.divide(y, s, out=np.zeros_like(s), where=s > 0)
+    s = np.ldexp(s, exponent)
+    exponent = np.frexp(np.maximum(abs(delta), s))[1]
+    t, c, sin = _jacobi_rotation(np.ldexp(s, -exponent), np.ldexp(abs(delta), -exponent))
+    t *= s
+    values = np.empty((3, len(s)))
+    values[0] = min(-delta, 0.0) - t
+    values[1] = -delta
+    values[2] = max(-delta, 0.0) + t
+    # p is (x, y, 0)/s for delta >= 0 and level 3 otherwise; the rotation
+    # gives the lower eigenvector c p - sin q and the upper one sin p + c q
+    if delta >= 0:
+        (bright_low, bright_up), (top_low, top_up) = (c, sin), (-sin, c)
+    else:
+        (bright_low, bright_up), (top_low, top_up) = (-sin, c), (c, sin)
+    vectors = np.array([[bright_low * u, v, bright_up * u],  # [i, j, b] = V_b[i, j]
+                        [bright_low * v, -u, bright_up * v],
+                        [top_low, np.zeros_like(s), top_up]])
+    return values.T, vectors.transpose(2, 0, 1)
+
+
 class BlockDiagonalPropagator:
     """Amortized evolution of the initial state over a time grid.
 
     Blocks are time independent, so every block Hamiltonian is
-    eigendecomposed once, by one :func:`jacobi_eigh` over all blocks, at
-    construction; the state at a time t then costs one phase twist of the
-    eigenbasis coefficients and one real 3x3 contraction per block.  ``index`` and ``initial`` are
-    the excitation pairs and amplitudes returned by :func:`initial_state`.
+    eigendecomposed once over all blocks at construction: by
+    :func:`resonant_eigh` when delta_a == delta_b, by :func:`jacobi_eigh`
+    otherwise.  The state at a time t then costs one phase twist of the
+    eigenbasis coefficients and one real 3x3 contraction per block.
+    ``index`` and ``initial`` are the excitation pairs and amplitudes
+    returned by :func:`initial_state`.
 
     Per-block arrays are held once, level-major: ``frequencies`` (3, B),
     ``coeff0`` (3, B) and the real eigenvectors ``vectors`` (3, 3, 2B), each
     entry written twice so that it meets the real and the imaginary part
-    of the interleaved complex twist.  The eigenvectors are real because
-    every block Hamiltonian is real symmetric.
+    of the interleaved complex amplitudes.  The eigenvectors are real
+    because every block Hamiltonian is real symmetric, so ``coeff0`` is
+    one real contraction of ``vectors`` with the interleaved ``initial``.
     """
 
     def __init__(self, params: SystemParams, cutoff_a: Optional[int] = None,
                  cutoff_b: Optional[int] = None):
         self.params = params
         self.index, self.initial = initial_state(params, cutoff_a, cutoff_b)
-        eigvals, eigvecs = jacobi_eigh(block_hamiltonians(params, self.index))
+        if params.delta_a == params.delta_b:
+            eigvals, eigvecs = resonant_eigh(params.delta_a,
+                                             *block_couplings(params, self.index))
+        else:
+            eigvals, eigvecs = jacobi_eigh(block_hamiltonians(params, self.index))
         self.frequencies = np.ascontiguousarray(eigvals.T)
-        self.coeff0 = np.ascontiguousarray(np.einsum("bji,bj->ib", eigvecs, self.initial))
         self.vectors = np.repeat(eigvecs.transpose(1, 2, 0), 2, axis=2)
+        initial = np.ascontiguousarray(self.initial.T).view(float)
+        self.coeff0 = np.einsum("ijk,ik->jk", self.vectors, initial).view(complex)
 
     def phases(self, t: float) -> np.ndarray:
         """Eigenphase factors exp(-i w t) of every block, shape (3, B)."""

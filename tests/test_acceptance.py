@@ -21,14 +21,13 @@ rules, the dense oracle and the trapping criterion all fix it, and the
 oracle spot check below confirms the program at the fig3a layout.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from lambdaphase import algebra, oracle
+from lambdaphase import algebra, oracle, verify
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   truncation_cutoff)
@@ -111,22 +110,12 @@ def collapse_levels(config) -> CollapseLevels:
 
 def test_criterion_1_algebra_exactness():
     """Commutator tables exact; polar identities below 1e-12."""
-    def comm(a, b):
-        return a @ b - b @ a
-
-    worst_table = 0.0
-    for i, j, k, l in itertools.product((1, 2, 3), repeat=4):
-        lhs = comm(algebra.generator(i, j), algebra.generator(k, l))
-        rhs = ((1.0 if i == l else 0.0) * algebra.generator(k, j)
-               - (1.0 if k == j else 0.0) * algebra.generator(i, l))
-        worst_table = max(worst_table, float(np.max(np.abs(lhs - rhs))))
-
-    cross = comm(algebra.raising("13"), algebra.lowering("23")) + algebra.raising("12")
-    parallel = comm(algebra.raising("13"), algebra.raising("23"))
-    worst_coupling = float(max(np.max(np.abs(cross)), np.max(np.abs(parallel))))
-
-    worst_polar = max(algebra.verify_polar_identity("13"),
-                      algebra.verify_polar_identity("23"))
+    checks = {check.name: check for check in verify.suite_algebra()}
+    assert all(check.passed for check in checks.values())
+    worst_table = checks["u3 commutator table"].residual
+    worst_coupling = checks["dipole coupling relations"].residual
+    worst_polar = max(checks["polar identity 13"].residual,
+                      checks["polar identity 23"].residual)
     worst_deformed = max(verify_deformed_polar((1, 1)),
                          verify_deformed_polar((2, 3)),
                          verify_deformed_polar((3, 2), "23"),

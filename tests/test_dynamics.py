@@ -14,7 +14,7 @@ from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   block_hamiltonians, block_members,
                                   initial_state, jacobi_eigh, photon_window,
                                   poisson_probabilities, poisson_weight,
-                                  truncation_cutoff)
+                                  resonant_eigh, truncation_cutoff)
 from lambdaphase.relphase import time_series
 
 GROUND = (1.0, 0.0, 0.0)
@@ -111,8 +111,9 @@ def test_truncation_cutoff_is_minimal(nbar, log_eps):
 def test_truncation_cutoff_large_nbar_keeps_the_tail_bound():
     # exp(-nbar) is subnormal here: a search that starts from it and
     # multiplies up stops at 817 (losing 2.5e-3 of the weight) and at 750
-    # (losing 42%); the cumulative-Poisson cutoffs are 920 and 925
-    assert truncation_cutoff(740.0, 1e-10) == 920
+    # (losing 42%); the exact cutoffs are 919 and 925, since
+    # scipy.stats.poisson.sf(919, 740) = 9.99e-11 <= 1e-10 < sf(918, 740)
+    assert truncation_cutoff(740.0, 1e-10) == 919
     assert truncation_cutoff(745.0, 1e-10) == 925
 
 
@@ -145,7 +146,8 @@ def test_initial_state_rejects_a_truncation_that_loses_weight(monkeypatch):
     assert len(initial_state(params, cutoff_a=20, cutoff_b=20)[0]) > 0
 
 
-@pytest.mark.parametrize("nbar", [0.0, 0.5, 1.0, 20.0, 50.0, 100.0, 200.0, 740.0])
+@pytest.mark.parametrize("nbar", [0.0, 0.5, 1.0, 20.0, 50.0, 100.0, 200.0, 740.0,
+                                  2000.0, 3000.0, 5000.0])
 def test_photon_window_discards_at_most_epsilon(nbar):
     lo, cutoff = photon_window(nbar, 1e-10)
     assert cutoff == truncation_cutoff(nbar, 1e-10)
@@ -299,14 +301,21 @@ def window_blocks(params, lo_a, lo_b, width):
     return block_hamiltonians(params, index[np.any(index != 0, axis=1)])
 
 
-def assert_eigensystems(h):
-    """jacobi_eigh against eigvalsh and the eigen-equation, at the eps level.
+def resonant_solve(h):
+    """:func:`resonant_eigh` of blocks with equal detunings, read off ``h``."""
+    delta = -h[0, 0, 0]
+    assert np.all(h[:, 0, 0] == -delta) and np.all(h[:, 1, 1] == -delta)
+    return resonant_eigh(delta, h[:, 0, 2], h[:, 1, 2])
 
-    Both solvers are backward stable, so each eigenvalue differs from
+
+def assert_eigensystems(h, solve=jacobi_eigh):
+    """A block eigensolver against eigvalsh and the eigen-equation, at the eps level.
+
+    The solvers are backward stable, so each eigenvalue differs from
     eigvalsh's by a few eps times the block's norm; the bounds leave a
-    factor two over the worst of 192000 random blocks.
+    factor two over the worst of 192000 random blocks for jacobi_eigh.
     """
-    eigenvalues, vectors = jacobi_eigh(h)
+    eigenvalues, vectors = solve(h)
     assert eigenvalues.shape == (len(h), 3) and vectors.shape == (len(h), 3, 3)
     assert np.all(np.diff(eigenvalues, axis=1) >= 0.0)
     expected = np.linalg.eigvalsh(h)
@@ -341,6 +350,42 @@ def test_jacobi_matches_eigh(ga, gb, da, db, lo_a, lo_b, width):
 def test_jacobi_edge_cases(fields):
     params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND, **fields)
     assert_eigensystems(window_blocks(params, 0, 0, 12))
+
+
+@given(g_a=st.floats(0, 5, allow_subnormal=False),
+       g_b=st.floats(0, 5, allow_subnormal=False),
+       delta=st.floats(-3, 3, allow_subnormal=False),
+       lo_a=st.integers(0, 300), lo_b=st.integers(0, 300), width=st.integers(1, 8))
+@settings(max_examples=60)
+def test_resonant_eigh_matches_eigh(g_a, g_b, delta, lo_a, lo_b, width):
+    # windows at lo 0 hold one-member blocks; no eigensolver meets bounds
+    # relative to a subnormal block norm, whose eigenvalues are rounded to
+    # multiples of 5e-324 (subnormal couplings beside a normal detuning
+    # are an edge case below)
+    params = SystemParams(g_a=g_a, g_b=g_b, nbar_a=1, nbar_b=1, c=GROUND,
+                          delta_a=delta, delta_b=delta)
+    h = window_blocks(params, lo_a, lo_b, width)
+    if len(h):
+        assert_eigensystems(h, resonant_solve)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(g_a=0.0, g_b=0.0, delta_a=0.7, delta_b=0.7),
+    dict(g_a=0.0, g_b=0.0, delta_a=-0.7, delta_b=-0.7),
+    dict(g_a=0.0, g_b=0.0),
+    dict(g_a=0.6, g_b=0.8, delta_a=1e6, delta_b=1e6),
+    dict(g_a=0.6, g_b=0.8, delta_a=-1e6, delta_b=-1e6),
+    dict(g_a=6e-10, g_b=8e-10, delta_a=0.2, delta_b=0.2),
+    dict(g_a=6e-10, g_b=8e-10),
+    dict(g_a=5e-324, g_b=5e-324, delta_a=1.0, delta_b=1.0),
+], ids=["uncoupled_positive", "uncoupled_negative", "uncoupled_zero",
+        "huge_positive", "huge_negative", "tiny_coupling", "tiny_coupling_zero",
+        "subnormal_coupling"])
+def test_resonant_eigh_edge_cases(fields):
+    # block (1, 1) has s = hypot(g_a, g_b): 1 for the huge detunings, 1e-9
+    # for the tiny couplings
+    params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND, **fields)
+    assert_eigensystems(window_blocks(params, 0, 0, 12), resonant_solve)
 
 
 def test_jacobi_sweep_cap_raises(monkeypatch):
@@ -453,6 +498,32 @@ def test_initial_state_amplitudes_are_weighted_products():
     # captured weight is at least (1 - epsilon)^2 before renormalization
     assert captured > (1 - params.epsilon) ** 2 - 1e-12
     assert np.allclose(amplitudes, raw / math.sqrt(captured), atol=1e-14)
+
+
+def test_initial_state_keeps_every_weighted_block():
+    # windows with lower edges (lo_a 11, lo_b 0) and c_2 = 0: a block whose
+    # only member inside the windows is its level-2 one has no weight
+    params = desk_params(nbar_a=50.0, nbar_b=20.0, c=(0.6, 0.0, 0.8))
+    lo_a, cut_a = photon_window(params.nbar_a, params.epsilon)
+    lo_b, cut_b = photon_window(params.nbar_b, params.epsilon)
+    assert lo_a > 0
+    blocks, raw = [], []
+    for block in np.ndindex(cut_a + 2, cut_b + 2):
+        if block == (0, 0):
+            continue
+        vec = np.zeros(3, dtype=complex)
+        for level, n_a, n_b in members(block):
+            if lo_a <= n_a <= cut_a and lo_b <= n_b <= cut_b:
+                vec[level - 1] = (poisson_weight(params.nbar_a, n_a)
+                                  * poisson_weight(params.nbar_b, n_b)
+                                  * params.c[level - 1])
+        if np.any(vec != 0):
+            blocks.append(list(block))
+            raw.append(vec)
+    index, amplitudes = initial_state(params)
+    assert index.tolist() == blocks
+    raw = np.array(raw)
+    assert np.allclose(amplitudes, raw / np.linalg.norm(raw), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lambdaphase import oracle
+from lambdaphase import dynamics, oracle
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   block_hamiltonians, block_members)
 
@@ -142,6 +142,29 @@ def test_padded_blocks_match_oracle(g_a, g_b, delta_a, delta_b, nbar_a, nbar_b,
     block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t),
                                    cutoff_a + 1, cutoff_b + 1)
     assert np.max(np.abs(block_vec - oracle.full_evolve(full, psi0, t))) < 1e-8
+
+
+@pytest.mark.parametrize("delta_b, solver", [(0.37, "resonant_eigh"),
+                                             (np.nextafter(0.37, np.inf), "jacobi_eigh")],
+                         ids=["resonant", "next_float"])
+def test_resonant_and_next_float_detunings_match_oracle(monkeypatch, delta_b, solver):
+    # delta_a == delta_b takes the closed-form dark/bright eigensystems; one
+    # float more takes the Jacobi solver, and both must match the oracle
+    calls = []
+    for name in ("jacobi_eigh", "resonant_eigh"):
+        spied = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *args, name=name, spied=spied:
+                            calls.append(name) or spied(*args))
+    params = make_params(g_b=0.7, nbar_a=0.9, nbar_b=1.3, delta_a=0.37, delta_b=delta_b,
+                         c=(0.6, 0.48j, -0.64))
+    cut = 6
+    prop = BlockDiagonalPropagator(params, cutoff_a=cut - 1, cutoff_b=cut - 1)
+    assert calls == [solver]
+    full = oracle.build_full_hamiltonian(params, cut, cut)
+    psi0 = oracle.embed_state(prop.index, prop.initial, cut, cut)
+    for t in (0.7, 5.3, 31.0):
+        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), cut, cut)
+        assert np.max(np.abs(block_vec - oracle.full_evolve(full, psi0, t))) < 1e-8
 
 
 def test_full_evolution_conserves_norm_and_excitations():
