@@ -111,7 +111,6 @@ def collapse_levels(config) -> CollapseLevels:
 def test_criterion_1_algebra_exactness():
     """Commutator tables exact; polar identities below 1e-12."""
     checks = {check.name: check for check in verify.suite_algebra()}
-    assert all(check.passed for check in checks.values())
     worst_table = checks["u3 commutator table"].residual
     worst_coupling = checks["dipole coupling relations"].residual
     worst_polar = max(checks["polar identity 13"].residual,
@@ -121,10 +120,14 @@ def test_criterion_1_algebra_exactness():
                          verify_deformed_polar((3, 2), "23"),
                          verify_deformed_algebra(4))
 
+    suite_passed = all(check.passed for check in checks.values())
+
     ok = (worst_table == 0.0 and worst_coupling == 0.0
-          and worst_polar < 1e-12 and worst_deformed < 1e-12)
+          and worst_polar < 1e-12 and worst_deformed < 1e-12 and suite_passed)
     report(1, ok, f"commutators {worst_table:.1g}, couplings {worst_coupling:.1g}, "
-                  f"polar {worst_polar:.2g}, deformed {worst_deformed:.2g}")
+                  f"polar {worst_polar:.2g}, deformed {worst_deformed:.2g}, "
+                  f"algebra suite {'passed' if suite_passed else 'FAILED'}")
+    assert suite_passed
     assert worst_table == 0.0
     assert worst_coupling == 0.0
     assert worst_polar < 1e-12
