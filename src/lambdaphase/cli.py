@@ -40,22 +40,14 @@ MAX_TABLE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One scenario: physics parameters plus grid and output choices.
+class RunConfig(SystemParams):
+    """One scenario: the physics of :class:`SystemParams` plus grid and output choices.
 
     ``transitions`` selects which transitions are drawn in the SVG; the
     CSV always carries the full fixed column set.  ``csv``/``svg`` are
     default output paths, overridable on the command line.
     """
 
-    g_a: float
-    g_b: float
-    nbar_a: float
-    nbar_b: float
-    c: tuple[complex, complex, complex]
-    delta_a: float = 0.0
-    delta_b: float = 0.0
-    epsilon: float = 1e-10
     tau_max: float = 2.0
     tau_steps: int = 401
     transitions: tuple[str, ...] = algebra.ALL_TRANSITIONS
@@ -63,7 +55,6 @@ class RunConfig:
     svg: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
         object.__setattr__(self, "transitions", tuple(str(t) for t in self.transitions))
         for name in ("tau_max", "tau_steps"):
             value = getattr(self, name)
@@ -83,12 +74,15 @@ class RunConfig:
         for t in self.transitions:
             if t not in algebra.ALL_TRANSITIONS:
                 raise ValueError(f"transitions: unknown transition {t!r}")
-        self.system_params()  # physics field validation, with field names
+        for name in ("csv", "svg"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, str) and value):
+                raise ValueError(f"{name} must be an output path or null, got {value!r}")
+        super().__post_init__()
 
     def system_params(self) -> SystemParams:
-        return SystemParams(g_a=self.g_a, g_b=self.g_b, nbar_a=self.nbar_a,
-                            nbar_b=self.nbar_b, c=self.c, delta_a=self.delta_a,
-                            delta_b=self.delta_b, epsilon=self.epsilon)
+        """The physics fields alone, as a plain :class:`SystemParams`."""
+        return SystemParams(**{f.name: getattr(self, f.name) for f in fields(SystemParams)})
 
 
 def _parse_amplitude(value, position: int) -> complex:

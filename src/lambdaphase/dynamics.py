@@ -224,36 +224,24 @@ def block_hamiltonians(params: SystemParams, index) -> np.ndarray:
     return h
 
 
-def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
-                  cutoff_b: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+def initial_state(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Product of the atomic superposition and the two-mode coherent state.
 
-    With both cutoffs left to the epsilon rule, each mode keeps the photon
-    numbers of its :func:`photon_window` [lo, N], which discards both tails
-    of its Poisson ladder; explicit cutoffs keep [0, cutoff] of each mode
-    (a missing one comes from :func:`truncation_cutoff`).  The amplitude of
-    the level-j member of block (N_a, N_b) is
+    Each mode keeps the photon numbers of its :func:`photon_window`
+    [lo, N], which discards both tails of its Poisson ladder.  The
+    amplitude of the level-j member of block (N_a, N_b) is
     Q_a(N_a - MU[j-1]) Q_b(N_b - NU[j-1]) c_j whenever both photon numbers
     fall inside the kept windows, and zero otherwise.
 
     Returns ``(index, amplitudes)``: the (B, 2) excitation pairs of the
     blocks with nonzero weight, in ascending (N_a, N_b) order, and their
     (B, 3) member amplitudes, a transposed view of a level-major array.
-    The captured state is renormalized to exactly 1.  With both cutoffs
-    from the epsilon rule its squared norm before that must be at least
-    (1 - epsilon)^2; RuntimeError reports a truncation that captured less
-    than 1 - 2 epsilon.
+    The captured state is renormalized to exactly 1; its squared norm
+    before that must be at least (1 - epsilon)^2, and RuntimeError reports
+    a truncation that captured less than 1 - 2 epsilon.
     """
-    from_epsilon = cutoff_a is None and cutoff_b is None
-    if from_epsilon:
-        lo_a, cutoff_a = photon_window(params.nbar_a, params.epsilon)
-        lo_b, cutoff_b = photon_window(params.nbar_b, params.epsilon)
-    else:
-        lo_a = lo_b = 0
-        if cutoff_a is None:
-            cutoff_a = truncation_cutoff(params.nbar_a, params.epsilon)
-        if cutoff_b is None:
-            cutoff_b = truncation_cutoff(params.nbar_b, params.epsilon)
+    lo_a, cutoff_a = photon_window(params.nbar_a, params.epsilon)
+    lo_b, cutoff_b = photon_window(params.nbar_b, params.epsilon)
     weights_a = np.sqrt(poisson_probabilities(params.nbar_a, cutoff_a)[lo_a:])
     weights_b = np.sqrt(poisson_probabilities(params.nbar_b, cutoff_b)[lo_b:])
     weights = np.multiply.outer(weights_a, weights_b)
@@ -269,7 +257,7 @@ def initial_state(params: SystemParams, cutoff_a: Optional[int] = None,
     index = np.argwhere(keep) + (lo_a, lo_b)
     amplitudes = np.compress(keep.ravel(), grid.reshape(3, -1), axis=1)
     captured = float(np.sum(np.square(amplitudes.view(float))))
-    if from_epsilon and not captured >= 1.0 - 2.0 * params.epsilon - CAPTURE_SLACK:
+    if not captured >= 1.0 - 2.0 * params.epsilon - CAPTURE_SLACK:
         raise RuntimeError(f"truncation at cutoffs {cutoff_a}, {cutoff_b} captured "
                            f"Poisson weight {captured:.17g}, below 1 - 2 epsilon")
     amplitudes /= math.sqrt(captured)
@@ -299,10 +287,15 @@ def _jacobi_rotation(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
     """tan, cos and sin of the rotation that zeroes a_pq, with d = a_qq - a_pp.
 
     t = 2 a_pq sgn(d) / (|d| + hypot(d, 2 a_pq)), and t = 0 where the
-    denominator is 0.  The caller scales a_pq and d so that d^2 + 4 a_pq^2
-    cannot overflow; hypot is then sqrt(d^2 + 4 a_pq^2).  The rotation
-    moves a_pp to a_pp - t a_pq and a_qq to a_qq + t a_pq.
+    denominator is 0.  a_pq and d are first scaled by the power of two that
+    brings the larger of them into [1/2, 1).  The scaling is exact and
+    leaves t as it is, and hypot is then sqrt(d^2 + 4 a_pq^2): d^2 + 4 a_pq^2
+    cannot overflow, and its terms cannot both underflow to 0, which would
+    give t = 2 a_pq / |d| instead of the rotation.  The rotation moves a_pp
+    to a_pp - t a_pq and a_qq to a_qq + t a_pq.
     """
+    exponent = np.frexp(np.maximum(np.abs(a), np.abs(d)))[1]
+    a, d = np.ldexp(a, -exponent), np.ldexp(d, -exponent)
     denominator = np.abs(d) + np.sqrt(d * d + 4.0 * a * a)
     t = np.divide(2.0 * a * np.copysign(1.0, d), denominator,
                   out=np.zeros_like(d), where=denominator > 0)
@@ -323,7 +316,7 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     and t = 0 where the denominator is 0.  Each matrix is first scaled by
     a power of two to a largest entry in [1/2, 1); the scaling is exact,
-    and it lets hypot be sqrt(d^2 + 4 a_pq^2) with no overflow.  Sweeps run
+    and no difference d of its diagonal entries can overflow.  Sweeps run
     until every matrix's off-diagonal entries are at most eps times its
     largest entry; RuntimeError reports the residual if _JACOBI_SWEEPS
     sweeps do not get there.
@@ -374,17 +367,16 @@ def resonant_eigh(delta: float, x: np.ndarray,
     come out ascending, so nothing is sorted.  Returns what
     :func:`jacobi_eigh` returns for the same blocks.
     """
-    # Each step works on its entries scaled by a power of two, which is
-    # exact: a subnormal (x, y) would lose the norm of (x, y, 0)/s, and
-    # d^2 + 4 s^2 must not overflow.
+    # (x, y) is scaled by a power of two, which is exact: a subnormal
+    # (x, y) would lose the norm of (x, y, 0)/s.  _jacobi_rotation scales
+    # (s, delta) in the same way.
     exponent = np.frexp(np.maximum(x, y))[1]
     x, y = np.ldexp(x, -exponent), np.ldexp(y, -exponent)
     s = np.hypot(x, y)
     u = np.divide(x, s, out=np.ones_like(s), where=s > 0)
     v = np.divide(y, s, out=np.zeros_like(s), where=s > 0)
     s = np.ldexp(s, exponent)
-    exponent = np.frexp(np.maximum(abs(delta), s))[1]
-    t, c, sin = _jacobi_rotation(np.ldexp(s, -exponent), np.ldexp(abs(delta), -exponent))
+    t, c, sin = _jacobi_rotation(s, abs(delta))
     t *= s
     values = np.empty((3, len(s)))
     values[0] = min(-delta, 0.0) - t
@@ -421,10 +413,9 @@ class BlockDiagonalPropagator:
     one real contraction of ``vectors`` with the interleaved ``initial``.
     """
 
-    def __init__(self, params: SystemParams, cutoff_a: Optional[int] = None,
-                 cutoff_b: Optional[int] = None):
+    def __init__(self, params: SystemParams):
         self.params = params
-        self.index, self.initial = initial_state(params, cutoff_a, cutoff_b)
+        self.index, self.initial = initial_state(params)
         if params.delta_a == params.delta_b:
             eigvals, eigvecs = resonant_eigh(params.delta_a,
                                              *block_couplings(params, self.index))
@@ -436,7 +427,12 @@ class BlockDiagonalPropagator:
         self.coeff0 = np.einsum("ijk,ik->jk", self.vectors, initial).view(complex)
 
     def phases(self, t: float) -> np.ndarray:
-        """Eigenphase factors exp(-i w t) of every block, shape (3, B)."""
+        """Eigenphase factors exp(-i w t) of every block, shape (3, B).
+
+        Raises ValueError for a non-finite ``t``.
+        """
+        if not math.isfinite(t):
+            raise ValueError(f"t must be a finite time, got {t!r}")
         phases = (-1j * t) * self.frequencies
         return np.exp(phases, out=phases)
 

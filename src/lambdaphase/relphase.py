@@ -191,8 +191,7 @@ def series_rows(r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def time_series(params: SystemParams, times: np.ndarray,
-                cutoff_a=None, cutoff_b=None) -> dict[str, np.ndarray]:
+def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray]:
     """Phase distributions and populations of all three transitions over a grid.
 
     This is the production path: every block is eigendecomposed once, and
@@ -211,15 +210,16 @@ def time_series(params: SystemParams, times: np.ndarray,
     sample; the rows of a segment come from one reduction over its R
     matrices.
 
-    ``cutoff_a``/``cutoff_b`` go to :func:`.dynamics.initial_state`: left
-    out, each mode keeps its epsilon photon window; given, the full ladder
-    [0, cutoff] of each mode.
-
     Returns a dict with key "t" (the input grid) plus one array per entry
-    of ``SERIES_KEYS``.
+    of ``SERIES_KEYS``.  Raises ValueError for a grid with a non-finite
+    time.
     """
     times = np.asarray(times, dtype=float)
-    prop = BlockDiagonalPropagator(params, cutoff_a, cutoff_b)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if len(bad):
+        raise ValueError(f"times must be finite, got {times[bad[0]]} at "
+                         f"position {bad[0]}")
+    prop = BlockDiagonalPropagator(params)
     dt, segments = grid_segments(times)
     step = prop.phases(dt) if len(segments) < len(times) else None
     rows = np.empty((len(times), len(SERIES_KEYS)))
@@ -282,8 +282,6 @@ class DeformedGenerators:
     exc_a: np.ndarray
     exc_b: np.ndarray
     proj: tuple[np.ndarray, np.ndarray, np.ndarray]
-    photon_a: np.ndarray
-    photon_b: np.ndarray
 
 
 def deformed_generators(cutoff: int) -> DeformedGenerators:
@@ -311,15 +309,12 @@ def deformed_generators(cutoff: int) -> DeformedGenerators:
     identity = np.eye(3 * n_fock * n_fock, dtype=complex)
     exc_a = embed(eye_atom, number, eye_f) - proj[0] + identity
     exc_b = embed(eye_atom, eye_f, number) - proj[1] + identity
-    photon_a = embed(eye_atom, number, eye_f)
-    photon_b = embed(eye_atom, eye_f, number)
     return DeformedGenerators(
         cutoff=cutoff, dim=3 * n_fock * n_fock,
         raise_13=raise_13, lower_13=raise_13.conj().T,
         raise_23=raise_23, lower_23=raise_23.conj().T,
         raise_12=raise_12, lower_12=raise_12.conj().T,
         exc_a=exc_a, exc_b=exc_b, proj=proj,
-        photon_a=photon_a, photon_b=photon_b,
     )
 
 

@@ -30,7 +30,7 @@ import pytest
 from lambdaphase import algebra, oracle, verify
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
-                                  truncation_cutoff)
+                                  photon_window, truncation_cutoff)
 from lambdaphase.relphase import (block_phase_exponential,
                                   rel_phase_eigenstates, time_series,
                                   trapping_config, verify_deformed_algebra,
@@ -177,12 +177,13 @@ def test_criterion_2_phase_spectrum():
 def test_criterion_3_oracle_equivalence():
     """Block path vs dense full-space path below 1e-8 over 50 samples."""
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0,
-                          c=(1.0, 0.0, 0.0))
+                          c=(1.0, 0.0, 0.0), epsilon=2e-5)
     cutoff = 8
     full = oracle.build_full_hamiltonian(params, cutoff, cutoff)
     # state truncated one Fock level below the oracle space, so that every
     # populated block is exactly representable on both paths
-    prop = BlockDiagonalPropagator(params, cutoff_a=cutoff - 1, cutoff_b=cutoff - 1)
+    assert photon_window(params.nbar_a, params.epsilon) == (0, cutoff - 1)
+    prop = BlockDiagonalPropagator(params)
     psi0 = oracle.embed_state(prop.index, prop.initial, cutoff, cutoff)
     scale = time_scale(params)
     worst = 0.0
@@ -293,7 +294,7 @@ def test_strong_weak_layout_matches_oracle():
     full = oracle.build_full_hamiltonian(params, cut_a + 1, cut_b + 1)
     assert full.matrix.dtype == np.float64
     energies, modes = np.linalg.eigh(full.matrix)
-    prop = BlockDiagonalPropagator(params, cutoff_a=cut_a, cutoff_b=cut_b)
+    prop = BlockDiagonalPropagator(params)
     coeff0 = modes.T @ oracle.embed_state(prop.index, prop.initial, cut_a + 1, cut_b + 1)
     worst = 0.0
     for tau in (0.01, 0.3, 0.55, 0.8):

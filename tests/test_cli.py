@@ -373,6 +373,20 @@ def test_main_rejects_non_finite_config(tmp_path, capsys, field, value):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("field, value", [("csv", 2), ("csv", 0), ("csv", ""),
+                                          ("svg", True), ("svg", ["a.svg"])])
+def test_main_rejects_an_output_path_that_is_not_a_string(tmp_path, monkeypatch,
+                                                          capsys, field, value):
+    # open() takes an integer as a file descriptor, so a number must not
+    # reach the writers
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, **{field: value})
+    code = main(["simulate", "--config", str(path)])
+    assert code == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_main_rejects_unwritable_output(tmp_path):
     config_path = write_config(tmp_path)
     code = main(["simulate", "--config", str(config_path),
@@ -393,6 +407,15 @@ def test_main_verify_suite(capsys, suite):
 def test_main_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
+
+
+def test_readme_config_schema_loads_and_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"### Config schema\n.*?```json\n(.*?)```", readme,
+                          flags=re.DOTALL)
+    raw = json.loads(block)
+    config_from_dict(raw)
+    assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_readme_library_example_runs(capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from lambdaphase import dynamics, oracle
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
-                                  block_hamiltonians, block_members)
+                                  block_hamiltonians, block_members,
+                                  photon_window)
 
 GROUND = (1.0, 0.0, 0.0)
 
@@ -19,6 +20,15 @@ def make_params(**overrides):
                     epsilon=1e-10)
     defaults.update(overrides)
     return SystemParams(**defaults)
+
+
+def oracle_cutoffs(params):
+    """Oracle Fock cutoffs one above the upper edges of the state's photon windows.
+
+    Every populated block then fits in the oracle space, members included.
+    """
+    return tuple(photon_window(nbar, params.epsilon)[1] + 1
+                 for nbar in (params.nbar_a, params.nbar_b))
 
 
 def test_zero_coupling_hamiltonian_is_diagonal():
@@ -103,16 +113,17 @@ def test_full_evolve_validates_inputs():
 
 def test_block_and_full_evolution_agree():
     # the equivalence this reference exists to establish, desk scale
-    params = make_params()
-    cut = 8
-    full = oracle.build_full_hamiltonian(params, cut, cut)
-    prop = BlockDiagonalPropagator(params, cutoff_a=cut - 1, cutoff_b=cut - 1)
-    psi0 = oracle.embed_state(prop.index, prop.initial, cut, cut)
+    params = make_params(epsilon=2e-5)
+    cuts = oracle_cutoffs(params)
+    assert cuts == (8, 8)
+    full = oracle.build_full_hamiltonian(params, *cuts)
+    prop = BlockDiagonalPropagator(params)
+    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
     assert abs(np.linalg.norm(psi0) - 1.0) < 1e-12
     worst = 0.0
     for tau in np.linspace(0.0, 2.0, 11):
         t = 2 * np.pi * tau
-        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), cut, cut)
+        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), *cuts)
         full_vec = oracle.full_evolve(full, psi0, t)
         worst = max(worst, float(np.max(np.abs(block_vec - full_vec))))
     assert worst < 1e-8
@@ -124,23 +135,26 @@ unit = st.floats(-1.0, 1.0)
 @given(g_a=st.floats(0.0, 2.0), g_b=st.floats(0.0, 2.0),
        delta_a=st.floats(-1.5, 1.5), delta_b=st.floats(-1.5, 1.5),
        nbar_a=st.floats(0.05, 2.0), nbar_b=st.floats(0.05, 2.0),
-       cutoff_a=st.integers(1, 5), cutoff_b=st.integers(1, 5),
+       epsilon=st.floats(1e-3, 0.5),
        c=st.tuples(unit, unit, unit, unit, unit, unit), t=st.floats(0.0, 10.0))
 @settings(max_examples=30, deadline=None)
 def test_padded_blocks_match_oracle(g_a, g_b, delta_a, delta_b, nbar_a, nbar_b,
-                                    cutoff_a, cutoff_b, c, t):
+                                    epsilon, c, t):
     # detuned, complex-c states: the padded slots of lone-member blocks must
-    # stay empty and each lone member must pick up only its detuning phase
+    # stay empty and each lone member must pick up only its detuning phase;
+    # epsilon 1e-3 keeps at most 9 photon numbers per mode, so the oracle
+    # stays desk-scale
     amps = np.array([complex(c[0], c[1]), complex(c[2], c[3]), complex(c[4], c[5])])
     norm = np.linalg.norm(amps)
     assume(norm > 0.1)
     params = SystemParams(g_a=g_a, g_b=g_b, nbar_a=nbar_a, nbar_b=nbar_b,
-                          c=tuple(amps / norm), delta_a=delta_a, delta_b=delta_b)
-    prop = BlockDiagonalPropagator(params, cutoff_a=cutoff_a, cutoff_b=cutoff_b)
-    full = oracle.build_full_hamiltonian(params, cutoff_a + 1, cutoff_b + 1)
-    psi0 = oracle.embed_state(prop.index, prop.initial, cutoff_a + 1, cutoff_b + 1)
-    block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t),
-                                   cutoff_a + 1, cutoff_b + 1)
+                          c=tuple(amps / norm), delta_a=delta_a, delta_b=delta_b,
+                          epsilon=epsilon)
+    prop = BlockDiagonalPropagator(params)
+    cuts = oracle_cutoffs(params)
+    full = oracle.build_full_hamiltonian(params, *cuts)
+    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
+    block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), *cuts)
     assert np.max(np.abs(block_vec - oracle.full_evolve(full, psi0, t))) < 1e-8
 
 
@@ -156,24 +170,25 @@ def test_resonant_and_next_float_detunings_match_oracle(monkeypatch, delta_b, so
         monkeypatch.setattr(dynamics, name, lambda *args, name=name, spied=spied:
                             calls.append(name) or spied(*args))
     params = make_params(g_b=0.7, nbar_a=0.9, nbar_b=1.3, delta_a=0.37, delta_b=delta_b,
-                         c=(0.6, 0.48j, -0.64))
-    cut = 6
-    prop = BlockDiagonalPropagator(params, cutoff_a=cut - 1, cutoff_b=cut - 1)
+                         c=(0.6, 0.48j, -0.64), epsilon=1e-3)
+    cuts = oracle_cutoffs(params)
+    prop = BlockDiagonalPropagator(params)
     assert calls == [solver]
-    full = oracle.build_full_hamiltonian(params, cut, cut)
-    psi0 = oracle.embed_state(prop.index, prop.initial, cut, cut)
+    full = oracle.build_full_hamiltonian(params, *cuts)
+    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
     for t in (0.7, 5.3, 31.0):
-        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), cut, cut)
+        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), *cuts)
         assert np.max(np.abs(block_vec - oracle.full_evolve(full, psi0, t))) < 1e-8
 
 
 def test_full_evolution_conserves_norm_and_excitations():
-    params = make_params(nbar_a=0.8, nbar_b=0.8, c=(0.6, 0.8, 0.0))
-    cut = 6
-    full = oracle.build_full_hamiltonian(params, cut, cut)
-    prop = BlockDiagonalPropagator(params, cutoff_a=cut - 1, cutoff_b=cut - 1)
-    psi0 = oracle.embed_state(prop.index, prop.initial, cut, cut)
-    diag_a, diag_b = oracle.excitation_diagonals(cut, cut)
+    params = make_params(nbar_a=0.8, nbar_b=0.8, c=(0.6, 0.8, 0.0), epsilon=1e-3)
+    cuts = oracle_cutoffs(params)
+    assert cuts == (6, 6)
+    full = oracle.build_full_hamiltonian(params, *cuts)
+    prop = BlockDiagonalPropagator(params)
+    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
+    diag_a, diag_b = oracle.excitation_diagonals(*cuts)
     exp_a0 = float(np.sum(np.abs(psi0) ** 2 * diag_a))
     exp_b0 = float(np.sum(np.abs(psi0) ** 2 * diag_b))
     for t in np.linspace(0.0, 12.0, 7):
@@ -184,7 +199,10 @@ def test_full_evolution_conserves_norm_and_excitations():
 
 
 def test_embed_state_rejects_members_outside_space():
-    params = make_params()
-    prop = BlockDiagonalPropagator(params, cutoff_a=4, cutoff_b=4)
+    # the state's own photon windows, [0, 4] per mode, are one Fock level
+    # short of its edge blocks' members
+    params = make_params(epsilon=0.01)
+    cut_a, cut_b = oracle_cutoffs(params)
+    prop = BlockDiagonalPropagator(params)
     with pytest.raises(ValueError, match="outside"):
-        oracle.embed_state(prop.index, prop.initial, 4, 4)
+        oracle.embed_state(prop.index, prop.initial, cut_a - 1, cut_b - 1)

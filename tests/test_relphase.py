@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdaphase import algebra, relphase
-from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
-                                  truncation_cutoff)
+from lambdaphase import algebra, dynamics
+from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
 from lambdaphase.relphase import (PHASE_VECTORS, SEGMENT, SERIES_KEYS,
                                   block_phase_exponential, block_sum,
                                   deformed_generators,
@@ -220,15 +219,22 @@ def test_time_series_columns_over_segments():
     assert np.allclose(series["p12_0"], series["pop3"], atol=1e-12)
 
 
-def test_photon_window_matches_the_full_rectangle():
+def test_photon_window_matches_the_full_rectangle(monkeypatch):
     # nbar 50 drops the 11 lowest photon numbers of each mode; the full
-    # rectangle comes from passing the epsilon cutoffs explicitly
+    # rectangle comes from a window with its lower edge moved to 0
     params = desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2)
-    cutoff = truncation_cutoff(50.0, params.epsilon)
     times = np.linspace(0.0, 3.0, 9)
     windowed = series_table(time_series(params, times))
-    full = series_table(time_series(params, times, cutoff_a=cutoff, cutoff_b=cutoff))
+    monkeypatch.setattr(dynamics, "photon_window",
+                        lambda nbar, eps: (0, dynamics.truncation_cutoff(nbar, eps)))
+    full = series_table(time_series(params, times))
     assert np.max(np.abs(windowed - full)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_time_series_rejects_a_non_finite_time(bad):
+    with pytest.raises(ValueError, match="times must be finite"):
+        time_series(desk_params(), np.array([0.0, bad, 1.0]))
 
 
 # ---------------------------------------------------------------------------
