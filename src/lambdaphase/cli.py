@@ -58,7 +58,8 @@ class RunConfig(SystemParams):
         object.__setattr__(self, "transitions", tuple(str(t) for t in self.transitions))
         for name in ("tau_max", "tau_steps"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.tau_max <= 0:
             raise ValueError(f"tau_max must be > 0, got {self.tau_max}")
@@ -85,11 +86,15 @@ class RunConfig(SystemParams):
         return SystemParams(**{f.name: getattr(self, f.name) for f in fields(SystemParams)})
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_amplitude(value, position: int) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(part, (int, float)) for part in value)):
+            and all(_is_number(part) for part in value)):
         return complex(value[0], value[1])
     raise ValueError(f"c[{position}] must be a number or a [re, im] pair, "
                      f"got {value!r}")
@@ -220,6 +225,9 @@ def run_scenario(config: RunConfig, csv_path=None, svg_path=None) -> dict[str, n
 
 
 def _cmd_simulate(args) -> int:
+    for flag, path in (("--out", args.out), ("--svg", args.svg)):
+        if path == "":
+            raise ValueError(f"{flag} must be a non-empty path")
     if args.preset is not None:
         config = PRESETS[args.preset]
     else:

@@ -47,6 +47,11 @@ TABLE_TAIL = 1e-3
 # Rounding allowance of the captured-weight check in initial_state.
 CAPTURE_SLACK = 1e-12
 
+# Cap on the blocks of the grid initial_state allocates.  A run holds about
+# 460 bytes per block (state, eigensystems, twists), so the cap keeps it
+# near half a GB.
+MAX_BLOCKS = 2**20
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -68,12 +73,15 @@ class SystemParams:
     epsilon: float = 1e-10
 
     def __post_init__(self):
+        if any(isinstance(x, bool) for x in self.c):
+            raise ValueError(f"c must hold numbers, not booleans, got {self.c}")
         object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
         if len(self.c) != 3:
             raise ValueError(f"c must have three amplitudes, got {len(self.c)}")
         for name in ("g_a", "g_b", "nbar_a", "nbar_b", "delta_a", "delta_b", "epsilon"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not all(cmath.isfinite(x) for x in self.c):
             raise ValueError(f"c must hold finite amplitudes, got {self.c}")
@@ -86,22 +94,6 @@ class SystemParams:
             raise ValueError("mean photon numbers nbar_a, nbar_b must be >= 0")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-
-def poisson_weight(nbar: float, n: int) -> float:
-    """Coherent-state amplitude sqrt(exp(-nbar) nbar^n / n!).
-
-    Evaluated in log space so that large nbar and n (say nbar ~ 50,
-    n ~ 150) do not overflow the intermediate factorial.
-    """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    if nbar == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_p = -nbar + n * math.log(nbar) - math.lgamma(n + 1)
-    return math.exp(0.5 * log_p)
 
 
 def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
@@ -238,10 +230,16 @@ def initial_state(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     (B, 3) member amplitudes, a transposed view of a level-major array.
     The captured state is renormalized to exactly 1; its squared norm
     before that must be at least (1 - epsilon)^2, and RuntimeError reports
-    a truncation that captured less than 1 - 2 epsilon.
+    a truncation that captured less than 1 - 2 epsilon.  ValueError
+    reports windows whose grid would hold more than MAX_BLOCKS blocks,
+    before the grid is allocated.
     """
     lo_a, cutoff_a = photon_window(params.nbar_a, params.epsilon)
     lo_b, cutoff_b = photon_window(params.nbar_b, params.epsilon)
+    blocks = (cutoff_a - lo_a + 2) * (cutoff_b - lo_b + 2)
+    if blocks > MAX_BLOCKS:
+        raise ValueError(f"nbar_a = {params.nbar_a} and nbar_b = {params.nbar_b} "
+                         f"need {blocks} blocks, above the cap of {MAX_BLOCKS}")
     weights_a = np.sqrt(poisson_probabilities(params.nbar_a, cutoff_a)[lo_a:])
     weights_b = np.sqrt(poisson_probabilities(params.nbar_b, cutoff_b)[lo_b:])
     weights = np.multiply.outer(weights_a, weights_b)

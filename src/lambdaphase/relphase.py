@@ -32,34 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ALL_TRANSITIONS, spectator_level, transition_levels
+from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, generator, phase_eigensystem,
+                      phase_exponential, verify_polar_identity)
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
 
-def _structure(transition: str) -> tuple[int, int, int]:
-    """(zero-label level, upper member level, partner member level) of a transition.
-
-    These are the spectator, the upper and the lower level of
-    :func:`.algebra.transition_levels`, which rejects unknown transitions.
-    """
-    lower, upper = transition_levels(transition)
-    return spectator_level(transition), upper, lower
-
-
-def _phase_vectors() -> np.ndarray:
-    table = np.zeros((3, 3 * len(ALL_TRANSITIONS)), dtype=complex)
-    for k, transition in enumerate(ALL_TRANSITIONS):
-        zero_level, upper_level, partner_level = _structure(transition)
-        table[zero_level - 1, 3 * k] = 1.0
-        table[upper_level - 1, 3 * k + 1:3 * k + 3] = 1.0 / math.sqrt(2.0)
-        table[partner_level - 1, 3 * k + 1] = -1j / math.sqrt(2.0)
-        table[partner_level - 1, 3 * k + 2] = 1j / math.sqrt(2.0)
-    return table
-
-
 # Relative-phase eigenstates of a full block in level order, one column per
-# (transition, label): "0", "+", "-" of 13, then of 23, then of 12.
-PHASE_VECTORS = _phase_vectors()
+# (transition, label): "0", "+", "-" of 13, then of 23, then of 12.  In the
+# basis of the block members they are the bare atomic eigenvectors.
+PHASE_VECTORS = np.hstack([phase_eigensystem(t).eigenvectors for t in ALL_TRANSITIONS])
 
 
 def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
@@ -71,27 +52,10 @@ def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
     of missing members set to zero, without renormalizing (see the module
     docstring); in a full block they are orthonormal and complete.
     """
-    _structure(transition)  # rejects unknown transitions
-    k = 3 * ALL_TRANSITIONS.index(str(transition))
+    vectors = phase_eigensystem(transition).eigenvectors
     n_a, n_b = block_members(index)
     present = (n_a >= 0) & (n_b >= 0)
-    return present[:, :, None] * PHASE_VECTORS[:, k:k + 3]
-
-
-def block_phase_exponential(transition: str) -> np.ndarray:
-    """Relative-phase exponential of one transition in a full block.
-
-    With members m_zero, m_upper, m_partner it is
-    |m_partner><m_upper| - |m_upper><m_partner| + |m_zero><m_zero|,
-    the same ladder-with-spectator structure as the bare atomic operator.
-    Rows and columns are in level order; the operator is unitary.
-    """
-    zero_level, upper_level, partner_level = _structure(transition)
-    op = np.zeros((3, 3), dtype=complex)
-    op[partner_level - 1, upper_level - 1] = 1.0
-    op[upper_level - 1, partner_level - 1] = -1.0
-    op[zero_level - 1, zero_level - 1] = 1.0
-    return op
+    return present[:, :, None] * vectors
 
 
 @dataclass(frozen=True)
@@ -294,18 +258,13 @@ def deformed_generators(cutoff: int) -> DeformedGenerators:
     eye_f = np.eye(n_fock, dtype=complex)
     eye_atom = np.eye(3, dtype=complex)
 
-    def atom(i, j):
-        op = np.zeros((3, 3), dtype=complex)
-        op[j - 1, i - 1] = 1.0
-        return op
-
     def embed(atom_op, op_a, op_b):
         return np.kron(np.kron(atom_op, op_a), op_b)
 
-    raise_13 = embed(atom(1, 3), annihilate, eye_f)
-    raise_23 = embed(atom(2, 3), eye_f, annihilate)
-    raise_12 = embed(atom(1, 2), annihilate, annihilate.conj().T)
-    proj = tuple(embed(atom(i, i), eye_f, eye_f) for i in (1, 2, 3))
+    raise_13 = embed(generator(1, 3), annihilate, eye_f)
+    raise_23 = embed(generator(2, 3), eye_f, annihilate)
+    raise_12 = embed(generator(1, 2), annihilate, annihilate.conj().T)
+    proj = tuple(embed(generator(i, i), eye_f, eye_f) for i in (1, 2, 3))
     identity = np.eye(3 * n_fock * n_fock, dtype=complex)
     exc_a = embed(eye_atom, number, eye_f) - proj[0] + identity
     exc_b = embed(eye_atom, eye_f, number) - proj[1] + identity
@@ -380,7 +339,7 @@ def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
     flat = (np.arange(3) * n_fock + n_a) * n_fock + n_b
 
     op = np.eye(gen.dim, dtype=complex)
-    block = block_phase_exponential(transition)
+    block = phase_exponential(transition)
     for idx in flat:
         op[np.ix_(idx, idx)] = block
     return op
@@ -391,24 +350,18 @@ def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> flo
 
     Within a full block the dressed lowering operator of the 1<->3
     transition sends the level-3 member to sqrt(N_a) times the level-1
-    member, its modulus is diagonal, and dividing the modulus out leaves
-    exactly the block phase exponential.  Returns the max-entry residual
-    of  lowering_block - sqrt(lowering_block @ raising_block) @ E_block.
+    member (sqrt(N_b) and the level-2 member for 2<->3): it is the bare
+    lowering operator scaled by that root, its modulus is diagonal, and
+    dividing the modulus out leaves exactly the bare phase exponential
+    in the basis of the block members.  Returns the max-entry residual of
+    :func:`.algebra.verify_polar_identity` at that scale.
     """
-    if transition not in ("13", "23"):
+    if transition not in POLAR_TRANSITIONS:
         raise ValueError("the dressed polar decomposition is defined for the "
                          f"allowed transitions 13 and 23, not {transition!r}")
     na, nb = index
     if na < 1 or nb < 1:
         raise ValueError(f"block {tuple(index)} is degenerate; the polar "
                          "decomposition needs a full block")
-    lower_block = np.zeros((3, 3), dtype=complex)
-    if transition == "13":
-        lower_block[0, 2] = math.sqrt(na)
-    else:
-        lower_block[1, 2] = math.sqrt(nb)
-    raise_block = lower_block.conj().T
-    modulus_sq = lower_block @ raise_block
-    modulus = np.diag(np.sqrt(np.real(np.diag(modulus_sq))))
-    residual = lower_block - modulus @ block_phase_exponential(transition)
-    return float(np.max(np.abs(residual)))
+    photons = na if transition == "13" else nb
+    return verify_polar_identity(transition, math.sqrt(photons))

@@ -31,8 +31,7 @@ from lambdaphase import algebra, oracle, verify
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   photon_window, truncation_cutoff)
-from lambdaphase.relphase import (block_phase_exponential,
-                                  rel_phase_eigenstates, time_series,
+from lambdaphase.relphase import (rel_phase_eigenstates, time_series,
                                   trapping_config, verify_deformed_algebra,
                                   verify_deformed_polar)
 
@@ -156,7 +155,7 @@ def test_criterion_2_phase_spectrum():
 
     phases = np.array([1.0, 1j, -1j])  # exp(i phi) for phi in {0, +-pi/2}
     for transition in ("13", "23", "12"):
-        op = block_phase_exponential(transition)
+        op = algebra.phase_exponential(transition)
         for vectors in rel_phase_eigenstates(transition, [(1, 1), (2, 3), (5, 1)]):
             worst_defining = max(worst_defining, float(np.max(np.abs(
                 op @ vectors - phases * vectors))))

@@ -91,9 +91,12 @@ def test_phase_exponential_13_matrix():
     assert np.allclose(op @ e1, -e3)
 
 
-def test_phase_exponential_rejects_forbidden_transition():
-    with pytest.raises(ValueError):
-        algebra.phase_exponential("12")
+def test_phase_exponential_rejects_unknown_transition():
+    for transition in ("31", "11", ""):
+        with pytest.raises(ValueError):
+            algebra.phase_exponential(transition)
+        with pytest.raises(ValueError):
+            algebra.phase_eigensystem(transition)
 
 
 @pytest.mark.parametrize("transition", ["13", "23"])

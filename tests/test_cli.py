@@ -327,6 +327,20 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("g_a", True, "g_a"), ("g_b", False, "g_b"), ("nbar_a", True, "nbar_a"),
+    ("nbar_b", True, "nbar_b"), ("delta_a", True, "delta_a"),
+    ("delta_b", False, "delta_b"), ("epsilon", True, "epsilon"),
+    ("tau_max", True, "tau_max"), ("tau_steps", True, "tau_steps"),
+    ("c", [True, 0, 0], "c[0]"), ("c", [0, [1, False], 0], "c[1]"),
+])
+def test_config_rejects_booleans_by_field_name(field, value, named):
+    # JSON true and false load as Python bools, which are ints; they must
+    # not run as 1 and 0
+    with pytest.raises(ValueError, match=re.escape(f"{named} must")):
+        config_from_dict({**BASE_CONFIG, field: value})
+
+
 def test_config_rejects_an_unnormalized_c_and_shows_the_norm():
     # hand-typed amplitudes are rejected, not renormalized
     with pytest.raises(ValueError, match=r"c must be normalized, \|c\|\^2 = 0\.99998"):
@@ -385,6 +399,25 @@ def test_main_rejects_an_output_path_that_is_not_a_string(tmp_path, monkeypatch,
     assert code == 2
     assert f"{field} must be" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_main_rejects_an_empty_output_flag(tmp_path, monkeypatch, capsys, flag):
+    # an empty path used to skip the writer and still report success
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--preset", "fig2", flag, ""])
+    assert code == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_rejects_a_grid_above_the_block_cap(tmp_path, capsys):
+    path = write_config(tmp_path, nbar_a=50000.0, nbar_b=50000.0)
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    assert "nbar_a" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_main_rejects_unwritable_output(tmp_path):

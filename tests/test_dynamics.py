@@ -13,7 +13,7 @@ from lambdaphase import dynamics
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   block_hamiltonians, block_members,
                                   initial_state, jacobi_eigh, photon_window,
-                                  poisson_probabilities, poisson_weight,
+                                  poisson_probabilities,
                                   resonant_eigh, truncation_cutoff)
 from lambdaphase.relphase import time_series
 
@@ -46,6 +46,11 @@ def test_params_reject_bad_epsilon():
         SystemParams(g_a=1, g_b=1, nbar_a=1, nbar_b=1, c=GROUND, epsilon=0.0)
 
 
+def test_params_reject_boolean_amplitudes():
+    with pytest.raises(ValueError, match="c must hold numbers"):
+        SystemParams(g_a=1, g_b=1, nbar_a=1, nbar_b=1, c=(True, False, False))
+
+
 @pytest.mark.parametrize("name", ["g_a", "g_b", "nbar_a", "nbar_b", "delta_a",
                                   "delta_b", "epsilon", "c"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -59,34 +64,6 @@ def test_params_reject_non_finite_numbers(name, value):
 # ---------------------------------------------------------------------------
 # Poisson weights and truncation
 # ---------------------------------------------------------------------------
-
-def test_poisson_weight_vacuum():
-    assert poisson_weight(0.0, 0) == 1.0
-    assert poisson_weight(0.0, 3) == 0.0
-
-
-def test_poisson_weight_single_photon_mean():
-    assert poisson_weight(1.0, 0) == pytest.approx(math.exp(-0.5), rel=1e-15)
-
-
-def test_poisson_weight_matches_pmf():
-    for nbar in (0.5, 1.0, 50.0):
-        for n in (0, 1, 5, 40, 150):
-            expected = math.sqrt(stats.poisson.pmf(n, nbar))
-            assert poisson_weight(nbar, n) == pytest.approx(expected, rel=1e-12, abs=1e-300)
-
-
-def test_poisson_weight_large_arguments_stay_finite():
-    value = poisson_weight(50.0, 150)
-    assert 0.0 < value < 1e-12
-
-
-def test_poisson_weight_rejects_negative():
-    with pytest.raises(ValueError):
-        poisson_weight(-1.0, 0)
-    with pytest.raises(ValueError):
-        poisson_weight(1.0, -1)
-
 
 def test_truncation_cutoff_vacuum():
     assert truncation_cutoff(0.0, 1e-10) == 0
@@ -134,6 +111,11 @@ def test_poisson_probabilities_match_pmf():
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-300)
 
 
+def test_poisson_probabilities_reject_negative_mean():
+    with pytest.raises(ValueError, match="nbar"):
+        poisson_probabilities(-1.0, 5)
+
+
 def test_initial_state_rejects_a_truncation_that_loses_weight(monkeypatch):
     # a cutoff search that stops early (as the subnormal one did) must not
     # be renormalized away silently
@@ -173,9 +155,21 @@ def test_initial_state_keeps_the_photon_window():
     assert len(initial_state(params)[0]) == 91 * 91
 
 
+def test_initial_state_rejects_a_grid_above_the_block_cap():
+    # nbar 50000 keeps 2984 photon numbers per mode: about 8.9M blocks and
+    # several GB of state, refused before the grid is allocated
+    lo, cutoff = photon_window(50000.0, 1e-10)
+    blocks = (cutoff - lo + 2) ** 2
+    assert blocks > dynamics.MAX_BLOCKS
+    params = desk_params(nbar_a=50000.0, nbar_b=50000.0, c=GROUND)
+    with pytest.raises(ValueError, match=f"nbar_a = 50000.0 and nbar_b = 50000.0 "
+                                         f"need {blocks} blocks"):
+        initial_state(params)
+
+
 def test_poisson_weights_normalized_to_cutoff():
     cut = truncation_cutoff(1.0, 1e-12)
-    total = sum(poisson_weight(1.0, n) ** 2 for n in range(cut + 1))
+    total = float(np.sum(poisson_probabilities(1.0, cut)))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -490,8 +484,8 @@ def test_initial_state_amplitudes_are_weighted_products():
         vec = np.zeros(3, dtype=complex)
         for level, n_a, n_b in members(block):
             if n_a <= cut_a and n_b <= cut_b:
-                vec[level - 1] = (poisson_weight(params.nbar_a, n_a)
-                                  * poisson_weight(params.nbar_b, n_b)
+                vec[level - 1] = (math.sqrt(stats.poisson.pmf(n_a, params.nbar_a))
+                                  * math.sqrt(stats.poisson.pmf(n_b, params.nbar_b))
                                   * params.c[level - 1])
         return vec
 
@@ -516,8 +510,8 @@ def test_initial_state_keeps_every_weighted_block():
         vec = np.zeros(3, dtype=complex)
         for level, n_a, n_b in members(block):
             if lo_a <= n_a <= cut_a and lo_b <= n_b <= cut_b:
-                vec[level - 1] = (poisson_weight(params.nbar_a, n_a)
-                                  * poisson_weight(params.nbar_b, n_b)
+                vec[level - 1] = (math.sqrt(stats.poisson.pmf(n_a, params.nbar_a))
+                                  * math.sqrt(stats.poisson.pmf(n_b, params.nbar_b))
                                   * params.c[level - 1])
         if np.any(vec != 0):
             blocks.append(list(block))
