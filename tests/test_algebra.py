@@ -99,14 +99,14 @@ def test_phase_exponential_rejects_unknown_transition():
             algebra.phase_eigensystem(transition)
 
 
-@pytest.mark.parametrize("transition", ["13", "23"])
+@pytest.mark.parametrize("transition", ["13", "23", "12"])
 def test_phase_exponential_unitary(transition):
     op = algebra.phase_exponential(transition)
     assert np.max(np.abs(op @ op.conj().T - np.eye(3))) < 1e-15
     assert np.max(np.abs(op.conj().T @ op - np.eye(3))) < 1e-15
 
 
-@pytest.mark.parametrize("transition", ["13", "23"])
+@pytest.mark.parametrize("transition", ["13", "23", "12"])
 def test_phase_exponential_spectrum(transition):
     op = algebra.phase_exponential(transition)
     expected = np.array([-1j, 1.0, 1j])
@@ -118,7 +118,7 @@ def test_phase_exponential_spectrum(transition):
     assert np.allclose(op @ op @ op, op.conj().T, atol=1e-15)
 
 
-@pytest.mark.parametrize("transition", ["13", "23"])
+@pytest.mark.parametrize("transition", ["13", "23", "12"])
 def test_phase_eigensystem_defining_property(transition):
     # independent check: apply the exponential to each claimed eigenvector
     op = algebra.phase_exponential(transition)
@@ -153,7 +153,7 @@ def test_phase_operator_is_hermitian_log():
                            atol=1e-12)
 
 
-@pytest.mark.parametrize("transition", ["13", "23"])
+@pytest.mark.parametrize("transition", ["13", "23", "12"])
 def test_polar_identity(transition):
     assert algebra.verify_polar_identity(transition) < 1e-14
 

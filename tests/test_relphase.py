@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from lambdaphase import algebra, dynamics
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
-from lambdaphase.relphase import (PHASE_VECTORS, SEGMENT, SERIES_KEYS,
-                                  block_sum,
+from lambdaphase.relphase import (SEGMENT, SERIES_KEYS, block_sum,
                                   deformed_generators,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
