@@ -179,13 +179,17 @@ CSV_CHUNK = svgplot.CHUNK
 
 
 def write_csv(path, data: dict[str, np.ndarray]) -> None:
-    """Write the ``COLUMNS`` of ``data`` as CSV, ``CSV_CHUNK`` rows at a time."""
+    """Write the ``COLUMNS`` of ``data`` as CSV, ``CSV_CHUNK`` rows at a time.
+
+    Each chunk is formatted with one ``%`` of ``ROW_FORMAT`` repeated over
+    its flattened (rows, len(COLUMNS)) table.
+    """
     columns = [np.asarray(data[col], dtype=float) for col in COLUMNS]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(COLUMNS) + "\n")
         for start in range(0, len(columns[0]), CSV_CHUNK):
-            rows = zip(*(col[start:start + CSV_CHUNK].tolist() for col in columns))
-            handle.write("".join(ROW_FORMAT % row for row in rows))
+            chunk = np.column_stack([col[start:start + CSV_CHUNK] for col in columns])
+            handle.write(ROW_FORMAT * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:

@@ -73,7 +73,7 @@ class SystemParams:
     epsilon: float = 1e-10
 
     def __post_init__(self):
-        if any(isinstance(x, bool) for x in self.c):
+        if any(isinstance(x, (bool, np.bool_)) for x in self.c):
             raise ValueError(f"c must hold numbers, not booleans, got {self.c}")
         object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
         if len(self.c) != 3:
@@ -440,18 +440,27 @@ class BlockDiagonalPropagator:
         twisted *= self.coeff0
         return twisted
 
-    def amplitudes_at(self, t: float, coefficients: Optional[np.ndarray] = None) -> np.ndarray:
+    def amplitudes_at(self, t: float, coefficients: Optional[np.ndarray] = None, *,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
         """Member amplitudes of every block at time t, shape (B, 3).
 
         Rows follow ``index``; columns are the atomic levels 1, 2, 3.
         ``coefficients`` are the eigenbasis coefficients at t as given by
         :meth:`twist`, or as stepped there by a caller walking a uniform
         grid; without them the twist is computed here with an exact
-        ``exp``.  The result is a transposed view of a level-major array.
+        ``exp``.  The result is a transposed view of a level-major array:
+        a new one, or ``out`` when given, which must be a C-contiguous
+        complex array of shape (3, B) and is written in place.  ValueError
+        reports an ``out`` of another shape or dtype.
         """
         if coefficients is None:
             coefficients = self.twist(t)
-        real = np.einsum("ijk,jk->ik", self.vectors, coefficients.view(float))
+        if out is not None:
+            if out.shape != self.coeff0.shape or out.dtype != self.coeff0.dtype:
+                raise ValueError(f"out must be a {self.coeff0.dtype} array of shape "
+                                 f"{self.coeff0.shape}, got {out.dtype} {out.shape}")
+            out = out.view(float)
+        real = np.einsum("ijk,jk->ik", self.vectors, coefficients.view(float), out=out)
         return real.view(complex).T
 
     def propagators(self, t: float) -> np.ndarray:

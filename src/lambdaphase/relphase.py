@@ -101,11 +101,12 @@ SEGMENT = 64
 # its nominal position t_0 + k dt on a grid taken as uniform.
 UNIFORM_ULPS = 4
 
-# Largest number of blocks in one dot product of :func:`block_sum`.
+# Largest number of blocks in one dot product of :func:`block_sums`.
 # OpenBLAS splits a dot product over its threads above 10000 elements, at
 # points that depend on the thread count, which would make the bytes of a
 # run depend on it; chunks this short stay on one thread and are summed in
-# a fixed order.
+# a fixed order.  It also bounds a batch of :func:`time_series` to about
+# REDUCE_CHUNK block-samples.
 REDUCE_CHUNK = 8192
 
 # Phase vectors, then the three level unit vectors: <v|R|v> over these
@@ -131,19 +132,20 @@ def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return 0.0, [(k, k + 1) for k in range(n)]
 
 
-def block_sum(amplitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """R = sum_b a_b a_b^dagger of padded amplitudes (B, 3), written into ``out`` (3, 3).
+def block_sums(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """R_s = sum_b a_b a_b^dagger of a batch of level-major amplitudes (S, 3, B).
 
-    R[i, j] = sum_b a_bi conj(a_bj), summed over chunks of REDUCE_CHUNK
-    blocks in block order.  Returns ``out``.
+    Writes the (S, 3, 3) matrices R_s[i, j] = sum_b a_sib conj(a_sjb) into
+    ``out``, summed over chunks of REDUCE_CHUNK blocks in block order: one
+    ``vecdot`` per chunk for the whole batch.  Each R_s is bitwise the same
+    whatever S is.  Returns ``out``.
     """
-    levels = amplitudes.T
-    for start in range(0, levels.shape[1], REDUCE_CHUNK):
-        chunk = levels[:, start:start + REDUCE_CHUNK]
+    for start in range(0, levels.shape[2], REDUCE_CHUNK):
+        chunk = levels[:, :, start:start + REDUCE_CHUNK]
         if start == 0:
-            np.vecdot(chunk[None, :], chunk[:, None], out=out)
+            np.vecdot(chunk[:, None], chunk[:, :, None], out=out)
         else:
-            out += np.vecdot(chunk[None, :], chunk[:, None])
+            out += np.vecdot(chunk[:, None], chunk[:, :, None])
     return out
 
 
@@ -159,20 +161,22 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     """Phase distributions and populations of all three transitions over a grid.
 
     This is the production path: every block is eigendecomposed once, and
-    each time sample costs one eigenphase twist, one real 3x3 contraction
-    per block (:meth:`BlockDiagonalPropagator.amplitudes_at`) and one
-    reduction over the blocks (:func:`block_sum`).  All 13 columns are
-    linear in the block-summed matrix R = sum_b a_b a_b^dagger of the
-    member amplitudes a_b: each phase probability is <phi|R|phi> for a
-    column phi of :data:`PHASE_VECTORS`, the populations are diag R and
-    the norm is tr R.
+    each time sample costs one eigenphase twist and one real 3x3
+    contraction per block (:meth:`BlockDiagonalPropagator.amplitudes_at`).
+    All 13 columns are linear in the block-summed matrix
+    R = sum_b a_b a_b^dagger of the member amplitudes a_b: each phase
+    probability is <phi|R|phi> for a column phi of :data:`PHASE_VECTORS`,
+    the populations are diag R and the norm is tr R.
 
     The grid is walked in the segments of :func:`grid_segments`.  Each
     segment starts from the exact twist exp(-i w t_s) coeff0 and, on a
     uniform grid, multiplies it by exp(-i w dt) for each later sample, so
     the complex exponential runs once per segment instead of once per
-    sample; the rows of a segment come from one reduction over its R
-    matrices.
+    sample.  A segment's samples go through a reused buffer in batches of
+    S = min(SEGMENT, max(1, REDUCE_CHUNK // B)) samples for B blocks;
+    :func:`block_sums` reduces each batch at once, and the rows of a
+    segment come from one reduction over its R matrices.  The bytes do
+    not depend on S.
 
     Returns a dict with key "t" (the input grid) plus one array per entry
     of ``SERIES_KEYS``.  Raises ValueError for a grid with a non-finite
@@ -186,15 +190,22 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     prop = BlockDiagonalPropagator(params)
     dt, segments = grid_segments(times)
     step = prop.phases(dt) if len(segments) < len(times) else None
+    blocks = prop.coeff0.shape[1]
+    batch = min(SEGMENT, max(1, REDUCE_CHUNK // blocks))
+    levels = np.empty((batch, 3, blocks), dtype=complex)
+    r = np.empty((SEGMENT, 3, 3), dtype=complex)
     rows = np.empty((len(times), len(SERIES_KEYS)))
     for start, stop in segments:
-        r = np.empty((stop - start, 3, 3), dtype=complex)
+        twisted = None  # drop the last segment's twist before the next is formed
         twisted = prop.twist(times[start])
-        for k in range(start, stop):
-            if k > start:
-                twisted *= step
-            block_sum(prop.amplitudes_at(times[k], twisted), r[k - start])
-        rows[start:stop] = series_rows(r)
+        for first in range(start, stop, batch):
+            last = min(first + batch, stop)
+            for k in range(first, last):
+                if k > start:
+                    twisted *= step
+                prop.amplitudes_at(times[k], twisted, out=levels[k - first])
+            block_sums(levels[:last - first], r[first - start:last - start])
+        rows[start:stop] = series_rows(r[:stop - start])
 
     out = {"t": times.copy()}
     out.update(zip(SERIES_KEYS, rows.T))

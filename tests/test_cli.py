@@ -141,8 +141,8 @@ def test_run_scenario_deterministic(tmp_path):
 def test_run_scenario_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     # a desk config and fig3b's ~8.3k blocks on a shortened grid; the
     # program has no worker threads, so a worker-count variable left in
-    # the environment (the benchmark still sets LAMBDAPHASE_THREADS) must
-    # not change the bytes
+    # the environment (the benchmark removes LAMBDAPHASE_THREADS from its
+    # children's environment, it does not set it) must not change the bytes
     configs = [load_config(write_config(tmp_path)),
                dataclasses.replace(PRESETS["fig3b"], tau_steps=25)]
     unset = tmp_path / "unset.csv"

@@ -51,6 +51,12 @@ def test_params_reject_boolean_amplitudes():
         SystemParams(g_a=1, g_b=1, nbar_a=1, nbar_b=1, c=(True, False, False))
 
 
+@pytest.mark.parametrize("c", [(np.True_, np.False_, np.False_), (1.0, np.False_, 0.0)])
+def test_params_reject_numpy_boolean_amplitudes(c):
+    with pytest.raises(ValueError, match="c must hold numbers"):
+        SystemParams(g_a=1, g_b=1, nbar_a=1, nbar_b=1, c=c)
+
+
 @pytest.mark.parametrize("name", ["g_a", "g_b", "nbar_a", "nbar_b", "delta_a",
                                   "delta_b", "epsilon", "c"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -421,6 +427,30 @@ def test_block_evolution_matches_expm():
         expected = np.stack([expm(-1j * hb * t) @ a0
                              for hb, a0 in zip(h, prop.initial)])
         assert np.max(np.abs(prop.amplitudes_at(t) - expected)) < 1e-12
+
+
+def test_amplitudes_at_writes_into_out():
+    prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.2))
+    buf = np.full((2, 3, len(prop.index)), np.nan, dtype=complex)
+    for t, coefficients in ((1.7, None), (2.5, prop.twist(2.5))):
+        got = prop.amplitudes_at(t, coefficients, out=buf[1])
+        assert np.array_equal(got, prop.amplitudes_at(t, coefficients))
+        assert got.shape == (len(prop.index), 3)
+        assert np.shares_memory(got, buf[1])
+    assert np.all(np.isnan(buf[0]))
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda b: np.empty((3, b + 1), dtype=complex),
+    lambda b: np.empty((b, 3), dtype=complex),
+    lambda b: np.empty((1, 3, b), dtype=complex),
+    lambda b: np.empty((3, b), dtype=np.complex64),
+    lambda b: np.empty((3, 2 * b)),
+], ids=["long", "transposed", "batched", "complex64", "interleaved_float"])
+def test_amplitudes_at_rejects_a_wrong_out(make_out):
+    prop = BlockDiagonalPropagator(desk_params())
+    with pytest.raises(ValueError, match="out must be"):
+        prop.amplitudes_at(0.9, out=make_out(len(prop.index)))
 
 
 def test_block_evolution_resonant_return_amplitude():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lambdaphase import algebra, dynamics
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
-from lambdaphase.relphase import (SEGMENT, SERIES_KEYS, block_sum,
+from lambdaphase.relphase import (REDUCE_CHUNK, SEGMENT, SERIES_KEYS, block_sums,
                                   deformed_generators,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
@@ -233,14 +233,30 @@ def test_time_series_rejects_a_non_finite_time(bad):
 # segment recurrence against the exact per-sample path
 # ---------------------------------------------------------------------------
 
+def one_sample_rows(amplitudes):
+    """The 13 columns of one (B, 3) state, reduced as a batch of one sample."""
+    r = block_sums(amplitudes.T[None], np.empty((1, 3, 3), dtype=complex))
+    return series_rows(r)[0]
+
+
 def exact_rows(params, times):
     """The 13 columns of each sample from amplitudes_at(t) and its exact exp."""
     prop = BlockDiagonalPropagator(params)
+    return np.array([one_sample_rows(prop.amplitudes_at(float(t))) for t in times])
+
+
+def stepped_rows(prop, times):
+    """time_series one sample at a time: the stepped twist of each segment,
+    amplitudes_at and a one-sample reduction per sample."""
+    dt, segments = grid_segments(times)
+    step = prop.phases(dt)
     rows = []
-    for t in times:
-        r = np.empty((1, 3, 3), dtype=complex)
-        block_sum(prop.amplitudes_at(float(t)), r[0])
-        rows.append(series_rows(r)[0])
+    for start, stop in segments:
+        twisted = prop.twist(times[start])
+        for k in range(start, stop):
+            if k > start:
+                twisted *= step
+            rows.append(one_sample_rows(prop.amplitudes_at(times[k], twisted)))
     return np.array(rows)
 
 
@@ -256,6 +272,20 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
     assert len(grid_segments(times)[1]) == 157
     got = series_table(time_series(params, times))
     assert np.max(np.abs(got - exact_rows(params, times))) < 1e-12
+
+
+@pytest.mark.parametrize("nbar, samples, blocks, batch", [
+    (1.0, 2 * SEGMENT + 5, 169, 48),  # fig2 physics: batches split inside segments
+    (100.0, SEGMENT + 3, 16641, 1),  # two REDUCE_CHUNK chunks per sample
+], ids=["fig2", "nbar100"])
+def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, blocks, batch):
+    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
+    times = np.linspace(0.0, 2.0, samples) * 2.0 * math.pi * math.sqrt(nbar)
+    prop = BlockDiagonalPropagator(params)
+    assert len(prop.index) == blocks
+    assert min(SEGMENT, max(1, REDUCE_CHUNK // blocks)) == batch
+    got = series_table(time_series(params, times))
+    assert np.array_equal(got, stepped_rows(prop, times))
 
 
 @pytest.mark.parametrize("n", [1, 2, SEGMENT, SEGMENT + 1])
