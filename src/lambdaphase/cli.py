@@ -18,7 +18,6 @@ byte-identical files.
 import argparse
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, relphase, svgplot
-from .dynamics import SystemParams
+from .dynamics import SystemParams, require_finite
 from .verify import SUITES, run_suite
 
 COLUMNS = ("tau",) + relphase.SERIES_KEYS
@@ -56,11 +55,7 @@ class RunConfig(SystemParams):
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(str(t) for t in self.transitions))
-        for name in ("tau_max", "tau_steps"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_finite(self, ("tau_max", "tau_steps"))
         if self.tau_max <= 0:
             raise ValueError(f"tau_max must be > 0, got {self.tau_max}")
         if int(self.tau_steps) != self.tau_steps or self.tau_steps < 2:

@@ -53,6 +53,15 @@ CAPTURE_SLACK = 1e-12
 MAX_BLOCKS = 2**20
 
 
+def require_finite(obj, names) -> None:
+    """Raise ValueError naming the first attribute that is not a finite real (or is a bool)."""
+    for name in names:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Full experiment configuration.
@@ -78,11 +87,8 @@ class SystemParams:
         object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
         if len(self.c) != 3:
             raise ValueError(f"c must have three amplitudes, got {len(self.c)}")
-        for name in ("g_a", "g_b", "nbar_a", "nbar_b", "delta_a", "delta_b", "epsilon"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_finite(self, ("g_a", "g_b", "nbar_a", "nbar_b", "delta_a", "delta_b",
+                              "epsilon"))
         if not all(cmath.isfinite(x) for x in self.c):
             raise ValueError(f"c must hold finite amplitudes, got {self.c}")
         norm_sq = sum(abs(x) ** 2 for x in self.c)

@@ -1,14 +1,14 @@
-"""Brute-force reference dynamics on the full truncated product space.
+"""Brute-force reference on the full truncated product space.
 
-Builds the interaction Hamiltonian as one dense matrix on
-atom x Fock_a x Fock_b and evolves by dense Hermitian eigendecomposition.
+This module owns the space atom x Fock_a x Fock_b: its basis, flat index
+and dressed ladder operators, on which it builds the interaction
+Hamiltonian as one dense matrix and evolves by dense eigendecomposition.
 This is the independent cross-check of the block-diagonal fast path: the
-basis enumeration and the matrix elements here are written directly from
-the coupling rules, sharing nothing with :mod:`.dynamics` beyond the
-scalar parameters.  Desk scale only; the dense matrix is capped in bytes.
+matrix elements are written directly from the coupling rules, sharing
+nothing with :mod:`.dynamics` beyond the scalar parameters.  Desk scale
+only; the dense matrix is capped in bytes.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +23,46 @@ def _dimension(cutoff_a: int, cutoff_b: int) -> int:
     return 3 * (cutoff_a + 1) * (cutoff_b + 1)
 
 
+def flat_index(level, n_a, n_b, cutoff_a: int, cutoff_b: int):
+    """Unchecked flat index of |level; n_a, n_b>, elementwise over arrays.
+
+    The basis is ordered lexicographically by (level, n_a, n_b), level in
+    1..3 and each photon number from 0 to its cutoff.
+    """
+    return ((level - 1) * (cutoff_a + 1) + n_a) * (cutoff_b + 1) + n_b
+
+
+def basis_states(cutoff_a: int, cutoff_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level, n_a and n_b of every basis state, in flat-index order."""
+    level, n_a, n_b = np.indices((3, cutoff_a + 1, cutoff_b + 1)).reshape(3, -1)
+    return level + 1, n_a, n_b
+
+
+def dressed_ladders(cutoff_a: int,
+                    cutoff_b: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Entries (rows, cols, values) of the real dressed raising operators.
+
+    "13" is a x |3><1|, "23" is b x |3><2| and "12" is a b^dagger x |2><1|,
+    with sqrt(n) for annihilation from |n> and sqrt(n + 1) for creation.
+    Their transposes are the dressed lowering operators.
+    """
+    level, n_a, n_b = basis_states(cutoff_a, cutoff_b)
+    root_a = np.sqrt(n_a)
+    # source states, then the target's level and photon numbers and the element
+    moves = {
+        "13": ((level == 1) & (n_a >= 1), 3, n_a - 1, n_b, root_a),
+        "23": ((level == 2) & (n_b >= 1), 3, n_a, n_b - 1, np.sqrt(n_b)),
+        "12": ((level == 1) & (n_a >= 1) & (n_b < cutoff_b), 2, n_a - 1, n_b + 1,
+               root_a * np.sqrt(n_b + 1)),
+    }
+    return {name: (flat_index(upper, m_a[src], m_b[src], cutoff_a, cutoff_b),
+                   np.flatnonzero(src), value[src])
+            for name, (src, upper, m_a, m_b, value) in moves.items()}
+
+
 @dataclass(frozen=True)
 class FullSpaceOperator:
-    """Dense operator on the truncated product space.
-
-    Basis states are ordered lexicographically by (level, n_a, n_b) with
-    level in 1..3 and photon numbers from 0 to the respective cutoff.
-    """
+    """Dense operator on the truncated product space, in the basis of :func:`flat_index`."""
 
     matrix: np.ndarray
     cutoff_a: int
@@ -45,16 +78,17 @@ class FullSpaceOperator:
                 and 0 <= n_b <= self.cutoff_b):
             raise ValueError(f"state ({level}, {n_a}, {n_b}) outside the "
                              "truncated space")
-        return ((level - 1) * (self.cutoff_a + 1) + n_a) * (self.cutoff_b + 1) + n_b
+        return flat_index(level, n_a, n_b, self.cutoff_a, self.cutoff_b)
 
 
 def build_full_hamiltonian(params: SystemParams, cutoff_a: int,
                            cutoff_b: int) -> FullSpaceOperator:
     """Interaction Hamiltonian on the full truncated space.
 
-    Detunings weigh the projectors on levels 1 and 2; mode a exchanges one
-    photon with the 1<->3 dipole and mode b with 2<->3, with the standard
-    bosonic matrix element sqrt(n) for annihilation from |n>.
+    H = -delta_a P1 - delta_b P2 + g_a (A13 + A13^T) + g_b (A23 + A23^T)
+    with the dressed raising operators A of :func:`dressed_ladders`.  The
+    cap is checked before any allocation; no other array of the matrix's
+    size is formed.
     """
     if cutoff_a < 1 or cutoff_b < 1:
         raise ValueError("cutoffs must be >= 1")
@@ -64,25 +98,14 @@ def build_full_hamiltonian(params: SystemParams, cutoff_a: int,
         raise ValueError(f"full-space dimension {dim} needs a {size} byte matrix, "
                          f"above the desk-scale cap of {MAX_MATRIX_BYTES} bytes")
     # Every matrix element is real, so the matrix and its eigh are real.
-    op = FullSpaceOperator(np.zeros((dim, dim)), cutoff_a, cutoff_b)
-    h = op.matrix
-    for n_a in range(cutoff_a + 1):
-        for n_b in range(cutoff_b + 1):
-            h[op.state_index(1, n_a, n_b), op.state_index(1, n_a, n_b)] = -params.delta_a
-            h[op.state_index(2, n_a, n_b), op.state_index(2, n_a, n_b)] = -params.delta_b
-            # |1; n_a, n_b> <-> |3; n_a - 1, n_b>: absorb one a photon.
-            if n_a >= 1:
-                row = op.state_index(3, n_a - 1, n_b)
-                col = op.state_index(1, n_a, n_b)
-                h[row, col] = params.g_a * math.sqrt(n_a)
-                h[col, row] = params.g_a * math.sqrt(n_a)
-            # |2; n_a, n_b> <-> |3; n_a, n_b - 1>: absorb one b photon.
-            if n_b >= 1:
-                row = op.state_index(3, n_a, n_b - 1)
-                col = op.state_index(2, n_a, n_b)
-                h[row, col] = params.g_b * math.sqrt(n_b)
-                h[col, row] = params.g_b * math.sqrt(n_b)
-    return op
+    h = np.zeros((dim, dim))
+    level = basis_states(cutoff_a, cutoff_b)[0]
+    h[np.diag_indices(dim)] = np.select([level == 1, level == 2],
+                                        [-params.delta_a, -params.delta_b])
+    ladders = dressed_ladders(cutoff_a, cutoff_b)
+    for g, (rows, cols, values) in ((params.g_a, ladders["13"]), (params.g_b, ladders["23"])):
+        h[rows, cols] = h[cols, rows] = g * values
+    return FullSpaceOperator(h, cutoff_a, cutoff_b)
 
 
 def excitation_diagonals(cutoff_a: int, cutoff_b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,17 +115,8 @@ def excitation_diagonals(cutoff_a: int, cutoff_b: int) -> tuple[np.ndarray, np.n
     level 1; the b excitation counts b photons plus one unless the atom
     sits in level 2.
     """
-    dim = _dimension(cutoff_a, cutoff_b)
-    diag_a = np.zeros(dim)
-    diag_b = np.zeros(dim)
-    k = 0
-    for level in (1, 2, 3):
-        for n_a in range(cutoff_a + 1):
-            for n_b in range(cutoff_b + 1):
-                diag_a[k] = n_a - (1 if level == 1 else 0) + 1
-                diag_b[k] = n_b - (1 if level == 2 else 0) + 1
-                k += 1
-    return diag_a, diag_b
+    level, n_a, n_b = basis_states(cutoff_a, cutoff_b)
+    return (n_a + (level != 1)).astype(float), (n_b + (level != 2)).astype(float)
 
 
 def embed_state(index, amplitudes: np.ndarray, cutoff_a: int,
@@ -121,7 +135,7 @@ def embed_state(index, amplitudes: np.ndarray, cutoff_a: int,
     if np.any(present & ((n_a > cutoff_a) | (n_b > cutoff_b))):
         raise ValueError(f"block members lie outside the truncated space with "
                          f"cutoffs {cutoff_a}, {cutoff_b}")
-    flat = (np.arange(3) * (cutoff_a + 1) + n_a) * (cutoff_b + 1) + n_b
+    flat = flat_index(np.arange(1, 4), n_a, n_b, cutoff_a, cutoff_b)
     vec = np.zeros(_dimension(cutoff_a, cutoff_b), dtype=complex)
     vec[flat[present]] = np.asarray(amplitudes)[present]
     return vec

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, generator, phase_eigensystem,
+from . import oracle
+from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, phase_eigensystem,
                       phase_exponential, verify_polar_identity)
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
@@ -229,9 +230,9 @@ def trapping_config(phi: float, nbar: float, g: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # Brute-force verification of the deformed algebra on a truncated space.
-# The basis ordering here (atom x mode a x mode b, Kronecker products) is
-# unrelated to the block machinery above; these operators exist only to
-# check operator identities and are desk-scale by design.
+# The space, basis order and dressed ladder operators are those of
+# :mod:`.oracle`, unrelated to the block machinery above; these operators
+# exist only to check operator identities and are desk-scale by design.
 # ---------------------------------------------------------------------------
 
 
@@ -259,44 +260,35 @@ class DeformedGenerators:
     proj: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def deformed_generators(cutoff: int) -> DeformedGenerators:
-    """Build the dressed generators with Fock spaces truncated at ``cutoff``."""
+def _deformed_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    n_fock = cutoff + 1
-    annihilate = np.diag(np.sqrt(np.arange(1, n_fock)), k=1).astype(complex)
-    number = np.diag(np.arange(n_fock)).astype(complex)
-    eye_f = np.eye(n_fock, dtype=complex)
-    eye_atom = np.eye(3, dtype=complex)
+    return oracle.basis_states(cutoff, cutoff)
 
-    def embed(atom_op, op_a, op_b):
-        return np.kron(np.kron(atom_op, op_a), op_b)
 
-    raise_13 = embed(generator(1, 3), annihilate, eye_f)
-    raise_23 = embed(generator(2, 3), eye_f, annihilate)
-    raise_12 = embed(generator(1, 2), annihilate, annihilate.conj().T)
-    proj = tuple(embed(generator(i, i), eye_f, eye_f) for i in (1, 2, 3))
-    identity = np.eye(3 * n_fock * n_fock, dtype=complex)
-    exc_a = embed(eye_atom, number, eye_f) - proj[0] + identity
-    exc_b = embed(eye_atom, eye_f, number) - proj[1] + identity
+def deformed_generators(cutoff: int) -> DeformedGenerators:
+    """Build the dressed generators with Fock spaces truncated at ``cutoff``."""
+    level = _deformed_basis(cutoff)[0]
+    dim = len(level)
+    raising = {name: np.zeros((dim, dim), dtype=complex) for name in ("13", "23", "12")}
+    for name, (rows, cols, values) in oracle.dressed_ladders(cutoff, cutoff).items():
+        raising[name][rows, cols] = values
+    exc_a, exc_b = (np.diag(diag).astype(complex)
+                    for diag in oracle.excitation_diagonals(cutoff, cutoff))
     return DeformedGenerators(
-        cutoff=cutoff, dim=3 * n_fock * n_fock,
-        raise_13=raise_13, lower_13=raise_13.conj().T,
-        raise_23=raise_23, lower_23=raise_23.conj().T,
-        raise_12=raise_12, lower_12=raise_12.conj().T,
-        exc_a=exc_a, exc_b=exc_b, proj=proj,
+        cutoff=cutoff, dim=dim,
+        raise_13=raising["13"], lower_13=raising["13"].conj().T,
+        raise_23=raising["23"], lower_23=raising["23"].conj().T,
+        raise_12=raising["12"], lower_12=raising["12"].conj().T,
+        exc_a=exc_a, exc_b=exc_b,
+        proj=tuple(np.diag((level == i).astype(complex)) for i in (1, 2, 3)),
     )
 
 
 def _interior_mask(gen: DeformedGenerators) -> np.ndarray:
     """Basis states at least one excitation below the Fock cutoff per mode."""
-    n_fock = gen.cutoff + 1
-    keep = np.zeros(gen.dim, dtype=bool)
-    for level in range(3):
-        for na in range(n_fock - 1):
-            for nb in range(n_fock - 1):
-                keep[(level * n_fock + na) * n_fock + nb] = True
-    return keep
+    _, n_a, n_b = oracle.basis_states(gen.cutoff, gen.cutoff)
+    return (n_a < gen.cutoff) & (n_b < gen.cutoff)
 
 
 def verify_deformed_algebra(cutoff: int) -> float:
@@ -329,10 +321,7 @@ def verify_deformed_algebra(cutoff: int) -> float:
         comm(gen.raise_12, gen.lower_12) - gen.exc_a @ gen.exc_b @ (p2 - p1),
     ]
     keep = _interior_mask(gen)
-    worst = 0.0
-    for res in residuals:
-        worst = max(worst, float(np.max(np.abs(res[np.ix_(keep, keep)]))))
-    return worst
+    return max(float(np.max(np.abs(res[np.ix_(keep, keep)]))) for res in residuals)
 
 
 def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
@@ -343,13 +332,12 @@ def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
     it is unitary and commutes with both excitation numbers exactly.
     Basis ordering matches :func:`deformed_generators`.
     """
-    gen = deformed_generators(cutoff)
-    n_fock = cutoff + 1
+    dim = len(_deformed_basis(cutoff)[0])
     na, nb = np.meshgrid(np.arange(1, cutoff + 1), np.arange(1, cutoff + 1), indexing="ij")
     n_a, n_b = block_members(np.column_stack([na.ravel(), nb.ravel()]))
-    flat = (np.arange(3) * n_fock + n_a) * n_fock + n_b
+    flat = oracle.flat_index(np.arange(1, 4), n_a, n_b, cutoff, cutoff)
 
-    op = np.eye(gen.dim, dtype=complex)
+    op = np.eye(dim, dtype=complex)
     block = phase_exponential(transition)
     for idx in flat:
         op[np.ix_(idx, idx)] = block

@@ -11,11 +11,8 @@ from itertools import product
 import numpy as np
 
 from . import algebra, oracle, relphase
-from .dynamics import (BlockDiagonalPropagator, SystemParams,
-                       block_hamiltonians, poisson_probabilities,
-                       truncation_cutoff)
-
-SUITES = ("algebra", "dynamics", "relphase", "oracle")
+from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians,
+                       block_members, poisson_probabilities, truncation_cutoff)
 
 
 @dataclass(frozen=True)
@@ -166,13 +163,13 @@ def suite_relphase() -> list[CheckResult]:
                 relphase.verify_deformed_polar((3, 2), "23"))
     checks.append(CheckResult("deformed polar identity", worst, 1e-12))
 
-    gen = relphase.deformed_generators(3)
+    exc_a, exc_b = (np.diag(diag) for diag in oracle.excitation_diagonals(3, 3))
     worst = 0.0
     for trans in ("13", "23"):
         e_global = relphase.global_phase_exponential(trans, 3)
         worst = max(worst,
-                    float(np.max(np.abs(_comm(e_global, gen.exc_a)))),
-                    float(np.max(np.abs(_comm(e_global, gen.exc_b)))))
+                    float(np.max(np.abs(_comm(e_global, exc_a)))),
+                    float(np.max(np.abs(_comm(e_global, exc_b)))))
     checks.append(CheckResult("phase exponential conserves excitations",
                               worst, 1e-12))
     return checks
@@ -180,29 +177,29 @@ def suite_relphase() -> list[CheckResult]:
 
 def suite_oracle() -> list[CheckResult]:
     checks = []
-    # epsilon 2e-5 keeps the photon numbers 0..7 of each mode, one Fock
-    # level below the oracle space, so every populated block is exactly
-    # representable there
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0,
                           c=(1.0, 0.0, 0.0), epsilon=2e-5)
-    cutoff = 8
-    full = oracle.build_full_hamiltonian(params, cutoff, cutoff)
+    prop = BlockDiagonalPropagator(params)
+    # one Fock level above the largest photon number the state populates per
+    # mode (7 at epsilon 2e-5): every member of a populated block fits
+    populated = prop.initial != 0
+    cuts = tuple(int(np.max(n[populated])) + 1 for n in block_members(prop.index))
+    full = oracle.build_full_hamiltonian(params, *cuts)
     checks.append(CheckResult("full hamiltonian hermiticity",
                               float(np.max(np.abs(full.matrix - full.matrix.conj().T))),
                               1e-14))
-    diag_a, diag_b = oracle.excitation_diagonals(cutoff, cutoff)
+    diag_a, diag_b = oracle.excitation_diagonals(*cuts)
     worst = max(float(np.max(np.abs(_comm(full.matrix, np.diag(diag_a))))),
                 float(np.max(np.abs(_comm(full.matrix, np.diag(diag_b))))))
     checks.append(CheckResult("excitation conservation (commutators)", worst, 1e-12))
 
-    prop = BlockDiagonalPropagator(params)
-    psi0 = oracle.embed_state(prop.index, prop.initial, cutoff, cutoff)
+    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
     worst_diff = 0.0
     worst_norm = 0.0
     worst_exc = 0.0
     exp_a0 = float(np.sum(np.abs(psi0) ** 2 * diag_a))
     for t in np.linspace(0.0, 4.0, 6):
-        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), cutoff, cutoff)
+        block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), *cuts)
         full_vec = oracle.full_evolve(full, psi0, t)
         worst_diff = max(worst_diff, float(np.max(np.abs(block_vec - full_vec))))
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(full_vec)) - 1.0))
@@ -214,19 +211,15 @@ def suite_oracle() -> list[CheckResult]:
     return checks
 
 
+_SUITES = {"algebra": suite_algebra, "dynamics": suite_dynamics,
+           "relphase": suite_relphase, "oracle": suite_oracle}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(name: str) -> list[CheckResult]:
-    suites = {
-        "algebra": suite_algebra,
-        "dynamics": suite_dynamics,
-        "relphase": suite_relphase,
-        "oracle": suite_oracle,
-    }
     if name == "all":
-        results = []
-        for suite in SUITES:
-            results.extend(suites[suite]())
-        return results
-    if name not in suites:
+        return [check for suite in _SUITES.values() for check in suite()]
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of "
                          f"{SUITES + ('all',)}")
-    return suites[name]()
+    return _SUITES[name]()

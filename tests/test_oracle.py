@@ -1,6 +1,8 @@
 """Tests for the full-space brute-force reference."""
 
 import cmath
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,3 +208,107 @@ def test_embed_state_rejects_members_outside_space():
     prop = BlockDiagonalPropagator(params)
     with pytest.raises(ValueError, match="outside"):
         oracle.embed_state(prop.index, prop.initial, cut_a - 1, cut_b - 1)
+
+
+def loop_hamiltonian(params, cutoff_a, cutoff_b):
+    """The full-space Hamiltonian element by element, one basis state at a time."""
+    def flat(level, n_a, n_b):
+        return ((level - 1) * (cutoff_a + 1) + n_a) * (cutoff_b + 1) + n_b
+
+    dim = 3 * (cutoff_a + 1) * (cutoff_b + 1)
+    h = np.zeros((dim, dim))
+    for n_a in range(cutoff_a + 1):
+        for n_b in range(cutoff_b + 1):
+            h[flat(1, n_a, n_b), flat(1, n_a, n_b)] = -params.delta_a
+            h[flat(2, n_a, n_b), flat(2, n_a, n_b)] = -params.delta_b
+            if n_a >= 1:
+                row, col = flat(3, n_a - 1, n_b), flat(1, n_a, n_b)
+                h[row, col] = h[col, row] = params.g_a * math.sqrt(n_a)
+            if n_b >= 1:
+                row, col = flat(3, n_a, n_b - 1), flat(2, n_a, n_b)
+                h[row, col] = h[col, row] = params.g_b * math.sqrt(n_b)
+    return h
+
+
+@pytest.mark.parametrize("overrides, cuts", [
+    (dict(g_a=1.3, g_b=0.6, delta_a=0.15, delta_b=-0.25), (6, 4)),
+    (dict(g_a=0.7, g_b=1.1, delta_a=-0.4, delta_b=0.9), (2, 7)),
+    (dict(g_a=0.0, g_b=0.8, delta_a=0.3), (5, 5)),
+    (dict(g_a=1.0, g_b=0.0), (3, 1)),
+], ids=["6-4-detuned", "2-7-detuned", "g_a-zero", "g_b-zero-resonant"])
+def test_full_hamiltonian_equals_elementwise_build(overrides, cuts):
+    # bitwise, signed zeros of zero detunings included
+    params = make_params(**overrides)
+    full = oracle.build_full_hamiltonian(params, *cuts)
+    expected = loop_hamiltonian(params, *cuts)
+    assert np.array_equal(full.matrix, expected)
+    assert full.matrix.tobytes() == expected.tobytes()
+
+
+def test_dressed_ladders_are_kronecker_products():
+    cut_a, cut_b = 4, 2
+    annihilate_a = np.diag(np.sqrt(np.arange(1, cut_a + 1)), k=1)
+    annihilate_b = np.diag(np.sqrt(np.arange(1, cut_b + 1)), k=1)
+    eye_a, eye_b = np.eye(cut_a + 1), np.eye(cut_b + 1)
+
+    def atom(i, j):  # |j><i|
+        op = np.zeros((3, 3))
+        op[j - 1, i - 1] = 1.0
+        return op
+
+    expected = {"13": np.kron(np.kron(atom(1, 3), annihilate_a), eye_b),
+                "23": np.kron(np.kron(atom(2, 3), eye_a), annihilate_b),
+                "12": np.kron(np.kron(atom(1, 2), annihilate_a), annihilate_b.T)}
+    ladders = oracle.dressed_ladders(cut_a, cut_b)
+    assert sorted(ladders) == sorted(expected)
+    dim = 3 * (cut_a + 1) * (cut_b + 1)
+    for name, (rows, cols, values) in ladders.items():
+        dense = np.zeros((dim, dim))
+        dense[rows, cols] = values
+        assert np.array_equal(dense, expected[name]), name
+
+
+def test_basis_states_follow_state_index():
+    full = oracle.build_full_hamiltonian(make_params(), 3, 2)
+    level, n_a, n_b = oracle.basis_states(3, 2)
+    assert len(level) == full.dim
+    assert [full.state_index(*state) for state in zip(level, n_a, n_b)] == list(range(full.dim))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_embed_state_of_one_member_is_a_kronecker_unit_vector(level):
+    cut_a, cut_b = 5, 3
+    amplitudes = np.zeros((1, 3), dtype=complex)
+    amplitudes[0, level - 1] = 1.0
+    # block (3, 2): members |1; 3, 1>, |2; 2, 2>, |3; 2, 1>
+    n_a, n_b = {1: (3, 1), 2: (2, 2), 3: (2, 1)}[level]
+    expected = np.kron(np.kron(np.eye(3)[level - 1], np.eye(cut_a + 1)[n_a]),
+                       np.eye(cut_b + 1)[n_b])
+    vec = oracle.embed_state([(3, 2)], amplitudes, cut_a, cut_b)
+    assert np.array_equal(vec, expected)
+
+
+def test_matrix_cap_is_refused_before_allocation():
+    params = make_params()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the desk-scale cap"):
+            oracle.build_full_hamiltonian(params, 100, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_hamiltonian_build_holds_one_matrix():
+    # dimension 3 * 21 * 17 = 1071, an 8.8 MiB matrix
+    params = make_params(delta_a=0.2, delta_b=-0.1)
+    matrix_bytes = (3 * 21 * 17) ** 2 * 8
+    tracemalloc.start()
+    try:
+        full = oracle.build_full_hamiltonian(params, 20, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full.matrix.nbytes == matrix_bytes
+    assert peak <= 2 * matrix_bytes
