@@ -54,7 +54,7 @@ MAX_BLOCKS = 2**20
 
 
 def require_finite(obj, names) -> None:
-    """Raise ValueError naming the first attribute that is not a finite real (or is a bool)."""
+    """Raise ValueError naming the first attribute that is a bool or not a finite real."""
     for name in names:
         value = getattr(obj, name)
         if (isinstance(value, bool) or not isinstance(value, numbers.Real)

@@ -103,7 +103,8 @@ def build_full_hamiltonian(params: SystemParams, cutoff_a: int,
     h[np.diag_indices(dim)] = np.select([level == 1, level == 2],
                                         [-params.delta_a, -params.delta_b])
     ladders = dressed_ladders(cutoff_a, cutoff_b)
-    for g, (rows, cols, values) in ((params.g_a, ladders["13"]), (params.g_b, ladders["23"])):
+    for g, name in ((params.g_a, "13"), (params.g_b, "23")):
+        rows, cols, values = ladders[name]
         h[rows, cols] = h[cols, rows] = g * values
     return FullSpaceOperator(h, cutoff_a, cutoff_b)
 

@@ -1,6 +1,5 @@
 """Tests for the full-space brute-force reference."""
 
-import cmath
 import math
 import tracemalloc
 
@@ -272,7 +271,8 @@ def test_basis_states_follow_state_index():
     full = oracle.build_full_hamiltonian(make_params(), 3, 2)
     level, n_a, n_b = oracle.basis_states(3, 2)
     assert len(level) == full.dim
-    assert [full.state_index(*state) for state in zip(level, n_a, n_b)] == list(range(full.dim))
+    indices = [full.state_index(*state) for state in zip(level, n_a, n_b)]
+    assert indices == list(range(full.dim))
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
