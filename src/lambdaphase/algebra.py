@@ -145,20 +145,22 @@ def phase_operator(transition: str) -> np.ndarray:
     return (v * eig.eigenvalues) @ v.conj().T
 
 
-def verify_polar_identity(transition: str, scale: float = 1.0) -> float:
-    """Max-entry residual of L - sqrt(L @ L^dagger) @ E, with L = scale * lowering.
+def verify_polar_identity(transition: str, low: np.ndarray | None = None) -> float:
+    """Max-entry residual of L - sqrt(L @ L^dagger) @ E for a 3x3 lowering operator L.
 
-    ``scale`` 1 checks the bare operator; sqrt(N) checks a dressed
-    lowering operator inside one invariant block, whose matrix there is
-    sqrt(N) times the bare one in the basis of the block members.  The
-    operator under the square root is a diagonal projector times
-    scale^2, so the root is entrywise exact.
+    ``low`` is the operator to decompose, the bare ``lowering(transition)``
+    by default; a dressed lowering operator restricted to one invariant
+    block checks the dressed decomposition.  The root is taken of the
+    diagonal of L @ L^dagger, exact when that matrix is diagonal, so its
+    off-diagonal entries are part of the residual.
     """
-    low = scale * lowering(transition)
+    if low is None:
+        low = lowering(transition)
     modulus_sq = low @ low.conj().T
-    modulus = np.diag(np.sqrt(np.real(np.diag(modulus_sq))))
-    residual = low - modulus @ phase_exponential(transition)
-    return float(np.max(np.abs(residual)))
+    diagonal = np.real(np.diag(modulus_sq))
+    off_diagonal = modulus_sq - np.diag(diagonal)
+    residual = low - np.diag(np.sqrt(diagonal)) @ phase_exponential(transition)
+    return float(max(np.max(np.abs(residual)), np.max(np.abs(off_diagonal))))
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -42,8 +42,9 @@ MAX_TABLE_BYTES = 256 * 2**20
 class RunConfig(SystemParams):
     """One scenario: the physics of :class:`SystemParams` plus grid and output choices.
 
-    ``transitions`` selects which transitions are drawn in the SVG; the
-    CSV always carries the full fixed column set.  ``csv``/``svg`` are
+    ``transitions``, a list of transition names, selects which
+    transitions are drawn in the SVG; the CSV always carries the full
+    fixed column set.  ``csv``/``svg`` are
     default output paths, overridable on the command line.
     """
 
@@ -54,7 +55,10 @@ class RunConfig(SystemParams):
     svg: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(str(t) for t in self.transitions))
+        names = self.transitions
+        if not (isinstance(names, (list, tuple)) and all(isinstance(t, str) for t in names)):
+            raise ValueError(f"transitions must be a list of transition names, got {names!r}")
+        object.__setattr__(self, "transitions", tuple(names))
         require_finite(self, ("tau_max", "tau_steps"))
         if self.tau_max <= 0:
             raise ValueError(f"tau_max must be > 0, got {self.tau_max}")
@@ -106,8 +110,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         if not isinstance(data["c"], (list, tuple)) or len(data["c"]) != 3:
             raise ValueError("c must be a list of three amplitudes")
         data["c"] = tuple(_parse_amplitude(v, k) for k, v in enumerate(data["c"]))
-    if "transitions" in data:
-        data["transitions"] = tuple(data["transitions"])
     missing = sorted({"g_a", "g_b", "nbar_a", "nbar_b", "c"} - set(data))
     if missing:
         raise ValueError(f"missing required config key(s): {', '.join(missing)}")

@@ -148,25 +148,25 @@ def _upper_tails(nbar: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
 def truncation_cutoff(nbar: float, epsilon: float) -> int:
     """Smallest N whose Poisson weight above it, sum(Q_n^2, n > N), is at most epsilon.
 
-    This is the upper edge of the kept photon numbers; :func:`photon_window`
-    spends what the upper tail leaves of epsilon on the lower tail, so the
-    discarded tails of each mode hold at most epsilon together.  The tails
-    come from :func:`_upper_tails`, which raises ValueError for a table
-    above MAX_PHOTONS entries.
+    This is the upper edge of the kept photon numbers of
+    :func:`photon_window`.
     """
-    return int(np.searchsorted(-_upper_tails(nbar, epsilon)[1], -epsilon))
+    return photon_window(nbar, epsilon)[1]
 
 
 def photon_window(nbar: float, epsilon: float) -> tuple[int, int]:
     """Kept photon numbers [lo, N] of one mode under the epsilon rule.
 
-    N is :func:`truncation_cutoff`.  With u the Poisson weight above N, lo
-    is the largest number of leading photon numbers whose summed weight,
-    a forward cumulative sum, is at most epsilon - u, so the two discarded
-    tails together hold at most epsilon.
+    N, also returned by :func:`truncation_cutoff`, is the smallest photon
+    number whose upper tail is at most epsilon.  With u the Poisson weight
+    above N, lo is the largest number of leading photon numbers whose
+    summed weight, a forward cumulative sum, is at most epsilon - u, so
+    the two discarded tails together hold at most epsilon.  Both come from
+    one table of :func:`_upper_tails`, which raises ValueError for a
+    table above MAX_PHOTONS entries.
     """
-    cutoff = truncation_cutoff(nbar, epsilon)
     probabilities, upper = _upper_tails(nbar, epsilon)
+    cutoff = int(np.searchsorted(-upper, -epsilon))
     lower = np.cumsum(probabilities[:cutoff + 1])
     return int(np.searchsorted(lower, epsilon - upper[cutoff], side="right")), cutoff
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, phase_eigensystem,
-                      phase_exponential, verify_polar_identity)
+from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, lowering,
+                      phase_eigensystem, phase_exponential, verify_polar_identity)
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
 
@@ -231,64 +231,9 @@ def trapping_config(phi: float, nbar: float, g: float = 1.0,
 # ---------------------------------------------------------------------------
 # Brute-force verification of the deformed algebra on a truncated space.
 # The space, basis order and dressed ladder operators are those of
-# :mod:`.oracle`, unrelated to the block machinery above; these operators
-# exist only to check operator identities and are desk-scale by design.
+# :mod:`.oracle`, unrelated to the block machinery above; the dense matrices
+# built here exist only to check operator identities and are desk-scale.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeformedGenerators:
-    """Mode-dressed ladder operators on a truncated atom x Fock x Fock space.
-
-    ``raise_13`` is (mode-a annihilation) x (atomic 1->3 raising) and so
-    on; ``raise_12`` is the cross operator (a annihilation, b creation)
-    times atomic 1->2 raising.  ``exc_a``/``exc_b`` are the conserved
-    excitation-number operators.  ``cutoff`` is the highest Fock state
-    kept in each mode.
-    """
-
-    cutoff: int
-    dim: int
-    raise_13: np.ndarray
-    lower_13: np.ndarray
-    raise_23: np.ndarray
-    lower_23: np.ndarray
-    raise_12: np.ndarray
-    lower_12: np.ndarray
-    exc_a: np.ndarray
-    exc_b: np.ndarray
-    proj: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _deformed_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    return oracle.basis_states(cutoff, cutoff)
-
-
-def deformed_generators(cutoff: int) -> DeformedGenerators:
-    """Build the dressed generators with Fock spaces truncated at ``cutoff``."""
-    level = _deformed_basis(cutoff)[0]
-    dim = len(level)
-    raising = {name: np.zeros((dim, dim), dtype=complex) for name in ("13", "23", "12")}
-    for name, (rows, cols, values) in oracle.dressed_ladders(cutoff, cutoff).items():
-        raising[name][rows, cols] = values
-    exc_a, exc_b = (np.diag(diag).astype(complex)
-                    for diag in oracle.excitation_diagonals(cutoff, cutoff))
-    return DeformedGenerators(
-        cutoff=cutoff, dim=dim,
-        raise_13=raising["13"], lower_13=raising["13"].conj().T,
-        raise_23=raising["23"], lower_23=raising["23"].conj().T,
-        raise_12=raising["12"], lower_12=raising["12"].conj().T,
-        exc_a=exc_a, exc_b=exc_b,
-        proj=tuple(np.diag((level == i).astype(complex)) for i in (1, 2, 3)),
-    )
-
-
-def _interior_mask(gen: DeformedGenerators) -> np.ndarray:
-    """Basis states at least one excitation below the Fock cutoff per mode."""
-    _, n_a, n_b = oracle.basis_states(gen.cutoff, gen.cutoff)
-    return (n_a < gen.cutoff) & (n_b < gen.cutoff)
 
 
 def verify_deformed_algebra(cutoff: int) -> float:
@@ -302,25 +247,35 @@ def verify_deformed_algebra(cutoff: int) -> float:
         [raise_13, raise_23] = 0
         [raise_12, lower_12] = exc_a exc_b (P2 - P1)
 
-    where P_i projects on atomic level i.  The first two brackets close on
-    polynomials of the conserved excitation numbers rather than on the
-    generators themselves, which is what deforms the algebra.
+    on the oracle's space with both Fock cutoffs at ``cutoff``: the
+    raising operators are its real dressed ladders, the lowering ones
+    their transposes, and P_i projects on atomic level i.  The first two
+    brackets close on polynomials of the conserved excitation numbers
+    rather than on the generators, which is what deforms the algebra.
     """
-    gen = deformed_generators(cutoff)
-    one = np.eye(gen.dim, dtype=complex)
-    p1, p2, _ = gen.proj
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    level, n_a, n_b = oracle.basis_states(cutoff, cutoff)
+    dim = len(level)
+    raising = {}
+    for name, (rows, cols, values) in oracle.dressed_ladders(cutoff, cutoff).items():
+        raising[name] = np.zeros((dim, dim))
+        raising[name][rows, cols] = values
+    r13, r23, r12 = (raising[name] for name in ALL_TRANSITIONS)
+    exc_a, exc_b = oracle.excitation_diagonals(cutoff, cutoff)
+    p1, p2 = ((level == i).astype(float) for i in (1, 2))
 
     def comm(a, b):
         return a @ b - b @ a
 
     residuals = [
-        comm(gen.raise_13, gen.lower_13) - gen.exc_a @ (one - 2 * p1 - p2),
-        comm(gen.raise_23, gen.lower_23) - gen.exc_b @ (one - 2 * p2 - p1),
-        comm(gen.raise_13, gen.lower_23) + gen.raise_12,
-        comm(gen.raise_13, gen.raise_23),
-        comm(gen.raise_12, gen.lower_12) - gen.exc_a @ gen.exc_b @ (p2 - p1),
+        comm(r13, r13.T) - np.diag(exc_a * (1 - 2 * p1 - p2)),
+        comm(r23, r23.T) - np.diag(exc_b * (1 - 2 * p2 - p1)),
+        comm(r13, r23.T) + r12,
+        comm(r13, r23),
+        comm(r12, r12.T) - np.diag(exc_a * exc_b * (p2 - p1)),
     ]
-    keep = _interior_mask(gen)
+    keep = (n_a < cutoff) & (n_b < cutoff)
     return max(float(np.max(np.abs(res[np.ix_(keep, keep)]))) for res in residuals)
 
 
@@ -330,18 +285,30 @@ def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
     The operator acts as the block form on every block whose three
     members fit under the Fock cutoffs and as the identity elsewhere, so
     it is unitary and commutes with both excitation numbers exactly.
-    Basis ordering matches :func:`deformed_generators`.
+    Basis ordering is the oracle's flat index.
     """
-    dim = len(_deformed_basis(cutoff)[0])
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     na, nb = np.meshgrid(np.arange(1, cutoff + 1), np.arange(1, cutoff + 1), indexing="ij")
     n_a, n_b = block_members(np.column_stack([na.ravel(), nb.ravel()]))
     flat = oracle.flat_index(np.arange(1, 4), n_a, n_b, cutoff, cutoff)
 
-    op = np.eye(dim, dtype=complex)
+    op = np.eye(len(oracle.basis_states(cutoff, cutoff)[0]), dtype=complex)
     block = phase_exponential(transition)
     for idx in flat:
         op[np.ix_(idx, idx)] = block
     return op
+
+
+def _dressed_block_lowering(index: tuple[int, int], transition: str) -> np.ndarray:
+    """The oracle's dressed lowering operator on the members of one block, in level order."""
+    na, nb = index
+    rows, cols, values = oracle.dressed_ladders(na, nb)[transition]
+    dim = len(oracle.basis_states(na, nb)[0])
+    dense = np.zeros((dim, dim))
+    dense[cols, rows] = values
+    members = oracle.flat_index(np.arange(1, 4), *block_members(index), na, nb)[0]
+    return dense[np.ix_(members, members)]
 
 
 def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> float:
@@ -352,8 +319,9 @@ def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> flo
     member (sqrt(N_b) and the level-2 member for 2<->3): it is the bare
     lowering operator scaled by that root, its modulus is diagonal, and
     dividing the modulus out leaves exactly the bare phase exponential
-    in the basis of the block members.  Returns the max-entry residual of
-    :func:`.algebra.verify_polar_identity` at that scale.
+    in the basis of the block members.  Returns the larger of the
+    :func:`.algebra.verify_polar_identity` residual of the oracle's
+    operator on the block and its distance from that scaled bare one.
     """
     if transition not in POLAR_TRANSITIONS:
         raise ValueError("the dressed polar decomposition is defined for the "
@@ -362,5 +330,7 @@ def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> flo
     if na < 1 or nb < 1:
         raise ValueError(f"block {tuple(index)} is degenerate; the polar "
                          "decomposition needs a full block")
+    low = _dressed_block_lowering(index, transition)
     photons = na if transition == "13" else nb
-    return verify_polar_identity(transition, math.sqrt(photons))
+    scaled = float(np.max(np.abs(low - math.sqrt(photons) * lowering(transition))))
+    return max(verify_polar_identity(transition, low), scaled)

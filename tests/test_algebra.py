@@ -158,6 +158,15 @@ def test_polar_identity(transition):
     assert algebra.verify_polar_identity(transition) < 1e-14
 
 
+def test_polar_identity_of_a_given_lowering_operator():
+    scaled = 2.0 * algebra.lowering("23")
+    assert algebra.verify_polar_identity("23", scaled) == 0.0
+    assert algebra.verify_polar_identity("13", scaled) >= 1
+    # L L^dagger of this operator is not diagonal, so no diagonal root fits
+    mixed = algebra.lowering("13") + algebra.lowering("23")
+    assert algebra.verify_polar_identity("13", mixed) >= 1
+
+
 # ---------------------------------------------------------------------------
 # distributions and means
 # ---------------------------------------------------------------------------

@@ -200,8 +200,8 @@ def test_presets_match_the_full_rectangle(tmp_path, monkeypatch, name):
     # fig2's nbar 1 has no lower cut, so its bytes do not move at all
     windowed_path, full_path = tmp_path / "window.csv", tmp_path / "full.csv"
     windowed = run_scenario(PRESETS[name], csv_path=windowed_path)
-    monkeypatch.setattr(dynamics, "photon_window",
-                        lambda nbar, eps: (0, dynamics.truncation_cutoff(nbar, eps)))
+    window = dynamics.photon_window
+    monkeypatch.setattr(dynamics, "photon_window", lambda nbar, eps: (0, window(nbar, eps)[1]))
     full = run_scenario(PRESETS[name], csv_path=full_path)
     assert max(np.max(np.abs(windowed[col] - full[col])) for col in COLUMNS) <= 1e-10
     if name == "fig2":
@@ -384,6 +384,17 @@ def test_main_rejects_non_finite_config(tmp_path, capsys, field, value):
     code = main(["simulate", "--config", str(path), "--out", str(out_path)])
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("value", [5, None, "13", [13]])
+def test_main_rejects_transitions_that_are_not_a_list_of_names(tmp_path, capsys, value):
+    # a string used to be split into characters and a number list accepted
+    path = write_config(tmp_path, transitions=value)
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    assert "transitions must be a list of transition names" in capsys.readouterr().err
     assert not out_path.exists()
 
 

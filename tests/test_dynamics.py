@@ -127,7 +127,7 @@ def test_initial_state_rejects_a_truncation_that_loses_weight(monkeypatch):
     # be renormalized away silently
     import lambdaphase.dynamics as dynamics
     params = desk_params(nbar_a=20.0)
-    monkeypatch.setattr(dynamics, "truncation_cutoff", lambda nbar, eps: 20)
+    monkeypatch.setattr(dynamics, "photon_window", lambda nbar, eps: (0, 20))
     with pytest.raises(RuntimeError, match="captured"):
         initial_state(params)
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdaphase import algebra, dynamics
+from lambdaphase import algebra, dynamics, oracle
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
-from lambdaphase.relphase import (REDUCE_CHUNK, SEGMENT, SERIES_KEYS, block_sums,
-                                  deformed_generators,
+from lambdaphase.relphase import (REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
+                                  _dressed_block_lowering, block_sums,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
                                   rel_phase_eigenstates, series_rows,
@@ -217,8 +217,8 @@ def test_photon_window_matches_the_full_rectangle(monkeypatch):
     params = desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2)
     times = np.linspace(0.0, 3.0, 9)
     windowed = series_table(time_series(params, times))
-    monkeypatch.setattr(dynamics, "photon_window",
-                        lambda nbar, eps: (0, dynamics.truncation_cutoff(nbar, eps)))
+    window = dynamics.photon_window
+    monkeypatch.setattr(dynamics, "photon_window", lambda nbar, eps: (0, window(nbar, eps)[1]))
     full = series_table(time_series(params, times))
     assert np.max(np.abs(windowed - full)) <= 1e-10
 
@@ -333,42 +333,24 @@ def test_deformed_algebra_rejects_tiny_cutoff():
         verify_deformed_algebra(1)
 
 
-def test_dressed_raising_entrywise():
-    # raise_13 is mode-a annihilation times atomic 1->3 raising: its only
-    # entries are <3, na-1, nb| . |1, na, nb> = sqrt(na)
-    gen = deformed_generators(2)
-    n_fock = 3
-
-    def flat(level, na, nb):
-        return ((level - 1) * n_fock + na) * n_fock + nb
-
-    expected = np.zeros((gen.dim, gen.dim), dtype=complex)
-    for na in range(1, n_fock):
-        for nb in range(n_fock):
-            expected[flat(3, na - 1, nb), flat(1, na, nb)] = math.sqrt(na)
-    assert np.array_equal(gen.raise_13, expected)
-    assert np.array_equal(gen.lower_13, expected.conj().T)
-
-
 def test_dressed_lowering_annihilates_its_vacuum_member():
-    # the level-1 member is killed by the dressed 1<->3 lowering operator
-    gen = deformed_generators(3)
-    n_fock = 4
-    for na in range(n_fock):
-        for nb in range(n_fock):
-            flat = (0 * n_fock + na) * n_fock + nb  # level 1
-            basis_vec = np.zeros(gen.dim)
-            basis_vec[flat] = 1.0
-            assert np.max(np.abs(gen.lower_13 @ basis_vec)) == 0.0
+    # the level-1 member is killed by the dressed 1<->3 lowering operator,
+    # the transpose of the oracle's raising one
+    level = oracle.basis_states(3, 3)[0]
+    rows, cols, values = oracle.dressed_ladders(3, 3)["13"]
+    lowering = np.zeros((len(level), len(level)))
+    lowering[cols, rows] = values
+    assert np.any(lowering)
+    assert not np.any(lowering[:, level == 1])
 
 
 def test_global_phase_exponential_commutes_with_excitations():
-    gen = deformed_generators(3)
+    exc_a, exc_b = (np.diag(diag) for diag in oracle.excitation_diagonals(3, 3))
     for transition in ("13", "23"):
         op = global_phase_exponential(transition, 3)
-        assert np.max(np.abs(op @ gen.exc_a - gen.exc_a @ op)) < 1e-12
-        assert np.max(np.abs(op @ gen.exc_b - gen.exc_b @ op)) < 1e-12
-        assert np.max(np.abs(op @ op.conj().T - np.eye(gen.dim))) < 1e-12
+        assert np.max(np.abs(op @ exc_a - exc_a @ op)) < 1e-12
+        assert np.max(np.abs(op @ exc_b - exc_b @ op)) < 1e-12
+        assert np.max(np.abs(op @ op.conj().T - np.eye(len(op)))) < 1e-12
 
 
 @pytest.mark.parametrize("index", [(1, 1), (2, 3), (4, 4)])
@@ -380,6 +362,39 @@ def test_deformed_polar_identity(index):
 def test_deformed_polar_rejects_degenerate_subspace():
     with pytest.raises(ValueError):
         verify_deformed_polar((0, 2))
+
+
+@pytest.mark.parametrize("transition", algebra.POLAR_TRANSITIONS)
+@pytest.mark.parametrize("index", [(1, 1), (2, 3), (4, 4)])
+def test_dressed_block_lowering_is_the_scaled_bare_one(index, transition):
+    photons = index[0] if transition == "13" else index[1]
+    expected = math.sqrt(photons) * algebra.lowering(transition)
+    assert not np.any(expected.imag)
+    assert _dressed_block_lowering(index, transition).tobytes() == expected.real.tobytes()
+
+
+# (transitions whose check must fail, change to one ladder's entries)
+TAMPERED_LADDERS = {
+    "sign-flipped 13": (("13",), lambda name, rows, cols, values:
+                        (rows, cols, -values if name == "13" else values)),
+    # every 2<->3 entry ends on the basis state before its target, which
+    # is never a member of the target's block
+    "moved 23": (("23",), lambda name, rows, cols, values:
+                 (rows - 1 if name == "23" else rows, cols, values)),
+    "zeroed": (("13", "23"), lambda name, rows, cols, values:
+               (rows, cols, np.zeros_like(values))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_LADDERS))
+@pytest.mark.parametrize("index", [(1, 1), (2, 3), (4, 4)])
+def test_deformed_polar_fails_on_a_tampered_dressed_operator(monkeypatch, case, index):
+    transitions, change = TAMPERED_LADDERS[case]
+    original = oracle.dressed_ladders
+    monkeypatch.setattr(oracle, "dressed_ladders", lambda *cutoffs: {
+        name: change(name, *entries) for name, entries in original(*cutoffs).items()})
+    for transition in transitions:
+        assert verify_deformed_polar(index, transition) >= 1
 
 
 # ---------------------------------------------------------------------------
