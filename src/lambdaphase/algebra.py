@@ -13,7 +13,6 @@ so values can be shared freely between threads.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,7 +23,6 @@ LEVELS = (1, 2, 3)
 POLAR_TRANSITIONS = ("13", "23")
 ALL_TRANSITIONS = ("13", "23", "12")
 
-PHASE_LABELS = ("0", "+", "-")
 PHASE_EIGENVALUES = np.array([0.0, np.pi / 2, -np.pi / 2])
 
 # Unitarity leaves one free phase in the polar decomposition.  Requiring
@@ -106,24 +104,12 @@ def phase_exponential(transition: str) -> np.ndarray:
             - np.conj(c) * generator(spect, spect))
 
 
-@dataclass(frozen=True)
-class PhaseEigensystem:
-    """Eigenvalues and eigenvectors of the phase operator of one transition.
+def phase_eigensystem(transition: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the phase exponential of a transition.
 
-    Labels are reported in the fixed order ("0", "+", "-") with phase
-    eigenvalues (0, +pi/2, -pi/2); ``eigenvectors[:, k]`` belongs to
-    ``eigenvalues[k]``.
-    """
-
-    transition: str
-    labels: tuple[str, ...]
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def phase_eigensystem(transition: str) -> PhaseEigensystem:
-    """Eigensystem of the phase exponential of a transition.
-
+    Returns ``(eigenvalues, eigenvectors)``, the pair order of
+    ``np.linalg.eigh``: ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``,
+    a copy of PHASE_EIGENVALUES (0, +pi/2, -pi/2) for the labels "0", "+", "-".
     The spectator level carries phase 0.  The "+" and "-" labels are tied
     to the operator: the phase exponential has eigenvalue exp(+i pi/2) on
     the "+" eigenvector (upper - i lower)/sqrt(2) and exp(-i pi/2) on the
@@ -135,14 +121,13 @@ def phase_eigensystem(transition: str) -> PhaseEigensystem:
     vectors[upper - 1, 1:] = 1.0 / math.sqrt(2.0)
     vectors[lower - 1, 1] = -1j / math.sqrt(2.0)
     vectors[lower - 1, 2] = 1j / math.sqrt(2.0)
-    return PhaseEigensystem(transition, PHASE_LABELS, PHASE_EIGENVALUES.copy(), vectors)
+    return PHASE_EIGENVALUES.copy(), vectors
 
 
 def phase_operator(transition: str) -> np.ndarray:
     """Hermitian phase operator, log of the phase exponential."""
-    eig = phase_eigensystem(transition)
-    v = eig.eigenvectors
-    return (v * eig.eigenvalues) @ v.conj().T
+    values, v = phase_eigensystem(transition)
+    return (v * values) @ v.conj().T
 
 
 def verify_polar_identity(transition: str, low: np.ndarray | None = None) -> float:
@@ -184,7 +169,7 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def phase_distribution(rho: np.ndarray, transition: str) -> np.ndarray:
     """Probabilities of the three phase outcomes (0, +pi/2, -pi/2) in rho."""
     rho = validate_density_matrix(rho)
-    vectors = phase_eigensystem(transition).eigenvectors
+    _, vectors = phase_eigensystem(transition)
     probs = np.real(np.einsum("ik,ij,jk->k", vectors.conj(), rho, vectors))
     return probs
 

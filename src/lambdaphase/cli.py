@@ -155,7 +155,7 @@ def time_scale(params: SystemParams) -> float:
 
 def _check_rows(data: dict[str, np.ndarray]) -> None:
     # Written as "not <=" so that a NaN residual fails the check.
-    for stem in ("p13", "p23", "p12"):
+    for stem in ("p" + trans for trans in algebra.ALL_TRANSITIONS):
         total = data[f"{stem}_0"] + data[f"{stem}_p"] + data[f"{stem}_m"]
         worst = float(np.max(np.abs(total - 1.0)))
         if not (worst <= ROW_TOLERANCE):
@@ -233,15 +233,13 @@ def _cmd_simulate(args) -> int:
         config = PRESETS[args.preset]
     else:
         config = load_config(args.config)
-    csv_path = args.out
-    if csv_path is None and config.csv is None:
-        stem = args.preset if args.preset else Path(args.config).stem
-        csv_path = f"{stem}.csv"
-    run_scenario(config, csv_path=csv_path, svg_path=args.svg)
-    target = csv_path if csv_path is not None else config.csv
-    print(f"wrote {config.tau_steps} rows to {target}")
-    if args.svg or config.svg:
-        print(f"wrote plot to {args.svg or config.svg}")
+    stem = args.preset if args.preset else Path(args.config).stem
+    csv_path = args.out or config.csv or f"{stem}.csv"
+    svg_path = args.svg or config.svg
+    run_scenario(config, csv_path=csv_path, svg_path=svg_path)
+    print(f"wrote {config.tau_steps} rows to {csv_path}")
+    if svg_path:
+        print(f"wrote plot to {svg_path}")
     return 0
 
 

@@ -40,8 +40,8 @@ NU = (1, 0, 1)
 # Largest Fock cutoff the truncation search considers, per mode.
 MAX_PHOTONS = 100_000
 
-# Share of epsilon that the Poisson table of _upper_tails leaves beyond its
-# last entry.
+# Share of epsilon that the Poisson table of photon_window leaves beyond
+# its last entry.
 TABLE_TAIL = 1e-3
 
 # Rounding allowance of the captured-weight check in initial_state.
@@ -108,41 +108,17 @@ def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
     One cumulative sum of log(nbar / n) gives every log probability, so no
     factorial is formed and nothing passes through the subnormal range
     before the exponential; probabilities far out in either tail
-    underflow to zero.
+    underflow to zero.  Raises ValueError for a negative or non-finite
+    ``nbar``.
     """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be a finite number >= 0, got {nbar}")
     if nbar == 0.0:
         return (np.arange(top + 1) == 0).astype(float)
     log_p = np.empty(top + 1)
     log_p[0] = 0.0
     np.cumsum(np.log(nbar / np.arange(1, top + 1)), out=log_p[1:])
     return np.exp(log_p - nbar)
-
-
-def _upper_tails(nbar: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson table of the photon numbers 0..top and the weight above each.
-
-    The table reaches past the Chernoff bound P(n >= nbar + x) <= exp(-x^2 /
-    (2 (nbar + x))) for a tail of TABLE_TAIL * epsilon.  The bound at
-    top + 1 stands in for the weight beyond the table; each upper tail is
-    that bound plus a reverse cumulative sum of the table, never 1 minus a
-    sum, so it keeps its accuracy however small it is.  Raises ValueError
-    when the table would exceed MAX_PHOTONS entries.
-    """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    log_tail = 1.0 - math.log(TABLE_TAIL * epsilon)
-    top = math.ceil(nbar + log_tail + math.sqrt(log_tail * (log_tail + 2.0 * nbar)))
-    if top > MAX_PHOTONS:
-        raise ValueError(f"nbar = {nbar} needs a Fock cutoff near {top}, above "
-                         f"the limit of {MAX_PHOTONS} photons")
-    probabilities = poisson_probabilities(nbar, top)
-    beyond = math.exp(-(top + 1 - nbar) ** 2 / (2.0 * (top + 1)))
-    upper = np.cumsum(np.append(beyond, probabilities[:0:-1]))[::-1]
-    return probabilities, upper
 
 
 def truncation_cutoff(nbar: float, epsilon: float) -> int:
@@ -161,11 +137,29 @@ def photon_window(nbar: float, epsilon: float) -> tuple[int, int]:
     number whose upper tail is at most epsilon.  With u the Poisson weight
     above N, lo is the largest number of leading photon numbers whose
     summed weight, a forward cumulative sum, is at most epsilon - u, so
-    the two discarded tails together hold at most epsilon.  Both come from
-    one table of :func:`_upper_tails`, which raises ValueError for a
-    table above MAX_PHOTONS entries.
+    the two discarded tails together hold at most epsilon.
+
+    Both come from one Poisson table of the photon numbers 0..top, which
+    reaches past the Chernoff bound P(n >= nbar + x) <= exp(-x^2 /
+    (2 (nbar + x))) for a tail of TABLE_TAIL * epsilon.  The bound at
+    top + 1 stands in for the weight beyond the table; each upper tail is
+    that bound plus a reverse cumulative sum of the table, never 1 minus a
+    sum, so it keeps its accuracy however small it is.  Raises ValueError
+    for a negative or non-finite ``nbar``, an epsilon outside (0, 1) and
+    a table above MAX_PHOTONS entries.
     """
-    probabilities, upper = _upper_tails(nbar, epsilon)
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be a finite number >= 0, got {nbar}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    log_tail = 1.0 - math.log(TABLE_TAIL * epsilon)
+    top = math.ceil(nbar + log_tail + math.sqrt(log_tail * (log_tail + 2.0 * nbar)))
+    if top > MAX_PHOTONS:
+        raise ValueError(f"nbar = {nbar} needs a Fock cutoff near {top}, above "
+                         f"the limit of {MAX_PHOTONS} photons")
+    probabilities = poisson_probabilities(nbar, top)
+    beyond = math.exp(-(top + 1 - nbar) ** 2 / (2.0 * (top + 1)))
+    upper = np.cumsum(np.append(beyond, probabilities[:0:-1]))[::-1]
     cutoff = int(np.searchsorted(-upper, -epsilon))
     lower = np.cumsum(probabilities[:cutoff + 1])
     return int(np.searchsorted(lower, epsilon - upper[cutoff], side="right")), cutoff
@@ -418,7 +412,6 @@ class BlockDiagonalPropagator:
     """
 
     def __init__(self, params: SystemParams):
-        self.params = params
         self.index, self.initial = initial_state(params)
         if params.delta_a == params.delta_b:
             eigvals, eigvecs = resonant_eigh(params.delta_a,

@@ -41,7 +41,7 @@ from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 # Relative-phase eigenstates of a full block in level order, one column per
 # (transition, label): "0", "+", "-" of 13, then of 23, then of 12.  In the
 # basis of the block members they are the bare atomic eigenvectors.
-PHASE_VECTORS = np.hstack([phase_eigensystem(t).eigenvectors for t in ALL_TRANSITIONS])
+PHASE_VECTORS = np.hstack([phase_eigensystem(t)[1] for t in ALL_TRANSITIONS])
 
 
 def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
@@ -53,7 +53,7 @@ def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
     of missing members set to zero, without renormalizing (see the module
     docstring); in a full block they are orthonormal and complete.
     """
-    vectors = phase_eigensystem(transition).eigenvectors
+    _, vectors = phase_eigensystem(transition)
     n_a, n_b = block_members(index)
     present = (n_a >= 0) & (n_b >= 0)
     return present[:, :, None] * vectors
@@ -180,10 +180,12 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     not depend on S.
 
     Returns a dict with key "t" (the input grid) plus one array per entry
-    of ``SERIES_KEYS``.  Raises ValueError for a grid with a non-finite
-    time.
+    of ``SERIES_KEYS``.  Raises ValueError for a grid that is not
+    one-dimensional or holds a non-finite time.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a one-dimensional grid, got shape {times.shape}")
     bad = np.flatnonzero(~np.isfinite(times))
     if len(bad):
         raise ValueError(f"times must be finite, got {times[bad[0]]} at "

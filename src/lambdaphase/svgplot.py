@@ -24,9 +24,8 @@ def _points(x_px, y_px) -> str:
             % tuple(np.column_stack([x_px, y_px]).ravel().tolist()))
 
 
-def write_line_plot(path, x, series, title="", xlabel="", ylabel="",
-                    width=900, height=480):
-    """Write a line plot to ``path``.
+def write_line_plot(path, x, series, title, xlabel, ylabel):
+    """Write a 900 x 480 line plot to ``path``.
 
     ``series`` is a sequence of (label, y-array) pairs drawn over the
     common abscissa ``x``.  The y range is padded a little and always
@@ -36,6 +35,7 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel="",
     x = np.asarray(x, dtype=float)
     if len(series) == 0:
         raise ValueError("need at least one series to plot")
+    width, height = 900, 480
     margin_left, margin_right, margin_top, margin_bottom = 64, 150, 36, 48
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
@@ -62,10 +62,9 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel="",
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#333" stroke-width="1"/>',
+        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{title}</text>')
 
     n_ticks = 5
     for k in range(n_ticks + 1):
@@ -83,15 +82,13 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel="",
         parts.append(f'<text x="{margin_left - 8}" y="{_fmt(py + 4)}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{yv:.3g}</text>')
-    if xlabel:
-        parts.append(f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 10}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="13">{xlabel}</text>')
-    if ylabel:
-        yx, yy = 16, margin_top + plot_h / 2
-        parts.append(f'<text x="{yx}" y="{yy:.1f}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13" '
-                     f'transform="rotate(-90 {yx} {yy:.1f})">{ylabel}</text>')
+    parts.append(f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 10}" '
+                 f'text-anchor="middle" font-family="sans-serif" '
+                 f'font-size="13">{xlabel}</text>')
+    yx, yy = 16, margin_top + plot_h / 2
+    parts.append(f'<text x="{yx}" y="{yy:.1f}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13" '
+                 f'transform="rotate(-90 {yx} {yy:.1f})">{ylabel}</text>')
 
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(parts))

@@ -143,14 +143,14 @@ def test_criterion_2_phase_spectrum():
     worst_defining = 0.0
     worst_gram = 0.0
     for transition in ("13", "23"):
-        eig = algebra.phase_eigensystem(transition)
-        assert np.array_equal(eig.eigenvalues, expected)
+        values, vectors = algebra.phase_eigensystem(transition)
+        assert np.array_equal(values, expected)
         op = algebra.phase_exponential(transition)
-        for k, phi in enumerate(eig.eigenvalues):
-            vec = eig.eigenvectors[:, k]
+        for k, phi in enumerate(values):
+            vec = vectors[:, k]
             worst_defining = max(worst_defining, float(np.max(np.abs(
                 op @ vec - np.exp(1j * phi) * vec))))
-        gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+        gram = vectors.conj().T @ vectors
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(3)))))
 
     phases = np.array([1.0, 1j, -1j])  # exp(i phi) for phi in {0, +-pi/2}

@@ -122,24 +122,24 @@ def test_phase_exponential_spectrum(transition):
 def test_phase_eigensystem_defining_property(transition):
     # independent check: apply the exponential to each claimed eigenvector
     op = algebra.phase_exponential(transition)
-    eig = algebra.phase_eigensystem(transition)
-    assert np.array_equal(eig.eigenvalues, [0.0, np.pi / 2, -np.pi / 2])
-    for k, phi in enumerate(eig.eigenvalues):
-        vec = eig.eigenvectors[:, k]
+    values, vectors = algebra.phase_eigensystem(transition)
+    assert np.array_equal(values, [0.0, np.pi / 2, -np.pi / 2])
+    for k, phi in enumerate(values):
+        vec = vectors[:, k]
         assert np.max(np.abs(op @ vec - np.exp(1j * phi) * vec)) < 1e-12
 
 
 @pytest.mark.parametrize("transition,spectator", [("13", 2), ("23", 1)])
 def test_phase_eigensystem_structure(transition, spectator):
-    eig = algebra.phase_eigensystem(transition)
-    v0 = eig.eigenvectors[:, 0]
+    _, vectors = algebra.phase_eigensystem(transition)
+    v0 = vectors[:, 0]
     assert abs(v0[spectator - 1]) == 1.0
     lower = 1 if transition == "13" else 2
     for k in (1, 2):
-        vec = eig.eigenvectors[:, k]
+        vec = vectors[:, k]
         assert abs(abs(vec[2]) - 1 / np.sqrt(2)) < 1e-15
         assert abs(abs(vec[lower - 1]) - 1 / np.sqrt(2)) < 1e-15
-    gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+    gram = vectors.conj().T @ vectors
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
 

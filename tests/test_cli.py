@@ -319,6 +319,31 @@ def test_main_simulate_preset(tmp_path, capsys):
     assert out_path.exists() and svg_path.exists()
 
 
+@pytest.mark.parametrize("paths, flags, written, printed", [
+    (None, [], ["fig2.csv"], ["wrote 401 rows to fig2.csv"]),
+    ({"csv": "c.csv", "svg": "s.svg"}, [], ["c.csv", "s.svg"],
+     ["wrote 21 rows to c.csv", "wrote plot to s.svg"]),
+    ({"csv": "c.csv", "svg": "s.svg"}, ["--out", "o.csv", "--svg", "p.svg"],
+     ["o.csv", "p.svg"], ["wrote 21 rows to o.csv", "wrote plot to p.svg"]),
+    ({}, [], ["x.csv"], ["wrote 21 rows to x.csv"]),
+])
+def test_main_simulate_output_paths(tmp_path, monkeypatch, capsys, paths, flags,
+                                    written, printed):
+    # flags beat the config's paths; without either the CSV is named after
+    # the preset or the config file and lands in the working directory
+    monkeypatch.chdir(tmp_path)
+    if paths is None:
+        source = ["--preset", "fig2"]
+    else:
+        (tmp_path / "conf").mkdir()
+        write_config(tmp_path / "conf", "x.json", **paths)
+        source = ["--config", "conf/x.json"]
+    assert main(["simulate", *source, *flags]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+    files = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+    assert files == written
+
+
 def test_main_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**BASE_CONFIG, "bogus": 1}))

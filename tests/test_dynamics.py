@@ -122,6 +122,23 @@ def test_poisson_probabilities_reject_negative_mean():
         poisson_probabilities(-1.0, 5)
 
 
+BAD_NBARS = (-1.0, -1e6, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("function, args, named", [
+    *[(f, (nbar, 1e-10), "nbar") for f in (photon_window, truncation_cutoff)
+      for nbar in BAD_NBARS],
+    *[(poisson_probabilities, (nbar, 5), "nbar") for nbar in BAD_NBARS],
+    *[(f, (1.0, epsilon), "epsilon") for f in (photon_window, truncation_cutoff)
+      for epsilon in (0.0, 1.0, math.nan)],
+])
+def test_truncation_rejects_a_bad_mean_or_epsilon(function, args, named):
+    # -1e6 must be refused before the table size takes its square root,
+    # whose argument it makes negative
+    with pytest.raises(ValueError, match=f"{named} must"):
+        function(*args)
+
+
 def test_initial_state_rejects_a_truncation_that_loses_weight(monkeypatch):
     # a cutoff search that stops early (as the subnormal one did) must not
     # be renormalized away silently

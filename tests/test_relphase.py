@@ -229,6 +229,14 @@ def test_time_series_rejects_a_non_finite_time(bad):
         time_series(desk_params(), np.array([0.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize("times, shape", [(5.0, r"\(\)"),
+                                          (np.zeros((2, 3)), r"\(2, 3\)")])
+def test_time_series_rejects_a_grid_that_is_not_one_dimensional(times, shape):
+    with pytest.raises(ValueError, match=f"times must be a one-dimensional grid, "
+                                         f"got shape {shape}"):
+        time_series(desk_params(), times)
+
+
 # ---------------------------------------------------------------------------
 # segment recurrence against the exact per-sample path
 # ---------------------------------------------------------------------------
