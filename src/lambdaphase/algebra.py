@@ -60,6 +60,11 @@ def generator(i: int, j: int) -> np.ndarray:
     return op
 
 
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The commutator [a, b] = a b - b a of two square matrices."""
+    return a @ b - b @ a
+
+
 def raising(transition: str) -> np.ndarray:
     """Ladder operator taking the lower level of the transition to the upper."""
     lower, upper = transition_levels(transition)

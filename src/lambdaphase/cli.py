@@ -155,11 +155,10 @@ def time_scale(params: SystemParams) -> float:
 
 def _check_rows(data: dict[str, np.ndarray]) -> None:
     # Written as "not <=" so that a NaN residual fails the check.
-    for stem in ("p" + trans for trans in algebra.ALL_TRANSITIONS):
-        total = data[f"{stem}_0"] + data[f"{stem}_p"] + data[f"{stem}_m"]
-        worst = float(np.max(np.abs(total - 1.0)))
+    for trans, keys in relphase.PHASE_KEYS.items():
+        worst = float(np.max(np.abs(sum(data[key] for key in keys) - 1.0)))
         if not (worst <= ROW_TOLERANCE):
-            raise RuntimeError(f"{stem} probabilities sum to 1 only within "
+            raise RuntimeError(f"p{trans} probabilities sum to 1 only within "
                                f"{worst:.3g}")
     worst = float(np.max(np.abs(data["norm"] - 1.0)))
     if not (worst <= ROW_TOLERANCE):
@@ -190,11 +189,8 @@ def write_csv(path, data: dict[str, np.ndarray]) -> None:
 
 
 def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:
-    series = []
-    for trans in config.transitions:
-        stem = "p" + trans
-        for suffix in ("0", "p", "m"):
-            series.append((f"{stem}_{suffix}", data[f"{stem}_{suffix}"]))
+    series = [(key, data[key]) for trans in config.transitions
+              for key in relphase.PHASE_KEYS[trans]]
     svgplot.write_line_plot(
         path, data["tau"], series,
         title="Relative-phase probabilities",
@@ -210,10 +206,7 @@ def run_scenario(config: RunConfig, csv_path=None, svg_path=None) -> dict[str, n
     params = config.system_params()
     taus = np.linspace(0.0, config.tau_max, config.tau_steps)
     times = taus * time_scale(params)
-    series = relphase.time_series(params, times)
-    data = {"tau": taus}
-    for key in relphase.SERIES_KEYS:
-        data[key] = series[key]
+    data = {"tau": taus, **relphase.time_series(params, times)}
     _check_rows(data)
 
     csv_target = csv_path if csv_path is not None else config.csv

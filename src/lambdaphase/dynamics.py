@@ -109,10 +109,12 @@ def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
     factorial is formed and nothing passes through the subnormal range
     before the exponential; probabilities far out in either tail
     underflow to zero.  Raises ValueError for a negative or non-finite
-    ``nbar``.
+    ``nbar`` and for a ``top`` that is not an integer >= 0.
     """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be a finite number >= 0, got {nbar}")
+    if isinstance(top, bool) or not isinstance(top, (int, np.integer)) or top < 0:
+        raise ValueError(f"top must be an integer >= 0, got {top!r}")
     if nbar == 0.0:
         return (np.arange(top + 1) == 0).astype(float)
     log_p = np.empty(top + 1)

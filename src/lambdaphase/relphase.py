@@ -28,12 +28,11 @@ this for free: the missing member's slot holds zero amplitude.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
-from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, lowering,
+from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, commutator, lowering,
                       phase_eigensystem, phase_exponential, verify_polar_identity)
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
@@ -59,40 +58,29 @@ def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
     return present[:, :, None] * vectors
 
 
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """The three relative-phase probabilities of one transition."""
-
-    transition: str
-    p0: float
-    p_plus: float
-    p_minus: float
-
-    @property
-    def total(self) -> float:
-        return self.p0 + self.p_plus + self.p_minus
-
-
-def marginal_distribution(index, amplitudes: np.ndarray,
-                          transition: str) -> PhaseDistribution:
+def marginal_distribution(index, amplitudes: np.ndarray, transition: str) -> np.ndarray:
     """Relative-phase distribution of a block state, by direct projection.
 
     ``index`` and ``amplitudes`` are a padded block state as returned by
     :meth:`BlockDiagonalPropagator.amplitudes_at` (with the propagator's
     ``index``).  Outcome probabilities are the squared overlaps
-    |<state_label | psi_b>|^2 summed over the blocks b.  This is the
-    cross-check of :func:`time_series`, which reduces the same state
-    through the block-summed matrix R instead.
+    |<state_label | psi_b>|^2 summed over the blocks b, returned as a (3,)
+    array in label order ("0", "+", "-"), the order of
+    ``PHASE_KEYS[transition]``.  This is the cross-check of
+    :func:`time_series`, which reduces the same state through the
+    block-summed matrix R instead.
     """
     states = rel_phase_eigenstates(transition, index)
     overlaps = np.einsum("bik,bi->bk", states.conj(), amplitudes)
-    p0, p_plus, p_minus = np.sum(np.abs(overlaps) ** 2, axis=0)
-    return PhaseDistribution(str(transition), float(p0), float(p_plus), float(p_minus))
+    return np.sum(np.abs(overlaps) ** 2, axis=0)
 
+
+# Column names of each transition's phase outcomes, in label order.
+PHASE_KEYS = {t: (f"p{t}_0", f"p{t}_p", f"p{t}_m") for t in ALL_TRANSITIONS}
 
 # Column names of the quantities produced per time sample.
-SERIES_KEYS = ("p13_0", "p13_p", "p13_m", "p23_0", "p23_p", "p23_m",
-               "p12_0", "p12_p", "p12_m", "pop1", "pop2", "pop3", "norm")
+SERIES_KEYS = (*(key for keys in PHASE_KEYS.values() for key in keys),
+               "pop1", "pop2", "pop3", "norm")
 
 # Samples per segment of a uniform grid: each segment starts from an exact
 # eigenphase twist and steps the samples after it by one fixed factor.
@@ -179,9 +167,9 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     segment come from one reduction over its R matrices.  The bytes do
     not depend on S.
 
-    Returns a dict with key "t" (the input grid) plus one array per entry
-    of ``SERIES_KEYS``.  Raises ValueError for a grid that is not
-    one-dimensional or holds a non-finite time.
+    Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
+    ValueError for a grid that is not one-dimensional or holds a
+    non-finite time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -210,24 +198,20 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
             block_sums(levels[:last - first], r[first - start:last - start])
         rows[start:stop] = series_rows(r[:stop - start])
 
-    out = {"t": times.copy()}
-    out.update(zip(SERIES_KEYS, rows.T))
-    return out
+    return dict(zip(SERIES_KEYS, rows.T))
 
 
-def trapping_config(phi: float, nbar: float, g: float = 1.0,
-                    epsilon: float = 1e-10) -> SystemParams:
+def trapping_config(phi: float, nbar: float) -> SystemParams:
     """Parameters preparing a lower-level superposition against equal fields.
 
     The atom starts in (|1> + e^{i phi} |2>)/sqrt(2) with both modes in
-    coherent states of mean photon number ``nbar``, equal couplings and
+    coherent states of mean photon number ``nbar``, unit couplings and
     zero detunings.  With zero-phase fields the superposition decouples
     from the dynamics exactly when phi = +-pi; any other phi gives a
     control case that does absorb.
     """
     c = (1.0 / math.sqrt(2.0), np.exp(1j * phi) / math.sqrt(2.0), 0.0)
-    return SystemParams(g_a=g, g_b=g, nbar_a=nbar, nbar_b=nbar, c=c,
-                        delta_a=0.0, delta_b=0.0, epsilon=epsilon)
+    return SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +251,12 @@ def verify_deformed_algebra(cutoff: int) -> float:
     exc_a, exc_b = oracle.excitation_diagonals(cutoff, cutoff)
     p1, p2 = ((level == i).astype(float) for i in (1, 2))
 
-    def comm(a, b):
-        return a @ b - b @ a
-
     residuals = [
-        comm(r13, r13.T) - np.diag(exc_a * (1 - 2 * p1 - p2)),
-        comm(r23, r23.T) - np.diag(exc_b * (1 - 2 * p2 - p1)),
-        comm(r13, r23.T) + r12,
-        comm(r13, r23),
-        comm(r12, r12.T) - np.diag(exc_a * exc_b * (p2 - p1)),
+        commutator(r13, r13.T) - np.diag(exc_a * (1 - 2 * p1 - p2)),
+        commutator(r23, r23.T) - np.diag(exc_b * (1 - 2 * p2 - p1)),
+        commutator(r13, r23.T) + r12,
+        commutator(r13, r23),
+        commutator(r12, r12.T) - np.diag(exc_a * exc_b * (p2 - p1)),
     ]
     keep = (n_a < cutoff) & (n_b < cutoff)
     return max(float(np.max(np.abs(res[np.ix_(keep, keep)]))) for res in residuals)

@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 from . import algebra, oracle, relphase
+from .algebra import commutator
 from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians,
                        block_members, poisson_probabilities, truncation_cutoff)
 
@@ -26,10 +27,6 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def _comm(a, b):
-    return a @ b - b @ a
-
-
 def _desk_params() -> SystemParams:
     c = np.array([0.6, 0.48 + 0.36j, 0.4 - 0.34871170611122j])
     c = c / np.linalg.norm(c)
@@ -42,15 +39,15 @@ def suite_algebra() -> list[CheckResult]:
 
     worst = 0.0
     for i, j, k, l in product((1, 2, 3), repeat=4):
-        lhs = _comm(algebra.generator(i, j), algebra.generator(k, l))
+        lhs = commutator(algebra.generator(i, j), algebra.generator(k, l))
         rhs = ((1.0 if i == l else 0.0) * algebra.generator(k, j)
                - (1.0 if k == j else 0.0) * algebra.generator(i, l))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     checks.append(CheckResult("u3 commutator table", worst, 0.0))
 
-    res_cross = np.max(np.abs(_comm(algebra.raising("13"), algebra.lowering("23"))
+    res_cross = np.max(np.abs(commutator(algebra.raising("13"), algebra.lowering("23"))
                               + algebra.raising("12")))
-    res_zero = np.max(np.abs(_comm(algebra.raising("13"), algebra.raising("23"))))
+    res_zero = np.max(np.abs(commutator(algebra.raising("13"), algebra.raising("23"))))
     checks.append(CheckResult("dipole coupling relations",
                               float(max(res_cross, res_zero)), 0.0))
 
@@ -140,20 +137,15 @@ def suite_relphase() -> list[CheckResult]:
              for trans in algebra.ALL_TRANSITIONS}
 
     pops = np.sum(np.abs(state) ** 2, axis=0)
-    worst_sum = max(abs(dist.total - 1.0) for dist in dists.values())
-    worst_pop = max(abs(dist.p0 - pops[algebra.spectator_level(trans) - 1])
+    worst_sum = max(abs(float(np.sum(dist)) - 1.0) for dist in dists.values())
+    worst_pop = max(abs(dist[0] - pops[algebra.spectator_level(trans) - 1])
                     for trans, dist in dists.items())
     checks.append(CheckResult("marginal completeness", worst_sum, 1e-10))
     checks.append(CheckResult("zero-label population identity", worst_pop, 1e-10))
 
     series = relphase.time_series(params, np.array([1.9]))
-    worst = 0.0
-    for trans, dist in dists.items():
-        stem = "p" + trans
-        worst = max(worst,
-                    abs(dist.p0 - series[f"{stem}_0"][0]),
-                    abs(dist.p_plus - series[f"{stem}_p"][0]),
-                    abs(dist.p_minus - series[f"{stem}_m"][0]))
+    worst = max(abs(dist[k] - series[key][0]) for trans, dist in dists.items()
+                for k, key in enumerate(relphase.PHASE_KEYS[trans]))
     checks.append(CheckResult("projection vs closed form", worst, 1e-10))
 
     checks.append(CheckResult("deformed algebra brackets",
@@ -168,8 +160,8 @@ def suite_relphase() -> list[CheckResult]:
     for trans in ("13", "23"):
         e_global = relphase.global_phase_exponential(trans, 3)
         worst = max(worst,
-                    float(np.max(np.abs(_comm(e_global, exc_a)))),
-                    float(np.max(np.abs(_comm(e_global, exc_b)))))
+                    float(np.max(np.abs(commutator(e_global, exc_a)))),
+                    float(np.max(np.abs(commutator(e_global, exc_b)))))
     checks.append(CheckResult("phase exponential conserves excitations",
                               worst, 1e-12))
     return checks
@@ -189,8 +181,8 @@ def suite_oracle() -> list[CheckResult]:
                               float(np.max(np.abs(full.matrix - full.matrix.conj().T))),
                               1e-14))
     diag_a, diag_b = oracle.excitation_diagonals(*cuts)
-    worst = max(float(np.max(np.abs(_comm(full.matrix, np.diag(diag_a))))),
-                float(np.max(np.abs(_comm(full.matrix, np.diag(diag_b))))))
+    worst = max(float(np.max(np.abs(commutator(full.matrix, np.diag(diag_a))))),
+                float(np.max(np.abs(commutator(full.matrix, np.diag(diag_b))))))
     checks.append(CheckResult("excitation conservation (commutators)", worst, 1e-12))
 
     psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)

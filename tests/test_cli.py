@@ -1,5 +1,6 @@
 """Tests for the configuration, scenario runner and CLI plumbing."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import lambdaphase
-from lambdaphase import dynamics
+from lambdaphase import dynamics, relphase
 from lambdaphase.cli import (COLUMNS, CSV_CHUNK, MAX_TABLE_BYTES, PRESETS,
                              RunConfig, _check_rows, config_from_dict,
                              load_config, main, run_scenario, time_scale,
@@ -492,4 +493,14 @@ def test_readme_library_example_runs(capsys):
     (example,) = re.findall(r"## Library example\n\n```python\n(.*?)```", readme,
                             flags=re.DOTALL)
     exec(compile(example, "README.md", "exec"), {})
-    assert "PhaseDistribution(transition='13'" in capsys.readouterr().out
+    printed = ast.literal_eval(capsys.readouterr().out.splitlines()[0])
+    assert tuple(printed) == relphase.PHASE_KEYS["13"]
+    assert sum(printed.values()) == pytest.approx(1.0, abs=1e-10)
+    assert min(printed.values()) >= 0.0
+
+
+def test_readme_column_block_is_the_csv_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"carries the full fixed column set\n\n```\n(.*?)```", readme,
+                          flags=re.DOTALL)
+    assert tuple(name.strip() for name in block.split(",")) == COLUMNS

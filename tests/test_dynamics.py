@@ -131,10 +131,13 @@ BAD_NBARS = (-1.0, -1e6, math.nan, math.inf)
     *[(poisson_probabilities, (nbar, 5), "nbar") for nbar in BAD_NBARS],
     *[(f, (1.0, epsilon), "epsilon") for f in (photon_window, truncation_cutoff)
       for epsilon in (0.0, 1.0, math.nan)],
+    *[(poisson_probabilities, (nbar, top), "top")
+      for nbar, top in ((1.0, -1), (0.0, -1), (1.0, 2.5), (1.0, True))],
 ])
 def test_truncation_rejects_a_bad_mean_or_epsilon(function, args, named):
     # -1e6 must be refused before the table size takes its square root,
-    # whose argument it makes negative
+    # whose argument it makes negative; a table edge ``top`` that is
+    # negative, fractional or a bool must not index or size the table
     with pytest.raises(ValueError, match=f"{named} must"):
         function(*args)
 

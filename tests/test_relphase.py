@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lambdaphase import algebra, dynamics, oracle
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
-from lambdaphase.relphase import (REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
+from lambdaphase.relphase import (PHASE_KEYS, REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
                                   _dressed_block_lowering, block_sums,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
@@ -135,27 +135,28 @@ def test_joint_distribution_vacuum_ground_atom():
     prop = BlockDiagonalPropagator(params)
     assert prop.index.tolist() == [[0, 1]]
     dist = marginal_distribution(prop.index, prop.initial, "13")
-    assert dist.total == pytest.approx(1.0)
-    assert dist.p_plus == pytest.approx(0.5)
+    assert dist.shape == (3,)
+    assert dist.sum() == pytest.approx(1.0)
+    assert dist[1] == pytest.approx(0.5)
 
 
 def test_joint_distribution_sums_to_one():
     prop = BlockDiagonalPropagator(desk_params())
     state = prop.amplitudes_at(1.3)
     for transition in ("13", "23", "12"):
-        total = marginal_distribution(prop.index, state, transition).total
+        total = marginal_distribution(prop.index, state, transition).sum()
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_initial_marginals_ground_atom():
     prop = BlockDiagonalPropagator(desk_params(c=GROUND))
     d23 = marginal_distribution(prop.index, prop.initial, "23")
-    assert d23.p0 == pytest.approx(1.0, abs=1e-12)
-    assert d23.p_plus == pytest.approx(0.0, abs=1e-12)
+    assert d23[0] == pytest.approx(1.0, abs=1e-12)
+    assert d23[1] == pytest.approx(0.0, abs=1e-12)
     d13 = marginal_distribution(prop.index, prop.initial, "13")
-    assert d13.p0 == pytest.approx(0.0, abs=1e-12)
-    assert d13.p_plus == pytest.approx(0.5, abs=1e-12)
-    assert d13.p_minus == pytest.approx(0.5, abs=1e-12)
+    assert d13[0] == pytest.approx(0.0, abs=1e-12)
+    assert d13[1] == pytest.approx(0.5, abs=1e-12)
+    assert d13[2] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("time", [0.0, 0.9, 2.7])
@@ -165,7 +166,7 @@ def test_zero_label_equals_populations(time):
     pops = np.sum(np.abs(state) ** 2, axis=0)
     for transition, level in (("13", 2), ("23", 1), ("12", 3)):
         dist = marginal_distribution(prop.index, state, transition)
-        assert dist.p0 == pytest.approx(pops[level - 1], abs=1e-10)
+        assert dist[0] == pytest.approx(pops[level - 1], abs=1e-10)
 
 
 @given(t=st.floats(0.0, 8.0))
@@ -175,26 +176,30 @@ def test_marginals_complete_over_time(t):
     state = prop.amplitudes_at(t)
     for transition in ("13", "23", "12"):
         dist = marginal_distribution(prop.index, state, transition)
-        assert dist.total == pytest.approx(1.0, abs=1e-10)
-        assert min(dist.p0, dist.p_plus, dist.p_minus) > -1e-12
+        assert dist.sum() == pytest.approx(1.0, abs=1e-10)
+        assert min(dist) > -1e-12
 
 
 def test_projection_agrees_with_closed_form_series():
     # the projection path (explicit per-block eigenstates) and the R-matrix
     # reduction of time_series must agree on every transition and time,
-    # with detunings so that the lone-member blocks pick up phases
-    params = desk_params(delta_a=0.3, delta_b=-0.45)
-    times = np.linspace(0.0, 5.0, 9)
-    series = time_series(params, times)
-    prop = BlockDiagonalPropagator(params)
-    for k, t in enumerate(times):
-        state = prop.amplitudes_at(float(t))
-        for transition in algebra.ALL_TRANSITIONS:
-            dist = marginal_distribution(prop.index, state, transition)
-            stem = "p" + transition
-            assert dist.p0 == pytest.approx(series[f"{stem}_0"][k], abs=1e-10)
-            assert dist.p_plus == pytest.approx(series[f"{stem}_p"][k], abs=1e-10)
-            assert dist.p_minus == pytest.approx(series[f"{stem}_m"][k], abs=1e-10)
+    # with detunings so that the lone-member blocks pick up phases; the
+    # nbar 100/100 case has more blocks than one REDUCE_CHUNK
+    c = np.array([0.6, 0.48 + 0.36j, 0.4 - 0.34871170611122j])
+    large = SystemParams(g_a=1.0, g_b=0.8, nbar_a=100.0, nbar_b=100.0,
+                         c=tuple(c / np.linalg.norm(c)), delta_a=0.3, delta_b=-0.45)
+    for params, times, blocks in (
+            (desk_params(delta_a=0.3, delta_b=-0.45), np.linspace(0.0, 5.0, 9), 179),
+            (large, np.linspace(0.0, 5.0, 3), 16899)):
+        series = time_series(params, times)
+        prop = BlockDiagonalPropagator(params)
+        assert len(prop.index) == blocks
+        for k, t in enumerate(times):
+            state = prop.amplitudes_at(float(t))
+            for transition, keys in PHASE_KEYS.items():
+                dist = marginal_distribution(prop.index, state, transition)
+                for label, key in enumerate(keys):
+                    assert dist[label] == pytest.approx(series[key][k], abs=1e-10)
 
 
 def test_time_series_columns_over_segments():
@@ -203,6 +208,7 @@ def test_time_series_columns_over_segments():
     times = np.linspace(0.0, 2.0, 2 * SEGMENT + 5)
     assert len(grid_segments(times)[1]) == 3
     series = time_series(params, times)
+    assert tuple(series) == SERIES_KEYS
     total = series["pop1"] + series["pop2"] + series["pop3"]
     assert np.allclose(total, 1.0, atol=1e-10)
     assert np.allclose(series["norm"], 1.0, atol=1e-10)
