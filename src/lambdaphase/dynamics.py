@@ -411,6 +411,10 @@ class BlockDiagonalPropagator:
     of the interleaved complex amplitudes.  The eigenvectors are real
     because every block Hamiltonian is real symmetric, so ``coeff0`` is
     one real contraction of ``vectors`` with the interleaved ``initial``.
+
+    ``prop[a:b]`` is the propagator of the contiguous blocks a..b-1: its
+    arrays are views of these, and every method gives the same slice of
+    this propagator's result, bit for bit.
     """
 
     def __init__(self, params: SystemParams):
@@ -424,6 +428,26 @@ class BlockDiagonalPropagator:
         self.vectors = np.repeat(eigvecs.transpose(1, 2, 0), 2, axis=2)
         initial = np.ascontiguousarray(self.initial.T).view(float)
         self.coeff0 = np.einsum("ijk,ik->jk", self.vectors, initial).view(complex)
+
+    def __getitem__(self, blocks: slice) -> "BlockDiagonalPropagator":
+        """Propagator of the blocks in ``blocks``, a slice a:b with 0 <= a < b <= B.
+
+        Nothing is copied and ``__init__`` does not run.  Raises ValueError
+        naming ``blocks`` for anything but such a slice.
+        """
+        count = len(self.index)
+        if isinstance(blocks, slice) and blocks.step in (None, 1):
+            start = 0 if blocks.start is None else blocks.start
+            stop = count if blocks.stop is None else blocks.stop
+            if 0 <= start < stop <= count:
+                tile = object.__new__(BlockDiagonalPropagator)
+                tile.index, tile.initial = self.index[start:stop], self.initial[start:stop]
+                tile.frequencies = self.frequencies[:, start:stop]
+                tile.vectors = self.vectors[:, :, 2 * start:2 * stop]
+                tile.coeff0 = self.coeff0[:, start:stop]
+                return tile
+        raise ValueError(f"blocks must be a slice a:b with 0 <= a < b <= {count}, "
+                         f"got {blocks!r}")
 
     def phases(self, t: float) -> np.ndarray:
         """Eigenphase factors exp(-i w t) of every block, shape (3, B).
@@ -450,9 +474,10 @@ class BlockDiagonalPropagator:
         :meth:`twist`, or as stepped there by a caller walking a uniform
         grid; without them the twist is computed here with an exact
         ``exp``.  The result is a transposed view of a level-major array:
-        a new one, or ``out`` when given, which must be a C-contiguous
-        complex array of shape (3, B) and is written in place.  ValueError
-        reports an ``out`` of another shape or dtype.
+        a new one, or ``out`` when given, which must be a complex array of
+        shape (3, B) with its last axis contiguous (rows may be strided)
+        and is written in place.  ValueError reports an ``out`` of another
+        shape, dtype or layout.
         """
         if coefficients is None:
             coefficients = self.twist(t)
@@ -460,6 +485,9 @@ class BlockDiagonalPropagator:
             if out.shape != self.coeff0.shape or out.dtype != self.coeff0.dtype:
                 raise ValueError(f"out must be a {self.coeff0.dtype} array of shape "
                                  f"{self.coeff0.shape}, got {out.dtype} {out.shape}")
+            if out.shape[-1] > 1 and out.strides[-1] != out.itemsize:
+                raise ValueError(f"out must be an array with its last axis contiguous, got "
+                                 f"strides {out.strides}")
             out = out.view(float)
         real = np.einsum("ijk,jk->ik", self.vectors, coefficients.view(float), out=out)
         return real.view(complex).T

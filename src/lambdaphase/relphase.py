@@ -90,12 +90,12 @@ SEGMENT = 64
 # its nominal position t_0 + k dt on a grid taken as uniform.
 UNIFORM_ULPS = 4
 
-# Largest number of blocks in one dot product of :func:`block_sums`.
-# OpenBLAS splits a dot product over its threads above 10000 elements, at
-# points that depend on the thread count, which would make the bytes of a
-# run depend on it; chunks this short stay on one thread and are summed in
-# a fixed order.  It also bounds a batch of :func:`time_series` to about
-# REDUCE_CHUNK block-samples.
+# Largest number of blocks in one tile of :func:`block_tiles`, so in one
+# dot product of the reduction.  OpenBLAS splits a dot product over its
+# threads above 10000 elements, at points that depend on the thread count,
+# which would make the bytes of a run depend on it; tiles this short stay
+# on one thread and are summed in a fixed order.  It also bounds a batch
+# of :func:`time_series` to about REDUCE_CHUNK block-samples.
 REDUCE_CHUNK = 8192
 
 # Phase vectors, then the three level unit vectors: <v|R|v> over these
@@ -121,20 +121,40 @@ def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return 0.0, [(k, k + 1) for k in range(n)]
 
 
+def block_tiles(blocks: int) -> list[tuple[int, int]]:
+    """[start, stop) ranges of the fewest equal tiles of at most REDUCE_CHUNK blocks.
+
+    The tiles cover blocks 0..blocks-1 in order and differ in size by at
+    most one block; up to REDUCE_CHUNK blocks are one tile.  This is the
+    one partition of every block reduction: :func:`block_sums` and the
+    tile loop of :func:`time_series` both sum over it, in this order.
+    """
+    count = max(1, -(-blocks // REDUCE_CHUNK))
+    bounds = [blocks * k // count for k in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _add_tile_sums(levels: np.ndarray, out: np.ndarray, first: bool) -> None:
+    """Write (``first``) or add the R_s of one tile's batch (S, 3, b) into ``out`` (S, 3, 3).
+
+    One ``vecdot`` for the whole batch: R_s[i, j] = sum_b a_sib conj(a_sjb).
+    """
+    if first:
+        np.vecdot(levels[:, None], levels[:, :, None], out=out)
+    else:
+        out += np.vecdot(levels[:, None], levels[:, :, None])
+
+
 def block_sums(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
     """R_s = sum_b a_b a_b^dagger of a batch of level-major amplitudes (S, 3, B).
 
     Writes the (S, 3, 3) matrices R_s[i, j] = sum_b a_sib conj(a_sjb) into
-    ``out``, summed over chunks of REDUCE_CHUNK blocks in block order: one
-    ``vecdot`` per chunk for the whole batch.  Each R_s is bitwise the same
+    ``out``, summed tile by tile over :func:`block_tiles` in block order,
+    as :func:`time_series` sums them.  Each R_s is bitwise the same
     whatever S is.  Returns ``out``.
     """
-    for start in range(0, levels.shape[2], REDUCE_CHUNK):
-        chunk = levels[:, :, start:start + REDUCE_CHUNK]
-        if start == 0:
-            np.vecdot(chunk[:, None], chunk[:, :, None], out=out)
-        else:
-            out += np.vecdot(chunk[:, None], chunk[:, :, None])
+    for start, stop in block_tiles(levels.shape[2]):
+        _add_tile_sums(levels[:, :, start:stop], out, start == 0)
     return out
 
 
@@ -157,15 +177,22 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     probability is <phi|R|phi> for a column phi of :data:`PHASE_VECTORS`,
     the populations are diag R and the norm is tr R.
 
-    The grid is walked in the segments of :func:`grid_segments`.  Each
-    segment starts from the exact twist exp(-i w t_s) coeff0 and, on a
-    uniform grid, multiplies it by exp(-i w dt) for each later sample, so
-    the complex exponential runs once per segment instead of once per
-    sample.  A segment's samples go through a reused buffer in batches of
-    S = min(SEGMENT, max(1, REDUCE_CHUNK // B)) samples for B blocks;
-    :func:`block_sums` reduces each batch at once, and the rows of a
-    segment come from one reduction over its R matrices.  The bytes do
-    not depend on S.
+    The grid is walked in the segments of :func:`grid_segments`, and each
+    segment in the tiles of :func:`block_tiles`, one
+    ``BlockDiagonalPropagator[a:b]`` each.  A tile starts from the exact
+    twist exp(-i w t_s) coeff0 and, on a uniform grid, multiplies it by
+    exp(-i w dt) for each later sample, so the complex exponential runs
+    once per segment and tile instead of once per sample.  Its samples go
+    through a reused buffer in batches of S = min(SEGMENT, max(1,
+    REDUCE_CHUNK // b)) samples for the widest tile's b blocks, and
+    :func:`_add_tile_sums` reduces each batch at once into the segment's R
+    matrices: the first tile writes them, later tiles add.  So a tile's
+    eigenvectors, twist, step and amplitudes, about 290 bytes a block,
+    stay in cache over the segment's samples instead of the whole state
+    streaming through it once per sample.  The rows of a segment come from
+    one reduction over its R matrices.  Every R is summed over the tiles
+    in block order, as :func:`block_sums` sums it, so the bytes depend
+    neither on S nor on the loop order.
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
     ValueError for a grid that is not one-dimensional or holds a
@@ -180,22 +207,27 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
                          f"position {bad[0]}")
     prop = BlockDiagonalPropagator(params)
     dt, segments = grid_segments(times)
-    step = prop.phases(dt) if len(segments) < len(times) else None
-    blocks = prop.coeff0.shape[1]
-    batch = min(SEGMENT, max(1, REDUCE_CHUNK // blocks))
-    levels = np.empty((batch, 3, blocks), dtype=complex)
+    tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
+    uniform = len(segments) < len(times)
+    steps = [tile.phases(dt) if uniform else None for tile in tiles]
+    widest = max(len(tile.index) for tile in tiles)
+    batch = min(SEGMENT, max(1, REDUCE_CHUNK // widest))
+    buffer = np.empty((batch, 3, widest), dtype=complex)
     r = np.empty((SEGMENT, 3, 3), dtype=complex)
     rows = np.empty((len(times), len(SERIES_KEYS)))
     for start, stop in segments:
-        twisted = None  # drop the last segment's twist before the next is formed
-        twisted = prop.twist(times[start])
-        for first in range(start, stop, batch):
-            last = min(first + batch, stop)
-            for k in range(first, last):
-                if k > start:
-                    twisted *= step
-                prop.amplitudes_at(times[k], twisted, out=levels[k - first])
-            block_sums(levels[:last - first], r[first - start:last - start])
+        for tile, step in zip(tiles, steps):
+            levels = buffer[:, :, :len(tile.index)]
+            twisted = None  # drop the last tile's twist before the next is formed
+            twisted = tile.twist(times[start])
+            for first in range(start, stop, batch):
+                last = min(first + batch, stop)
+                for k in range(first, last):
+                    if k > start:
+                        twisted *= step
+                    tile.amplitudes_at(times[k], twisted, out=levels[k - first])
+                _add_tile_sums(levels[:last - first], r[first - start:last - start],
+                              tile is tiles[0])
         rows[start:stop] = series_rows(r[:stop - start])
 
     return dict(zip(SERIES_KEYS, rows.T))

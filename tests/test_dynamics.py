@@ -450,14 +450,18 @@ def test_block_evolution_matches_expm():
 
 
 def test_amplitudes_at_writes_into_out():
+    # a C-contiguous out, and a row-strided one whose last axis is contiguous
     prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.2))
-    buf = np.full((2, 3, len(prop.index)), np.nan, dtype=complex)
-    for t, coefficients in ((1.7, None), (2.5, prop.twist(2.5))):
-        got = prop.amplitudes_at(t, coefficients, out=buf[1])
-        assert np.array_equal(got, prop.amplitudes_at(t, coefficients))
-        assert got.shape == (len(prop.index), 3)
-        assert np.shares_memory(got, buf[1])
-    assert np.all(np.isnan(buf[0]))
+    blocks = len(prop.index)
+    buf = np.full((2, 3, blocks), np.nan, dtype=complex)
+    wide = np.full((3, blocks + 5), np.nan, dtype=complex)
+    for out in (buf[1], wide[:, :blocks]):
+        for t, coefficients in ((1.7, None), (2.5, prop.twist(2.5))):
+            got = prop.amplitudes_at(t, coefficients, out=out)
+            assert np.array_equal(got, prop.amplitudes_at(t, coefficients))
+            assert got.shape == (blocks, 3)
+            assert np.shares_memory(got, out)
+    assert np.all(np.isnan(buf[0])) and np.all(np.isnan(wide[:, blocks:]))
 
 
 @pytest.mark.parametrize("make_out", [
@@ -466,11 +470,50 @@ def test_amplitudes_at_writes_into_out():
     lambda b: np.empty((1, 3, b), dtype=complex),
     lambda b: np.empty((3, b), dtype=np.complex64),
     lambda b: np.empty((3, 2 * b)),
-], ids=["long", "transposed", "batched", "complex64", "interleaved_float"])
+    lambda b: np.empty((b, 3), dtype=complex).T,
+], ids=["long", "transposed", "batched", "complex64", "interleaved_float",
+        "strided_last_axis"])
 def test_amplitudes_at_rejects_a_wrong_out(make_out):
     prop = BlockDiagonalPropagator(desk_params())
     with pytest.raises(ValueError, match="out must be"):
         prop.amplitudes_at(0.9, out=make_out(len(prop.index)))
+
+
+def test_tile_is_the_slice_of_the_whole_propagator():
+    # a detuned, complex-c config, so the tile goes through the Jacobi path
+    # and every method's result has nonzero imaginary parts
+    prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.25))
+    blocks = len(prop.index)
+    start, stop = 3, blocks - 4
+    tile = prop[start:stop]
+    assert np.array_equal(tile.index, prop.index[start:stop])
+    for name in ("vectors", "coeff0"):
+        assert np.shares_memory(getattr(tile, name), getattr(prop, name))
+    for t in (0.0, 1.7, -2.3):
+        twisted = prop.twist(t)
+        assert np.array_equal(tile.phases(t), prop.phases(t)[:, start:stop])
+        assert np.array_equal(tile.twist(t), twisted[:, start:stop])
+        assert np.array_equal(tile.propagators(t), prop.propagators(t)[start:stop])
+        whole = prop.amplitudes_at(t)
+        assert np.array_equal(tile.amplitudes_at(t), whole[start:stop])
+        stepped = tile.twist(t) * tile.phases(0.1)
+        assert np.array_equal(tile.amplitudes_at(t, stepped),
+                              prop.amplitudes_at(t, twisted * prop.phases(0.1))[start:stop])
+        out = np.empty((3, stop - start), dtype=complex)
+        got = tile.amplitudes_at(t, tile.twist(t), out=out)
+        assert np.array_equal(got, whole[start:stop])
+        assert np.shares_memory(got, out)
+    assert np.array_equal(prop[:].amplitudes_at(0.8), prop.amplitudes_at(0.8))
+
+
+@pytest.mark.parametrize("blocks", [slice(0, 4, 2), slice(5, 5), slice(6, 2),
+                                    slice(-1, None), slice(0, 10**6), 3],
+                         ids=["step", "empty", "reversed", "negative", "past_the_end",
+                              "integer"])
+def test_tile_rejects_a_bad_block_range(blocks):
+    prop = BlockDiagonalPropagator(desk_params())
+    with pytest.raises(ValueError, match="blocks must be a slice"):
+        prop[blocks]
 
 
 def test_block_evolution_resonant_return_amplitude():

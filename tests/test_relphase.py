@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lambdaphase import algebra, dynamics, oracle
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
 from lambdaphase.relphase import (PHASE_KEYS, REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
-                                  _dressed_block_lowering, block_sums,
+                                  _dressed_block_lowering, block_sums, block_tiles,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
                                   rel_phase_eigenstates, series_rows,
@@ -290,7 +290,7 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
 
 @pytest.mark.parametrize("nbar, samples, blocks, batch", [
     (1.0, 2 * SEGMENT + 5, 169, 48),  # fig2 physics: batches split inside segments
-    (100.0, SEGMENT + 3, 16641, 1),  # two REDUCE_CHUNK chunks per sample
+    (100.0, SEGMENT + 3, 16641, 1),  # three tiles of 5547 blocks per sample
 ], ids=["fig2", "nbar100"])
 def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, blocks, batch):
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
@@ -302,10 +302,17 @@ def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, blocks, ba
     assert np.array_equal(got, stepped_rows(prop, times))
 
 
-@pytest.mark.parametrize("n", [1, 2, SEGMENT, SEGMENT + 1])
-def test_recurrence_matches_exact_exp_at_segment_edges(n):
-    params = desk_params(delta_a=0.35, delta_b=-0.2)
+@pytest.mark.parametrize("nbar, n", [(1.1, 1), (1.1, 2), (1.1, SEGMENT), (1.1, SEGMENT + 1),
+                                     (50.0, SEGMENT + 1)],
+                         ids=["1", "2", str(SEGMENT), str(SEGMENT + 1), "nbar50"])
+def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
+    # nbar 50/50 has 8463 blocks, two tiles, so the exact twist at the
+    # second segment's start is pinned in each tile
+    params = desk_params(nbar_a=nbar, nbar_b=nbar, delta_a=0.35, delta_b=-0.2)
     times = np.linspace(0.3, 9.0, n)
+    if nbar == 50.0:
+        assert block_tiles(len(BlockDiagonalPropagator(params).index)) == [(0, 4231),
+                                                                           (4231, 8463)]
     got = series_table(time_series(params, times))
     expected = exact_rows(params, times)
     assert np.max(np.abs(got - expected)) < 1e-12
@@ -313,6 +320,18 @@ def test_recurrence_matches_exact_exp_at_segment_edges(n):
     assert np.array_equal(got[0], expected[0])
     if n > SEGMENT:
         assert np.array_equal(got[SEGMENT], expected[SEGMENT])
+
+
+@pytest.mark.parametrize("blocks", [1, 169, REDUCE_CHUNK, REDUCE_CHUNK + 1, 16641])
+def test_block_tiles_are_the_fewest_equal_tiles_in_order(blocks):
+    tiles = block_tiles(blocks)
+    assert tiles[0][0] == 0 and tiles[-1][1] == blocks
+    assert all(stop == start for (_, stop), (start, _) in zip(tiles, tiles[1:]))
+    sizes = [stop - start for start, stop in tiles]
+    assert max(sizes) <= REDUCE_CHUNK and max(sizes) - min(sizes) <= 1
+    assert len(tiles) == -(-blocks // REDUCE_CHUNK)
+    if blocks <= REDUCE_CHUNK:
+        assert tiles == [(0, blocks)]
 
 
 def test_non_uniform_grid_is_the_exact_path():
