@@ -311,8 +311,8 @@ def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
     params = desk_params(nbar_a=nbar, nbar_b=nbar, delta_a=0.35, delta_b=-0.2)
     times = np.linspace(0.3, 9.0, n)
     if nbar == 50.0:
-        assert block_tiles(len(BlockDiagonalPropagator(params).index)) == [(0, 4231),
-                                                                           (4231, 8463)]
+        blocks = len(BlockDiagonalPropagator(params).index)
+        assert block_tiles(blocks) == [(0, 4231), (4231, 8463)]
     got = series_table(time_series(params, times))
     expected = exact_rows(params, times)
     assert np.max(np.abs(got - expected)) < 1e-12
