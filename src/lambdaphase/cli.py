@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, relphase, svgplot
+from . import algebra, numfmt, relphase, svgplot
 from .dynamics import SystemParams, require_finite
 from .verify import SUITES, run_suite
 
@@ -165,27 +165,25 @@ def _check_rows(data: dict[str, np.ndarray]) -> None:
         raise RuntimeError(f"state norm drifted by {worst:.3g}")
 
 
-# One CSV row: every column with 17 significant digits.
-ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
-
-# Rows formatted at a time while writing the CSV, so the text and Python
-# floats the writer holds are one chunk whatever the grid length.  The
-# SVG polylines are written in chunks of the same length.
+# Rows formatted at a time while writing the CSV, so the text and arrays
+# the writer holds are one chunk whatever the grid length.  The SVG
+# polylines are written in chunks of the same length.
 CSV_CHUNK = svgplot.CHUNK
 
 
 def write_csv(path, data: dict[str, np.ndarray]) -> None:
     """Write the ``COLUMNS`` of ``data`` as CSV, ``CSV_CHUNK`` rows at a time.
 
-    Each chunk is formatted with one ``%`` of ``ROW_FORMAT`` repeated over
-    its flattened (rows, len(COLUMNS)) table.
+    Every value is written as ``%.17g``; each chunk is one
+    :func:`numfmt.format_table` call over its (rows, len(COLUMNS)) table.
     """
     columns = [np.asarray(data[col], dtype=float) for col in COLUMNS]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(COLUMNS) + "\n")
+    seps = b"," * (len(COLUMNS) - 1) + b"\n"
+    with open(path, "wb") as handle:
+        handle.write(",".join(COLUMNS).encode() + b"\n")
         for start in range(0, len(columns[0]), CSV_CHUNK):
             chunk = np.column_stack([col[start:start + CSV_CHUNK] for col in columns])
-            handle.write(ROW_FORMAT * len(chunk) % tuple(chunk.ravel().tolist()))
+            handle.write(numfmt.format_table(chunk, b"%.17g", seps))
 
 
 def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:

@@ -476,11 +476,17 @@ class BlockDiagonalPropagator:
         ``exp``.  The result is a transposed view of a level-major array:
         a new one, or ``out`` when given, which must be a complex array of
         shape (3, B) with its last axis contiguous (rows may be strided)
-        and is written in place.  ValueError reports an ``out`` of another
+        and is written in place.  ValueError reports ``coefficients`` of
+        another shape or dtype than ``coeff0``, or an ``out`` of another
         shape, dtype or layout.
         """
         if coefficients is None:
             coefficients = self.twist(t)
+        elif (coefficients.shape != self.coeff0.shape
+              or coefficients.dtype != self.coeff0.dtype):
+            raise ValueError(f"coefficients must be a {self.coeff0.dtype} array of shape "
+                             f"{self.coeff0.shape}, got {coefficients.dtype} "
+                             f"{coefficients.shape}")
         if out is not None:
             if out.shape != self.coeff0.shape or out.dtype != self.coeff0.dtype:
                 raise ValueError(f"out must be a {self.coeff0.dtype} array of shape "

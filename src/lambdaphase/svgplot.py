@@ -6,22 +6,23 @@ data, with no timestamps or library-version metadata.
 
 import numpy as np
 
+from . import numfmt
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#17becf")
 
 # Points formatted at a time: a polyline goes to the file chunk by chunk,
 # so the text a plot holds is one chunk whatever the grid length.
-CHUNK = 1024
+CHUNK = 256
 
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _points(x_px, y_px) -> str:
+def _points(x_px, y_px) -> bytes:
     """Pixel coordinates as polyline points: "x,y" pairs joined by spaces."""
-    return (" ".join(["%.3f,%.3f"] * len(x_px))
-            % tuple(np.column_stack([x_px, y_px]).ravel().tolist()))
+    return numfmt.format_table(np.column_stack([x_px, y_px]), b"%.3f", b", ")[:-1]
 
 
 def write_line_plot(path, x, series, title, xlabel, ylabel):
@@ -90,22 +91,22 @@ def write_line_plot(path, x, series, title, xlabel, ylabel):
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 {yx} {yy:.1f})">{ylabel}</text>')
 
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts))
+    with open(path, "wb") as handle:
+        handle.write("\n".join(parts).encode())
         for k, (label, y) in enumerate(series):
             y = np.asarray(y, dtype=float)
             color = PALETTE[k % len(PALETTE)]
             handle.write(f'\n<polyline fill="none" stroke="{color}" '
-                         f'stroke-width="1.3" points="')
+                         f'stroke-width="1.3" points="'.encode())
             for start in range(0, len(x), CHUNK):
                 stop = start + CHUNK
                 if start:
-                    handle.write(" ")
+                    handle.write(b" ")
                 handle.write(_points(sx(x[start:stop]), sy(y[start:stop])))
             ly = margin_top + 16 + 18 * k
             lx = margin_left + plot_w + 12
             handle.write(f'"/>\n<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
                          f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
                          f'\n<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                         f'font-size="12">{label}</text>')
-        handle.write("\n</svg>\n")
+                         f'font-size="12">{label}</text>'.encode())
+        handle.write(b"\n</svg>\n")

@@ -479,6 +479,20 @@ def test_amplitudes_at_rejects_a_wrong_out(make_out):
         prop.amplitudes_at(0.9, out=make_out(len(prop.index)))
 
 
+@pytest.mark.parametrize("make_coefficients", [
+    lambda prop, tile, t: prop.twist(t),
+    lambda prop, tile, t: tile.twist(t).astype(np.complex64),
+], ids=["whole_state_twist", "complex64"])
+def test_amplitudes_at_rejects_wrong_coefficients(make_coefficients):
+    # a tile's twist is (3, b) complex128; the message names the argument
+    # and the shape it expects instead of failing inside the contraction
+    prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.25))
+    tile = prop[2:7]
+    with pytest.raises(ValueError, match=r"coefficients must be a complex128 array "
+                                         r"of shape \(3, 5\)"):
+        tile.amplitudes_at(0.9, make_coefficients(prop, tile, 0.9))
+
+
 def test_tile_is_the_slice_of_the_whole_propagator():
     # a detuned, complex-c config, so the tile goes through the Jacobi path
     # and every method's result has nonzero imaginary parts
