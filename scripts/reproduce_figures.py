@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Run the four built-in scenarios and drop CSV + SVG files under results/.
 
+Prints the sha256 of every file it writes, so that runs of two commits
+can be compared byte for byte.
+
 Usage: python scripts/reproduce_figures.py [output_dir]
 """
 
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -22,6 +26,8 @@ def main() -> int:
         elapsed = time.perf_counter() - start
         print(f"{name}: {config.tau_steps} rows in {elapsed:.2f} s "
               f"-> {out_dir / name}.csv")
+        for path in (out_dir / f"{name}.csv", out_dir / f"{name}.svg"):
+            print(f"  sha256 {hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
     return 0
 
 

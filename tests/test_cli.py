@@ -261,6 +261,32 @@ def test_writers_match_per_cell_formatting(tmp_path, config):
     assert len(points) == 3 * len(config.transitions)
 
 
+def test_writers_match_per_cell_formatting_on_fallback_values(tmp_path):
+    # values the exact route leaves to Python one at a time: zeros, a
+    # negative, exponent notation at both ends (1e-30, 3e-5, 1e17), an inf
+    # in a column the plot leaves out, and a nan that becomes one nan pixel
+    config = PRESETS["fig2"]
+    rows = 2 * CSV_CHUNK + 3
+    rng = np.random.default_rng(11)
+    data = {col: rng.random(rows) for col in COLUMNS}
+    data["tau"] = np.linspace(0.0, 2.0, rows)
+    special = [0.0, -1e-17, 1e-30, 3e-5, 1e17]
+    for j, col in enumerate(COLUMNS[1:]):
+        data[col][j::7] = np.resize(special, len(range(j, rows, 7)))
+    data["norm"][CSV_CHUNK - 1] = math.inf
+    data["p23_m"][CSV_CHUNK + 1] = math.nan
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    write_csv(csv_path, data)
+    assert csv_path.read_text() == per_cell_csv(data)
+
+    write_svg(svg_path, config, data)
+    series = [(f"p{trans}_{suffix}", data[f"p{trans}_{suffix}"])
+              for trans in config.transitions for suffix in ("0", "p", "m")]
+    points = re.findall(r'points="([^"]*)"', svg_path.read_text())
+    assert points == per_point_polylines(data["tau"], series)
+    assert points[-1].count("nan") == 1
+
+
 def test_writer_memory_does_not_grow_with_rows(tmp_path):
     # both writers stream one chunk of rows or points at a time, so their
     # peak allocation is the same for a short and a ten times longer grid
