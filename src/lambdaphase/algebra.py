@@ -153,27 +153,21 @@ def verify_polar_identity(transition: str, low: np.ndarray | None = None) -> flo
     return float(max(np.max(np.abs(residual)), np.max(np.abs(off_diagonal))))
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Check that rho is a 3x3 density matrix; returns it as a complex array.
+def phase_distribution(rho: np.ndarray, transition: str) -> np.ndarray:
+    """Probabilities of the three phase outcomes (0, +pi/2, -pi/2) in rho.
 
-    Raises ValueError describing the violated property (shape, hermiticity,
-    unit trace or positivity).
+    Raises ValueError naming the property, within 1e-12, by which rho is
+    not a 3x3 density matrix: shape, hermiticity, unit trace or positivity.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError(f"density matrix must be 3x3, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > 1e-12:
         raise ValueError(f"density matrix trace is {np.trace(rho):.6g}, expected 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
+    if np.min(np.linalg.eigvalsh(rho)) < -1e-12:
         raise ValueError("density matrix has a negative eigenvalue")
-    return rho
-
-
-def phase_distribution(rho: np.ndarray, transition: str) -> np.ndarray:
-    """Probabilities of the three phase outcomes (0, +pi/2, -pi/2) in rho."""
-    rho = validate_density_matrix(rho)
     _, vectors = phase_eigensystem(transition)
     probs = np.real(np.einsum("ik,ij,jk->k", vectors.conj(), rho, vectors))
     return probs

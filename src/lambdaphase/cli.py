@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         if not isinstance(data["c"], (list, tuple)) or len(data["c"]) != 3:
             raise ValueError("c must be a list of three amplitudes")
         data["c"] = tuple(_parse_amplitude(v, k) for k, v in enumerate(data["c"]))
-    missing = sorted({"g_a", "g_b", "nbar_a", "nbar_b", "c"} - set(data))
+    missing = sorted(f.name for f in fields(RunConfig)
+                     if f.default is MISSING and f.name not in data)
     if missing:
         raise ValueError(f"missing required config key(s): {', '.join(missing)}")
     return RunConfig(**data)
@@ -165,14 +166,8 @@ def _check_rows(data: dict[str, np.ndarray]) -> None:
         raise RuntimeError(f"state norm drifted by {worst:.3g}")
 
 
-# Rows formatted at a time while writing the CSV, so the text and arrays
-# the writer holds are one chunk whatever the grid length.  The SVG
-# polylines are written in chunks of the same length.
-CSV_CHUNK = svgplot.CHUNK
-
-
 def write_csv(path, data: dict[str, np.ndarray]) -> None:
-    """Write the ``COLUMNS`` of ``data`` as CSV, ``CSV_CHUNK`` rows at a time.
+    """Write the ``COLUMNS`` of ``data`` as CSV, ``numfmt.CHUNK`` rows at a time.
 
     Every value is written as ``%.17g``; each chunk is one
     :func:`numfmt.format_table` call over its (rows, len(COLUMNS)) table.
@@ -181,38 +176,33 @@ def write_csv(path, data: dict[str, np.ndarray]) -> None:
     seps = b"," * (len(COLUMNS) - 1) + b"\n"
     with open(path, "wb") as handle:
         handle.write(",".join(COLUMNS).encode() + b"\n")
-        for start in range(0, len(columns[0]), CSV_CHUNK):
-            chunk = np.column_stack([col[start:start + CSV_CHUNK] for col in columns])
+        for start in range(0, len(columns[0]), numfmt.CHUNK):
+            chunk = np.column_stack([col[start:start + numfmt.CHUNK] for col in columns])
             handle.write(numfmt.format_table(chunk, b"%.17g", seps))
 
 
 def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:
     series = [(key, data[key]) for trans in config.transitions
               for key in relphase.PHASE_KEYS[trans]]
-    svgplot.write_line_plot(
-        path, data["tau"], series,
-        title="Relative-phase probabilities",
-        xlabel="rescaled time tau", ylabel="probability")
+    svgplot.write_line_plot(path, data["tau"], series)
 
 
 def run_scenario(config: RunConfig, csv_path=None, svg_path=None) -> dict[str, np.ndarray]:
     """Evolve the configured scenario over its tau grid.
 
-    Writes the CSV (and optional SVG) when a path is configured or given,
-    and returns the column arrays keyed as in ``COLUMNS``.
+    Writes the CSV and the SVG only to the paths given (the CLI resolves
+    ``config.csv``/``config.svg``), and returns the column arrays keyed as
+    in ``COLUMNS``.
     """
     params = config.system_params()
     taus = np.linspace(0.0, config.tau_max, config.tau_steps)
     times = taus * time_scale(params)
     data = {"tau": taus, **relphase.time_series(params, times)}
     _check_rows(data)
-
-    csv_target = csv_path if csv_path is not None else config.csv
-    if csv_target:
-        write_csv(csv_target, data)
-    svg_target = svg_path if svg_path is not None else config.svg
-    if svg_target:
-        write_svg(svg_target, config, data)
+    if csv_path:
+        write_csv(csv_path, data)
+    if svg_path:
+        write_svg(svg_path, config, data)
     return data
 
 

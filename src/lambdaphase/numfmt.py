@@ -22,6 +22,10 @@ formatted by Python, one value at a time:
 
 import numpy as np
 
+# Rows (CSV) or points (SVG) each writer formats in one call, so the text
+# and temporaries a writer holds are one chunk whatever the grid length.
+CHUNK = 256
+
 # ASCII digits of 0000-9999: row i holds digit i of every number.
 _DIGITS = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000) + ord("0")
 

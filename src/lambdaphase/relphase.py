@@ -208,8 +208,7 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     prop = BlockDiagonalPropagator(params)
     dt, segments = grid_segments(times)
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
-    uniform = len(segments) < len(times)
-    steps = [tile.phases(dt) if uniform else None for tile in tiles]
+    steps = [tile.phases(dt) for tile in tiles]  # 1 on a non-uniform grid, never applied
     widest = max(len(tile.index) for tile in tiles)
     batch = min(SEGMENT, max(1, REDUCE_CHUNK // widest))
     buffer = np.empty((batch, 3, widest), dtype=complex)

@@ -11,31 +11,29 @@ from . import numfmt
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#17becf")
 
-# Points formatted at a time: a polyline goes to the file chunk by chunk,
-# so the text a plot holds is one chunk whatever the grid length.
-CHUNK = 256
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.3f}"
-
 
 def _points(x_px, y_px) -> bytes:
     """Pixel coordinates as polyline points: "x,y" pairs joined by spaces."""
     return numfmt.format_table(np.column_stack([x_px, y_px]), b"%.3f", b", ")[:-1]
 
 
-def write_line_plot(path, x, series, title, xlabel, ylabel):
-    """Write a 900 x 480 line plot to ``path``.
+def write_line_plot(path, x, series):
+    """Write a 900 x 480 plot of relative-phase probabilities against tau to ``path``.
 
     ``series`` is a sequence of (label, y-array) pairs drawn over the
     common abscissa ``x``.  The y range is padded a little and always
     includes zero, which suits probability curves.  Each polyline is
-    formatted and written ``CHUNK`` points at a time.
+    formatted and written ``numfmt.CHUNK`` points at a time.  Raises
+    ValueError for no series and names the first series holding a
+    non-finite value, which would spoil the scale of every polyline.
     """
     x = np.asarray(x, dtype=float)
     if len(series) == 0:
         raise ValueError("need at least one series to plot")
+    series = [(label, np.asarray(y, dtype=float)) for label, y in series]
+    for label, y in series:
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"series {label} holds a non-finite value")
     width, height = 900, 480
     margin_left, margin_right, margin_top, margin_bottom = 64, 150, 36, 48
     plot_w = width - margin_left - margin_right
@@ -64,42 +62,41 @@ def write_line_plot(path, x, series, title, xlabel, ylabel):
         f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#333" stroke-width="1"/>',
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">Relative-phase probabilities</text>',
     ]
 
     n_ticks = 5
     for k in range(n_ticks + 1):
         xv = xmin + (xmax - xmin) * k / n_ticks
         px = sx(xv)
-        parts.append(f'<line x1="{_fmt(px)}" y1="{margin_top + plot_h}" '
-                     f'x2="{_fmt(px)}" y2="{margin_top + plot_h + 5}" stroke="#333"/>')
-        parts.append(f'<text x="{_fmt(px)}" y="{margin_top + plot_h + 20}" '
+        parts.append(f'<line x1="{px:.3f}" y1="{margin_top + plot_h}" '
+                     f'x2="{px:.3f}" y2="{margin_top + plot_h + 5}" stroke="#333"/>')
+        parts.append(f'<text x="{px:.3f}" y="{margin_top + plot_h + 20}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="11">{xv:.3g}</text>')
         yv = ymin + (ymax - ymin) * k / n_ticks
         py = sy(yv)
-        parts.append(f'<line x1="{margin_left - 5}" y1="{_fmt(py)}" '
-                     f'x2="{margin_left}" y2="{_fmt(py)}" stroke="#333"/>')
-        parts.append(f'<text x="{margin_left - 8}" y="{_fmt(py + 4)}" '
+        parts.append(f'<line x1="{margin_left - 5}" y1="{py:.3f}" '
+                     f'x2="{margin_left}" y2="{py:.3f}" stroke="#333"/>')
+        parts.append(f'<text x="{margin_left - 8}" y="{py + 4:.3f}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{yv:.3g}</text>')
     parts.append(f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 10}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="13">{xlabel}</text>')
+                 f'font-size="13">rescaled time tau</text>')
     yx, yy = 16, margin_top + plot_h / 2
     parts.append(f'<text x="{yx}" y="{yy:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 {yx} {yy:.1f})">{ylabel}</text>')
+                 f'transform="rotate(-90 {yx} {yy:.1f})">probability</text>')
 
     with open(path, "wb") as handle:
         handle.write("\n".join(parts).encode())
         for k, (label, y) in enumerate(series):
-            y = np.asarray(y, dtype=float)
             color = PALETTE[k % len(PALETTE)]
             handle.write(f'\n<polyline fill="none" stroke="{color}" '
                          f'stroke-width="1.3" points="'.encode())
-            for start in range(0, len(x), CHUNK):
-                stop = start + CHUNK
+            for start in range(0, len(x), numfmt.CHUNK):
+                stop = start + numfmt.CHUNK
                 if start:
                     handle.write(b" ")
                 handle.write(_points(sx(x[start:stop]), sy(y[start:stop])))

@@ -17,10 +17,11 @@ import pytest
 
 import lambdaphase
 from lambdaphase import dynamics, relphase
-from lambdaphase.cli import (COLUMNS, CSV_CHUNK, MAX_TABLE_BYTES, PRESETS,
+from lambdaphase.cli import (COLUMNS, MAX_TABLE_BYTES, PRESETS,
                              RunConfig, _check_rows, config_from_dict,
                              load_config, main, run_scenario, time_scale,
                              write_csv, write_svg)
+from lambdaphase.numfmt import CHUNK
 from lambdaphase.verify import SUITES
 
 BASE_CONFIG = {
@@ -128,6 +129,15 @@ def test_run_scenario_writes_csv_and_svg(tmp_path):
     tree = ET.parse(svg_path)
     polylines = [el for el in tree.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 3 * len(config.transitions)
+
+
+def test_run_scenario_writes_only_to_the_paths_it_is_given(tmp_path, monkeypatch):
+    # the config's csv and svg are the CLI's to resolve: a library call
+    # without paths writes no file
+    monkeypatch.chdir(tmp_path)
+    config = load_config(write_config(tmp_path, csv="run.csv", svg="run.svg"))
+    run_scenario(config)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_run_scenario_deterministic(tmp_path):
@@ -245,7 +255,7 @@ def per_point_polylines(x, series):
                       "c": [[0.6, 0.0], [0.0, 0.64], [0.48, 0.0]],
                       "delta_a": 0.3, "delta_b": -0.2, "tau_max": 2.0,
                       "tau_steps": 101}),
-    dataclasses.replace(PRESETS["fig2"], tau_max=8.0, tau_steps=2 * CSV_CHUNK + 3),
+    dataclasses.replace(PRESETS["fig2"], tau_max=8.0, tau_steps=2 * CHUNK + 3),
 ], ids=["fig2", "detuned_complex_c", "across_chunk_edges"])
 def test_writers_match_per_cell_formatting(tmp_path, config):
     data = run_scenario(config)
@@ -263,18 +273,18 @@ def test_writers_match_per_cell_formatting(tmp_path, config):
 
 def test_writers_match_per_cell_formatting_on_fallback_values(tmp_path):
     # values the exact route leaves to Python one at a time: zeros, a
-    # negative, exponent notation at both ends (1e-30, 3e-5, 1e17), an inf
-    # in a column the plot leaves out, and a nan that becomes one nan pixel
+    # negative, exponent notation at both ends (1e-30, 3e-5, 1e17), and an
+    # inf and a nan in a column the plot leaves out
     config = PRESETS["fig2"]
-    rows = 2 * CSV_CHUNK + 3
+    rows = 2 * CHUNK + 3
     rng = np.random.default_rng(11)
     data = {col: rng.random(rows) for col in COLUMNS}
     data["tau"] = np.linspace(0.0, 2.0, rows)
     special = [0.0, -1e-17, 1e-30, 3e-5, 1e17]
     for j, col in enumerate(COLUMNS[1:]):
         data[col][j::7] = np.resize(special, len(range(j, rows, 7)))
-    data["norm"][CSV_CHUNK - 1] = math.inf
-    data["p23_m"][CSV_CHUNK + 1] = math.nan
+    data["norm"][CHUNK - 1] = math.inf
+    data["norm"][CHUNK + 1] = math.nan
     csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
     write_csv(csv_path, data)
     assert csv_path.read_text() == per_cell_csv(data)
@@ -284,7 +294,19 @@ def test_writers_match_per_cell_formatting_on_fallback_values(tmp_path):
               for trans in config.transitions for suffix in ("0", "p", "m")]
     points = re.findall(r'points="([^"]*)"', svg_path.read_text())
     assert points == per_point_polylines(data["tau"], series)
-    assert points[-1].count("nan") == 1
+
+
+@pytest.mark.parametrize("column, value", [("p13_0", math.nan), ("p23_p", math.inf)])
+def test_svg_rejects_a_non_finite_series(tmp_path, column, value):
+    # one non-finite value would spoil the scale of every polyline, so the
+    # plot names its series and writes nothing
+    data = run_scenario(PRESETS["fig2"])
+    data[column] = data[column].copy()
+    data[column][7] = value
+    path = tmp_path / "out.svg"
+    with pytest.raises(ValueError, match=f"series {column} holds a non-finite"):
+        write_svg(path, PRESETS["fig2"], data)
+    assert not path.exists()
 
 
 def test_writer_memory_does_not_grow_with_rows(tmp_path):

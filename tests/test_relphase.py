@@ -1,13 +1,15 @@
 """Tests for the relative-phase eigenstates and distributions."""
 
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lambdaphase import algebra, dynamics, oracle
+from lambdaphase.cli import time_scale
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
 from lambdaphase.relphase import (PHASE_KEYS, REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
                                   _dressed_block_lowering, block_sums, block_tiles,
@@ -350,6 +352,139 @@ def test_grid_segments_tolerate_only_rounding():
     nudged = times.copy()
     nudged[77] += 1e-9
     assert grid_segments(nudged)[1] == [(k, k + 1) for k in range(200)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau_max=st.floats(0.0, 100.0, exclude_min=True), tau_steps=st.integers(2, 20001),
+       g_a=st.floats(0.01, 10.0), nbar_a=st.floats(0.0, 1000.0))
+def test_scenario_grids_take_the_stepped_path(tau_max, tau_steps, g_a, nbar_a):
+    # every grid built as run_scenario builds it must be uniform: were
+    # UNIFORM_ULPS too tight for one, that run would fall back to the exact
+    # per-sample exp with the same columns, and nothing else would show it.
+    # A tau or t grid spaced in subnormals (tau_max near 1e-308) has too few
+    # bits to be uniform to a few ulp and takes the exact path; it is left out.
+    params = SystemParams(g_a=g_a, g_b=1.0, nbar_a=nbar_a, nbar_b=1.0, c=GROUND)
+    taus = np.linspace(0.0, tau_max, tau_steps)
+    times = taus * time_scale(params)
+    assume(min(taus[1], times[1]) >= np.finfo(float).tiny)
+    assert len(grid_segments(times)[1]) == -(-tau_steps // SEGMENT)
+
+
+# ---------------------------------------------------------------------------
+# one-mode (Jaynes-Cummings) limits at scale
+# ---------------------------------------------------------------------------
+
+def poisson_amplitudes(nbar, top):
+    """sqrt of the Poisson(nbar) probabilities of 0..top, by a 40-digit decimal recurrence."""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        mean, amplitudes = decimal.Decimal(nbar), []
+        p = (-mean).exp()
+        for n in range(top + 1):
+            if n:
+                p = p * mean / n
+            amplitudes.append(float(p.sqrt()))
+    return np.array(amplitudes)
+
+
+def one_mode_columns(coupled, g, nbar, nbar_other, delta, delta_other, c, times):
+    """The 13 columns of a one-mode limit in SERIES_KEYS order, shape (T, 13).
+
+    Lower level ``coupled`` (1 or 2) is coupled to level 3 by its mode with
+    strength g and has detuning ``delta``; the other lower level, with
+    ``delta_other``, and the other mode are spectators.  With K photons of
+    the coupled mode on the coupled level, the other two members of its
+    block hold K - 1; of the spectator mode the coupled level and level 3
+    hold m - 1 and the other level m.  The coupled pair follows the Rabi
+    formula for [[-delta, k], [k, 0]], k = g sqrt(K), Omega =
+    sqrt(delta^2 / 4 + k^2):
+
+        exp(-i H t) = exp(i delta t / 2) (cos(Omega t) - i sin(Omega t) / Omega
+                      [[-delta / 2, k], [k, delta / 2]])
+
+    and the other level picks up exp(i delta_other t).  The block sum R then
+    factors into the sum over K of the coupled mode's amplitudes times the
+    spectator overlaps: 1 between members holding the same spectator
+    photons, sum_m Q(m) Q(m + 1) between the others.  Labels as in the
+    relphase module docstring: "0" is the spectator level, "+" is
+    (upper - i lower) / sqrt(2) and "-" is (upper + i lower) / sqrt(2).
+    """
+    lower, other = coupled - 1, 2 - coupled
+    q = poisson_amplitudes(nbar, math.ceil(nbar + 20 * math.sqrt(nbar) + 100))
+    q_less = np.append(0.0, q[:-1])  # Q(K - 1)
+    t = np.asarray(times)[:, None]
+    k = g * np.sqrt(np.arange(len(q)))
+    omega = np.sqrt(delta * delta / 4 + k * k)
+    cos = np.cos(omega * t)
+    sin = np.divide(np.sin(omega * t), omega, out=t + 0.0 * omega, where=omega > 0)
+    a_lower, a_upper = c[lower] * q, c[2] * q_less
+    amplitudes = np.empty((len(t), 3, len(q)), dtype=complex)
+    amplitudes[:, lower] = (cos + 0.5j * delta * sin) * a_lower - 1j * k * sin * a_upper
+    amplitudes[:, 2] = -1j * k * sin * a_lower + (cos - 0.5j * delta * sin) * a_upper
+    amplitudes[:, [lower, 2]] *= np.exp(0.5j * delta * t)[:, None]
+    amplitudes[:, other] = np.exp(1j * delta_other * t) * c[other] * q_less
+    spectator = poisson_amplitudes(nbar_other, math.ceil(nbar_other + 100))
+    overlaps = np.full((3, 3), np.sum(spectator ** 2))
+    overlaps[other, [lower, 2]] = overlaps[[lower, 2], other] = np.sum(spectator[1:] * spectator[:-1])
+    r = np.einsum("tik,tjk->tij", amplitudes, amplitudes.conj()) * overlaps
+
+    columns = []
+    for lo, up, spect in ((0, 2, 1), (1, 2, 0), (0, 1, 2)):
+        for sign in (0, -1, 1):
+            v = np.zeros(3, dtype=complex)
+            if sign:
+                v[up], v[lo] = 1 / math.sqrt(2), sign * 1j / math.sqrt(2)
+            else:
+                v[spect] = 1.0
+            columns.append(np.einsum("i,tij,j->t", v.conj(), r, v).real)
+    populations = np.einsum("tii->ti", r).real
+    return np.column_stack(columns + list(populations.T) + [populations.sum(axis=1)])
+
+
+@pytest.mark.parametrize("coupled, g, nbar, nbar_other, delta, delta_other", [
+    (1, 1.0, 1000.0, 2.0, 0.3, 0.3),  # g_b = 0, resonant_eigh with y = 0
+    (1, 1.0, 1000.0, 2.0, 0.3, -0.2),  # g_b = 0, Jacobi
+    (2, 0.8, 1000.0, 0.5, -0.3, -0.3),  # g_a = 0, resonant_eigh with x = 0
+    (2, 0.8, 1000.0, 0.5, -0.2, 0.3),  # g_a = 0, Jacobi
+], ids=["gb0_resonant", "gb0_detuned", "ga0_resonant", "ga0_detuned"])
+def test_one_mode_limits_match_the_rabi_formula(coupled, g, nbar, nbar_other,
+                                                delta, delta_other):
+    """All 13 columns at nbar 1000 against the Jaynes-Cummings limit, over tau 0-2.
+
+    Tolerance.  Truncation: each mode's window discards at most epsilon of
+    its Poisson weight, so the renormalized kept state phi and the exact
+    state psi, both evolved by the same unitary, differ by
+    |phi - psi|^2 = (1 - sqrt(1 - w))^2 + w <= 2 w, w <= 2 epsilon being the
+    weight outside.  Each column is |A psi|^2 for an A of norm at most 1, so
+    it moves by at most 2 |phi - psi| <= 4 sqrt(epsilon).  The windows cut
+    blocks, so nothing linear in epsilon bounds it; epsilon 1e-30 makes it
+    4e-15.  Rounding: each phase w t, |w| <= Omega + |delta|, is off by a few
+    eps |w t| in the program (grid point within 4 ulp of its stepped place,
+    eigenvalue, product, exp) and in the reference (Omega, product, sin and
+    cos), at most 16 eps |w t| together, and a column by twice that.  What
+    does not grow with t (the <= 63 stepped products, sums over <= 8192
+    blocks a tile, and the Poisson table, within about 1e-12 at nbar 1000
+    per ROADMAP item 2) stays below 4e-12, under another 16 eps max|w t|
+    once max|w t| >= 1200.  So the columns agree within
+    4 sqrt(epsilon) + 48 eps max|w t|.
+    """
+    epsilon = 1e-30
+    c = (0.6, 0.48j, 0.64 * complex(math.cos(1.0), math.sin(1.0)))
+    couplings = (g, 0.0) if coupled == 1 else (0.0, g)
+    nbars = (nbar, nbar_other) if coupled == 1 else (nbar_other, nbar)
+    deltas = (delta, delta_other) if coupled == 1 else (delta_other, delta)
+    params = SystemParams(g_a=couplings[0], g_b=couplings[1], nbar_a=nbars[0],
+                          nbar_b=nbars[1], c=c, delta_a=deltas[0], delta_b=deltas[1],
+                          epsilon=epsilon)
+    times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(nbar) / g, 41)
+    expected = one_mode_columns(coupled, g, nbar, nbar_other, delta, delta_other, c, times)
+    got = series_table(time_series(params, times))
+
+    omega = math.sqrt(delta ** 2 / 4 + g ** 2 * (nbar + 20 * math.sqrt(nbar) + 100))
+    phase = times[-1] * (omega + abs(delta) + abs(delta_other))
+    assert phase >= 1200
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - expected)) <= 4 * math.sqrt(epsilon) + 48 * eps * phase
 
 
 # ---------------------------------------------------------------------------
