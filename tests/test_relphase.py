@@ -374,8 +374,15 @@ def test_scenario_grids_take_the_stepped_path(tau_max, tau_steps, g_a, nbar_a):
 # one-mode (Jaynes-Cummings) limits at scale
 # ---------------------------------------------------------------------------
 
-def poisson_amplitudes(nbar, top):
-    """sqrt of the Poisson(nbar) probabilities of 0..top, by a 40-digit decimal recurrence."""
+def reference_top(nbar):
+    """Last photon number of the reference, past any window the program keeps."""
+    return math.ceil(nbar + 20 * math.sqrt(nbar) + 100)
+
+
+def poisson_amplitudes(nbar):
+    """sqrt of the Poisson(nbar) probabilities of 0..reference_top(nbar), by a
+    40-digit decimal recurrence."""
+    top = reference_top(nbar)
     with decimal.localcontext() as context:
         context.prec = 40
         mean, amplitudes = decimal.Decimal(nbar), []
@@ -410,22 +417,23 @@ def one_mode_columns(coupled, g, nbar, nbar_other, delta, delta_other, c, times)
     (upper - i lower) / sqrt(2) and "-" is (upper + i lower) / sqrt(2).
     """
     lower, other = coupled - 1, 2 - coupled
-    q = poisson_amplitudes(nbar, math.ceil(nbar + 20 * math.sqrt(nbar) + 100))
+    q = poisson_amplitudes(nbar)
     q_less = np.append(0.0, q[:-1])  # Q(K - 1)
     t = np.asarray(times)[:, None]
     k = g * np.sqrt(np.arange(len(q)))
     omega = np.sqrt(delta * delta / 4 + k * k)
     cos = np.cos(omega * t)
-    sin = np.divide(np.sin(omega * t), omega, out=t + 0.0 * omega, where=omega > 0)
+    sin = np.sin(omega * t) / omega  # Omega >= |delta| / 2 > 0
     a_lower, a_upper = c[lower] * q, c[2] * q_less
     amplitudes = np.empty((len(t), 3, len(q)), dtype=complex)
     amplitudes[:, lower] = (cos + 0.5j * delta * sin) * a_lower - 1j * k * sin * a_upper
     amplitudes[:, 2] = -1j * k * sin * a_lower + (cos - 0.5j * delta * sin) * a_upper
     amplitudes[:, [lower, 2]] *= np.exp(0.5j * delta * t)[:, None]
     amplitudes[:, other] = np.exp(1j * delta_other * t) * c[other] * q_less
-    spectator = poisson_amplitudes(nbar_other, math.ceil(nbar_other + 100))
+    spectator = poisson_amplitudes(nbar_other)
     overlaps = np.full((3, 3), np.sum(spectator ** 2))
-    overlaps[other, [lower, 2]] = overlaps[[lower, 2], other] = np.sum(spectator[1:] * spectator[:-1])
+    shifted = np.sum(spectator[1:] * spectator[:-1])
+    overlaps[other, [lower, 2]] = overlaps[[lower, 2], other] = shifted
     r = np.einsum("tik,tjk->tij", amplitudes, amplitudes.conj()) * overlaps
 
     columns = []
@@ -463,9 +471,9 @@ def test_one_mode_limits_match_the_rabi_formula(coupled, g, nbar, nbar_other,
     eigenvalue, product, exp) and in the reference (Omega, product, sin and
     cos), at most 16 eps |w t| together, and a column by twice that.  What
     does not grow with t (the <= 63 stepped products, sums over <= 8192
-    blocks a tile, and the Poisson table, within about 1e-12 at nbar 1000
-    per ROADMAP item 2) stays below 4e-12, under another 16 eps max|w t|
-    once max|w t| >= 1200.  So the columns agree within
+    blocks a tile, and the program's Poisson table, within about 1e-12
+    relative at nbar 1000) stays below 4e-12, under another 16 eps
+    max|w t| once max|w t| >= 1200.  So the columns agree within
     4 sqrt(epsilon) + 48 eps max|w t|.
     """
     epsilon = 1e-30
@@ -480,7 +488,7 @@ def test_one_mode_limits_match_the_rabi_formula(coupled, g, nbar, nbar_other,
     expected = one_mode_columns(coupled, g, nbar, nbar_other, delta, delta_other, c, times)
     got = series_table(time_series(params, times))
 
-    omega = math.sqrt(delta ** 2 / 4 + g ** 2 * (nbar + 20 * math.sqrt(nbar) + 100))
+    omega = math.sqrt(delta ** 2 / 4 + g ** 2 * reference_top(nbar))
     phase = times[-1] * (omega + abs(delta) + abs(delta_other))
     assert phase >= 1200
     eps = np.finfo(float).eps
