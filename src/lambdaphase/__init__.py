@@ -15,8 +15,8 @@ from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians
                        poisson_probabilities, truncation_cutoff)
 from .oracle import (FullSpaceOperator, build_full_hamiltonian, embed_state,
                      excitation_diagonals, full_evolve)
-from .relphase import (PHASE_KEYS, PHASE_VECTORS, marginal_distribution,
-                       rel_phase_eigenstates, time_series, trapping_config,
-                       verify_deformed_algebra, verify_deformed_polar)
+from .relphase import (PHASE_KEYS, marginal_distribution, rel_phase_eigenstates,
+                       time_series, trapping_config, verify_deformed_algebra,
+                       verify_deformed_polar)
 
 __version__ = "0.1.0"

@@ -165,7 +165,7 @@ def phase_distribution(rho: np.ndarray, transition: str) -> np.ndarray:
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-12:
-        raise ValueError(f"density matrix trace is {np.trace(rho):.6g}, expected 1")
+        raise ValueError(f"density matrix trace is {np.trace(rho).real:.6g}, expected 1")
     if np.min(np.linalg.eigvalsh(rho)) < -1e-12:
         raise ValueError("density matrix has a negative eigenvalue")
     _, vectors = phase_eigensystem(transition)

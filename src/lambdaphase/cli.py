@@ -194,10 +194,9 @@ def run_scenario(config: RunConfig, csv_path=None, svg_path=None) -> dict[str, n
     ``config.csv``/``config.svg``), and returns the column arrays keyed as
     in ``COLUMNS``.
     """
-    params = config.system_params()
     taus = np.linspace(0.0, config.tau_max, config.tau_steps)
-    times = taus * time_scale(params)
-    data = {"tau": taus, **relphase.time_series(params, times)}
+    times = taus * time_scale(config)
+    data = {"tau": taus, **relphase.time_series(config, times)}
     _check_rows(data)
     if csv_path:
         write_csv(csv_path, data)

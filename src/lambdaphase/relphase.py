@@ -37,19 +37,13 @@ from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, commutator, lowering,
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
 
-# Relative-phase eigenstates of a full block in level order, one column per
-# (transition, label): "0", "+", "-" of 13, then of 23, then of 12.  In the
-# basis of the block members they are the bare atomic eigenvectors.
-PHASE_VECTORS = np.hstack([phase_eigensystem(t)[1] for t in ALL_TRANSITIONS])
-
-
 def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
     """Relative-phase eigenstates of one transition in every block.
 
     Returns shape (B, 3, 3): ``states[b, :, k]`` is the eigenstate with
     label ("0", "+", "-")[k] in block ``index[b]``, in level order.  These
-    are the transition's columns of :data:`PHASE_VECTORS` with the entries
-    of missing members set to zero, without renormalizing (see the module
+    are the transition's bare atomic eigenvectors with the entries of
+    missing members set to zero, without renormalizing (see the module
     docstring); in a full block they are orthonormal and complete.
     """
     _, vectors = phase_eigensystem(transition)
@@ -98,9 +92,9 @@ UNIFORM_ULPS = 4
 # of :func:`time_series` to about REDUCE_CHUNK block-samples.
 REDUCE_CHUNK = 8192
 
-# Phase vectors, then the three level unit vectors: <v|R|v> over these
-# columns gives the nine phase probabilities and the three populations.
-_READOUT = np.hstack([PHASE_VECTORS, np.eye(3)])
+# Full-block phase eigenstates in PHASE_KEYS order, then the level unit vectors:
+# <v|R|v> over these columns gives the nine phase probabilities and three populations.
+_READOUT = np.hstack([*(phase_eigensystem(t)[1] for t in ALL_TRANSITIONS), np.eye(3)])
 
 
 def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
@@ -126,40 +120,21 @@ def block_tiles(blocks: int) -> list[tuple[int, int]]:
 
     The tiles cover blocks 0..blocks-1 in order and differ in size by at
     most one block; up to REDUCE_CHUNK blocks are one tile.  This is the
-    one partition of every block reduction: :func:`block_sums` and the
-    tile loop of :func:`time_series` both sum over it, in this order.
+    one partition of every block reduction: :func:`time_series` keeps one
+    R per tile and :func:`series_rows` adds them in this order.
     """
     count = max(1, -(-blocks // REDUCE_CHUNK))
     bounds = [blocks * k // count for k in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _add_tile_sums(levels: np.ndarray, out: np.ndarray, first: bool) -> None:
-    """Write (``first``) or add the R_s of one tile's batch (S, 3, b) into ``out`` (S, 3, 3).
-
-    One ``vecdot`` for the whole batch: R_s[i, j] = sum_b a_sib conj(a_sjb).
-    """
-    if first:
-        np.vecdot(levels[:, None], levels[:, :, None], out=out)
-    else:
-        out += np.vecdot(levels[:, None], levels[:, :, None])
-
-
-def block_sums(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """R_s = sum_b a_b a_b^dagger of a batch of level-major amplitudes (S, 3, B).
-
-    Writes the (S, 3, 3) matrices R_s[i, j] = sum_b a_sib conj(a_sjb) into
-    ``out``, summed tile by tile over :func:`block_tiles` in block order,
-    as :func:`time_series` sums them.  Each R_s is bitwise the same
-    whatever S is.  Returns ``out``.
-    """
-    for start, stop in block_tiles(levels.shape[2]):
-        _add_tile_sums(levels[:, :, start:stop], out, start == 0)
-    return out
-
-
 def series_rows(r: np.ndarray) -> np.ndarray:
-    """The 13 output columns of a stack of block-summed matrices R, shape (T, 13)."""
+    """The 13 output columns, shape (T, 13), of the per-tile matrices R (tiles, T, 3, 3).
+
+    The tiles' R are added in tile order, the one order of the block sum
+    R = sum_b a_b a_b^dagger; with one tile its R is used as it is.
+    """
+    r = np.add.reduce(r, axis=0)
     rows = np.empty((len(r), len(SERIES_KEYS)))
     rows[:, :12] = np.einsum("ik,tij,jk->tk", _READOUT.conj(), r, _READOUT).real
     rows[:, 12] = rows[:, 9] + rows[:, 10] + rows[:, 11]
@@ -174,8 +149,8 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     contraction per block (:meth:`BlockDiagonalPropagator.amplitudes_at`).
     All 13 columns are linear in the block-summed matrix
     R = sum_b a_b a_b^dagger of the member amplitudes a_b: each phase
-    probability is <phi|R|phi> for a column phi of :data:`PHASE_VECTORS`,
-    the populations are diag R and the norm is tr R.
+    probability is <phi|R|phi> for a relative-phase eigenstate phi of a
+    full block, the populations are diag R and the norm is tr R.
 
     The grid is walked in the segments of :func:`grid_segments`, and each
     segment in the tiles of :func:`block_tiles`, one
@@ -184,15 +159,14 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     exp(-i w dt) for each later sample, so the complex exponential runs
     once per segment and tile instead of once per sample.  Its samples go
     through a reused buffer in batches of S = min(SEGMENT, max(1,
-    REDUCE_CHUNK // b)) samples for the widest tile's b blocks, and
-    :func:`_add_tile_sums` reduces each batch at once into the segment's R
-    matrices: the first tile writes them, later tiles add.  So a tile's
-    eigenvectors, twist, step and amplitudes, about 290 bytes a block,
-    stay in cache over the segment's samples instead of the whole state
-    streaming through it once per sample.  The rows of a segment come from
-    one reduction over its R matrices.  Every R is summed over the tiles
-    in block order, as :func:`block_sums` sums it, so the bytes depend
-    neither on S nor on the loop order.
+    REDUCE_CHUNK // b)) samples for the widest tile's b blocks, and one
+    ``vecdot`` reduces each batch at once into the tile's own slot of the
+    segment's R matrices.  So a tile's eigenvectors, twist, step and
+    amplitudes, about 290 bytes a block, stay in cache over the segment's
+    samples instead of the whole state streaming through it once per
+    sample.  The rows of a segment come from :func:`series_rows`, which
+    adds the tiles' R in tile order, so the bytes depend neither on S nor
+    on the loop order.
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
     ValueError for a grid that is not one-dimensional or holds a
@@ -212,10 +186,10 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     widest = max(len(tile.index) for tile in tiles)
     batch = min(SEGMENT, max(1, REDUCE_CHUNK // widest))
     buffer = np.empty((batch, 3, widest), dtype=complex)
-    r = np.empty((SEGMENT, 3, 3), dtype=complex)
+    r = np.empty((len(tiles), SEGMENT, 3, 3), dtype=complex)
     rows = np.empty((len(times), len(SERIES_KEYS)))
     for start, stop in segments:
-        for tile, step in zip(tiles, steps):
+        for i, (tile, step) in enumerate(zip(tiles, steps)):
             levels = buffer[:, :, :len(tile.index)]
             twisted = None  # drop the last tile's twist before the next is formed
             twisted = tile.twist(times[start])
@@ -225,9 +199,9 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
                     if k > start:
                         twisted *= step
                     tile.amplitudes_at(times[k], twisted, out=levels[k - first])
-                _add_tile_sums(levels[:last - first], r[first - start:last - start],
-                              tile is tiles[0])
-        rows[start:stop] = series_rows(r[:stop - start])
+                np.vecdot(levels[:last - first, None], levels[:last - first, :, None],
+                          out=r[i, first - start:last - start])
+        rows[start:stop] = series_rows(r[:, :stop - start])
 
     return dict(zip(SERIES_KEYS, rows.T))
 

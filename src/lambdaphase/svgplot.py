@@ -12,11 +12,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#17becf")
 
 
-def _points(x_px, y_px) -> bytes:
-    """Pixel coordinates as polyline points: "x,y" pairs joined by spaces."""
-    return numfmt.format_table(np.column_stack([x_px, y_px]), b"%.3f", b", ")[:-1]
-
-
 def write_line_plot(path, x, series):
     """Write a 900 x 480 plot of relative-phase probabilities against tau to ``path``.
 
@@ -24,12 +19,15 @@ def write_line_plot(path, x, series):
     common abscissa ``x``.  The y range is padded a little and always
     includes zero, which suits probability curves.  Each polyline is
     formatted and written ``numfmt.CHUNK`` points at a time.  Raises
-    ValueError for no series and names the first series holding a
-    non-finite value, which would spoil the scale of every polyline.
+    ValueError for no series, for a non-finite ``x`` and naming the first
+    series holding a non-finite value, which would spoil the scale of
+    every polyline.
     """
     x = np.asarray(x, dtype=float)
     if len(series) == 0:
         raise ValueError("need at least one series to plot")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x holds a non-finite value")
     series = [(label, np.asarray(y, dtype=float)) for label, y in series]
     for label, y in series:
         if not np.all(np.isfinite(y)):
@@ -99,7 +97,8 @@ def write_line_plot(path, x, series):
                 stop = start + numfmt.CHUNK
                 if start:
                     handle.write(b" ")
-                handle.write(_points(sx(x[start:stop]), sy(y[start:stop])))
+                pixels = np.column_stack([sx(x[start:stop]), sy(y[start:stop])])
+                handle.write(numfmt.format_table(pixels, b"%.3f", b", ")[:-1])
             ly = margin_top + 16 + 18 * k
             lx = margin_left + plot_w + 12
             handle.write(f'"/>\n<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '

@@ -200,7 +200,7 @@ def test_upper_level_splits_evenly():
 def test_invalid_density_matrix_rejected():
     with pytest.raises(ValueError, match=r"must be 3x3, got shape \(2, 2\)"):
         algebra.phase_distribution(np.eye(2) / 2, "13")
-    with pytest.raises(ValueError, match=r"trace is 3\+0j, expected 1"):
+    with pytest.raises(ValueError, match=r"trace is 3, expected 1"):
         algebra.phase_distribution(np.eye(3), "13")
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="negative eigenvalue"):

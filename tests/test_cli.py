@@ -22,7 +22,7 @@ from lambdaphase.cli import (COLUMNS, MAX_TABLE_BYTES, PRESETS,
                              load_config, main, run_scenario, time_scale,
                              write_csv, write_svg)
 from lambdaphase.numfmt import CHUNK
-from lambdaphase.verify import SUITES
+from lambdaphase.verify import SUITES, run_suite
 
 BASE_CONFIG = {
     "g_a": 1.0,
@@ -296,15 +296,17 @@ def test_writers_match_per_cell_formatting_on_fallback_values(tmp_path):
     assert points == per_point_polylines(data["tau"], series)
 
 
-@pytest.mark.parametrize("column, value", [("p13_0", math.nan), ("p23_p", math.inf)])
+@pytest.mark.parametrize("column, value", [("p13_0", math.nan), ("p23_p", math.inf),
+                                           ("tau", math.nan), ("tau", math.inf)])
 def test_svg_rejects_a_non_finite_series(tmp_path, column, value):
     # one non-finite value would spoil the scale of every polyline, so the
-    # plot names its series and writes nothing
+    # plot names its series (or the abscissa x) and writes nothing
     data = run_scenario(PRESETS["fig2"])
     data[column] = data[column].copy()
     data[column][7] = value
     path = tmp_path / "out.svg"
-    with pytest.raises(ValueError, match=f"series {column} holds a non-finite"):
+    message = "x" if column == "tau" else f"series {column}"
+    with pytest.raises(ValueError, match=f"{message} holds a non-finite"):
         write_svg(path, PRESETS["fig2"], data)
     assert not path.exists()
 
@@ -525,6 +527,13 @@ def test_main_verify_suite(capsys, suite):
 def test_main_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    # the library entry point checks the name itself; argparse guards only the CLI
+    expected = re.escape(f"unknown suite 'nonsense', expected one of {SUITES + ('all',)}")
+    with pytest.raises(ValueError, match=expected):
+        run_suite("nonsense")
 
 
 def test_readme_config_schema_loads_and_names_every_field():

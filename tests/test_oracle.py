@@ -1,6 +1,7 @@
 """Tests for the full-space brute-force reference."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -273,6 +274,16 @@ def test_basis_states_follow_state_index():
     assert len(level) == full.dim
     indices = [full.state_index(*state) for state in zip(level, n_a, n_b)]
     assert indices == list(range(full.dim))
+
+
+@pytest.mark.parametrize("state", [(0, 1, 1), (4, 1, 1), (1, -1, 0), (2, 0, -1),
+                                   (3, 4, 0), (1, 0, 3)])
+def test_state_index_rejects_a_state_outside_the_truncated_space(state):
+    # levels run 1..3 and photon numbers 0..cutoff (here 3 and 2)
+    full = oracle.build_full_hamiltonian(make_params(), 3, 2)
+    with pytest.raises(ValueError, match=re.escape(f"state {state} outside the "
+                                                   "truncated space")):
+        full.state_index(*state)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])

@@ -12,7 +12,7 @@ from lambdaphase import algebra, dynamics, oracle
 from lambdaphase.cli import time_scale
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
 from lambdaphase.relphase import (PHASE_KEYS, REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
-                                  _dressed_block_lowering, block_sums, block_tiles,
+                                  _dressed_block_lowering, block_tiles,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
                                   rel_phase_eigenstates, series_rows,
@@ -250,9 +250,11 @@ def test_time_series_rejects_a_grid_that_is_not_one_dimensional(times, shape):
 # ---------------------------------------------------------------------------
 
 def one_sample_rows(amplitudes):
-    """The 13 columns of one (B, 3) state, reduced as a batch of one sample."""
-    r = block_sums(amplitudes.T[None], np.empty((1, 3, 3), dtype=complex))
-    return series_rows(r)[0]
+    """The 13 columns of one (B, 3) state: one R per block tile, added by series_rows."""
+    levels = amplitudes.T
+    r = [np.vecdot(levels[None, :, start:stop], levels[:, None, start:stop])
+         for start, stop in block_tiles(len(amplitudes))]
+    return series_rows(np.array(r)[:, None])[0]
 
 
 def exact_rows(params, times):
