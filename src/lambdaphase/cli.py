@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algebra, numfmt, relphase, svgplot
 from .dynamics import SystemParams, require_finite
-from .verify import SUITES, run_suite
+from .verify import run_suite
 
 COLUMNS = ("tau",) + relphase.SERIES_KEYS
 
@@ -40,19 +40,17 @@ MAX_TABLE_BYTES = 256 * 2**20
 
 @dataclass(frozen=True)
 class RunConfig(SystemParams):
-    """One scenario: the physics of :class:`SystemParams` plus grid and output choices.
+    """One scenario: the physics of :class:`SystemParams` plus grid and plot choices.
 
     ``transitions``, a list of transition names, selects which
     transitions are drawn in the SVG; the CSV always carries the full
-    fixed column set.  ``csv``/``svg`` are
-    default output paths, overridable on the command line.
+    fixed column set.  Output paths are not part of a scenario: the
+    command line sets them.
     """
 
     tau_max: float = 2.0
     tau_steps: int = 401
     transitions: tuple[str, ...] = algebra.ALL_TRANSITIONS
-    csv: str | None = None
-    svg: str | None = None
 
     def __post_init__(self):
         names = self.transitions
@@ -71,13 +69,11 @@ class RunConfig(SystemParams):
                              f"above the cap of {MAX_TABLE_BYTES} bytes")
         if not self.transitions:
             raise ValueError("transitions must name at least one transition")
-        for t in self.transitions:
+        for k, t in enumerate(self.transitions):
             if t not in algebra.ALL_TRANSITIONS:
                 raise ValueError(f"transitions: unknown transition {t!r}")
-        for name in ("csv", "svg"):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, str) and value):
-                raise ValueError(f"{name} must be an output path or null, got {value!r}")
+            if t in self.transitions[:k]:
+                raise ValueError(f"transitions: repeated transition {t!r}")
         super().__post_init__()
 
     def system_params(self) -> SystemParams:
@@ -190,9 +186,8 @@ def write_svg(path, config: RunConfig, data: dict[str, np.ndarray]) -> None:
 def run_scenario(config: RunConfig, csv_path=None, svg_path=None) -> dict[str, np.ndarray]:
     """Evolve the configured scenario over its tau grid.
 
-    Writes the CSV and the SVG only to the paths given (the CLI resolves
-    ``config.csv``/``config.svg``), and returns the column arrays keyed as
-    in ``COLUMNS``.
+    Writes the CSV and the SVG only to the paths given, and returns the
+    column arrays keyed as in ``COLUMNS``.
     """
     taus = np.linspace(0.0, config.tau_max, config.tau_steps)
     times = taus * time_scale(config)
@@ -209,22 +204,18 @@ def _cmd_simulate(args) -> int:
     for flag, path in (("--out", args.out), ("--svg", args.svg)):
         if path == "":
             raise ValueError(f"{flag} must be a non-empty path")
-    if args.preset is not None:
-        config = PRESETS[args.preset]
-    else:
-        config = load_config(args.config)
-    stem = args.preset if args.preset else Path(args.config).stem
-    csv_path = args.out or config.csv or f"{stem}.csv"
-    svg_path = args.svg or config.svg
-    run_scenario(config, csv_path=csv_path, svg_path=svg_path)
+    config = PRESETS[args.preset] if args.preset else load_config(args.config)
+    stem = args.preset or Path(args.config).stem
+    csv_path = args.out or f"{stem}.csv"
+    run_scenario(config, csv_path=csv_path, svg_path=args.svg)
     print(f"wrote {config.tau_steps} rows to {csv_path}")
-    if svg_path:
-        print(f"wrote plot to {svg_path}")
+    if args.svg:
+        print(f"wrote plot to {args.svg}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite)
+    results = run_suite()
     failures = 0
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -252,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--svg", help="optional SVG line-plot path")
     sim.set_defaults(func=_cmd_simulate)
 
-    ver = sub.add_parser("verify", help="run runtime invariant suites")
-    ver.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"],
-                     help="which suite to run (default: all)")
+    ver = sub.add_parser("verify", help="run every runtime invariant suite")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

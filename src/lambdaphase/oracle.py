@@ -23,6 +23,16 @@ def _dimension(cutoff_a: int, cutoff_b: int) -> int:
     return 3 * (cutoff_a + 1) * (cutoff_b + 1)
 
 
+def capped_dimension(cutoff_a: int, cutoff_b: int, dtype=float) -> int:
+    """Full-space dimension; refused when a dense ``dtype`` matrix on it would pass the cap."""
+    dim = _dimension(cutoff_a, cutoff_b)
+    size = dim * dim * np.dtype(dtype).itemsize
+    if size > MAX_MATRIX_BYTES:
+        raise ValueError(f"full-space dimension {dim} needs a {size} byte matrix, "
+                         f"above the desk-scale cap of {MAX_MATRIX_BYTES} bytes")
+    return dim
+
+
 def flat_index(level, n_a, n_b, cutoff_a: int, cutoff_b: int):
     """Unchecked flat index of |level; n_a, n_b>, elementwise over arrays.
 
@@ -92,11 +102,7 @@ def build_full_hamiltonian(params: SystemParams, cutoff_a: int,
     """
     if cutoff_a < 1 or cutoff_b < 1:
         raise ValueError("cutoffs must be >= 1")
-    dim = _dimension(cutoff_a, cutoff_b)
-    size = dim * dim * np.dtype(float).itemsize
-    if size > MAX_MATRIX_BYTES:
-        raise ValueError(f"full-space dimension {dim} needs a {size} byte matrix, "
-                         f"above the desk-scale cap of {MAX_MATRIX_BYTES} bytes")
+    dim = capped_dimension(cutoff_a, cutoff_b)
     # Every matrix element is real, so the matrix and its eigh are real.
     h = np.zeros((dim, dim))
     level = basis_states(cutoff_a, cutoff_b)[0]

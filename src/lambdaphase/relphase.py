@@ -246,8 +246,8 @@ def verify_deformed_algebra(cutoff: int) -> float:
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    dim = oracle.capped_dimension(cutoff, cutoff)
     level, n_a, n_b = oracle.basis_states(cutoff, cutoff)
-    dim = len(level)
     raising = {}
     for name, (rows, cols, values) in oracle.dressed_ladders(cutoff, cutoff).items():
         raising[name] = np.zeros((dim, dim))
@@ -277,11 +277,12 @@ def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    dim = oracle.capped_dimension(cutoff, cutoff, complex)
     na, nb = np.meshgrid(np.arange(1, cutoff + 1), np.arange(1, cutoff + 1), indexing="ij")
     n_a, n_b = block_members(np.column_stack([na.ravel(), nb.ravel()]))
     flat = oracle.flat_index(np.arange(1, 4), n_a, n_b, cutoff, cutoff)
 
-    op = np.eye(len(oracle.basis_states(cutoff, cutoff)[0]), dtype=complex)
+    op = np.eye(dim, dtype=complex)
     block = phase_exponential(transition)
     for idx in flat:
         op[np.ix_(idx, idx)] = block
@@ -291,8 +292,8 @@ def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
 def _dressed_block_lowering(index: tuple[int, int], transition: str) -> np.ndarray:
     """The oracle's dressed lowering operator on the members of one block, in level order."""
     na, nb = index
+    dim = oracle.capped_dimension(na, nb)
     rows, cols, values = oracle.dressed_ladders(na, nb)[transition]
-    dim = len(oracle.basis_states(na, nb)[0])
     dense = np.zeros((dim, dim))
     dense[cols, rows] = values
     members = oracle.flat_index(np.arange(1, 4), *block_members(index), na, nb)[0]

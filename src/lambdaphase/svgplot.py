@@ -19,17 +19,21 @@ def write_line_plot(path, x, series):
     common abscissa ``x``.  The y range is padded a little and always
     includes zero, which suits probability curves.  Each polyline is
     formatted and written ``numfmt.CHUNK`` points at a time.  Raises
-    ValueError for no series, for a non-finite ``x`` and naming the first
-    series holding a non-finite value, which would spoil the scale of
-    every polyline.
+    ValueError before the file is opened: for no series, for an ``x`` not
+    1-D or not finite, and naming the first series not shaped like ``x``
+    or not finite, which would spoil the scale of every polyline.
     """
     x = np.asarray(x, dtype=float)
     if len(series) == 0:
         raise ValueError("need at least one series to plot")
+    if x.ndim != 1:
+        raise ValueError(f"x must be 1-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x holds a non-finite value")
     series = [(label, np.asarray(y, dtype=float)) for label, y in series]
     for label, y in series:
+        if y.shape != x.shape:
+            raise ValueError(f"series {label} has shape {y.shape}, not x's {x.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError(f"series {label} holds a non-finite value")
     width, height = 900, 480

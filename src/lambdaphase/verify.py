@@ -203,15 +203,6 @@ def suite_oracle() -> list[CheckResult]:
     return checks
 
 
-_SUITES = {"algebra": suite_algebra, "dynamics": suite_dynamics,
-           "relphase": suite_relphase, "oracle": suite_oracle}
-SUITES = tuple(_SUITES)
-
-
-def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        return [check for suite in _SUITES.values() for check in suite()]
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}, expected one of "
-                         f"{SUITES + ('all',)}")
-    return _SUITES[name]()
+def run_suite() -> list[CheckResult]:
+    """Every check of the four suites, in the order algebra, dynamics, relphase, oracle."""
+    return suite_algebra() + suite_dynamics() + suite_relphase() + suite_oracle()

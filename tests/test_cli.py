@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 import lambdaphase
-from lambdaphase import dynamics, relphase
+from lambdaphase import dynamics, relphase, svgplot
 from lambdaphase.cli import (COLUMNS, MAX_TABLE_BYTES, PRESETS,
-                             RunConfig, _check_rows, config_from_dict,
+                             RunConfig, _check_rows, build_parser, config_from_dict,
                              load_config, main, run_scenario, time_scale,
                              write_csv, write_svg)
 from lambdaphase.numfmt import CHUNK
-from lambdaphase.verify import SUITES, run_suite
 
 BASE_CONFIG = {
     "g_a": 1.0,
@@ -132,10 +131,8 @@ def test_run_scenario_writes_csv_and_svg(tmp_path):
 
 
 def test_run_scenario_writes_only_to_the_paths_it_is_given(tmp_path, monkeypatch):
-    # the config's csv and svg are the CLI's to resolve: a library call
-    # without paths writes no file
     monkeypatch.chdir(tmp_path)
-    config = load_config(write_config(tmp_path, csv="run.csv", svg="run.svg"))
+    config = load_config(write_config(tmp_path))
     run_scenario(config)
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
@@ -311,6 +308,18 @@ def test_svg_rejects_a_non_finite_series(tmp_path, column, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([0.0, 1.0, 2.0], [0.1, 0.5], "series a has shape (2,), not x's (3,)"),
+    ([0.0, 1.0, 2.0], [[0.1, 0.5, 0.2]], "series a has shape (1, 3), not x's (3,)"),
+    (0.5, [0.1], "x must be 1-D, got shape ()"),
+], ids=["short", "2-d", "scalar-x"])
+def test_svg_rejects_a_series_not_shaped_like_x(tmp_path, x, y, message):
+    path = tmp_path / "out.svg"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        svgplot.write_line_plot(path, x, [("a", y)])
+    assert not path.exists()
+
+
 def test_writer_memory_does_not_grow_with_rows(tmp_path):
     # both writers stream one chunk of rows or points at a time, so their
     # peak allocation is the same for a short and a ten times longer grid
@@ -353,7 +362,7 @@ def test_run_scenario_constant_for_zero_couplings(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_main_simulate_with_config(tmp_path, capsys):
-    config_path = write_config(tmp_path, csv=None)
+    config_path = write_config(tmp_path)
     out_path = tmp_path / "run.csv"
     code = main(["simulate", "--config", str(config_path), "--out", str(out_path)])
     assert code == 0
@@ -372,16 +381,17 @@ def test_main_simulate_preset(tmp_path, capsys):
 
 @pytest.mark.parametrize("paths, flags, written, printed", [
     (None, [], ["fig2.csv"], ["wrote 401 rows to fig2.csv"]),
-    ({"csv": "c.csv", "svg": "s.svg"}, [], ["c.csv", "s.svg"],
-     ["wrote 21 rows to c.csv", "wrote plot to s.svg"]),
-    ({"csv": "c.csv", "svg": "s.svg"}, ["--out", "o.csv", "--svg", "p.svg"],
+    ({}, ["--out", "o.csv", "--svg", "p.svg"],
      ["o.csv", "p.svg"], ["wrote 21 rows to o.csv", "wrote plot to p.svg"]),
     ({}, [], ["x.csv"], ["wrote 21 rows to x.csv"]),
+    ({}, ["--svg", "p.svg"], ["p.svg", "x.csv"],
+     ["wrote 21 rows to x.csv", "wrote plot to p.svg"]),
 ])
 def test_main_simulate_output_paths(tmp_path, monkeypatch, capsys, paths, flags,
                                     written, printed):
-    # flags beat the config's paths; without either the CSV is named after
-    # the preset or the config file and lands in the working directory
+    # the flags alone set the paths: without --out the CSV is named after
+    # the preset or the config file and lands in the working directory,
+    # and without --svg no SVG is written
     monkeypatch.chdir(tmp_path)
     if paths is None:
         source = ["--preset", "fig2"]
@@ -474,18 +484,28 @@ def test_main_rejects_transitions_that_are_not_a_list_of_names(tmp_path, capsys,
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("field, value", [("csv", 2), ("csv", 0), ("csv", ""),
-                                          ("svg", True), ("svg", ["a.svg"])])
-def test_main_rejects_an_output_path_that_is_not_a_string(tmp_path, monkeypatch,
-                                                          capsys, field, value):
-    # open() takes an integer as a file descriptor, so a number must not
-    # reach the writers
-    monkeypatch.chdir(tmp_path)
-    path = write_config(tmp_path, **{field: value})
-    code = main(["simulate", "--config", str(path)])
+def test_config_rejects_output_path_keys_by_name(tmp_path):
+    # the flags alone set the output paths; an old config that still has
+    # the keys fails loudly
+    for key, value in (("csv", "out.csv"), ("svg", "out.svg")):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ValueError, match=f"unknown config key\\(s\\): {key}$"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("value, message", [
+    (["13", "13"], "transitions: repeated transition '13'"),
+    (["12", "23", "12"], "transitions: repeated transition '12'"),
+    (["13", "31"], "transitions: unknown transition '31'"),
+], ids=["13-twice", "12-twice", "unknown"])
+def test_main_rejects_a_repeated_or_unknown_transition(tmp_path, capsys, value, message):
+    # a repeated name used to draw each of its curves twice in the SVG
+    path = write_config(tmp_path, transitions=value)
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
     assert code == 2
-    assert f"{field} must be" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
@@ -514,26 +534,12 @@ def test_main_rejects_unwritable_output(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("suite", SUITES + ("all",))
-def test_main_verify_suite(capsys, suite):
-    code = main(["verify", "--suite", suite])
+def test_main_verify(capsys):
+    code = main(["verify"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
-    if suite == "all":
-        assert "31/31 checks passed" in out
-
-
-def test_main_verify_unknown_suite():
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "nonsense"])
-
-
-def test_run_suite_rejects_an_unknown_suite():
-    # the library entry point checks the name itself; argparse guards only the CLI
-    expected = re.escape(f"unknown suite 'nonsense', expected one of {SUITES + ('all',)}")
-    with pytest.raises(ValueError, match=expected):
-        run_suite("nonsense")
+    assert "[FAIL]" not in out
+    assert out.endswith("31/31 checks passed\n")
 
 
 def test_readme_config_schema_loads_and_names_every_field():
@@ -543,6 +549,20 @@ def test_readme_config_schema_loads_and_names_every_field():
     raw = json.loads(block)
     config_from_dict(raw)
     assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_readme_cli_block_parses():
+    # every command line of the README's CLI block, with its comment and
+    # the brackets around optional flags removed, is one the parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"## CLI\n\n```\n(.*?)```", readme, flags=re.DOTALL)
+    lines = [line.split("#")[0].replace("[", "").replace("]", "").split()
+             for line in block.splitlines()]
+    assert len(lines) == 3
+    parser = build_parser()
+    for words in lines:
+        assert words[0] == "lambdaphase"
+        parser.parse_args(words[1:])
 
 
 def test_readme_library_example_runs(capsys):

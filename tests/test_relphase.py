@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -509,6 +510,25 @@ def test_deformed_algebra_brackets_small_cutoffs():
 def test_deformed_algebra_rejects_tiny_cutoff():
     with pytest.raises(ValueError):
         verify_deformed_algebra(1)
+
+
+@pytest.mark.parametrize("check, itemsize", [
+    (verify_deformed_algebra, 8),
+    (lambda cutoff: global_phase_exponential("13", cutoff), 16),
+    (lambda cutoff: verify_deformed_polar((cutoff, cutoff)), 8),
+], ids=["deformed-algebra", "global-phase-exponential", "deformed-polar"])
+def test_dense_checks_refuse_a_matrix_above_the_cap_before_allocation(check, itemsize):
+    # at cutoff 60 the dimension is 3 * 61**2 = 11163, about 1-2 GB a matrix
+    size = (3 * 61**2) ** 2 * itemsize
+    assert size > oracle.MAX_MATRIX_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"needs a {size} byte matrix"):
+            check(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dressed_lowering_annihilates_its_vacuum_member():
