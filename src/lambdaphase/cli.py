@@ -163,17 +163,19 @@ def _check_rows(data: dict[str, np.ndarray]) -> None:
 
 
 def write_csv(path, data: dict[str, np.ndarray]) -> None:
-    """Write the ``COLUMNS`` of ``data`` as CSV, ``numfmt.CHUNK`` rows at a time.
+    """Write the ``COLUMNS`` of ``data`` as CSV, ``numfmt.CHUNK`` cells at a time.
 
     Every value is written as ``%.17g``; each chunk is one
-    :func:`numfmt.format_table` call over its (rows, len(COLUMNS)) table.
+    :func:`numfmt.format_table` call over a (rows, len(COLUMNS)) table of
+    ``numfmt.CHUNK // len(COLUMNS)`` rows.
     """
     columns = [np.asarray(data[col], dtype=float) for col in COLUMNS]
     seps = b"," * (len(COLUMNS) - 1) + b"\n"
+    rows = numfmt.CHUNK // len(COLUMNS)
     with open(path, "wb") as handle:
         handle.write(",".join(COLUMNS).encode() + b"\n")
-        for start in range(0, len(columns[0]), numfmt.CHUNK):
-            chunk = np.column_stack([col[start:start + numfmt.CHUNK] for col in columns])
+        for start in range(0, len(columns[0]), rows):
+            chunk = np.column_stack([col[start:start + rows] for col in columns])
             handle.write(numfmt.format_table(chunk, b"%.17g", seps))
 
 

@@ -23,12 +23,13 @@ def _dimension(cutoff_a: int, cutoff_b: int) -> int:
     return 3 * (cutoff_a + 1) * (cutoff_b + 1)
 
 
-def capped_dimension(cutoff_a: int, cutoff_b: int, dtype=float) -> int:
-    """Full-space dimension; refused when a dense ``dtype`` matrix on it would pass the cap."""
+def capped_dimension(cutoff_a: int, cutoff_b: int, dtype=float, count: int = 1) -> int:
+    """Full-space dimension; refused when ``count`` dense ``dtype`` matrices on it would pass the cap."""
     dim = _dimension(cutoff_a, cutoff_b)
     size = dim * dim * np.dtype(dtype).itemsize
-    if size > MAX_MATRIX_BYTES:
-        raise ValueError(f"full-space dimension {dim} needs a {size} byte matrix, "
+    if count * size > MAX_MATRIX_BYTES:
+        held = f" ({count} held at once, {count * size} bytes)" if count > 1 else ""
+        raise ValueError(f"full-space dimension {dim} needs a {size} byte matrix{held}, "
                          f"above the desk-scale cap of {MAX_MATRIX_BYTES} bytes")
     return dim
 

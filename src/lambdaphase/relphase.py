@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, commutator, lowering,
+from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, lowering,
                       phase_eigensystem, phase_exponential, verify_polar_identity)
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
@@ -96,6 +96,11 @@ REDUCE_CHUNK = 8192
 # <v|R|v> over these columns gives the nine phase probabilities and three populations.
 _READOUT = np.hstack([*(phase_eigensystem(t)[1] for t in ALL_TRANSITIONS), np.eye(3)])
 
+# <v|R|v> = sum_ij conj(v_i) v_j R_ij as a real (18, 12) map of R's float view:
+# row 2(3i + j) holds Re(conj(v_i) v_j) and row 2(3i + j) + 1 holds -Im of it.
+_PRODUCTS = (_READOUT.conj()[:, None, :] * _READOUT[None, :, :]).reshape(9, 12)
+_READOUT_REAL = np.stack([_PRODUCTS.real, -_PRODUCTS.imag], axis=1).reshape(18, 12)
+
 
 def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Step and [start, stop) sample ranges of the segments of a time grid.
@@ -132,11 +137,16 @@ def series_rows(r: np.ndarray) -> np.ndarray:
     """The 13 output columns, shape (T, 13), of the per-tile matrices R (tiles, T, 3, 3).
 
     The tiles' R are added in tile order, the one order of the block sum
-    R = sum_b a_b a_b^dagger; with one tile its R is used as it is.
+    R = sum_b a_b a_b^dagger; with one tile its R is used as it is.  The
+    twelve <v|R|v> columns are one real two-operand ``einsum`` of R's 18
+    floats per sample with the (18, 12) map ``_READOUT_REAL``.  Unlike a
+    BLAS ``matmul``, whose kernel can change with the number of rows, it
+    gives each row the bits of a one-row call, so the rows do not depend
+    on how many samples a segment reads at once.
     """
     r = np.add.reduce(r, axis=0)
     rows = np.empty((len(r), len(SERIES_KEYS)))
-    rows[:, :12] = np.einsum("ik,tij,jk->tk", _READOUT.conj(), r, _READOUT).real
+    rows[:, :12] = np.einsum("tm,mk->tk", r.reshape(len(r), 9).view(float), _READOUT_REAL)
     rows[:, 12] = rows[:, 9] + rows[:, 10] + rows[:, 11]
     return rows
 
@@ -226,6 +236,10 @@ def trapping_config(phi: float, nbar: float) -> SystemParams:
 # built here exist only to check operator identities and are desk-scale.
 # ---------------------------------------------------------------------------
 
+# Full-space matrices :func:`verify_deformed_algebra` holds at its peak: the
+# three raising operators, one residual and one product or kept-block copy.
+_ALGEBRA_MATRICES = 5
+
 
 def verify_deformed_algebra(cutoff: int) -> float:
     """Largest residual of the deformed-algebra brackets, edge excluded.
@@ -243,10 +257,13 @@ def verify_deformed_algebra(cutoff: int) -> float:
     their transposes, and P_i projects on atomic level i.  The first two
     brackets close on polynomials of the conserved excitation numbers
     rather than on the generators, which is what deforms the algebra.
+    The residuals are formed one at a time, so at most
+    ``_ALGEBRA_MATRICES`` full-space matrices are held at once, and the
+    cap is checked against all of them before any is allocated.
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    dim = oracle.capped_dimension(cutoff, cutoff)
+    dim = oracle.capped_dimension(cutoff, cutoff, count=_ALGEBRA_MATRICES)
     level, n_a, n_b = oracle.basis_states(cutoff, cutoff)
     raising = {}
     for name, (rows, cols, values) in oracle.dressed_ladders(cutoff, cutoff).items():
@@ -256,15 +273,25 @@ def verify_deformed_algebra(cutoff: int) -> float:
     exc_a, exc_b = oracle.excitation_diagonals(cutoff, cutoff)
     p1, p2 = ((level == i).astype(float) for i in (1, 2))
 
-    residuals = [
-        commutator(r13, r13.T) - np.diag(exc_a * (1 - 2 * p1 - p2)),
-        commutator(r23, r23.T) - np.diag(exc_b * (1 - 2 * p2 - p1)),
-        commutator(r13, r23.T) + r12,
-        commutator(r13, r23),
-        commutator(r12, r12.T) - np.diag(exc_a * exc_b * (p2 - p1)),
-    ]
+    # each bracket [a, b] and the diagonal it closes on; None for -raise_12
+    brackets = [(r13, r13.T, exc_a * (1 - 2 * p1 - p2)),
+                (r23, r23.T, exc_b * (1 - 2 * p2 - p1)),
+                (r13, r23.T, None),
+                (r13, r23, 0.0),
+                (r12, r12.T, exc_a * exc_b * (p2 - p1))]
+    diagonal = np.diag_indices(dim)
     keep = (n_a < cutoff) & (n_b < cutoff)
-    return max(float(np.max(np.abs(res[np.ix_(keep, keep)]))) for res in residuals)
+    worst = 0.0
+    for a, b, closing in brackets:
+        res = a @ b
+        res -= b @ a
+        if closing is None:
+            res += r12
+        else:
+            res[diagonal] -= closing
+        np.abs(res, out=res)
+        worst = max(worst, float(np.max(res[np.ix_(keep, keep)])))
+    return worst
 
 
 def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:

@@ -18,16 +18,19 @@ def write_line_plot(path, x, series):
     ``series`` is a sequence of (label, y-array) pairs drawn over the
     common abscissa ``x``.  The y range is padded a little and always
     includes zero, which suits probability curves.  Each polyline is
-    formatted and written ``numfmt.CHUNK`` points at a time.  Raises
-    ValueError before the file is opened: for no series, for an ``x`` not
-    1-D or not finite, and naming the first series not shaped like ``x``
-    or not finite, which would spoil the scale of every polyline.
+    formatted and written ``numfmt.CHUNK // 2`` points (``numfmt.CHUNK``
+    cells) at a time.  Raises ValueError before the file is opened: for
+    no series, for an ``x`` not 1-D, empty or not finite, and naming the
+    first series not shaped like ``x`` or not finite, which would spoil
+    the scale of every polyline.
     """
     x = np.asarray(x, dtype=float)
     if len(series) == 0:
         raise ValueError("need at least one series to plot")
     if x.ndim != 1:
         raise ValueError(f"x must be 1-D, got shape {x.shape}")
+    if len(x) == 0:
+        raise ValueError("x holds no point to plot")
     if not np.all(np.isfinite(x)):
         raise ValueError("x holds a non-finite value")
     series = [(label, np.asarray(y, dtype=float)) for label, y in series]
@@ -91,14 +94,15 @@ def write_line_plot(path, x, series):
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 {yx} {yy:.1f})">probability</text>')
 
+    points = numfmt.CHUNK // 2
     with open(path, "wb") as handle:
         handle.write("\n".join(parts).encode())
         for k, (label, y) in enumerate(series):
             color = PALETTE[k % len(PALETTE)]
             handle.write(f'\n<polyline fill="none" stroke="{color}" '
                          f'stroke-width="1.3" points="'.encode())
-            for start in range(0, len(x), numfmt.CHUNK):
-                stop = start + numfmt.CHUNK
+            for start in range(0, len(x), points):
+                stop = start + points
                 if start:
                     handle.write(b" ")
                 pixels = np.column_stack([sx(x[start:stop]), sy(y[start:stop])])

@@ -16,12 +16,16 @@ import numpy as np
 import pytest
 
 import lambdaphase
-from lambdaphase import dynamics, relphase, svgplot
+from lambdaphase import dynamics, numfmt, relphase, svgplot
 from lambdaphase.cli import (COLUMNS, MAX_TABLE_BYTES, PRESETS,
                              RunConfig, _check_rows, build_parser, config_from_dict,
                              load_config, main, run_scenario, time_scale,
                              write_csv, write_svg)
 from lambdaphase.numfmt import CHUNK
+
+# rows of one CSV chunk and points of one SVG chunk: CHUNK cells each
+CSV_ROWS = CHUNK // len(COLUMNS)
+SVG_POINTS = CHUNK // 2
 
 BASE_CONFIG = {
     "g_a": 1.0,
@@ -252,7 +256,7 @@ def per_point_polylines(x, series):
                       "c": [[0.6, 0.0], [0.0, 0.64], [0.48, 0.0]],
                       "delta_a": 0.3, "delta_b": -0.2, "tau_max": 2.0,
                       "tau_steps": 101}),
-    dataclasses.replace(PRESETS["fig2"], tau_max=8.0, tau_steps=2 * CHUNK + 3),
+    dataclasses.replace(PRESETS["fig2"], tau_max=8.0, tau_steps=2 * SVG_POINTS + 3),
 ], ids=["fig2", "detuned_complex_c", "across_chunk_edges"])
 def test_writers_match_per_cell_formatting(tmp_path, config):
     data = run_scenario(config)
@@ -268,20 +272,28 @@ def test_writers_match_per_cell_formatting(tmp_path, config):
     assert len(points) == 3 * len(config.transitions)
 
 
-def test_writers_match_per_cell_formatting_on_fallback_values(tmp_path):
-    # values the exact route leaves to Python one at a time: zeros, a
-    # negative, exponent notation at both ends (1e-30, 3e-5, 1e17), and an
-    # inf and a nan in a column the plot leaves out
-    config = PRESETS["fig2"]
-    rows = 2 * CHUNK + 3
+def fallback_table():
+    """A table of the values the exact route leaves to Python one at a time.
+
+    Zeros, a negative, exponent notation at both ends (1e-30, 3e-5,
+    1e17), and an inf and a nan at a CSV chunk edge in a column the plot
+    leaves out, over a grid that crosses two SVG chunk edges.
+    """
+    rows = 2 * SVG_POINTS + 3
     rng = np.random.default_rng(11)
     data = {col: rng.random(rows) for col in COLUMNS}
     data["tau"] = np.linspace(0.0, 2.0, rows)
     special = [0.0, -1e-17, 1e-30, 3e-5, 1e17]
     for j, col in enumerate(COLUMNS[1:]):
         data[col][j::7] = np.resize(special, len(range(j, rows, 7)))
-    data["norm"][CHUNK - 1] = math.inf
-    data["norm"][CHUNK + 1] = math.nan
+    data["norm"][CSV_ROWS - 1] = math.inf
+    data["norm"][CSV_ROWS + 1] = math.nan
+    return data
+
+
+def test_writers_match_per_cell_formatting_on_fallback_values(tmp_path):
+    config = PRESETS["fig2"]
+    data = fallback_table()
     csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
     write_csv(csv_path, data)
     assert csv_path.read_text() == per_cell_csv(data)
@@ -291,6 +303,22 @@ def test_writers_match_per_cell_formatting_on_fallback_values(tmp_path):
               for trans in config.transitions for suffix in ("0", "p", "m")]
     points = re.findall(r'points="([^"]*)"', svg_path.read_text())
     assert points == per_point_polylines(data["tau"], series)
+
+
+@pytest.mark.parametrize("table", ["fig2", "fallback"])
+def test_writer_bytes_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, table):
+    # a chunk of 31 cells is 2 CSV rows and 15 SVG points, so the short
+    # run crosses hundreds of edges the default chunk does not
+    config = PRESETS["fig2"]
+    data = run_scenario(config) if table == "fig2" else fallback_table()
+    written = []
+    for chunk in (31, CHUNK):
+        monkeypatch.setattr(numfmt, "CHUNK", chunk)
+        csv_path, svg_path = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.svg"
+        write_csv(csv_path, data)
+        write_svg(svg_path, config, data)
+        written.append((csv_path.read_bytes(), svg_path.read_bytes()))
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("column, value", [("p13_0", math.nan), ("p23_p", math.inf),
@@ -312,7 +340,8 @@ def test_svg_rejects_a_non_finite_series(tmp_path, column, value):
     ([0.0, 1.0, 2.0], [0.1, 0.5], "series a has shape (2,), not x's (3,)"),
     ([0.0, 1.0, 2.0], [[0.1, 0.5, 0.2]], "series a has shape (1, 3), not x's (3,)"),
     (0.5, [0.1], "x must be 1-D, got shape ()"),
-], ids=["short", "2-d", "scalar-x"])
+    ([], [], "x holds no point to plot"),
+], ids=["short", "2-d", "scalar-x", "empty-x"])
 def test_svg_rejects_a_series_not_shaped_like_x(tmp_path, x, y, message):
     path = tmp_path / "out.svg"
     with pytest.raises(ValueError, match=re.escape(message)):

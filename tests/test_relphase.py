@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from lambdaphase import algebra, dynamics, oracle
 from lambdaphase.cli import time_scale
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
-from lambdaphase.relphase import (PHASE_KEYS, REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
-                                  _dressed_block_lowering, block_tiles,
+from lambdaphase.relphase import (_ALGEBRA_MATRICES, PHASE_KEYS, REDUCE_CHUNK, SEGMENT,
+                                  SERIES_KEYS, _dressed_block_lowering, block_tiles,
                                   global_phase_exponential, grid_segments,
                                   marginal_distribution,
                                   rel_phase_eigenstates, series_rows,
@@ -327,6 +328,38 @@ def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
         assert np.array_equal(got[SEGMENT], expected[SEGMENT])
 
 
+def random_r(rng, tiles, samples):
+    """Per-tile matrices R = sum_b a_b a_b^dagger of random amplitudes, total trace 1."""
+    a = rng.normal(size=(tiles, samples, 3, 4)) + 1j * rng.normal(size=(tiles, samples, 3, 4))
+    r = a @ a.conj().swapaxes(-1, -2)
+    return r / np.trace(r.sum(axis=0), axis1=-2, axis2=-1).real[:, None, None]
+
+
+@pytest.mark.parametrize("tiles, samples", [(1, 1), (1, SEGMENT), (3, 17)])
+def test_series_rows_match_the_direct_expectation_values(tiles, samples):
+    # <v|R|v> over the full-block phase eigenstates in PHASE_KEYS order,
+    # the level populations diag R and the norm tr R, sample by sample
+    r = random_r(np.random.default_rng(tiles * samples), tiles, samples)
+    vectors = [*(algebra.phase_eigensystem(t)[1].T for t in PHASE_KEYS), np.eye(3)]
+    expected = []
+    for total in r.sum(axis=0):
+        values = [np.vdot(v, total @ v).real for block in vectors for v in block]
+        expected.append(values + [np.trace(total).real])
+    got = series_rows(r)
+    assert got.shape == (samples, len(SERIES_KEYS))
+    assert np.max(np.abs(got - np.array(expected))) <= 1e-15
+
+
+@pytest.mark.parametrize("samples", [1, 2, SEGMENT - 1, SEGMENT])
+def test_series_rows_do_not_depend_on_how_many_samples_are_read_together(samples):
+    # each row of a T-row call carries the bits of the one-row call, which
+    # keeps time_series' bytes independent of its batch and segment lengths
+    r = random_r(np.random.default_rng(samples), 2, samples)
+    got = series_rows(r)
+    for t in range(samples):
+        assert np.array_equal(got[t], series_rows(r[:, t:t + 1])[0]), t
+
+
 @pytest.mark.parametrize("blocks", [1, 169, REDUCE_CHUNK, REDUCE_CHUNK + 1, 16641])
 def test_block_tiles_are_the_fewest_equal_tiles_in_order(blocks):
     tiles = block_tiles(blocks)
@@ -529,6 +562,36 @@ def test_dense_checks_refuse_a_matrix_above_the_cap_before_allocation(check, ite
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_deformed_algebra_refuses_a_cutoff_whose_matrices_together_pass_the_cap():
+    # at cutoff 42 (dimension 5547) one matrix fits under the cap, but the
+    # matrices the check holds at once do not
+    size = (3 * 43**2) ** 2 * 8
+    assert size <= oracle.MAX_MATRIX_BYTES < _ALGEBRA_MATRICES * size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"needs a {size} byte matrix ({_ALGEBRA_MATRICES} held at once, "
+                f"{_ALGEBRA_MATRICES * size} bytes)")):
+            verify_deformed_algebra(42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("cutoff", [8, 16])
+def test_deformed_algebra_holds_no_more_matrices_than_it_checks(cutoff):
+    dim = 3 * (cutoff + 1) ** 2
+    tracemalloc.start()
+    try:
+        verify_deformed_algebra(cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrices, plus vectors and index arrays of the dimension's length
+    assert peak <= _ALGEBRA_MATRICES * dim * dim * 8 + 64 * dim * 8, peak / (dim * dim * 8)
 
 
 def test_dressed_lowering_annihilates_its_vacuum_member():
