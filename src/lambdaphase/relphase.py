@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, lowering,
+from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, commutator, lowering,
                       phase_eigensystem, phase_exponential, verify_polar_identity)
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
@@ -237,8 +237,8 @@ def trapping_config(phi: float, nbar: float) -> SystemParams:
 # ---------------------------------------------------------------------------
 
 # Full-space matrices :func:`verify_deformed_algebra` holds at its peak: the
-# three raising operators, one residual and one product or kept-block copy.
-_ALGEBRA_MATRICES = 5
+# three raising operators and a commutator's two products and difference.
+_ALGEBRA_MATRICES = 6
 
 
 def verify_deformed_algebra(cutoff: int) -> float:
@@ -281,17 +281,16 @@ def verify_deformed_algebra(cutoff: int) -> float:
                 (r12, r12.T, exc_a * exc_b * (p2 - p1))]
     diagonal = np.diag_indices(dim)
     keep = (n_a < cutoff) & (n_b < cutoff)
-    worst = 0.0
-    for a, b, closing in brackets:
-        res = a @ b
-        res -= b @ a
+
+    def residual(a, b, closing):
+        res = commutator(a, b)
         if closing is None:
             res += r12
         else:
             res[diagonal] -= closing
-        np.abs(res, out=res)
-        worst = max(worst, float(np.max(res[np.ix_(keep, keep)])))
-    return worst
+        return float(np.max(np.abs(res[np.ix_(keep, keep)])))
+
+    return max(residual(*bracket) for bracket in brackets)
 
 
 def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
