@@ -14,9 +14,9 @@ from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians
                        block_members, initial_state, photon_window,
                        poisson_probabilities, truncation_cutoff)
 from .oracle import (FullSpaceOperator, build_full_hamiltonian, embed_state,
-                     excitation_diagonals, full_evolve)
+                     excitation_diagonals, full_evolve, verify_deformed_algebra,
+                     verify_deformed_polar)
 from .relphase import (PHASE_KEYS, marginal_distribution, rel_phase_eigenstates,
-                       time_series, trapping_config, verify_deformed_algebra,
-                       verify_deformed_polar)
+                       time_series, trapping_config)
 
 __version__ = "0.1.0"

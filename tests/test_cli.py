@@ -185,6 +185,24 @@ def assert_blas_threads_keep_bytes(tmp_path, raw):
         assert out.read_bytes() == reference.read_bytes(), blas
 
 
+def test_runtime_loads_no_test_dependency(tmp_path):
+    # numpy is the only runtime dependency: importing the package and
+    # running a preset in a fresh process loads no test-only module
+    src = str(Path(lambdaphase.__file__).resolve().parents[1])
+    out = tmp_path / "fig2.csv"
+    script = ("import sys\n"
+              "import lambdaphase, lambdaphase.cli, lambdaphase.verify\n"
+              "status = lambdaphase.cli.main(['simulate', '--preset', 'fig2', "
+              f"'--out', {str(out)!r}, '--svg', {str(tmp_path / 'fig2.svg')!r}])\n"
+              "print(status, sorted(name for name in sys.modules\n"
+              "                     if name.split('.')[0] in ('scipy', 'hypothesis', 'pytest')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 []"
+    assert out.stat().st_size > 0
+
+
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
     # fig3b's ~8.3k blocks over 67 samples cross one segment boundary;
     # child processes under different BLAS thread counts must write the

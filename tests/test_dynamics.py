@@ -82,6 +82,7 @@ def test_truncation_cutoff_frozen_values():
 
 
 @given(nbar=st.floats(0.01, 80.0), log_eps=st.integers(-12, -2))
+@example(nbar=71.92111291145245, log_eps=-3)
 @settings(max_examples=40)
 def test_truncation_cutoff_is_minimal(nbar, log_eps):
     epsilon = 10.0 ** log_eps
