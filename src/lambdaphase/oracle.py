@@ -6,8 +6,7 @@ Hamiltonian as one dense matrix and evolves by dense eigendecomposition.
 This is the independent cross-check of the block-diagonal fast path: the
 matrix elements are written directly from the coupling rules, sharing
 nothing with :mod:`.dynamics` beyond the scalar parameters.  The same
-operators check the deformed algebra and the dressed polar decomposition.
-Desk scale only; every dense full-space matrix is capped in bytes.
+operators check the deformed algebra.  Desk scale only, capped in bytes.
 """
 
 import math
@@ -248,9 +247,8 @@ def _dressed_block_lowering(index: tuple[int, int], transition: str) -> np.ndarr
     Read from the :func:`dressed_ladders` entries between members, whose
     flat indices ascend with the level; no full-space matrix is formed.
     """
-    na, nb = index
-    rows, cols, values = dressed_ladders(na, nb)[transition]
-    members = flat_index(np.arange(1, 4), *block_members(index), na, nb)[0]
+    rows, cols, values = dressed_ladders(*index)[transition]
+    members = flat_index(np.arange(1, 4), *block_members(index), *index)[0]
     inside = np.isin(rows, members) & np.isin(cols, members)
     low = np.zeros((3, 3))
     low[np.searchsorted(members, cols[inside]),
@@ -274,9 +272,10 @@ def verify_deformed_polar(index: tuple[int, int], transition: str = "13") -> flo
         raise ValueError("the dressed polar decomposition is defined for the "
                          f"allowed transitions 13 and 23, not {transition!r}")
     na, nb = index
-    if na < 1 or nb < 1:
-        raise ValueError(f"block {tuple(index)} is degenerate; the polar "
-                         "decomposition needs a full block")
+    # the block's whole space is enumerated, at a peak of about 115 bytes a state
+    if na < 1 or nb < 1 or _dimension(na, nb) * 128 > MAX_MATRIX_BYTES:
+        raise ValueError(f"block {tuple(index)} must be full (N_a, N_b >= 1) and its "
+                         f"space's basis must fit the cap of {MAX_MATRIX_BYTES} bytes")
     low = _dressed_block_lowering(index, transition)
     photons = na if transition == "13" else nb
     scaled = float(np.max(np.abs(low - math.sqrt(photons) * lowering(transition))))

@@ -637,6 +637,22 @@ def test_deformed_polar_rejects_degenerate_subspace():
         verify_deformed_polar((0, 2))
 
 
+def test_deformed_polar_refuses_a_block_whose_basis_passes_the_cap():
+    # block (836, 836) spans 3 * 837**2 = 2101707 basis states, which pass
+    # the cap at the 128 bytes a state the check counts; (835, 835) does not
+    assert 3 * 837**2 * 128 > oracle.MAX_MATRIX_BYTES >= 3 * 836**2 * 128
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"block (836, 836) must be full (N_a, N_b >= 1) and its space's basis "
+                f"must fit the cap of {oracle.MAX_MATRIX_BYTES} bytes")):
+            verify_deformed_polar((836, 836))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("transition", algebra.POLAR_TRANSITIONS)
 @pytest.mark.parametrize("index", [(1, 1), (2, 3), (4, 4)])
 def test_dressed_block_lowering_is_the_scaled_bare_one(index, transition):
