@@ -7,8 +7,7 @@ decomposition, taken inside one invariant block, gives a unitary
 relative-phase exponential with the same three-point spectrum as the bare
 atomic one, {0, +pi/2, -pi/2}, and eigenstates built from the block
 members.  This module holds those eigenstates and the phase
-distributions of an evolved state over a time grid; :mod:`.oracle`
-checks the deformed algebra by brute force.
+distributions of an evolved state over a time grid.
 
 Labels for the 1<->2 pair are defined analogously even though that
 transition is dynamically forbidden; its "0" outcome is the upper-level
