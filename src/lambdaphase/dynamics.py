@@ -475,30 +475,34 @@ class BlockDiagonalPropagator:
         ``coefficients`` are the eigenbasis coefficients at t as given by
         :meth:`twist`, or as stepped there by a caller walking a uniform
         grid; without them the twist is computed here with an exact
-        ``exp``.  The result is a transposed view of a level-major array:
-        a new one, or ``out`` when given, which must be a complex array of
-        shape (3, B) with its last axis contiguous (rows may be strided)
+        ``exp``.  A stack (S, 3, B) of coefficients, one set per sample,
+        gives the stack (S, B, 3) of their amplitudes, each slice bit for
+        bit the one-sample result; ``t`` is then unused.  The result is a
+        transposed view of a level-major array: a new one, or ``out``
+        when given, which must be a complex array of the coefficients'
+        shape with its last axis contiguous (other axes may be strided)
         and is written in place.  ValueError reports ``coefficients`` of
-        another shape or dtype than ``coeff0``, or an ``out`` of another
-        shape, dtype or layout.
+        another dtype, or of a shape other than ``coeff0``'s or a stack of
+        it, and an ``out`` of another shape, dtype or layout.
         """
         if coefficients is None:
             coefficients = self.twist(t)
-        elif (coefficients.shape != self.coeff0.shape
+        elif (coefficients.shape[-2:] != self.coeff0.shape or coefficients.ndim > 3
               or coefficients.dtype != self.coeff0.dtype):
+            levels, blocks = self.coeff0.shape
             raise ValueError(f"coefficients must be a {self.coeff0.dtype} array of shape "
-                             f"{self.coeff0.shape}, got {coefficients.dtype} "
-                             f"{coefficients.shape}")
+                             f"({levels}, {blocks}) or (S, {levels}, {blocks}), got "
+                             f"{coefficients.dtype} {coefficients.shape}")
         if out is not None:
-            if out.shape != self.coeff0.shape or out.dtype != self.coeff0.dtype:
+            if out.shape != coefficients.shape or out.dtype != self.coeff0.dtype:
                 raise ValueError(f"out must be a {self.coeff0.dtype} array of shape "
-                                 f"{self.coeff0.shape}, got {out.dtype} {out.shape}")
+                                 f"{coefficients.shape}, got {out.dtype} {out.shape}")
             if out.shape[-1] > 1 and out.strides[-1] != out.itemsize:
                 raise ValueError(f"out must be an array with its last axis contiguous, got "
                                  f"strides {out.strides}")
             out = out.view(float)
-        real = np.einsum("ijk,jk->ik", self.vectors, coefficients.view(float), out=out)
-        return real.view(complex).T
+        real = np.einsum("ijk,...jk->...ik", self.vectors, coefficients.view(float), out=out)
+        return real.view(complex).swapaxes(-1, -2)
 
     def propagators(self, t: float) -> np.ndarray:
         """Block propagators exp(-i H t), shape (B, 3, 3); negative t runs back."""

@@ -85,8 +85,9 @@ UNIFORM_ULPS = 4
 # dot product of the reduction.  OpenBLAS splits a dot product over its
 # threads above 10000 elements, at points that depend on the thread count,
 # which would make the bytes of a run depend on it; tiles this short stay
-# on one thread and are summed in a fixed order.  It also bounds a batch
-# of :func:`time_series` to about REDUCE_CHUNK block-samples.
+# on one thread and are summed in a fixed order.  It also bounds the group
+# of segments that :func:`time_series` walks at once to about REDUCE_CHUNK
+# block-samples a sample position.
 REDUCE_CHUNK = 8192
 
 # Full-block phase eigenstates in PHASE_KEYS order, then the level unit vectors:
@@ -159,21 +160,29 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     probability is <phi|R|phi> for a relative-phase eigenstate phi of a
     full block, the populations are diag R and the norm is tr R.
 
-    The grid is walked in the segments of :func:`grid_segments`, and each
-    segment in the tiles of :func:`block_tiles`, one
-    ``BlockDiagonalPropagator[a:b]`` each.  A tile starts from the exact
-    twist exp(-i w t_s) coeff0 and, on a uniform grid, multiplies it by
-    exp(-i w dt) for each later sample, so the complex exponential runs
-    once per segment and tile instead of once per sample.  Its samples go
-    through a reused buffer in batches of S = min(SEGMENT, max(1,
-    REDUCE_CHUNK // b)) samples for the widest tile's b blocks, and one
-    ``vecdot`` reduces each batch at once into the tile's own slot of the
-    segment's R matrices.  So a tile's eigenvectors, twist, step and
-    amplitudes, about 290 bytes a block, stay in cache over the segment's
-    samples instead of the whole state streaming through it once per
-    sample.  The rows of a segment come from :func:`series_rows`, which
-    adds the tiles' R in tile order, so the bytes depend neither on S nor
-    on the loop order.
+    The grid is walked in the segments of :func:`grid_segments`, G =
+    min(segments, SEGMENT, max(1, REDUCE_CHUNK // b)) segments at a time
+    for the widest tile's b blocks, and each group in the tiles of
+    :func:`block_tiles`, one ``BlockDiagonalPropagator[a:b]`` each.  In a
+    tile each segment starts from the exact twist exp(-i w t_s) coeff0
+    and, on a uniform grid, multiplies it by exp(-i w dt) for each later
+    sample, so the complex exponential runs once per segment and tile
+    instead of once per sample.  The group's twists sit in one reused
+    (G, 3, b) buffer: at each sample position one in-place multiply steps
+    the segments that reach it, one stacked ``amplitudes_at`` applies
+    them and one ``vecdot`` reduces them into the tile's own slot of the
+    group's R matrices.  So a position costs one call for all G samples,
+    and a tile's eigenvectors and step with the group's twists and
+    amplitudes, at most about REDUCE_CHUNK block-samples, stay in cache
+    over the group's samples instead of the whole state streaming through
+    it once per sample.  On a non-uniform grid every segment is one
+    sample, so a group is G samples with exact twists.  The rows of a
+    group come from :func:`series_rows`, which adds the tiles' R in tile
+    order.  Each sample keeps its exact twist and its own steps, and each
+    reduction and row is formed on its own, so the bytes depend neither
+    on G nor on the loop order.  G at most SEGMENT keeps a group's R at
+    SEGMENT**2 samples per tile, so the memory beside the (T, 13) table
+    does not grow with the grid.
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
     ValueError for a grid that is not one-dimensional or holds a
@@ -191,24 +200,29 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
     steps = [tile.phases(dt) for tile in tiles]  # 1 on a non-uniform grid, never applied
     widest = max(len(tile.index) for tile in tiles)
-    batch = min(SEGMENT, max(1, REDUCE_CHUNK // widest))
-    buffer = np.empty((batch, 3, widest), dtype=complex)
-    r = np.empty((len(tiles), SEGMENT, 3, 3), dtype=complex)
+    group = max(1, min(len(segments), SEGMENT, REDUCE_CHUNK // widest))
+    twists = np.empty((group, 3, widest), dtype=complex)
+    levels = np.empty((group, 3, widest), dtype=complex)
+    r = np.empty((len(tiles), group * SEGMENT, 3, 3), dtype=complex)
     rows = np.empty((len(times), len(SERIES_KEYS)))
-    for start, stop in segments:
+    for g in range(0, len(segments), group):
+        part = segments[g:g + group]
+        first, last = part[0][0], part[-1][1]
+        span = part[0][1] - first  # every segment but the grid's last is this long
+        short = part[-1][1] - part[-1][0]
         for i, (tile, step) in enumerate(zip(tiles, steps)):
-            levels = buffer[:, :, :len(tile.index)]
-            twisted = None  # drop the last tile's twist before the next is formed
-            twisted = tile.twist(times[start])
-            for first in range(start, stop, batch):
-                last = min(first + batch, stop)
-                for k in range(first, last):
-                    if k > start:
-                        twisted *= step
-                    tile.amplitudes_at(times[k], twisted, out=levels[k - first])
-                np.vecdot(levels[:last - first, None], levels[:last - first, :, None],
-                          out=r[i, first - start:last - start])
-        rows[start:stop] = series_rows(r[:, :stop - start])
+            twisted = twists[:len(part), :, :len(tile.index)]
+            applied = levels[:len(part), :, :len(tile.index)]
+            for s, (start, _) in enumerate(part):
+                np.multiply(tile.phases(times[start]), tile.coeff0, out=twisted[s])
+            slots = r[i, :len(part) * span].reshape(len(part), span, 3, 3)
+            for j in range(span):
+                live = len(part) if j < short else len(part) - 1
+                if j:
+                    twisted[:live] *= step
+                tile.amplitudes_at(times[first + j], twisted[:live], out=applied[:live])
+                np.vecdot(applied[:live, None], applied[:live, :, None], out=slots[:live, j])
+        rows[first:last] = series_rows(r[:, :last - first])
 
     return dict(zip(SERIES_KEYS, rows.T))
 
