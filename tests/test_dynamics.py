@@ -463,34 +463,62 @@ def test_amplitudes_at_writes_into_out():
             assert got.shape == (blocks, 3)
             assert np.shares_memory(got, out)
     assert np.all(np.isnan(buf[0])) and np.all(np.isnan(wide[:, blocks:]))
+    # each slice of a stacked call is the one-sample call, bit for bit; t is
+    # unused with coefficients, and a stacked out may have strided rows
+    times = (0.4, 1.7, 2.5)
+    stack = np.stack([prop.twist(t) for t in times])
+    stack[1] *= prop.phases(0.1)
+    expected = [prop.amplitudes_at(t, twisted) for t, twisted in zip(times, stack)]
+    wide_stack = np.full((len(times), 3, blocks + 5), np.nan, dtype=complex)
+    for out in (None, wide_stack[:, :, :blocks]):
+        got = prop.amplitudes_at(0.0, stack, out=out)
+        assert got.shape == (len(times), blocks, 3)
+        for sample, amplitudes in enumerate(expected):
+            assert np.array_equal(got[sample], amplitudes)
+    assert np.shares_memory(got, wide_stack)
+    assert np.all(np.isnan(wide_stack[:, :, blocks:]))
 
 
-@pytest.mark.parametrize("make_out", [
-    lambda b: np.empty((3, b + 1), dtype=complex),
-    lambda b: np.empty((b, 3), dtype=complex),
-    lambda b: np.empty((1, 3, b), dtype=complex),
-    lambda b: np.empty((3, b), dtype=np.complex64),
-    lambda b: np.empty((3, 2 * b)),
-    lambda b: np.empty((b, 3), dtype=complex).T,
+@pytest.mark.parametrize("samples, make_out", [
+    (None, lambda b: np.empty((3, b + 1), dtype=complex)),
+    (None, lambda b: np.empty((b, 3), dtype=complex)),
+    (None, lambda b: np.empty((1, 3, b), dtype=complex)),
+    (None, lambda b: np.empty((3, b), dtype=np.complex64)),
+    (None, lambda b: np.empty((3, 2 * b))),
+    (None, lambda b: np.empty((b, 3), dtype=complex).T),
+    (2, lambda b: np.empty((2, 3, b + 1), dtype=complex)),
+    (2, lambda b: np.empty((2, 3, b), dtype=np.complex64)),
+    (2, lambda b: np.empty((3, 3, b), dtype=complex)),
+    (2, lambda b: np.empty((3, b), dtype=complex)),
+    (2, lambda b: np.empty((1, 2, 3, b), dtype=complex)),
+    (2, lambda b: np.empty((2, b, 3), dtype=complex).swapaxes(1, 2)),
 ], ids=["long", "transposed", "batched", "complex64", "interleaved_float",
-        "strided_last_axis"])
-def test_amplitudes_at_rejects_a_wrong_out(make_out):
+        "strided_last_axis", "stack_long", "stack_complex64", "stack_of_another_length",
+        "one_sample_for_a_stack", "stack_4d", "stack_strided_last_axis"])
+def test_amplitudes_at_rejects_a_wrong_out(samples, make_out):
     prop = BlockDiagonalPropagator(desk_params())
+    coefficients = None if samples is None else np.stack([prop.twist(0.9)] * samples)
     with pytest.raises(ValueError, match="out must be"):
-        prop.amplitudes_at(0.9, out=make_out(len(prop.index)))
+        prop.amplitudes_at(0.9, coefficients, out=make_out(len(prop.index)))
 
 
 @pytest.mark.parametrize("make_coefficients", [
     lambda prop, tile, t: prop.twist(t),
     lambda prop, tile, t: tile.twist(t).astype(np.complex64),
-], ids=["whole_state_twist", "complex64"])
+    lambda prop, tile, t: np.stack([prop.twist(t)] * 2),
+    lambda prop, tile, t: np.stack([tile.twist(t)] * 2).astype(np.complex64),
+    lambda prop, tile, t: tile.twist(t)[None, None],
+    lambda prop, tile, t: tile.twist(t)[0],
+], ids=["whole_state_twist", "complex64", "stack_of_whole_state_twists",
+        "stack_complex64", "stack_4d", "one_level"])
 def test_amplitudes_at_rejects_wrong_coefficients(make_coefficients):
-    # a tile's twist is (3, b) complex128; the message names the argument
-    # and the shape it expects instead of failing inside the contraction
+    # a tile's twist is (3, b) complex128, or a stack (S, 3, b) of them; the
+    # message names the argument and the shapes it expects instead of
+    # failing inside the contraction
     prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.25))
     tile = prop[2:7]
     with pytest.raises(ValueError, match=r"coefficients must be a complex128 array "
-                                         r"of shape \(3, 5\)"):
+                                         r"of shape \(3, 5\) or \(S, 3, 5\)"):
         tile.amplitudes_at(0.9, make_coefficients(prop, tile, 0.9))
 
 

@@ -293,18 +293,50 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
     assert np.max(np.abs(got - exact_rows(params, times))) < 1e-12
 
 
-@pytest.mark.parametrize("nbar, samples, blocks, batch", [
-    (1.0, 2 * SEGMENT + 5, 169, 48),  # fig2 physics: batches split inside segments
-    (100.0, SEGMENT + 3, 16641, 1),  # three tiles of 5547 blocks per sample
-], ids=["fig2", "nbar100"])
-def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, blocks, batch):
+@pytest.mark.parametrize("nbar, samples, uniform, blocks, group", [
+    (1.0, 2 * SEGMENT + 5, True, 169, 3),  # fig2 physics: one group, last segment short
+    (1.0, 49 * SEGMENT + 5, True, 169, 48),  # two groups, the second a full and a short segment
+    (1.0, 100, False, 169, 48),  # one-sample segments with exact twists, three groups
+    (100.0, SEGMENT + 3, True, 16641, 1),  # three tiles of 5547 blocks, one segment a group
+], ids=["fig2", "fig2_two_groups", "fig2_non_uniform", "nbar100"])
+def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, uniform, blocks, group):
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
     times = np.linspace(0.0, 2.0, samples) * 2.0 * math.pi * math.sqrt(nbar)
+    if not uniform:
+        times = np.sort(np.random.default_rng(samples).uniform(0.0, times[-1], samples))
     prop = BlockDiagonalPropagator(params)
     assert len(prop.index) == blocks
-    assert min(SEGMENT, max(1, REDUCE_CHUNK // blocks)) == batch
+    widest = max(stop - start for start, stop in block_tiles(blocks))
+    segments = grid_segments(times)[1]
+    assert max(1, min(len(segments), SEGMENT, REDUCE_CHUNK // widest)) == group
     got = series_table(time_series(params, times))
     assert np.array_equal(got, stepped_rows(prop, times))
+
+
+def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
+    series = time_series(desk_params(), np.empty(0))
+    assert tuple(series) == SERIES_KEYS
+    assert all(column.shape == (0,) for column in series.values())
+
+
+@pytest.mark.parametrize("nbar", [1.0, 0.01], ids=["fig2", "few_blocks"])
+def test_time_series_memory_does_not_grow_with_the_grid(nbar):
+    # the group buffers and R rows are sized by SEGMENT and REDUCE_CHUNK,
+    # never by the grid: at a few blocks the group is capped at SEGMENT
+    # segments, so a group's R stays at SEGMENT**2 samples however long the
+    # grid is.  Only the (T, 13) table and the segment list grow with T.
+    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
+    beside_table = []
+    for samples in (5001, 20001):
+        times = np.linspace(0.0, 40.0, samples) * 2.0 * math.pi
+        tracemalloc.start()
+        try:
+            time_series(params, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beside_table.append(peak - samples * len(SERIES_KEYS) * 8)
+    assert beside_table[1] - beside_table[0] <= 64 * 1024, beside_table
 
 
 @pytest.mark.parametrize("nbar, n", [(1.1, 1), (1.1, 2), (1.1, SEGMENT), (1.1, SEGMENT + 1),
@@ -349,10 +381,10 @@ def test_series_rows_match_the_direct_expectation_values(tiles, samples):
     assert np.max(np.abs(got - np.array(expected))) <= 1e-15
 
 
-@pytest.mark.parametrize("samples", [1, 2, SEGMENT - 1, SEGMENT])
+@pytest.mark.parametrize("samples", [1, 2, SEGMENT - 1, SEGMENT, SEGMENT**2])
 def test_series_rows_do_not_depend_on_how_many_samples_are_read_together(samples):
     # each row of a T-row call carries the bits of the one-row call, which
-    # keeps time_series' bytes independent of its batch and segment lengths
+    # keeps time_series' bytes independent of its group and segment lengths
     r = random_r(np.random.default_rng(samples), 2, samples)
     got = series_rows(r)
     for t in range(samples):
