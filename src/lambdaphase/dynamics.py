@@ -481,9 +481,10 @@ class BlockDiagonalPropagator:
         transposed view of a level-major array: a new one, or ``out``
         when given, which must be a complex array of the coefficients'
         shape with its last axis contiguous (other axes may be strided)
-        and is written in place.  ValueError reports ``coefficients`` of
-        another dtype, or of a shape other than ``coeff0``'s or a stack of
-        it, and an ``out`` of another shape, dtype or layout.
+        and is written in place.  The coefficients' last axis must be
+        contiguous too.  ValueError reports ``coefficients`` of another
+        dtype or layout, or of a shape other than ``coeff0``'s or a stack
+        of it, and an ``out`` of another shape, dtype or layout.
         """
         if coefficients is None:
             coefficients = self.twist(t)
@@ -493,6 +494,9 @@ class BlockDiagonalPropagator:
             raise ValueError(f"coefficients must be a {self.coeff0.dtype} array of shape "
                              f"({levels}, {blocks}) or (S, {levels}, {blocks}), got "
                              f"{coefficients.dtype} {coefficients.shape}")
+        elif coefficients.shape[-1] > 1 and coefficients.strides[-1] != coefficients.itemsize:
+            raise ValueError(f"coefficients must be an array with its last axis contiguous, "
+                             f"got strides {coefficients.strides}")
         if out is not None:
             if out.shape != coefficients.shape or out.dtype != self.coeff0.dtype:
                 raise ValueError(f"out must be a {self.coeff0.dtype} array of shape "

@@ -27,6 +27,7 @@ this for free: the missing member's slot holds zero amplitude.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -94,10 +95,19 @@ REDUCE_CHUNK = 8192
 # <v|R|v> over these columns gives the nine phase probabilities and three populations.
 _READOUT = np.hstack([*(phase_eigensystem(t)[1] for t in ALL_TRANSITIONS), np.eye(3)])
 
-# <v|R|v> = sum_ij conj(v_i) v_j R_ij as a real (18, 12) map of R's float view:
-# row 2(3i + j) holds Re(conj(v_i) v_j) and row 2(3i + j) + 1 holds -Im of it.
+# conj(v_i) v_j of every readout column v, row 3i + j.
 _PRODUCTS = (_READOUT.conj()[:, None, :] * _READOUT[None, :, :]).reshape(9, 12)
-_READOUT_REAL = np.stack([_PRODUCTS.real, -_PRODUCTS.imag], axis=1).reshape(18, 12)
+
+# <v|R|v> = sum_i |v_i|^2 R_ii + sum_{i>j} 2 Re(conj(v_i) v_j R_ij) as a real
+# (12, 12) map of the float view of the six entries of R that the time series
+# keeps, R_00, R_11, R_22, R_10, R_21, R_20 (rows 0, 4, 8, 3, 7, 6 of
+# _PRODUCTS): row 2e holds Re and row 2e + 1 holds Im of entry e.  Every
+# readout column has real |v_i|^2 and purely imaginary conj(v_i) v_j for
+# i != j, so the Im rows of the populations and the Re rows of the coherences
+# are zero, and a coherence's Im row is -2 Im(conj(v_i) v_j).
+_READOUT_REAL = np.zeros((12, 12))
+_READOUT_REAL[0:6:2] = _PRODUCTS[[0, 4, 8]].real
+_READOUT_REAL[7::2] = -2.0 * _PRODUCTS[[3, 7, 6]].imag
 
 
 def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
@@ -131,22 +141,27 @@ def block_tiles(blocks: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def series_rows(r: np.ndarray) -> np.ndarray:
-    """The 13 output columns, shape (T, 13), of the per-tile matrices R (tiles, T, 3, 3).
+def series_rows(r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The 13 output columns, shape (T, 13), of the per-tile entries R (tiles, T, 6).
 
-    The tiles' R are added in tile order, the one order of the block sum
-    R = sum_b a_b a_b^dagger; with one tile its R is used as it is.  The
-    twelve <v|R|v> columns are one real two-operand ``einsum`` of R's 18
-    floats per sample with the (18, 12) map ``_READOUT_REAL``.  Unlike a
-    BLAS ``matmul``, whose kernel can change with the number of rows, it
-    gives each row the bits of a one-row call, so the rows do not depend
-    on how many samples a segment reads at once.
+    Each sample's R = sum_b a_b a_b^dagger is given by its six complex
+    entries R_00, R_11, R_22, R_10, R_21, R_20, one set per tile of
+    :func:`block_tiles`.  The tiles are added in tile order, the one order
+    of the block sum; with one tile its entries are used as they are.  The
+    twelve <v|R|v> columns are one real two-operand ``einsum`` of the
+    entries' 12 floats per sample with the (12, 12) map ``_READOUT_REAL``.
+    Unlike a BLAS ``matmul``, whose kernel can change with the number of
+    rows, it gives each row the bits of a one-row call, so the rows do not
+    depend on how many samples a segment reads at once.  The rows are
+    written into ``out``, a (T, 13) float array, when given, else into a
+    new one, which is returned.
     """
-    r = np.add.reduce(r, axis=0)
-    rows = np.empty((len(r), len(SERIES_KEYS)))
-    rows[:, :12] = np.einsum("tm,mk->tk", r.reshape(len(r), 9).view(float), _READOUT_REAL)
-    rows[:, 12] = rows[:, 9] + rows[:, 10] + rows[:, 11]
-    return rows
+    total = r[0] if len(r) == 1 else np.add.reduce(r, axis=0)
+    if out is None:
+        out = np.empty((len(total), len(SERIES_KEYS)))
+    np.einsum("tm,mk->tk", total.view(float), _READOUT_REAL, out=out[:, :12])
+    out[:, 12] = out[:, 9] + out[:, 10] + out[:, 11]
+    return out
 
 
 def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray]:
@@ -158,7 +173,11 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     All 13 columns are linear in the block-summed matrix
     R = sum_b a_b a_b^dagger of the member amplitudes a_b: each phase
     probability is <phi|R|phi> for a relative-phase eigenstate phi of a
-    full block, the populations are diag R and the norm is tr R.
+    full block, the populations are diag R and the norm is tr R.  Each phi
+    is (upper -+ i partner)/sqrt(2) or a level, so the columns read only
+    the populations and Im of the three coherences: R is kept as its six
+    entries R_00, R_11, R_22, R_10, R_21, R_20, and the three above the
+    diagonal, their conjugates, are never formed.
 
     The grid is walked in the segments of :func:`grid_segments`, G =
     min(segments, SEGMENT, max(1, REDUCE_CHUNK // b)) segments at a time
@@ -168,17 +187,21 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     and, on a uniform grid, multiplies it by exp(-i w dt) for each later
     sample, so the complex exponential runs once per segment and tile
     instead of once per sample.  The group's twists sit in one reused
-    (G, 3, b) buffer: at each sample position one in-place multiply steps
-    the segments that reach it, one stacked ``amplitudes_at`` applies
-    them and one ``vecdot`` reduces them into the tile's own slot of the
-    group's R matrices.  So a position costs one call for all G samples,
-    and a tile's eigenvectors and step with the group's twists and
+    (G, 3, b) buffer, beside the step repeated to the same shape: at each
+    sample position one flat in-place multiply steps the segments that
+    reach it, one stacked ``amplitudes_at`` applies them and three
+    ``vecdot`` calls reduce them into the tile's own slot of the group's
+    (tiles, G x SEGMENT, 6) R: the populations, the coherences R_10 and
+    R_21 of adjacent levels, and R_20.  Every dot product is a complex one
+    of at most REDUCE_CHUNK blocks, below the length at which OpenBLAS
+    splits it over threads.  So a position costs one call for all G
+    samples, and a tile's eigenvectors and step with the group's twists and
     amplitudes, at most about REDUCE_CHUNK block-samples, stay in cache
     over the group's samples instead of the whole state streaming through
     it once per sample.  On a non-uniform grid every segment is one
     sample, so a group is G samples with exact twists.  The rows of a
     group come from :func:`series_rows`, which adds the tiles' R in tile
-    order.  Each sample keeps its exact twist and its own steps, and each
+    order and writes them straight into the (T, 13) table.  Each sample keeps its exact twist and its own steps, and each
     reduction and row is formed on its own, so the bytes depend neither
     on G nor on the loop order.  G at most SEGMENT keeps a group's R at
     SEGMENT**2 samples per tile, so the memory beside the (T, 13) table
@@ -198,12 +221,13 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     prop = BlockDiagonalPropagator(params)
     dt, segments = grid_segments(times)
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
-    steps = [tile.phases(dt) for tile in tiles]  # 1 on a non-uniform grid, never applied
     widest = max(len(tile.index) for tile in tiles)
     group = max(1, min(len(segments), SEGMENT, REDUCE_CHUNK // widest))
+    # one step per segment of a group (1 on a non-uniform grid, never applied)
+    steps = [np.tile(tile.phases(dt), (group, 1, 1)) for tile in tiles]
     twists = np.empty((group, 3, widest), dtype=complex)
     levels = np.empty((group, 3, widest), dtype=complex)
-    r = np.empty((len(tiles), group * SEGMENT, 3, 3), dtype=complex)
+    r = np.empty((len(tiles), group * SEGMENT, 6), dtype=complex)
     rows = np.empty((len(times), len(SERIES_KEYS)))
     for g in range(0, len(segments), group):
         part = segments[g:g + group]
@@ -215,14 +239,20 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
             applied = levels[:len(part), :, :len(tile.index)]
             for s, (start, _) in enumerate(part):
                 np.multiply(tile.phases(times[start]), tile.coeff0, out=twisted[s])
-            slots = r[i, :len(part) * span].reshape(len(part), span, 3, 3)
-            for j in range(span):
-                live = len(part) if j < short else len(part) - 1
-                if j:
-                    twisted[:live] *= step
-                tile.amplitudes_at(times[first + j], twisted[:live], out=applied[:live])
-                np.vecdot(applied[:live, None], applied[:live, :, None], out=slots[:live, j])
-        rows[first:last] = series_rows(r[:, :last - first])
+            slots = r[i, :len(part) * span].reshape(len(part), span, 6)
+            # all segments reach the first `short` positions, all but the last the rest
+            for live, positions in ((len(part), range(short)), (len(part) - 1, range(short, span))):
+                live_twists, live_step, a = twisted[:live], step[:live], applied[:live]
+                pairs, outer = (a[:, :2], a[:, 1:]), (a[:, 0], a[:, 2])
+                populations, near, far = slots[:live, :, :3], slots[:live, :, 3:5], slots[:live, :, 5]
+                for j in positions:
+                    if j:
+                        live_twists *= live_step
+                    tile.amplitudes_at(times[first + j], live_twists, out=a)
+                    np.vecdot(a, a, out=populations[:, j])
+                    np.vecdot(*pairs, out=near[:, j])
+                    np.vecdot(*outer, out=far[:, j])
+        series_rows(r[:, :last - first], out=rows[first:last])
 
     return dict(zip(SERIES_KEYS, rows.T))
 

@@ -1,6 +1,7 @@
 """Tests for the configuration, scenario runner and CLI plumbing."""
 
 import ast
+import importlib.util
 import dataclasses
 import json
 import math
@@ -628,3 +629,23 @@ def test_readme_column_block_is_the_csv_header():
     (block,) = re.findall(r"carries the full fixed column set\n\n```\n(.*?)```", readme,
                           flags=re.DOTALL)
     assert tuple(name.strip() for name in block.split(",")) == COLUMNS
+
+
+def test_reproduce_figures_compares_each_csv_with_a_reference(tmp_path):
+    # the value comparison the 2-thread figure run prints against the
+    # 1-thread files: largest |difference| and changed cells, by file name
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    spec = importlib.util.spec_from_file_location("reproduce_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    reference.write_text("tau,a,b\n0,1,2\n0.5,3,4\n")
+    ours.write_text("tau,a,b\n0,1,2.25\n0.5,3,3.5\n")
+    assert module.compare_csv(ours, reference) == (
+        f"  max |diff| 0.5 in 2 changed cells against {reference}")
+    assert module.compare_csv(reference, reference).startswith("  max |diff| 0 in 0 changed")
+    ours.write_text("tau,a,b\n0,1,2\n")
+    assert module.compare_csv(ours, reference) == (
+        f"  (1, 3) cells against (2, 3) in {reference}")
+    missing = tmp_path / "missing.csv"
+    assert module.compare_csv(ours, missing) == f"  no reference file {missing}"

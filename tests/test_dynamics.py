@@ -502,23 +502,29 @@ def test_amplitudes_at_rejects_a_wrong_out(samples, make_out):
         prop.amplitudes_at(0.9, coefficients, out=make_out(len(prop.index)))
 
 
-@pytest.mark.parametrize("make_coefficients", [
-    lambda prop, tile, t: prop.twist(t),
-    lambda prop, tile, t: tile.twist(t).astype(np.complex64),
-    lambda prop, tile, t: np.stack([prop.twist(t)] * 2),
-    lambda prop, tile, t: np.stack([tile.twist(t)] * 2).astype(np.complex64),
-    lambda prop, tile, t: tile.twist(t)[None, None],
-    lambda prop, tile, t: tile.twist(t)[0],
+SHAPE_OR_DTYPE = r"coefficients must be a complex128 array of shape \(3, 5\) or \(S, 3, 5\)"
+STRIDED = "coefficients must be an array with its last axis contiguous"
+
+
+@pytest.mark.parametrize("make_coefficients, message", [
+    (lambda prop, tile, t: prop.twist(t), SHAPE_OR_DTYPE),
+    (lambda prop, tile, t: tile.twist(t).astype(np.complex64), SHAPE_OR_DTYPE),
+    (lambda prop, tile, t: np.stack([prop.twist(t)] * 2), SHAPE_OR_DTYPE),
+    (lambda prop, tile, t: np.stack([tile.twist(t)] * 2).astype(np.complex64), SHAPE_OR_DTYPE),
+    (lambda prop, tile, t: tile.twist(t)[None, None], SHAPE_OR_DTYPE),
+    (lambda prop, tile, t: tile.twist(t)[0], SHAPE_OR_DTYPE),
+    (lambda prop, tile, t: np.asfortranarray(tile.twist(t)), STRIDED),
+    (lambda prop, tile, t: np.stack([np.repeat(tile.twist(t), 2, axis=-1)] * 2)[..., ::2],
+     STRIDED),
 ], ids=["whole_state_twist", "complex64", "stack_of_whole_state_twists",
-        "stack_complex64", "stack_4d", "one_level"])
-def test_amplitudes_at_rejects_wrong_coefficients(make_coefficients):
-    # a tile's twist is (3, b) complex128, or a stack (S, 3, b) of them; the
-    # message names the argument and the shapes it expects instead of
-    # failing inside the contraction
+        "stack_complex64", "stack_4d", "one_level", "fortran_order", "stack_strided_last_axis"])
+def test_amplitudes_at_rejects_wrong_coefficients(make_coefficients, message):
+    # a tile's twist is (3, b) complex128 with its last axis contiguous, or a
+    # stack (S, 3, b) of them; the message names the argument and what it
+    # expects instead of failing inside the float view or the contraction
     prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.25))
     tile = prop[2:7]
-    with pytest.raises(ValueError, match=r"coefficients must be a complex128 array "
-                                         r"of shape \(3, 5\) or \(S, 3, 5\)"):
+    with pytest.raises(ValueError, match=message):
         tile.amplitudes_at(0.9, make_coefficients(prop, tile, 0.9))
 
 

@@ -250,11 +250,18 @@ def test_time_series_rejects_a_grid_that_is_not_one_dimensional(times, shape):
 # segment recurrence against the exact per-sample path
 # ---------------------------------------------------------------------------
 
+def six_entries(levels):
+    """R_00, R_11, R_22, R_10, R_21, R_20 of level-major amplitudes (..., 3, b),
+    by the three dot products time_series makes."""
+    return np.concatenate([np.vecdot(levels, levels),
+                           np.vecdot(levels[..., :2, :], levels[..., 1:, :]),
+                           np.vecdot(levels[..., 0, :], levels[..., 2, :])[..., None]], axis=-1)
+
+
 def one_sample_rows(amplitudes):
     """The 13 columns of one (B, 3) state: one R per block tile, added by series_rows."""
     levels = amplitudes.T
-    r = [np.vecdot(levels[None, :, start:stop], levels[:, None, start:stop])
-         for start, stop in block_tiles(len(amplitudes))]
+    r = [six_entries(levels[:, start:stop]) for start, stop in block_tiles(len(amplitudes))]
     return series_rows(np.array(r)[:, None])[0]
 
 
@@ -319,12 +326,16 @@ def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
     assert all(column.shape == (0,) for column in series.values())
 
 
-@pytest.mark.parametrize("nbar", [1.0, 0.01], ids=["fig2", "few_blocks"])
-def test_time_series_memory_does_not_grow_with_the_grid(nbar):
+@pytest.mark.parametrize("nbar, bound", [(1.0, 1.75 * 2**20), (0.01, 0.875 * 2**20)],
+                         ids=["fig2", "few_blocks"])
+def test_time_series_memory_does_not_grow_with_the_grid(nbar, bound):
     # the group buffers and R rows are sized by SEGMENT and REDUCE_CHUNK,
     # never by the grid: at a few blocks the group is capped at SEGMENT
     # segments, so a group's R stays at SEGMENT**2 samples however long the
     # grid is.  Only the (T, 13) table and the segment list grow with T.
+    # The rows are read straight into the table, so beside it sit only the
+    # group's twists, amplitudes, steps and six-entry R: 1.51 MiB at fig2's
+    # 169 blocks (G = 48) and 0.68 MiB at 0.01/0.01 (G = 64) in tracemalloc.
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
     beside_table = []
     for samples in (5001, 20001):
@@ -337,6 +348,7 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar):
             tracemalloc.stop()
         beside_table.append(peak - samples * len(SERIES_KEYS) * 8)
     assert beside_table[1] - beside_table[0] <= 64 * 1024, beside_table
+    assert max(beside_table) <= bound, beside_table
 
 
 @pytest.mark.parametrize("nbar, n", [(1.1, 1), (1.1, 2), (1.1, SEGMENT), (1.1, SEGMENT + 1),
@@ -359,33 +371,62 @@ def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
         assert np.array_equal(got[SEGMENT], expected[SEGMENT])
 
 
-def random_r(rng, tiles, samples):
-    """Per-tile matrices R = sum_b a_b a_b^dagger of random amplitudes, total trace 1."""
-    a = rng.normal(size=(tiles, samples, 3, 4)) + 1j * rng.normal(size=(tiles, samples, 3, 4))
-    r = a @ a.conj().swapaxes(-1, -2)
-    return r / np.trace(r.sum(axis=0), axis1=-2, axis2=-1).real[:, None, None]
+def random_r(rng, tiles, samples, blocks=4):
+    """Random level-major amplitudes (tiles, samples, 3, blocks), scaled to a total
+    trace of 1 a sample: their six-entry R per tile and the full 3x3 R summed
+    over the tiles, R_ij = sum_b a_i conj(a_j), one per sample."""
+    shape = (tiles, samples, 3, blocks)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a /= np.sqrt(np.sum(np.abs(a) ** 2, axis=(0, 2, 3)))[:, None, None]
+    full = np.vecdot(a[..., None, :, :], a[..., :, None, :]).sum(axis=0)
+    return six_entries(a), full
+
+
+def expectation_rows(full):
+    """<v|R|v> over the full-block phase eigenstates in PHASE_KEYS order and the
+    level unit vectors, then tr R, of each full Hermitian 3x3 R."""
+    vectors = [*(algebra.phase_eigensystem(t)[1].T for t in PHASE_KEYS), np.eye(3)]
+    return np.array([[np.vdot(v, total @ v).real for block in vectors for v in block]
+                     + [np.trace(total).real] for total in full])
 
 
 @pytest.mark.parametrize("tiles, samples", [(1, 1), (1, SEGMENT), (3, 17)])
 def test_series_rows_match_the_direct_expectation_values(tiles, samples):
     # <v|R|v> over the full-block phase eigenstates in PHASE_KEYS order,
-    # the level populations diag R and the norm tr R, sample by sample
-    r = random_r(np.random.default_rng(tiles * samples), tiles, samples)
-    vectors = [*(algebra.phase_eigensystem(t)[1].T for t in PHASE_KEYS), np.eye(3)]
-    expected = []
-    for total in r.sum(axis=0):
-        values = [np.vdot(v, total @ v).real for block in vectors for v in block]
-        expected.append(values + [np.trace(total).real])
+    # the level populations diag R and the norm tr R, sample by sample,
+    # on the full Hermitian R that the six entries stand for
+    r, full = random_r(np.random.default_rng(tiles * samples), tiles, samples)
     got = series_rows(r)
     assert got.shape == (samples, len(SERIES_KEYS))
-    assert np.max(np.abs(got - np.array(expected))) <= 1e-15
+    assert np.max(np.abs(got - expectation_rows(full))) <= 1e-15
+
+
+@pytest.mark.parametrize("blocks", [1, 169, 5547])
+def test_six_entry_reduction_matches_the_full_matrix(blocks):
+    # the independent check of the reduction time_series makes: the full
+    # 3x3 R of one vecdot per entry pair, read as <v|R|v> directly, against
+    # the six entries of three vecdot calls read by series_rows
+    rng = np.random.default_rng(blocks)
+    shape = (SEGMENT, 3, blocks)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a /= np.sqrt(np.sum(np.abs(a) ** 2, axis=(1, 2)))[:, None, None]
+    full = np.vecdot(a[:, None], a[:, :, None])
+    assert np.max(np.abs(series_rows(six_entries(a)[None]) - expectation_rows(full))) <= 1e-15
+
+
+def test_series_rows_write_into_out():
+    r = random_r(np.random.default_rng(5), 2, 7)[0]
+    rows = np.full((9, len(SERIES_KEYS)), np.nan)
+    assert series_rows(r, out=rows[1:8]).base is rows
+    assert np.array_equal(rows[1:8], series_rows(r))
+    assert np.isnan(rows[[0, 8]]).all()
 
 
 @pytest.mark.parametrize("samples", [1, 2, SEGMENT - 1, SEGMENT, SEGMENT**2])
 def test_series_rows_do_not_depend_on_how_many_samples_are_read_together(samples):
     # each row of a T-row call carries the bits of the one-row call, which
     # keeps time_series' bytes independent of its group and segment lengths
-    r = random_r(np.random.default_rng(samples), 2, samples)
+    r = random_r(np.random.default_rng(samples), 2, samples)[0]
     got = series_rows(r)
     for t in range(samples):
         assert np.array_equal(got[t], series_rows(r[:, t:t + 1])[0]), t
