@@ -1,8 +1,8 @@
 """Tests for the configuration, scenario runner and CLI plumbing."""
 
 import ast
-import importlib.util
 import dataclasses
+import importlib.util
 import json
 import math
 import os

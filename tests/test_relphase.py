@@ -403,15 +403,12 @@ def test_series_rows_match_the_direct_expectation_values(tiles, samples):
 
 @pytest.mark.parametrize("blocks", [1, 169, 5547])
 def test_six_entry_reduction_matches_the_full_matrix(blocks):
-    # the independent check of the reduction time_series makes: the full
-    # 3x3 R of one vecdot per entry pair, read as <v|R|v> directly, against
-    # the six entries of three vecdot calls read by series_rows
-    rng = np.random.default_rng(blocks)
-    shape = (SEGMENT, 3, blocks)
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    a /= np.sqrt(np.sum(np.abs(a) ** 2, axis=(1, 2)))[:, None, None]
-    full = np.vecdot(a[:, None], a[:, :, None])
-    assert np.max(np.abs(series_rows(six_entries(a)[None]) - expectation_rows(full))) <= 1e-15
+    # the independent check of the reduction time_series makes, at a
+    # one-member, fig2's and a 5547-block tile: the full 3x3 R of one vecdot
+    # per entry pair, read as <v|R|v> directly, against the six entries of
+    # three vecdot calls read by series_rows
+    r, full = random_r(np.random.default_rng(blocks), 1, SEGMENT, blocks)
+    assert np.max(np.abs(series_rows(r) - expectation_rows(full))) <= 1e-15
 
 
 def test_series_rows_write_into_out():
