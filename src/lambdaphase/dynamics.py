@@ -461,11 +461,9 @@ class BlockDiagonalPropagator:
         phases = (-1j * t) * self.frequencies
         return np.exp(phases, out=phases)
 
-    def twist(self, t: float) -> np.ndarray:
-        """Eigenbasis coefficients at time t, exp(-i w t) coeff0, shape (3, B)."""
-        twisted = self.phases(t)
-        twisted *= self.coeff0
-        return twisted
+    def twist(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Eigenbasis coefficients exp(-i w t) coeff0 at t, shape (3, B), in ``out`` if given."""
+        return np.multiply(self.phases(t), self.coeff0, out=out)
 
     def amplitudes_at(self, t: float, coefficients: Optional[np.ndarray] = None, *,
                       out: Optional[np.ndarray] = None) -> np.ndarray:

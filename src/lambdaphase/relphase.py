@@ -27,7 +27,6 @@ this for free: the missing member's slot holds zero amplitude.
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -141,7 +140,7 @@ def block_tiles(blocks: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def series_rows(r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def series_rows(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The 13 output columns, shape (T, 13), of the per-tile entries R (tiles, T, 6).
 
     Each sample's R = sum_b a_b a_b^dagger is given by its six complex
@@ -153,12 +152,9 @@ def series_rows(r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     Unlike a BLAS ``matmul``, whose kernel can change with the number of
     rows, it gives each row the bits of a one-row call, so the rows do not
     depend on how many samples a segment reads at once.  The rows are
-    written into ``out``, a (T, 13) float array, when given, else into a
-    new one, which is returned.
+    written into ``out``, a (T, 13) float array, which is returned.
     """
     total = r[0] if len(r) == 1 else np.add.reduce(r, axis=0)
-    if out is None:
-        out = np.empty((len(total), len(SERIES_KEYS)))
     np.einsum("tm,mk->tk", total.view(float), _READOUT_REAL, out=out[:, :12])
     out[:, 12] = out[:, 9] + out[:, 10] + out[:, 11]
     return out
@@ -183,8 +179,9 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     min(segments, SEGMENT, max(1, REDUCE_CHUNK // b)) segments at a time
     for the widest tile's b blocks, and each group in the tiles of
     :func:`block_tiles`, one ``BlockDiagonalPropagator[a:b]`` each.  In a
-    tile each segment starts from the exact twist exp(-i w t_s) coeff0
-    and, on a uniform grid, multiplies it by exp(-i w dt) for each later
+    tile each segment starts from the exact twist exp(-i w t_s) coeff0,
+    written by :meth:`BlockDiagonalPropagator.twist` into its slot, and,
+    on a uniform grid, multiplies it by exp(-i w dt) for each later
     sample, so the complex exponential runs once per segment and tile
     instead of once per sample.  The group's twists sit in one reused
     (G, 3, b) buffer, beside the step repeated to the same shape: at each
@@ -238,7 +235,7 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
             twisted = twists[:len(part), :, :len(tile.index)]
             applied = levels[:len(part), :, :len(tile.index)]
             for s, (start, _) in enumerate(part):
-                np.multiply(tile.phases(times[start]), tile.coeff0, out=twisted[s])
+                tile.twist(times[start], out=twisted[s])
             slots = r[i, :len(part) * span].reshape(len(part), span, 6)
             # all segments reach the first `short` positions, all but the last the rest
             for live, positions in ((len(part), range(short)), (len(part) - 1, range(short, span))):

@@ -450,6 +450,20 @@ def test_block_evolution_matches_expm():
         assert np.max(np.abs(prop.amplitudes_at(t) - expected)) < 1e-12
 
 
+def test_twist_writes_into_out():
+    # the one spelling of exp(-i w t) coeff0, new or in a slot of a stack
+    prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.2))
+    tile = prop[1:4]
+    stack = np.full((3, 3, 3), np.nan, dtype=complex)
+    slot = stack[1]
+    for t in (0.0, 1.7, -2.5):
+        expected = prop.phases(t) * prop.coeff0
+        assert np.array_equal(prop.twist(t), expected)
+        assert tile.twist(t, out=slot) is slot
+        assert np.array_equal(slot, expected[:, 1:4])
+    assert np.all(np.isnan(stack[[0, 2]]))
+
+
 def test_amplitudes_at_writes_into_out():
     # a C-contiguous out, and a row-strided one whose last axis is contiguous
     prop = BlockDiagonalPropagator(desk_params(delta_a=0.4, delta_b=-0.2))

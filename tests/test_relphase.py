@@ -258,11 +258,16 @@ def six_entries(levels):
                            np.vecdot(levels[..., 0, :], levels[..., 2, :])[..., None]], axis=-1)
 
 
+def table_rows(r):
+    """series_rows of the per-tile entries r (tiles, T, 6), written into a new (T, 13) table."""
+    return series_rows(r, np.empty((r.shape[1], len(SERIES_KEYS))))
+
+
 def one_sample_rows(amplitudes):
     """The 13 columns of one (B, 3) state: one R per block tile, added by series_rows."""
     levels = amplitudes.T
     r = [six_entries(levels[:, start:stop]) for start, stop in block_tiles(len(amplitudes))]
-    return series_rows(np.array(r)[:, None])[0]
+    return table_rows(np.array(r)[:, None])[0]
 
 
 def exact_rows(params, times):
@@ -396,7 +401,7 @@ def test_series_rows_match_the_direct_expectation_values(tiles, samples):
     # the level populations diag R and the norm tr R, sample by sample,
     # on the full Hermitian R that the six entries stand for
     r, full = random_r(np.random.default_rng(tiles * samples), tiles, samples)
-    got = series_rows(r)
+    got = table_rows(r)
     assert got.shape == (samples, len(SERIES_KEYS))
     assert np.max(np.abs(got - expectation_rows(full))) <= 1e-15
 
@@ -408,14 +413,14 @@ def test_six_entry_reduction_matches_the_full_matrix(blocks):
     # per entry pair, read as <v|R|v> directly, against the six entries of
     # three vecdot calls read by series_rows
     r, full = random_r(np.random.default_rng(blocks), 1, SEGMENT, blocks)
-    assert np.max(np.abs(series_rows(r) - expectation_rows(full))) <= 1e-15
+    assert np.max(np.abs(table_rows(r) - expectation_rows(full))) <= 1e-15
 
 
 def test_series_rows_write_into_out():
     r = random_r(np.random.default_rng(5), 2, 7)[0]
     rows = np.full((9, len(SERIES_KEYS)), np.nan)
     assert series_rows(r, out=rows[1:8]).base is rows
-    assert np.array_equal(rows[1:8], series_rows(r))
+    assert np.array_equal(rows[1:8], table_rows(r))
     assert np.isnan(rows[[0, 8]]).all()
 
 
@@ -424,9 +429,9 @@ def test_series_rows_do_not_depend_on_how_many_samples_are_read_together(samples
     # each row of a T-row call carries the bits of the one-row call, which
     # keeps time_series' bytes independent of its group and segment lengths
     r = random_r(np.random.default_rng(samples), 2, samples)[0]
-    got = series_rows(r)
+    got = table_rows(r)
     for t in range(samples):
-        assert np.array_equal(got[t], series_rows(r[:, t:t + 1])[0]), t
+        assert np.array_equal(got[t], table_rows(r[:, t:t + 1])[0]), t
 
 
 @pytest.mark.parametrize("blocks", [1, 169, REDUCE_CHUNK, REDUCE_CHUNK + 1, 16641])
