@@ -189,10 +189,13 @@ def run_scenario(config: RunConfig, csv_path=None, svg_path=None) -> dict[str, n
     """Evolve the configured scenario over its tau grid.
 
     Writes the CSV and the SVG only to the paths given, and returns the
-    column arrays keyed as in ``COLUMNS``.
+    column arrays keyed as in ``COLUMNS``.  Raises ValueError naming
+    ``tau_max`` when the grid's :func:`relphase.phase_rounding` is too
+    large, before any block is built.
     """
     taus = np.linspace(0.0, config.tau_max, config.tau_steps)
     times = taus * time_scale(config)
+    relphase.phase_rounding(config, times[-1], f"tau_max = {config.tau_max:g}")
     data = {"tau": taus, **relphase.time_series(config, times)}
     _check_rows(data)
     if csv_path:

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .algebra import ALL_TRANSITIONS, phase_eigensystem
-from .dynamics import BlockDiagonalPropagator, SystemParams, block_members
+from .dynamics import BlockDiagonalPropagator, SystemParams, block_members, photon_window
 
 
 def rel_phase_eigenstates(transition: str, index) -> np.ndarray:
@@ -89,6 +89,10 @@ UNIFORM_ULPS = 4
 # of segments that :func:`time_series` walks at once to about REDUCE_CHUNK
 # block-samples a sample position.
 REDUCE_CHUNK = 8192
+
+# Largest phase rounding allowance A of :func:`phase_rounding` that a grid
+# may carry: the 1e-8 gate on the columns' agreement with the dense oracle.
+MAX_PHASE_ROUNDING = 1e-8
 
 # Full-block phase eigenstates in PHASE_KEYS order, then the level unit vectors:
 # <v|R|v> over these columns gives the nine phase probabilities and three populations.
@@ -160,6 +164,37 @@ def series_rows(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def phase_rounding(params: SystemParams, t_max: float, source: str = "the grid") -> float:
+    """Rounding allowance A = eps r t_max of the eigenphases w t up to |t| = t_max.
+
+    r = max(|delta_a|, |delta_b|) + g_a sqrt(N_a + 1) + g_b sqrt(N_b + 1),
+    with N_a and N_b the upper edges of :func:`photon_window`, bounds every
+    block frequency |w|: the kept blocks reach the excitation numbers
+    N + 1, and a block Hamiltonian is a diagonal of norm at most
+    max(|delta_a|, |delta_b|) plus couplings of norm hypot(x, y) <= x + y,
+    x = g_a sqrt(N_a) and y = g_b sqrt(N_b).  Every engine forms one line
+    exp(-i w t) of the spectrum from a double w, which the eigensolver
+    returns within a few eps r, and a double t, and their product rounds
+    by up to eps |w t| / 2 more.  So the phase of each line is off by a
+    small multiple of eps r |t| <= A, however exact the method is.  A phase
+    error f moves the line, so each eigenbasis coefficient, by at most |f|
+    times its modulus; the eigenvectors are orthonormal and the state has
+    unit norm, so each column, a sum of squared overlaps, moves by at most
+    about 2 |f|.
+
+    Returns A.  Raises ValueError naming ``source``, t_max and A when A
+    exceeds MAX_PHASE_ROUNDING, before any block is built.
+    """
+    edges = [photon_window(nbar, params.epsilon)[1] for nbar in (params.nbar_a, params.nbar_b)]
+    r = (max(abs(params.delta_a), abs(params.delta_b)) + params.g_a * math.sqrt(edges[0] + 1)
+         + params.g_b * math.sqrt(edges[1] + 1))
+    allowance = float(np.finfo(float).eps * r * t_max)
+    if allowance > MAX_PHASE_ROUNDING:
+        raise ValueError(f"{source} reaches |t| = {t_max:.6g}, where the eigenphases w t "
+                         f"round by up to A = {allowance:.3g}, above {MAX_PHASE_ROUNDING:g}")
+    return allowance
+
+
 def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray]:
     """Phase distributions and populations of all three transitions over a grid.
 
@@ -198,15 +233,16 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     it once per sample.  On a non-uniform grid every segment is one
     sample, so a group is G samples with exact twists.  The rows of a
     group come from :func:`series_rows`, which adds the tiles' R in tile
-    order and writes them straight into the (T, 13) table.  Each sample keeps its exact twist and its own steps, and each
-    reduction and row is formed on its own, so the bytes depend neither
-    on G nor on the loop order.  G at most SEGMENT keeps a group's R at
-    SEGMENT**2 samples per tile, so the memory beside the (T, 13) table
-    does not grow with the grid.
+    order and writes them straight into the (T, 13) table.  Each sample
+    keeps its exact twist and its own steps, and each reduction and row is
+    formed on its own, so the bytes depend neither on G nor on the loop
+    order.  G at most SEGMENT keeps a group's R at SEGMENT**2 samples per
+    tile, so the memory beside the (T, 13) table does not grow with the
+    grid.
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
-    ValueError for a grid that is not one-dimensional or holds a
-    non-finite time.
+    ValueError for a grid that is not one-dimensional, holds a non-finite
+    time or reaches a |t| whose :func:`phase_rounding` is too large.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -215,6 +251,7 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     if len(bad):
         raise ValueError(f"times must be finite, got {times[bad[0]]} at "
                          f"position {bad[0]}")
+    phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
     prop = BlockDiagonalPropagator(params)
     dt, segments = grid_segments(times)
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]

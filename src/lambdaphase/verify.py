@@ -5,7 +5,7 @@ the worst residual per check.  These are sanity gates for an installed
 build; the full test suite lives under tests/.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -143,9 +143,23 @@ def suite_relphase() -> list[CheckResult]:
     checks.append(CheckResult("marginal completeness", worst_sum, 1e-10))
     checks.append(CheckResult("zero-label population identity", worst_pop, 1e-10))
 
-    series = relphase.time_series(params, np.array([1.9]))
-    worst = max(abs(dist[k] - series[key][0]) for trans, dist in dists.items()
-                for k, key in enumerate(relphase.PHASE_KEYS[trans]))
+    # the stepped walk against the exact twist, at the edges of every
+    # segment: 49 segments of 181 blocks (two groups of up to 45), and two
+    # segments of 8463 detuned, complex-c blocks (two tiles)
+    worst = 0.0
+    for grid_params, times in ((params, np.linspace(0.0, 30.0, 48 * relphase.SEGMENT + 10)),
+                               (replace(params, nbar_a=50.0, nbar_b=50.0),
+                                np.linspace(0.0, 2.0, relphase.SEGMENT + 36))):
+        series = relphase.time_series(grid_params, times)
+        grid_prop = BlockDiagonalPropagator(grid_params)
+        for start, stop in relphase.grid_segments(times)[1]:
+            for k in (start, stop - 1):
+                state = grid_prop.amplitudes_at(times[k])
+                exact = [*(relphase.marginal_distribution(grid_prop.index, state, trans)
+                           for trans in algebra.ALL_TRANSITIONS),
+                         np.sum(np.abs(state) ** 2, axis=0)]
+                got = [series[key][k] for key in relphase.SERIES_KEYS[:12]]
+                worst = max(worst, float(np.max(np.abs(np.concatenate(exact) - got))))
     checks.append(CheckResult("projection vs closed form", worst, 1e-10))
 
     checks.append(CheckResult("deformed algebra brackets",

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lambdaphase
-from lambdaphase import dynamics, numfmt, relphase, svgplot
+from lambdaphase import dynamics, numfmt, relphase, svgplot, verify
 from lambdaphase.cli import (COLUMNS, MAX_TABLE_BYTES, PRESETS,
                              RunConfig, _check_rows, build_parser, config_from_dict,
                              load_config, main, run_scenario, time_scale,
@@ -507,6 +507,44 @@ def test_tau_steps_above_the_table_cap_is_rejected(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_a_grid_whose_phase_rounding_swamps_its_rows_is_refused(tmp_path, monkeypatch,
+                                                                 capsys):
+    # fig3a physics at tau_max 1e6 reaches |t| = 4.4e7, where the eigenphases
+    # round by A = 1.3e-7; refused by name before any block is built
+    def fail(params):
+        raise AssertionError("initial_state ran")
+
+    monkeypatch.setattr(dynamics, "initial_state", fail)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"g_a": 1.0, "g_b": 1.0, "nbar_a": 50.0, "nbar_b": 0.5,
+                                "c": [1.0, 0.0, 0.0], "tau_max": 1e6}))
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "tau_max = 1e+06 reaches" in err and "A = 1.32e-07, above 1e-08" in err
+    assert not out_path.exists()
+
+
+# the largest grid of each benchmark workload at any seed (perfbench/workloads.py)
+WORKLOAD_EXTREMES = {
+    "weak_long": dict(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, tau_max=42.0),
+    "detuned_grid": dict(g_a=1.0, g_b=0.8, nbar_a=50.0, nbar_b=50.0, delta_a=0.5,
+                         delta_b=-0.5, tau_max=2.0),
+    "scale_setup": dict(g_a=1.0, g_b=1.0, nbar_a=100.0, nbar_b=100.0, tau_max=2.1),
+}
+
+
+@pytest.mark.parametrize("config", [
+    *PRESETS.values(),
+    *(RunConfig(c=(1.0, 0.0, 0.0), **fields) for fields in WORKLOAD_EXTREMES.values()),
+], ids=[*PRESETS, *WORKLOAD_EXTREMES])
+def test_presets_and_workloads_lie_far_below_the_phase_rounding_limit(config):
+    # max |w t| is at most about 2.3e3 on these grids, and r bounds max |w|
+    # from above, so A reads at most 7.1e-13 (scale_setup)
+    assert relphase.phase_rounding(config, config.tau_max * time_scale(config)) <= 1e-12
+
+
 @pytest.mark.parametrize("field", ["nbar_a", "g_a", "tau_max", "tau_steps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, "1"])
 def test_main_rejects_non_finite_config(tmp_path, capsys, field, value):
@@ -588,6 +626,26 @@ def test_main_verify(capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert out.endswith("31/31 checks passed\n")
+
+
+def long_step(segments):
+    """grid_segments with its step one part in 1e6 too long."""
+    def faulty(times):
+        dt, ranges = segments(times)
+        return dt * (1 + 1e-6), ranges
+    return faulty
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("grid_segments", long_step),
+    ("block_tiles", lambda tiles: lambda blocks: tiles(blocks)[:1]),
+], ids=["long-step", "dropped-tile"])
+def test_verify_projection_check_covers_the_stepped_walk(monkeypatch, name, fault):
+    # a wrong step of the recurrence, or a tile left out of the reduction,
+    # moves time_series' columns but not the exact per-sample state
+    monkeypatch.setattr(relphase, name, fault(getattr(relphase, name)))
+    checks = {check.name: check for check in verify.suite_relphase()}
+    assert checks["projection vs closed form"].residual > 1e-8
 
 
 def test_readme_config_schema_loads_and_names_every_field():

@@ -1,5 +1,6 @@
 """Tests for the relative-phase eigenstates and distributions."""
 
+import dataclasses
 import decimal
 import math
 import re
@@ -11,13 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lambdaphase import algebra, dynamics, oracle
-from lambdaphase.cli import time_scale
+from lambdaphase.cli import PRESETS, run_scenario, time_scale
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
 from lambdaphase.oracle import (_ALGEBRA_MATRICES, _dressed_block_lowering,
                                 global_phase_exponential, verify_deformed_algebra,
                                 verify_deformed_polar)
-from lambdaphase.relphase import (PHASE_KEYS, REDUCE_CHUNK, SEGMENT, SERIES_KEYS,
-                                  block_tiles, grid_segments, marginal_distribution,
+from lambdaphase.relphase import (MAX_PHASE_ROUNDING, PHASE_KEYS, REDUCE_CHUNK, SEGMENT,
+                                  SERIES_KEYS, block_tiles, grid_segments,
+                                  marginal_distribution, phase_rounding,
                                   rel_phase_eigenstates, series_rows, time_series,
                                   trapping_config)
 
@@ -244,6 +246,43 @@ def test_time_series_rejects_a_grid_that_is_not_one_dimensional(times, shape):
     with pytest.raises(ValueError, match=f"times must be a one-dimensional grid, "
                                          f"got shape {shape}"):
         time_series(desk_params(), times)
+
+
+@pytest.mark.parametrize("params", [
+    desk_params(), desk_params(delta_a=0.4, delta_b=-0.7), PRESETS["fig3a"],
+    desk_params(nbar_a=100.0, nbar_b=100.0, g_b=0.0, delta_a=-2.0, delta_b=0.0),
+], ids=["desk", "detuned", "fig3a", "one-mode-nbar100"])
+def test_phase_rounding_bounds_every_block_frequency(params):
+    r = phase_rounding(params, 1.0) / np.finfo(float).eps
+    assert np.max(np.abs(BlockDiagonalPropagator(params).frequencies)) <= r
+
+
+def test_time_series_refuses_a_grid_whose_phase_rounding_swamps_its_rows(monkeypatch):
+    # fig3a physics at tau 1e6: |t| = 4.4e7 and A = eps r |t| = 1.3e-7, refused
+    # before any block is built; the grid's largest |t| may be a negative time
+    def fail(params):
+        raise AssertionError("initial_state ran")
+
+    monkeypatch.setattr(dynamics, "initial_state", fail)
+    t_max = 1e6 * time_scale(PRESETS["fig3a"])
+    with pytest.raises(ValueError, match=re.escape(
+            f"the grid reaches |t| = {t_max:.6g}, where the eigenphases w t round by up "
+            f"to A = 1.32e-07, above 1e-08")):
+        time_series(PRESETS["fig3a"], np.linspace(0.0, -t_max, 5))
+
+
+def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
+    # fig3a is refused from tau_max of about 75556; at 7.5e4 the stepped
+    # columns lie within A = 9.9e-9 of the exact per-sample path (0.05 A here)
+    config = dataclasses.replace(PRESETS["fig3a"], tau_max=7.5e4, tau_steps=129)
+    data = run_scenario(config)
+    times = data["tau"] * time_scale(config)
+    allowance = phase_rounding(config, times[-1])
+    assert 0.99 * MAX_PHASE_ROUNDING < allowance <= MAX_PHASE_ROUNDING
+    assert len(grid_segments(times)[1]) == 3
+    assert np.max(np.abs(series_table(data) - exact_rows(config, times))) <= allowance
+    with pytest.raises(ValueError, match="tau_max = 76000 reaches"):
+        run_scenario(dataclasses.replace(config, tau_max=7.6e4))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +823,7 @@ def test_trapping_config_control_case():
 def test_trapping_suppresses_upper_level_at_desk_scale():
     # the phi = pi superposition is dark in every block, so the upper-level
     # weight stays at the truncation-noise floor; phi = 0 does absorb
-    from lambdaphase.cli import time_scale
+    from lambdaphase.cli import PRESETS, run_scenario, time_scale
     dark = trapping_config(math.pi, 4.0)
     times = np.linspace(0.0, 2.0, 41) * time_scale(dark)
     series = time_series(dark, times)
