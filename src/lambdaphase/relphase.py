@@ -220,11 +220,13 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     sample, so the complex exponential runs once per segment and tile
     instead of once per sample.  The group's twists sit in one reused
     (G, 3, b) buffer, beside the step repeated to the same shape: at each
-    sample position one flat in-place multiply steps the segments that
-    reach it, one stacked ``amplitudes_at`` applies them and three
-    ``vecdot`` calls reduce them into the tile's own slot of the group's
+    sample position one flat in-place multiply steps every segment of the
+    group, one stacked ``amplitudes_at`` applies them and three ``vecdot``
+    calls reduce them into the tile's own slot of the group's
     (tiles, G x SEGMENT, 6) R: the populations, the coherences R_10 and
-    R_21 of adjacent levels, and R_20.  Every dot product is a complex one
+    R_21 of adjacent levels, and R_20.  The grid's last segment may be
+    shorter than the others; it runs on with them past its end, into R
+    slots beyond the grid's last sample that are never read.  Every dot product is a complex one
     of at most REDUCE_CHUNK blocks, below the length at which OpenBLAS
     splits it over threads.  So a position costs one call for all G
     samples, and a tile's eigenvectors and step with the group's twists and
@@ -267,25 +269,21 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
         part = segments[g:g + group]
         first, last = part[0][0], part[-1][1]
         span = part[0][1] - first  # every segment but the grid's last is this long
-        short = part[-1][1] - part[-1][0]
         for i, (tile, step) in enumerate(zip(tiles, steps)):
-            twisted = twists[:len(part), :, :len(tile.index)]
-            applied = levels[:len(part), :, :len(tile.index)]
+            twisted, step = twists[:len(part), :, :len(tile.index)], step[:len(part)]
+            a = levels[:len(part), :, :len(tile.index)]
             for s, (start, _) in enumerate(part):
                 tile.twist(times[start], out=twisted[s])
+            # a short last segment runs on into slots past last - first, never read
             slots = r[i, :len(part) * span].reshape(len(part), span, 6)
-            # all segments reach the first `short` positions, all but the last the rest
-            for live, positions in ((len(part), range(short)), (len(part) - 1, range(short, span))):
-                live_twists, live_step, a = twisted[:live], step[:live], applied[:live]
-                pairs, outer = (a[:, :2], a[:, 1:]), (a[:, 0], a[:, 2])
-                populations, near, far = slots[:live, :, :3], slots[:live, :, 3:5], slots[:live, :, 5]
-                for j in positions:
-                    if j:
-                        live_twists *= live_step
-                    tile.amplitudes_at(times[first + j], live_twists, out=a)
-                    np.vecdot(a, a, out=populations[:, j])
-                    np.vecdot(*pairs, out=near[:, j])
-                    np.vecdot(*outer, out=far[:, j])
+            pairs, outer = (a[:, :2], a[:, 1:]), (a[:, 0], a[:, 2])
+            for j in range(span):
+                if j:
+                    twisted *= step
+                tile.amplitudes_at(times[first + j], twisted, out=a)
+                np.vecdot(a, a, out=slots[:, j, :3])
+                np.vecdot(*pairs, out=slots[:, j, 3:5])
+                np.vecdot(*outer, out=slots[:, j, 5])
         series_rows(r[:, :last - first], out=rows[first:last])
 
     return dict(zip(SERIES_KEYS, rows.T))

@@ -347,9 +347,10 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
 @pytest.mark.parametrize("nbar, samples, uniform, blocks, group", [
     (1.0, 2 * SEGMENT + 5, True, 169, 3),  # fig2 physics: one group, last segment short
     (1.0, 49 * SEGMENT + 5, True, 169, 48),  # two groups, the second a full and a short segment
+    (1.0, 49 * SEGMENT + 1, True, 169, 48),  # a one-sample last segment runs on 63 positions
     (1.0, 100, False, 169, 48),  # one-sample segments with exact twists, three groups
     (100.0, SEGMENT + 3, True, 16641, 1),  # three tiles of 5547 blocks, one segment a group
-], ids=["fig2", "fig2_two_groups", "fig2_non_uniform", "nbar100"])
+], ids=["fig2", "fig2_two_groups", "fig2_one_sample_tail", "fig2_non_uniform", "nbar100"])
 def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, uniform, blocks, group):
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
     times = np.linspace(0.0, 2.0, samples) * 2.0 * math.pi * math.sqrt(nbar)
