@@ -12,7 +12,7 @@ from .algebra import (generator, inversion, lowering, noncomposition_witness,
                       raising, verify_polar_identity)
 from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians,
                        block_members, initial_state, photon_window,
-                       poisson_probabilities, truncation_cutoff)
+                       poisson_probabilities)
 from .oracle import (FullSpaceOperator, build_full_hamiltonian, embed_state,
                      excitation_diagonals, full_evolve, verify_deformed_algebra,
                      verify_deformed_polar)

@@ -104,14 +104,50 @@ class SystemParams:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n / e)^n) for an integer n >= 1.
+
+    Above 15 this is Stirling's series to the n^-9 term, whose next term is
+    below 1e-16 there; at most 15, lgamma.
+    """
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: int, mean: float) -> float:
+    """x log(x / mean) + mean - x, without its cancellation when x is near mean.
+
+    There, with v = (x - mean) / (x + mean), it is the series
+    (x - mean) v + 2 x sum_{j >= 1} v^(2j+1) / (2j + 1), summed until a
+    term no longer changes the sum.
+    """
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    total, term = (x - mean) * v, 2.0 * x * v
+    for odd in range(3, 64, 2):
+        term *= v * v
+        total, last = total + term / odd, total
+        if total == last:
+            break
+    return total
+
+
 def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
     """Poisson(nbar) probabilities of the photon numbers 0..top.
 
-    One cumulative sum of log(nbar / n) gives every log probability, so no
-    factorial is formed and nothing passes through the subnormal range
-    before the exponential; probabilities far out in either tail
-    underflow to zero.  Raises ValueError for a negative or non-finite
-    ``nbar`` and for a ``top`` that is not an integer >= 0.
+    The table is anchored at the mode m = floor(nbar): log p(m) =
+    -stirlerr(m) - bd0(m, nbar) - log(2 pi m) / 2 (C. Loader, "Fast and
+    accurate computation of binomial probabilities", 2000), free of the
+    cancellation in m log(nbar) - nbar - log(m!), and log p(0) = -nbar for
+    m = 0.  Cumulative sums of log(nbar / k) run outward from m, up and
+    down, so an entry's rounding grows with its distance from the mode and
+    not with nbar; no factorial is formed, and nothing passes through the
+    subnormal range before the exponential, so probabilities far out in
+    either tail underflow to zero.  Raises ValueError for a negative or
+    non-finite ``nbar`` and for a ``top`` that is not an integer >= 0.
     """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be a finite number >= 0, got {nbar}")
@@ -119,17 +155,24 @@ def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
         raise ValueError(f"top must be an integer >= 0, got {top!r}")
     if nbar == 0.0:
         return (np.arange(top + 1) == 0).astype(float)
-    log_p = np.empty(top + 1)
-    log_p[0] = 0.0
-    np.cumsum(np.log(nbar / np.arange(1, top + 1)), out=log_p[1:])
-    return np.exp(log_p - nbar)
+    m = math.floor(nbar)
+    anchor = (-nbar if m == 0 else
+              -_stirlerr(m) - _bd0(m, nbar) - 0.5 * math.log(2.0 * math.pi * m))
+    steps = np.log(nbar / np.arange(1, max(top, m) + 1))  # log p(k) - log p(k - 1)
+    log_p = np.empty(len(steps) + 1)  # log p(k) - log p(m)
+    log_p[m] = 0.0
+    np.cumsum(steps[m:], out=log_p[m + 1:])
+    log_p[:m] = -np.cumsum(steps[:m][::-1])[::-1]
+    return np.exp(log_p[:top + 1] + anchor)
 
 
 def truncation_cutoff(nbar: float, epsilon: float) -> int:
     """Smallest N whose Poisson weight above it, sum(Q_n^2, n > N), is at most epsilon.
 
-    This is the upper edge of the kept photon numbers of
-    :func:`photon_window`.
+    This is ``photon_window(nbar, epsilon)[1]``.  Nothing in the package
+    calls it: it stays for the benchmark's work counts
+    (``perfbench/run.py``), until the benchmark catch-up of ROADMAP item 1
+    reads :func:`photon_window` there.
     """
     return photon_window(nbar, epsilon)[1]
 
@@ -137,11 +180,11 @@ def truncation_cutoff(nbar: float, epsilon: float) -> int:
 def photon_window(nbar: float, epsilon: float) -> tuple[int, int]:
     """Kept photon numbers [lo, N] of one mode under the epsilon rule.
 
-    N, also returned by :func:`truncation_cutoff`, is the smallest photon
-    number whose upper tail is at most epsilon.  With u the Poisson weight
-    above N, lo is the largest number of leading photon numbers whose
-    summed weight, a forward cumulative sum, is at most epsilon - u, so
-    the two discarded tails together hold at most epsilon.
+    N is the smallest photon number whose upper tail is at most epsilon.
+    With u the Poisson weight above N, lo is the largest number of leading
+    photon numbers whose summed weight, a forward cumulative sum, is at
+    most epsilon - u, so the two discarded tails together hold at most
+    epsilon.
 
     Both come from one Poisson table of the photon numbers 0..top, which
     reaches past the Chernoff bound P(n >= nbar + x) <= exp(-x^2 /

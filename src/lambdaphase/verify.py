@@ -13,7 +13,7 @@ import numpy as np
 from . import algebra, oracle, relphase
 from .algebra import commutator
 from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians,
-                       block_members, poisson_probabilities, truncation_cutoff)
+                       block_members, photon_window, poisson_probabilities)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def suite_dynamics() -> list[CheckResult]:
     checks = []
     params = _desk_params()
 
-    cutoff = truncation_cutoff(1.0, 1e-10)
+    cutoff = photon_window(1.0, 1e-10)[1]
     total = float(np.sum(poisson_probabilities(1.0, cutoff)))
     checks.append(CheckResult("poisson weight normalization",
                               abs(total - 1.0), 1e-10))

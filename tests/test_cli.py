@@ -613,6 +613,17 @@ def test_main_rejects_a_grid_above_the_block_cap(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_main_simulate_at_the_strongest_fields_the_cap_admits(tmp_path, capsys):
+    # nbar_a 50000 exited 2: the Poisson table summed from n = 1 lost 3.4e-10
+    # of the weight, and the capture check counted it as discarded
+    path = write_config(tmp_path, g_a=1.0, g_b=0.0, nbar_a=50000.0, nbar_b=0.5,
+                        c=[1.0, 0.0, 0.0], tau_steps=11)
+    out_path = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(path), "--out", str(out_path)])
+    assert code == 0, capsys.readouterr().err
+    assert len(out_path.read_text().splitlines()) == 12
+
+
 def test_main_rejects_unwritable_output(tmp_path):
     config_path = write_config(tmp_path)
     code = main(["simulate", "--config", str(config_path),

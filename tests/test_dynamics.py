@@ -1,5 +1,6 @@
 """Tests for the block-diagonal dynamics."""
 
+import decimal
 import math
 
 import numpy as np
@@ -116,6 +117,54 @@ def test_poisson_probabilities_match_pmf():
         expected = stats.poisson.pmf(np.arange(1200), nbar)
         got = poisson_probabilities(nbar, 1199)
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-300)
+
+
+# pi to 40 digits, for the decimal reference of the Poisson table
+PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197")
+
+# Stirling's series of ln n! - (n + 1/2) ln n + n - ln(2 pi) / 2 in odd powers of 1/n
+STIRLING_SERIES = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+                   (1, 156))
+
+
+def ln_factorial_40(n):
+    """ln n! to 40 digits: a sum of logs below 200, Stirling's series from 200 on,
+    where its first dropped term, 3617 / (122400 n^15), is below 1e-36."""
+    D = decimal.Decimal
+    if n < 200:
+        return sum((D(k).ln() for k in range(2, n + 1)), D(0))
+    n = D(n)
+    tail = sum(D(a) / D(b) / n ** (2 * j + 1) for j, (a, b) in enumerate(STIRLING_SERIES))
+    return (n + D("0.5")) * n.ln() - n + (2 * PI_40).ln() / 2 + tail
+
+
+@pytest.mark.parametrize("nbar", [0.3, 12.5, 40.0, 740.0, 2e4, 9e4])
+def test_poisson_probabilities_match_a_40_digit_reference(nbar):
+    # summing log(nbar / n) from n = 1 was off by 1.4e-10 relative at 2e4,
+    # more than the epsilon 1e-10 the windows are cut at; the table anchored
+    # at the mode is within about 4e-14 over 41 points of each window, where
+    # scipy's pmf is itself off by 5e-11 at 2e4.  12.5 takes lgamma's branch
+    # of the anchor.
+    lo, top = photon_window(nbar, 1e-10)
+    table = poisson_probabilities(nbar, top)
+    with decimal.localcontext() as context:
+        context.prec = 40
+        mean = decimal.Decimal(nbar)
+        for n in sorted(set(np.linspace(lo, top, 41).round().astype(int).tolist())):
+            exact = n * mean.ln() - mean - ln_factorial_40(n)
+            assert abs(float(decimal.Decimal(table[n]).ln() - exact)) <= 1e-13, n
+
+
+@pytest.mark.parametrize("nbar_a", [5e4, 9e4])
+def test_initial_state_takes_the_strongest_fields_the_cap_admits(nbar_a):
+    # MAX_PHOTONS admits nbar up to about 96800 at epsilon 1e-10; the table
+    # summed from n = 1 lost 3.4e-10 of the weight at 5e4, which the capture
+    # check counted as discarded and refused
+    params = desk_params(g_b=0.0, nbar_a=nbar_a, nbar_b=0.5, c=GROUND)
+    lo, cutoff = photon_window(nbar_a, 1e-10)
+    index, amplitudes = initial_state(params)
+    assert index[:, 0].min() == lo and index[:, 0].max() == cutoff  # level 1: N_a = n_a
+    assert float(np.sum(np.abs(amplitudes) ** 2)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_poisson_probabilities_reject_negative_mean():

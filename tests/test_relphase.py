@@ -604,10 +604,13 @@ def one_mode_columns(coupled, g, nbar, nbar_other, delta, delta_other, c, times)
     (1, 1.0, 1000.0, 2.0, 0.3, -0.2),  # g_b = 0, Jacobi
     (2, 0.8, 1000.0, 0.5, -0.3, -0.3),  # g_a = 0, resonant_eigh with x = 0
     (2, 0.8, 1000.0, 0.5, -0.2, 0.3),  # g_a = 0, Jacobi
-], ids=["gb0_resonant", "gb0_detuned", "ga0_resonant", "ga0_detuned"])
+    (1, 1.0, 2e4, 2.0, 0.3, 0.3),  # nbar_a 2e4, where the table summed from n = 1 failed
+    (1, 1.0, 2e4, 2.0, 0.3, -0.2),
+], ids=["gb0_resonant", "gb0_detuned", "ga0_resonant", "ga0_detuned",
+        "gb0_resonant_2e4", "gb0_detuned_2e4"])
 def test_one_mode_limits_match_the_rabi_formula(coupled, g, nbar, nbar_other,
                                                 delta, delta_other):
-    """All 13 columns at nbar 1000 against the Jaynes-Cummings limit, over tau 0-2.
+    """All 13 columns at nbar 1000 and 2e4 against the Jaynes-Cummings limit, over tau 0-2.
 
     Tolerance.  Truncation: each mode's window discards at most epsilon of
     its Poisson weight, so the renormalized kept state phi and the exact
@@ -621,8 +624,8 @@ def test_one_mode_limits_match_the_rabi_formula(coupled, g, nbar, nbar_other,
     eigenvalue, product, exp) and in the reference (Omega, product, sin and
     cos), at most 16 eps |w t| together, and a column by twice that.  What
     does not grow with t (the <= 63 stepped products, sums over <= 8192
-    blocks a tile, and the program's Poisson table, within about 1e-12
-    relative at nbar 1000) stays below 4e-12, under another 16 eps
+    blocks a tile, and the program's Poisson table, within about 1e-13
+    relative at every nbar) stays below 4e-12, under another 16 eps
     max|w t| once max|w t| >= 1200.  So the columns agree within
     4 sqrt(epsilon) + 48 eps max|w t|.
     """
