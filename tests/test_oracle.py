@@ -10,9 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lambdaphase import dynamics, oracle
-from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
+from lambdaphase.algebra import ALL_TRANSITIONS, phase_eigensystem
+from lambdaphase.dynamics import (MU, NU, BlockDiagonalPropagator, SystemParams,
                                   block_hamiltonians, block_members,
                                   photon_window)
+from lambdaphase.relphase import SERIES_KEYS, time_series
 
 GROUND = (1.0, 0.0, 0.0)
 
@@ -129,6 +131,61 @@ def test_block_and_full_evolution_agree():
         full_vec = oracle.full_evolve(full, psi0, t)
         worst = max(worst, float(np.max(np.abs(block_vec - full_vec))))
     assert worst < 1e-8
+
+
+def coherent_amplitudes(nbar, theta, cutoff):
+    """<n|sqrt(nbar) e^{i theta}> for n = 0..cutoff, by lgamma."""
+    n = np.arange(cutoff + 1)
+    log_q = (n * math.log(nbar) - nbar - np.array([math.lgamma(k + 1) for k in n])) / 2
+    return np.exp(log_q + 1j * theta * n)
+
+
+def oracle_columns(psi, cutoff_a, cutoff_b):
+    """The nine phase probabilities and three populations of a full-space state.
+
+    Basis states are grouped into blocks by their excitation numbers, each
+    block's members by level; the block-summed R = sum_b a_b a_b^dagger is
+    then projected on every transition's phase eigenstates and the levels.
+    """
+    level = oracle.basis_states(cutoff_a, cutoff_b)[0]
+    pairs = np.column_stack(oracle.excitation_diagonals(cutoff_a, cutoff_b))
+    blocks, block = np.unique(pairs, axis=0, return_inverse=True)
+    members = np.zeros((len(blocks), 3), dtype=complex)
+    members[block.ravel(), level - 1] = psi
+    r = members.T @ members.conj()
+    readout = np.hstack([*(phase_eigensystem(t)[1] for t in ALL_TRANSITIONS), np.eye(3)])
+    return np.einsum("ik,ij,jk->k", readout.conj(), r, readout).real
+
+
+def test_field_phases_shift_the_atomic_amplitudes():
+    # coherent fields of phases (theta_a, theta_b) give the level-j member of
+    # block (N_a, N_b) the phase e^{i (theta_a (N_a - MU_j) + theta_b (N_b - NU_j))}.
+    # The block's common factor e^{i (theta_a N_a + theta_b N_b)} drops out of
+    # R, so the columns are those of real fields with c_j shifted by
+    # e^{-i (MU_j theta_a + NU_j theta_b)}.  The oracle keeps 0..14 photons
+    # per mode against the program's windows [0, 12] and [0, 11], which
+    # differ by about epsilon; the unshifted c is 0.3 off.
+    c = np.array([0.6, 0.48 + 0.36j, 0.4 - 0.34871170611122j])
+    c /= np.linalg.norm(c)
+    theta_a, theta_b, cutoff = 0.7, -1.9, 14
+    physics = dict(g_a=1.0, g_b=0.8, nbar_a=1.0, nbar_b=0.7, delta_a=0.15, delta_b=-0.1)
+    psi0 = np.multiply.outer(c, np.multiply.outer(
+        coherent_amplitudes(physics["nbar_a"], theta_a, cutoff),
+        coherent_amplitudes(physics["nbar_b"], theta_b, cutoff))).ravel()
+    psi0 /= np.linalg.norm(psi0)
+    full = oracle.build_full_hamiltonian(make_params(**physics), cutoff, cutoff)
+    assert full.dim == 675
+    times = np.linspace(0.0, 6.0, 4)
+    expected = np.array([oracle_columns(oracle.full_evolve(full, psi0, t), cutoff, cutoff)
+                         for t in times])
+
+    def columns(amplitudes):
+        series = time_series(make_params(c=tuple(amplitudes), **physics), times)
+        return np.column_stack([series[key] for key in SERIES_KEYS[:12]])
+
+    shift = np.exp(-1j * (theta_a * np.array(MU) + theta_b * np.array(NU)))
+    assert np.max(np.abs(columns(c * shift) - expected)) <= 1e-9
+    assert np.max(np.abs(columns(c) - expected)) > 0.1
 
 
 unit = st.floats(-1.0, 1.0)
