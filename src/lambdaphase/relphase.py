@@ -226,21 +226,21 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     (tiles, G x SEGMENT, 6) R: the populations, the coherences R_10 and
     R_21 of adjacent levels, and R_20.  The grid's last segment may be
     shorter than the others; it runs on with them past its end, into R
-    slots beyond the grid's last sample that are never read.  Every dot product is a complex one
-    of at most REDUCE_CHUNK blocks, below the length at which OpenBLAS
-    splits it over threads.  So a position costs one call for all G
-    samples, and a tile's eigenvectors and step with the group's twists and
-    amplitudes, at most about REDUCE_CHUNK block-samples, stay in cache
-    over the group's samples instead of the whole state streaming through
-    it once per sample.  On a non-uniform grid every segment is one
-    sample, so a group is G samples with exact twists.  The rows of a
-    group come from :func:`series_rows`, which adds the tiles' R in tile
-    order and writes them straight into the (T, 13) table.  Each sample
-    keeps its exact twist and its own steps, and each reduction and row is
-    formed on its own, so the bytes depend neither on G nor on the loop
-    order.  G at most SEGMENT keeps a group's R at SEGMENT**2 samples per
-    tile, so the memory beside the (T, 13) table does not grow with the
-    grid.
+    slots beyond the grid's last sample that are never read.  Every dot
+    product is a complex one of at most REDUCE_CHUNK blocks, below the
+    length at which OpenBLAS splits it over threads.  So a position costs
+    one call for all G samples, and a tile's eigenvectors and step with the
+    group's twists and amplitudes, at most about REDUCE_CHUNK
+    block-samples, stay in cache over the group's samples instead of the
+    whole state streaming through it once per sample.  On a non-uniform
+    grid every segment is one sample, so a group is G samples with exact
+    twists.  The rows of a group come from :func:`series_rows`, which
+    adds the tiles' R in tile order and writes them straight into the
+    (T, 13) table.  Each sample keeps its exact twist and its own steps,
+    and each reduction and row is formed on its own, so the bytes depend
+    neither on G nor on the loop order.  G at most SEGMENT keeps a group's
+    R at SEGMENT**2 samples per tile, so the memory beside the (T, 13)
+    table does not grow with the grid.
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
     ValueError for a grid that is not one-dimensional, holds a non-finite
