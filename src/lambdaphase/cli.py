@@ -26,7 +26,6 @@ import numpy as np
 
 from . import algebra, numfmt, relphase, svgplot
 from .dynamics import SystemParams, require_finite
-from .verify import run_suite
 
 COLUMNS = ("tau",) + relphase.SERIES_KEYS
 
@@ -220,6 +219,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here so that simulate loads neither verify nor the oracle
+    from .verify import run_suite
     results = run_suite()
     failures = 0
     for check in results:
