@@ -5,6 +5,7 @@ the worst residual per check.  These are sanity gates for an installed
 build; the full test suite lives under tests/.
 """
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -13,7 +14,7 @@ import numpy as np
 from . import algebra, oracle, relphase
 from .algebra import commutator
 from .dynamics import (BlockDiagonalPropagator, SystemParams, block_hamiltonians,
-                       block_members, photon_window, poisson_probabilities)
+                       block_members, poisson_probabilities)
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,13 @@ def suite_dynamics() -> list[CheckResult]:
     checks = []
     params = _desk_params()
 
-    cutoff = photon_window(1.0, 1e-10)[1]
-    total = float(np.sum(poisson_probabilities(1.0, cutoff)))
-    checks.append(CheckResult("poisson weight normalization",
-                              abs(total - 1.0), 1e-10))
+    # whole tables: 40 standard deviations and 60 photons past nbar the tail
+    # is far below an ulp of 1, so |sum - 1| is the table's own error
+    worst = 0.0
+    for nbar in (1.0, 2e4):
+        top = math.ceil(nbar + 40 * math.sqrt(nbar) + 60)
+        worst = max(worst, abs(float(np.sum(poisson_probabilities(nbar, top))) - 1.0))
+    checks.append(CheckResult("poisson weight normalization", worst, 1e-13))
 
     h = block_hamiltonians(params, [(1, 1), (2, 3), (5, 2), (0, 4), (3, 0)])
     checks.append(CheckResult("block hermiticity", float(np.max(np.abs(

@@ -188,20 +188,28 @@ def assert_blas_threads_keep_bytes(tmp_path, raw):
 
 def test_runtime_loads_no_test_dependency(tmp_path):
     # numpy is the only runtime dependency: importing the package and
-    # running a preset in a fresh process loads no test-only module
+    # running a preset in a fresh process loads no test-only module; and
+    # simulate alone loads only the modules it runs, not oracle or verify
     src = str(Path(lambdaphase.__file__).resolve().parents[1])
-    out = tmp_path / "fig2.csv"
-    script = ("import sys\n"
-              "import lambdaphase, lambdaphase.cli, lambdaphase.verify\n"
-              "status = lambdaphase.cli.main(['simulate', '--preset', 'fig2', "
-              f"'--out', {str(out)!r}, '--svg', {str(tmp_path / 'fig2.svg')!r}])\n"
-              "print(status, sorted(name for name in sys.modules\n"
-              "                     if name.split('.')[0] in ('scipy', 'hypothesis', 'pytest')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                            capture_output=True, text=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "0 []"
+    out = tmp_path / "fig2.csv"
+
+    def loaded(imports, packages):
+        script = (f"import sys\n{imports}\n"
+                  "status = lambdaphase.cli.main(['simulate', '--preset', 'fig2', "
+                  f"'--out', {str(out)!r}, '--svg', {str(tmp_path / 'fig2.svg')!r}])\n"
+                  "print(status, sorted(name for name in sys.modules\n"
+                  f"                     if name.split('.')[0] in {packages!r}))\n")
+        result = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True, timeout=120)
+        return result.stdout.splitlines()[-1]
+
+    assert loaded("import lambdaphase, lambdaphase.cli, lambdaphase.verify",
+                  ("scipy", "hypothesis", "pytest")) == "0 []"
     assert out.stat().st_size > 0
+    expected = ["lambdaphase"] + [f"lambdaphase.{name}" for name in (
+        "algebra", "cli", "dynamics", "numfmt", "relphase", "svgplot")]
+    assert loaded("import lambdaphase.cli", ("lambdaphase",)) == f"0 {expected}"
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -637,6 +645,16 @@ def test_main_verify(capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert out.endswith("31/31 checks passed\n")
+
+
+def test_verify_poisson_check_sees_a_scaled_table(monkeypatch):
+    # a table 3e-11 too heavy everywhere; a sum over the epsilon window of
+    # nbar 1 read the true tail above it, 6.4e-11, and passed this table
+    table = verify.poisson_probabilities
+    monkeypatch.setattr(verify, "poisson_probabilities",
+                        lambda nbar, top: table(nbar, top) * (1 + 3e-11))
+    checks = {check.name: check for check in verify.suite_dynamics()}
+    assert not checks["poisson weight normalization"].passed
 
 
 def long_step(segments):
