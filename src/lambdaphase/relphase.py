@@ -74,7 +74,9 @@ SERIES_KEYS = (*(key for keys in PHASE_KEYS.values() for key in keys),
                "pop1", "pop2", "pop3", "norm")
 
 # Samples per segment of a uniform grid: each segment starts from an exact
-# eigenphase twist and steps the samples after it by one fixed factor.
+# eigenphase twist and steps the samples after it by one fixed factor.  The
+# merged lines are summed over tiles of as many samples, each from an exact
+# anchor times a power table of SEGMENT entries.
 SEGMENT = 64
 
 # Largest distance, in ulp of the grid's largest |t|, between a sample and
@@ -86,9 +88,21 @@ UNIFORM_ULPS = 4
 # threads above 10000 elements, at points that depend on the thread count,
 # which would make the bytes of a run depend on it; tiles this short stay
 # on one thread and are summed in a fixed order.  It also bounds the group
-# of segments that :func:`time_series` walks at once to about REDUCE_CHUNK
+# of segments that :func:`walk_rows` walks at once to about REDUCE_CHUNK
 # block-samples a sample position.
 REDUCE_CHUNK = 8192
+
+# Largest number of blocks whose pairs :func:`spectral_lines` forms and merges
+# at once, which bounds its (3, PAIR_CHUNK, 12) projections and its
+# (3 PAIR_CHUNK, 12) pair gains to 0.3 MiB each.
+PAIR_CHUNK = 512
+
+# Largest number of lines in one GEMM of :func:`line_rows`.  OpenBLAS runs a
+# GEMM of m n k <= 2**18 multiply-adds (65536 times its default
+# GEMM_MULTITHREAD_THRESHOLD of 4) on one thread, and splits a larger one over
+# its threads at points that can change the bits of a row, so a tile of
+# SEGMENT samples against 2 LINE_CHUNK floats of 12 columns stays below it.
+LINE_CHUNK = 2**18 // (24 * SEGMENT)
 
 # Largest phase rounding allowance A of :func:`phase_rounding` that a grid
 # may carry: the 1e-8 gate on the columns' agreement with the dense oracle.
@@ -111,6 +125,15 @@ _PRODUCTS = (_READOUT.conj()[:, None, :] * _READOUT[None, :, :]).reshape(9, 12)
 _READOUT_REAL = np.zeros((12, 12))
 _READOUT_REAL[0:6:2] = _PRODUCTS[[0, 4, 8]].real
 _READOUT_REAL[7::2] = -2.0 * _PRODUCTS[[3, 7, 6]].imag
+
+
+# q = v^dagger a of the 12 readout columns v as a real map of the float view
+# (Re a_1, Im a_1, ..., Im a_3) of a block's amplitudes to (Re q, Im q) per
+# column, so that one real einsum, with no BLAS call, projects a tile.
+_PROJECT = np.zeros((6, 24))
+_PROJECT[0::2, 0::2] = _PROJECT[1::2, 1::2] = _READOUT.real
+_PROJECT[0::2, 1::2] = -_READOUT.imag
+_PROJECT[1::2, 0::2] = _READOUT.imag
 
 
 def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
@@ -136,8 +159,9 @@ def block_tiles(blocks: int) -> list[tuple[int, int]]:
 
     The tiles cover blocks 0..blocks-1 in order and differ in size by at
     most one block; up to REDUCE_CHUNK blocks are one tile.  This is the
-    one partition of every block reduction: :func:`time_series` keeps one
-    R per tile and :func:`series_rows` adds them in this order.
+    one partition of every block reduction: :func:`walk_rows` keeps one
+    R per tile and :func:`series_rows` adds them in this order, and
+    :func:`spectral_lines` merges the tiles' pairs in this order.
     """
     count = max(1, -(-blocks // REDUCE_CHUNK))
     bounds = [blocks * k // count for k in range(count + 1)]
@@ -180,7 +204,14 @@ def phase_rounding(params: SystemParams, t_max: float, source: str = "the grid")
     error f moves the line, so each eigenbasis coefficient, by at most |f|
     times its modulus; the eigenvectors are orthonormal and the state has
     unit norm, so each column, a sum of squared overlaps, moves by at most
-    about 2 |f|.
+    about 2 |f|.  The merged lines of :func:`line_rows` turn at the pair
+    frequencies W = w_k - w_l instead: |W| <= 2 r, the difference of two
+    such doubles is off by a few eps r, and W t rounds by up to
+    eps |W t| / 2 <= eps r |t| more.  So each line's phase is still off by
+    a small multiple of A.  A column is a sum of Re G exp(-i W t) with
+    |G| = 2 |q_k| |q_l| <= |q_k|^2 + |q_l|^2, and each mode is in two
+    pairs, so the |G| add up to at most 2 sum |q_k|^2 <= 2: a phase error f
+    on every line again moves each column by at most about 2 |f|.
 
     Returns A.  Raises ValueError naming ``source``, t_max and A when A
     exceeds MAX_PHASE_ROUNDING, before any block is built.
@@ -195,20 +226,119 @@ def phase_rounding(params: SystemParams, t_max: float, source: str = "the grid")
     return allowance
 
 
-def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray]:
-    """Phase distributions and populations of all three transitions over a grid.
+def spectral_lines(prop: BlockDiagonalPropagator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 12 readout columns of ``prop``'s state as a static term and merged lines.
 
-    This is the production path: every block is eigendecomposed once, and
-    each time sample costs one eigenphase twist and one real 3x3
-    contraction per block (:meth:`BlockDiagonalPropagator.amplitudes_at`).
-    All 13 columns are linear in the block-summed matrix
-    R = sum_b a_b a_b^dagger of the member amplitudes a_b: each phase
-    probability is <phi|R|phi> for a relative-phase eigenstate phi of a
-    full block, the populations are diag R and the norm is tr R.  Each phi
-    is (upper -+ i partner)/sqrt(2) or a level, so the columns read only
-    the populations and Im of the three coherences: R is kept as its six
-    entries R_00, R_11, R_22, R_10, R_21, R_20, and the three above the
-    diagonal, their conjugates, are never formed.
+    With a_k = V[:, k] c0_k the amplitudes of eigenmode k of a block, a
+    readout column v reads |sum_k q_k exp(-i w_k t)|^2, q_k = v^dagger a_k,
+    summed over the blocks: the static part sum |q_k|^2 plus, for each pair
+    k < l, Re G exp(-i (w_k - w_l) t) with G = 2 q_k conj(q_l).  Returns
+    ``(static, frequencies, gains)``: the (12,) static term, the (L,)
+    ascending pair frequencies w_k - w_l and the (L, 12) complex G summed
+    over all pairs whose frequencies are bitwise equal.  A line at
+    frequency 0 never moves, so its Re G is added to the static term
+    instead, which makes that term each column's infinite-time mean.
+
+    The blocks are read in the tiles of :func:`block_tiles`, in block
+    order.  Each tile takes one stacked ``amplitudes_at(0.0, onehot)``
+    call, with ``onehot[k]`` its ``coeff0`` masked to row k, so that only
+    :meth:`BlockDiagonalPropagator.amplitudes_at` applies the
+    eigenvectors.  Its blocks are then projected and paired PAIR_CHUNK at
+    a time: a stable sort of the chunk's 3 x PAIR_CHUNK pair frequencies,
+    ``np.add.reduceat`` over each run of equal ones, and an in-place sum
+    into the table, whose new frequencies are inserted in order.  Every
+    line is thus summed in one fixed order, and no (3B, 12) array is
+    formed: beside the propagator and the table, the build holds a tile's
+    amplitudes and a chunk's pairs.
+    """
+    static = np.zeros(_READOUT.shape[1])
+    frequencies, gains = np.empty(0), np.empty((0, _READOUT.shape[1]), dtype=complex)
+    for start, stop in block_tiles(len(prop.index)):
+        tile = prop[start:stop]
+        modes = tile.amplitudes_at(0.0, np.eye(3)[:, :, None] * tile.coeff0)
+        for first in range(0, stop - start, PAIR_CHUNK):
+            chunk = slice(first, first + PAIR_CHUNK)
+            part, w, g = _chunk_lines(tile.frequencies[:, chunk], modes[:, chunk])
+            static += part
+            at = np.searchsorted(frequencies, w)
+            known = at < len(frequencies)
+            known[known] = frequencies[at[known]] == w[known]
+            gains[at[known]] += g[known]
+            if not known.all():
+                frequencies = np.insert(frequencies, at[~known], w[~known])
+                gains = np.insert(gains, at[~known], g[~known], axis=0)
+        del modes  # the next tile's apply runs without this tile's amplitudes
+    gains *= 2.0  # exact, so each line is the sum of its pairs' 2 q_k conj(q_l)
+    zero = frequencies == 0.0
+    static += np.sum(gains[zero].real, axis=0)
+    return static, frequencies[~zero], gains[~zero]
+
+
+def _chunk_lines(frequencies: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Static part, pair frequencies and summed q_k conj(q_l) of a chunk of blocks.
+
+    ``frequencies`` (3, c) and ``modes`` (3, c, 3) are the eigenfrequencies
+    and eigenmode amplitudes a_k of c blocks.  Returns the (12,) sum of
+    |q_k|^2, the ascending distinct pair frequencies w_k - w_l of the
+    chunk and, for each, the (12,) sum of q_k conj(q_l) over its pairs, in
+    the order of a stable sort of the pairs (pair (0, 1), (0, 2), (1, 2),
+    each in block order).
+    """
+    q = np.einsum("kbx,xy->kby", np.ascontiguousarray(modes).view(float),
+                  _PROJECT).view(complex)
+    static = np.einsum("kbm,kbm->m", q.real, q.real) + np.einsum("kbm,kbm->m", q.imag, q.imag)
+    w = np.concatenate([frequencies[0] - frequencies[1], frequencies[0] - frequencies[2],
+                        frequencies[1] - frequencies[2]])
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    runs = np.flatnonzero(np.concatenate([[True], w[1:] != w[:-1]]))
+    g = np.concatenate([q[0] * q[1].conj(), q[0] * q[2].conj(), q[1] * q[2].conj()])
+    return static, w[runs], np.add.reduceat(g[order], runs)
+
+
+def line_rows(static: np.ndarray, frequencies: np.ndarray, gains: np.ndarray,
+              times: np.ndarray) -> np.ndarray:
+    """The (T, 13) rows static + Re sum_l G_l exp(-i W_l t) of :func:`spectral_lines`.
+
+    The lines run in chunks of LINE_CHUNK, and the samples of each chunk
+    in tiles of SEGMENT.  On a uniform grid (:func:`grid_segments`) a
+    tile starting at t_s takes the exact anchor exp(-i W t_s) times a
+    power table exp(-i W j dt), j < SEGMENT, made once per chunk with an
+    exact ``exp``; on any other grid every sample takes an exact ``exp``.
+    Re(G P) = Re G Re P - Im G Im P, so each chunk and tile is one real
+    GEMM of the phases' float view (n, 2L) with the gains as rows Re G and
+    -Im G, (2L, 12), added to the static term in chunk order.  The norm is
+    pop1 + pop2 + pop3.  Beside the rows, a power table and a tile's
+    phases of SEGMENT x LINE_CHUNK complex numbers are held, whatever L
+    and T are.
+    """
+    dt = grid_segments(times)[0]
+    rows = np.empty((len(times), len(SERIES_KEYS)))
+    rows[:, :12] = static
+    for c in range(0, len(frequencies), LINE_CHUNK):
+        w, g = frequencies[c:c + LINE_CHUNK], gains[c:c + LINE_CHUNK]
+        operand = np.empty((2 * len(w), 12))
+        operand[0::2], operand[1::2] = g.real, -g.imag
+        powers = np.exp(np.multiply.outer(-1j * dt * np.arange(SEGMENT), w)) if dt else None
+        for start in range(0, len(times), SEGMENT):
+            span = times[start:start + SEGMENT]
+            if dt:
+                phases = powers[:len(span)] * np.exp((-1j * span[0]) * w)
+            else:
+                phases = np.exp(np.multiply.outer(-1j * span, w))
+            rows[start:start + len(span), :12] += phases.view(float) @ operand
+    np.add(rows[:, 9], rows[:, 10], out=rows[:, 12])
+    rows[:, 12] += rows[:, 11]
+    return rows
+
+
+def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
+    """The (T, 13) rows of ``prop``'s state on a grid, walked sample by sample.
+
+    Each readout vector is (upper -+ i partner)/sqrt(2) or a level, so the
+    columns read only the populations and Im of the three coherences: R is
+    kept as its six entries R_00, R_11, R_22, R_10, R_21, R_20, and the
+    three above the diagonal, their conjugates, are never formed.
 
     The grid is walked in the segments of :func:`grid_segments`, G =
     min(segments, SEGMENT, max(1, REDUCE_CHUNK // b)) segments at a time
@@ -241,20 +371,7 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     neither on G nor on the loop order.  G at most SEGMENT keeps a group's
     R at SEGMENT**2 samples per tile, so the memory beside the (T, 13)
     table does not grow with the grid.
-
-    Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
-    ValueError for a grid that is not one-dimensional, holds a non-finite
-    time or reaches a |t| whose :func:`phase_rounding` is too large.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a one-dimensional grid, got shape {times.shape}")
-    bad = np.flatnonzero(~np.isfinite(times))
-    if len(bad):
-        raise ValueError(f"times must be finite, got {times[bad[0]]} at "
-                         f"position {bad[0]}")
-    phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
-    prop = BlockDiagonalPropagator(params)
     dt, segments = grid_segments(times)
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
     widest = max(len(tile.index) for tile in tiles)
@@ -285,8 +402,47 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
                 np.vecdot(*pairs, out=slots[:, j, 3:5])
                 np.vecdot(*outer, out=slots[:, j, 5])
         series_rows(r[:, :last - first], out=rows[first:last])
+    return rows
 
-    return dict(zip(SERIES_KEYS, rows.T))
+
+def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray]:
+    """Phase distributions and populations of all three transitions over a grid.
+
+    This is the production path: every block is eigendecomposed once.
+    All 13 columns are linear in the block-summed matrix
+    R = sum_b a_b a_b^dagger of the member amplitudes a_b: each phase
+    probability is <phi|R|phi> for a relative-phase eigenstate phi of a
+    full block, the populations are diag R and the norm is tr R.
+
+    Two evaluators share this, chosen by the rule that already picks the
+    closed-form eigensystems.  At two-photon resonance, delta_a ==
+    delta_b, every block's spectrum depends on the block only through its
+    coupling norm, so the pair frequencies w_k - w_l repeat bit for bit:
+    weak_long's 507 pairs are 69 lines and scale_setup's 49923 are 933.
+    There the propagator is reduced to :func:`spectral_lines`, released,
+    and each row is the static term plus the merged lines, summed by
+    :func:`line_rows`; weak_long calls ``amplitudes_at`` once instead of
+    256 times.  Detuned runs, where hardly any pair merges, walk the
+    blocks at every sample instead (:func:`walk_rows`).
+
+    Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
+    ValueError for a grid that is not one-dimensional, holds a non-finite
+    time or reaches a |t| whose :func:`phase_rounding` is too large.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a one-dimensional grid, got shape {times.shape}")
+    bad = np.flatnonzero(~np.isfinite(times))
+    if len(bad):
+        raise ValueError(f"times must be finite, got {times[bad[0]]} at "
+                         f"position {bad[0]}")
+    phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
+    prop = BlockDiagonalPropagator(params)
+    if params.delta_a != params.delta_b:
+        return dict(zip(SERIES_KEYS, walk_rows(prop, times).T))
+    lines = spectral_lines(prop)
+    del prop
+    return dict(zip(SERIES_KEYS, line_rows(*lines, times).T))
 
 
 def trapping_config(phi: float, nbar: float) -> SystemParams:

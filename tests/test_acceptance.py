@@ -21,6 +21,7 @@ rules, the dense oracle and the trapping criterion all fix it, and the
 oracle spot check below confirms the program at the fig3a layout.
 """
 
+import dataclasses
 import math
 from typing import NamedTuple
 
@@ -31,7 +32,8 @@ from lambdaphase import algebra, oracle, verify
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   photon_window, truncation_cutoff)
-from lambdaphase.relphase import rel_phase_eigenstates, time_series, trapping_config
+from lambdaphase.relphase import (SERIES_KEYS, rel_phase_eigenstates, spectral_lines,
+                                  time_series, trapping_config)
 
 WINDOW = (0.3, 0.8)  # rescaled-time collapse window for the strong-field runs
 LEVEL_TOL = 5e-3  # windowed mean vs diagonal-ensemble level
@@ -341,6 +343,23 @@ def test_criterion_7_strong_strong_field(preset_data):
            f"{target.p23_0:.4f} +- {LEVEL_TOL:g})")
     assert clause1, f"windowed mean p13_0 = {mean13:.4f} vs {target.p13_0:.4f}"
     assert clause2, f"windowed mean p23_0 = {mean23:.4f} vs {target.p23_0:.4f}"
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+def test_static_term_is_the_closed_form_collapse_level(name):
+    """The static term of the merged lines is the diagonal-ensemble level.
+
+    The windowed means of criteria 6 and 7 approach the levels of
+    :func:`collapse_levels`; the lines' static term, each column's
+    infinite-time mean, is them.  The presets' epsilon of 1e-10 drops
+    Poisson tails that move fig3b's levels by 8.6e-12, so the physics is
+    taken at epsilon 1e-14, where that is below 1e-15.
+    """
+    config = dataclasses.replace(PRESETS[name], epsilon=1e-14)
+    static = spectral_lines(BlockDiagonalPropagator(config))[0]
+    target = collapse_levels(config)
+    assert abs(static[SERIES_KEYS.index("p13_0")] - target.p13_0) <= 1e-12
+    assert abs(static[SERIES_KEYS.index("p23_0")] - target.p23_0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

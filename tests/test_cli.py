@@ -677,6 +677,27 @@ def test_verify_projection_check_covers_the_stepped_walk(monkeypatch, name, faul
     assert checks["projection vs closed form"].residual > 1e-8
 
 
+def strongest_line(lines, fault):
+    """spectral_lines with ``fault(frequencies, gains, k)`` applied at its strongest line k."""
+    def faulty(prop):
+        static, frequencies, gains = lines(prop)
+        return (static, *fault(frequencies, gains, np.argmax(np.abs(gains).sum(axis=1))))
+    return faulty
+
+
+@pytest.mark.parametrize("fault", [
+    lambda w, g, k: (np.delete(w, k), np.delete(g, k, axis=0)),
+    lambda w, g, k: (np.where(np.arange(len(w)) == k, w * (1 + 1e-6), w), g),
+], ids=["dropped-line", "perturbed-frequency"])
+def test_verify_projection_check_covers_the_merged_lines(monkeypatch, fault):
+    # a line left out of the sum, or one frequency a part in 1e6 off, moves
+    # time_series' columns on the resonant grid but not the exact state
+    monkeypatch.setattr(relphase, "spectral_lines",
+                        strongest_line(relphase.spectral_lines, fault))
+    checks = {check.name: check for check in verify.suite_relphase()}
+    assert checks["projection vs closed form"].residual > 1e-8
+
+
 def test_readme_config_schema_loads_and_names_every_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"### Config schema\n.*?```json\n(.*?)```", readme,

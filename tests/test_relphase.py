@@ -20,8 +20,8 @@ from lambdaphase.oracle import (_ALGEBRA_MATRICES, _dressed_block_lowering,
 from lambdaphase.relphase import (MAX_PHASE_ROUNDING, PHASE_KEYS, REDUCE_CHUNK, SEGMENT,
                                   SERIES_KEYS, block_tiles, grid_segments,
                                   marginal_distribution, phase_rounding,
-                                  rel_phase_eigenstates, series_rows, time_series,
-                                  trapping_config)
+                                  rel_phase_eigenstates, series_rows, spectral_lines,
+                                  time_series, trapping_config, walk_rows)
 
 GROUND = (1.0, 0.0, 0.0)
 LABELS = ("0", "+", "-")
@@ -272,8 +272,9 @@ def test_time_series_refuses_a_grid_whose_phase_rounding_swamps_its_rows(monkeyp
 
 
 def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
-    # fig3a is refused from tau_max of about 75556; at 7.5e4 the stepped
-    # columns lie within A = 9.9e-9 of the exact per-sample path (0.05 A here)
+    # fig3a is refused from tau_max of about 75556; at 7.5e4 the columns,
+    # summed over the merged lines, lie within A = 9.9e-9 of the exact
+    # per-sample path (0.054 A here, and 0.046 A on the walk)
     config = dataclasses.replace(PRESETS["fig3a"], tau_max=7.5e4, tau_steps=129)
     data = run_scenario(config)
     times = data["tau"] * time_scale(config)
@@ -336,7 +337,7 @@ def series_table(series):
 
 def test_recurrence_matches_exact_exp_on_a_long_grid():
     # weak_long's physics over tau 0..40: t reaches 251 and w t about 1300,
-    # with 157 segments of stepped phases
+    # over 157 tiles of the merged lines' anchored power table
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND)
     times = np.linspace(0.0, 40.0, 10001) * 2.0 * math.pi
     assert len(grid_segments(times)[1]) == 157
@@ -345,14 +346,17 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
 
 
 @pytest.mark.parametrize("nbar, samples, uniform, blocks, group", [
-    (1.0, 2 * SEGMENT + 5, True, 169, 3),  # fig2 physics: one group, last segment short
+    (1.0, 2 * SEGMENT + 5, True, 169, 3),  # fig2's blocks: one group, last segment short
     (1.0, 49 * SEGMENT + 5, True, 169, 48),  # two groups, the second a full and a short segment
     (1.0, 49 * SEGMENT + 1, True, 169, 48),  # a one-sample last segment runs on 63 positions
     (1.0, 100, False, 169, 48),  # one-sample segments with exact twists, three groups
     (100.0, SEGMENT + 3, True, 16641, 1),  # three tiles of 5547 blocks, one segment a group
 ], ids=["fig2", "fig2_two_groups", "fig2_one_sample_tail", "fig2_non_uniform", "nbar100"])
 def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, uniform, blocks, group):
-    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
+    # the walk's grouping, pinned on detuned physics, which takes the walk:
+    # fig2's and nbar-100's resonant physics take the merged lines instead
+    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
+                          delta_a=0.3, delta_b=-0.2)
     times = np.linspace(0.0, 2.0, samples) * 2.0 * math.pi * math.sqrt(nbar)
     if not uniform:
         times = np.sort(np.random.default_rng(samples).uniform(0.0, times[-1], samples))
@@ -371,17 +375,24 @@ def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
     assert all(column.shape == (0,) for column in series.values())
 
 
-@pytest.mark.parametrize("nbar, bound", [(1.0, 1.75 * 2**20), (0.01, 0.875 * 2**20)],
-                         ids=["fig2", "few_blocks"])
-def test_time_series_memory_does_not_grow_with_the_grid(nbar, bound):
-    # the group buffers and R rows are sized by SEGMENT and REDUCE_CHUNK,
-    # never by the grid: at a few blocks the group is capped at SEGMENT
-    # segments, so a group's R stays at SEGMENT**2 samples however long the
-    # grid is.  Only the (T, 13) table and the segment list grow with T.
-    # The rows are read straight into the table, so beside it sit only the
+@pytest.mark.parametrize("nbar, delta, bound", [
+    (1.0, 0.0, 1.75 * 2**20), (0.01, 0.0, 0.875 * 2**20),
+    (1.0, 0.3, 1.75 * 2**20), (0.01, 0.3, 0.875 * 2**20),
+], ids=["fig2", "few_blocks", "fig2_detuned", "few_blocks_detuned"])
+def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, bound):
+    # Resonant runs sum lines in tiles of SEGMENT samples and chunks of
+    # LINE_CHUNK lines: beside the (T, 13) table sit the line table, one
+    # power table and one tile's phases, 0.20 MiB at fig2's 69 lines and
+    # 0.07 MiB at 0.01/0.01 in tracemalloc.  On the detuned walk the group
+    # buffers and R rows are sized by SEGMENT and REDUCE_CHUNK, never by the
+    # grid: at a few blocks the group is capped at SEGMENT segments, so a
+    # group's R stays at SEGMENT**2 samples however long the grid is.  The
+    # rows are read straight into the table, so beside it sit only the
     # group's twists, amplitudes, steps and six-entry R: 1.51 MiB at fig2's
-    # 169 blocks (G = 48) and 0.68 MiB at 0.01/0.01 (G = 64) in tracemalloc.
-    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
+    # 169 blocks (G = 48) and 0.68 MiB at 0.01/0.01 (G = 64).  On either
+    # path only the table and the segment list grow with T.
+    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
+                          delta_a=delta, delta_b=-delta)
     beside_table = []
     for samples in (5001, 20001):
         times = np.linspace(0.0, 40.0, samples) * 2.0 * math.pi
@@ -518,6 +529,100 @@ def test_scenario_grids_take_the_stepped_path(tau_max, tau_steps, g_a, nbar_a):
     times = taus * time_scale(params)
     assume(min(taus[1], times[1]) >= np.finfo(float).tiny)
     assert len(grid_segments(times)[1]) == -(-tau_steps // SEGMENT)
+
+
+# ---------------------------------------------------------------------------
+# merged spectral lines of resonant runs
+# ---------------------------------------------------------------------------
+
+def scenario_times(config):
+    """The interaction times of a scenario's tau grid, as run_scenario makes them."""
+    return np.linspace(0.0, config.tau_max, config.tau_steps) * time_scale(config)
+
+
+# seed-1 grids of the benchmark's resonant workloads (perfbench/workloads.py)
+WEAK_LONG = dataclasses.replace(PRESETS["fig2"], tau_max=38.468880632180785, tau_steps=10001)
+SCALE_SETUP = dataclasses.replace(PRESETS["fig2"], nbar_a=100.0, nbar_b=100.0,
+                                  tau_max=1.9359760525999767, tau_steps=101)
+
+# resonant physics, each with a grid of several tiles of SEGMENT samples
+LINE_CASES = {
+    **{name: (config, scenario_times(config)) for name, config in PRESETS.items()},
+    "weak_long": (WEAK_LONG, scenario_times(WEAK_LONG)),
+    "scale_setup": (SCALE_SETUP, scenario_times(SCALE_SETUP)),
+    # unequal couplings: hardly any two blocks share a coupling norm
+    "g_1_0.8": (desk_params(nbar_a=4.0, nbar_b=3.0, g_b=0.8, delta_a=0.0, delta_b=0.0),
+                np.linspace(0.0, 20.0, 2 * SEGMENT + 7)),
+    "delta_0.3": (desk_params(delta_a=0.3, delta_b=0.3), np.linspace(0.0, 20.0, 2 * SEGMENT + 7)),
+    # the blocks with N_a = 0 have two equal eigenvalues: a pair frequency of 0
+    "gb0_delta_0.3": (desk_params(g_b=0.0, delta_a=0.3, delta_b=0.3),
+                      np.linspace(0.0, 20.0, 2 * SEGMENT + 7)),
+    "empty": (PRESETS["fig2"], np.empty(0)),
+    "non_uniform": (desk_params(delta_a=-0.2, delta_b=-0.2),
+                    np.sort(np.random.default_rng(3).uniform(0.0, 12.0, SEGMENT + 9))),
+}
+
+
+@pytest.mark.parametrize("name", LINE_CASES)
+def test_lines_match_the_walk_and_the_exact_rows(name):
+    # every sample against the per-sample walk, and up to about 400 of them
+    # against the exact amplitudes_at(t) of each sample
+    params, times = LINE_CASES[name]
+    assert params.delta_a == params.delta_b
+    got = series_table(time_series(params, times))
+    assert got.shape == (len(times), len(SERIES_KEYS))
+    walk = walk_rows(BlockDiagonalPropagator(params), times)
+    assert np.max(np.abs(got - walk), initial=0.0) <= 1e-12
+    every = max(1, len(times) // 400)
+    exact = exact_rows(params, times[::every]).reshape(-1, len(SERIES_KEYS))
+    assert np.max(np.abs(got[::every] - exact), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name, blocks, lines", [
+    ("fig2", 169, 69), ("fig3a", 1001, 324), ("fig3b", 8281, 629), ("fig4", 8462, 629),
+    ("scale_setup", 16641, 933), ("g_1_0.8", 503, 966), ("gb0_delta_0.3", 179, 43),
+])
+def test_resonant_pairs_merge_into_few_lines(name, blocks, lines):
+    # the 3 B pairs of the closed-form spectra merge into L lines; no line
+    # sits at frequency 0, whose pairs are static
+    prop = BlockDiagonalPropagator(LINE_CASES[name][0])
+    static, frequencies, gains = spectral_lines(prop)
+    assert len(prop.index) == blocks
+    assert len(frequencies) == lines and gains.shape == (lines, 12) and static.shape == (12,)
+    assert np.all(np.diff(frequencies) > 0) and np.all(frequencies != 0.0)
+    w = prop.frequencies
+    zero_pairs = np.count_nonzero([w[0] == w[1], w[0] == w[2], w[1] == w[2]])
+    assert (zero_pairs > 0) == (name == "gb0_delta_0.3")
+
+
+def traced_peak(run):
+    """Peak tracemalloc bytes of one call of ``run``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_line_path_memory_does_not_grow_with_the_blocks():
+    # Beside the (T, 13) table and the peak of building the propagator, which
+    # every evaluator pays, the line path holds one tile's amplitudes and one
+    # chunk's pairs while it builds (the propagator is released before the
+    # sum), then the line table, one power table and one tile's phases.
+    # The chunks are of fixed size, so from nbar 100/100 (16641 blocks, 933
+    # lines) to 200/200 (34225 blocks, 1316 lines) nothing beside the build
+    # grows: tracemalloc read 0.80 MiB at 100/100, and at 200/200 the
+    # build's own peak stood above the line path's (-0.01 MiB).
+    beside = []
+    for nbar in (100.0, 200.0):
+        params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND)
+        times = np.linspace(0.0, 2.0, 101) * time_scale(params)
+        build = traced_peak(lambda: BlockDiagonalPropagator(params))
+        peak = traced_peak(lambda: time_series(params, times))
+        beside.append(peak - build - len(times) * len(SERIES_KEYS) * 8)
+    assert beside[1] - beside[0] <= 64 * 1024, beside
+    assert max(beside) <= 1.5 * 2**20, beside
 
 
 # ---------------------------------------------------------------------------
