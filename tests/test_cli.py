@@ -225,11 +225,24 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
 def test_simulate_bytes_do_not_depend_on_blas_threads_above_its_cutoff(tmp_path):
     # OpenBLAS threads a dot product above 10000 elements, at split points
     # that depend on the thread count; nbar 100/100 has 16641 blocks, so
-    # an unchunked reduction over the blocks would change the bytes here
+    # an unchunked reduction over the blocks would change the bytes here.
+    # The reduction is the detuned walk's, so the detunings differ
     raw = dict(BASE_CONFIG, nbar_a=100.0, nbar_b=100.0, c=[1.0, 0.0, 0.0],
-               tau_max=2.0, tau_steps=5)
+               delta_a=0.3, delta_b=-0.2, tau_max=2.0, tau_steps=5)
     params = config_from_dict(raw).system_params()
     assert len(dynamics.initial_state(params)[0]) == 16641
+    assert_blas_threads_keep_bytes(tmp_path, raw)
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_line_sum(tmp_path):
+    # OpenBLAS threads a GEMM above 2**18 multiply-adds, and a 64-sample
+    # tile of nbar 100/100's 933 resonant lines, 64 x 1866 x 12, changed
+    # the bytes under 2 threads when it was one GEMM; LINE_CHUNK keeps
+    # each below the threshold
+    raw = dict(BASE_CONFIG, nbar_a=100.0, nbar_b=100.0, c=[1.0, 0.0, 0.0],
+               tau_max=2.0, tau_steps=2 * relphase.SEGMENT + 1)
+    prop = dynamics.BlockDiagonalPropagator(config_from_dict(raw))
+    assert len(relphase.spectral_lines(prop)[1]) == 933 > relphase.LINE_CHUNK
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
 

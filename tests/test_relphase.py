@@ -557,6 +557,10 @@ LINE_CASES = {
     # the blocks with N_a = 0 have two equal eigenvalues: a pair frequency of 0
     "gb0_delta_0.3": (desk_params(g_b=0.0, delta_a=0.3, delta_b=0.3),
                       np.linspace(0.0, 20.0, 2 * SEGMENT + 7)),
+    # a coupled block's zero pair has a missing member, so no gain; with no
+    # coupling the 1<->2 coherence is a line at frequency 0 that holds one
+    "uncoupled": (desk_params(g_a=0.0, g_b=0.0, delta_a=0.3, delta_b=0.3),
+                  np.linspace(0.0, 20.0, 2 * SEGMENT + 7)),
     "empty": (PRESETS["fig2"], np.empty(0)),
     "non_uniform": (desk_params(delta_a=-0.2, delta_b=-0.2),
                     np.sort(np.random.default_rng(3).uniform(0.0, 12.0, SEGMENT + 9))),
@@ -581,6 +585,7 @@ def test_lines_match_the_walk_and_the_exact_rows(name):
 @pytest.mark.parametrize("name, blocks, lines", [
     ("fig2", 169, 69), ("fig3a", 1001, 324), ("fig3b", 8281, 629), ("fig4", 8462, 629),
     ("scale_setup", 16641, 933), ("g_1_0.8", 503, 966), ("gb0_delta_0.3", 179, 43),
+    ("uncoupled", 179, 1),
 ])
 def test_resonant_pairs_merge_into_few_lines(name, blocks, lines):
     # the 3 B pairs of the closed-form spectra merge into L lines; no line
@@ -592,7 +597,7 @@ def test_resonant_pairs_merge_into_few_lines(name, blocks, lines):
     assert np.all(np.diff(frequencies) > 0) and np.all(frequencies != 0.0)
     w = prop.frequencies
     zero_pairs = np.count_nonzero([w[0] == w[1], w[0] == w[2], w[1] == w[2]])
-    assert (zero_pairs > 0) == (name == "gb0_delta_0.3")
+    assert (zero_pairs > 0) == (name in ("gb0_delta_0.3", "uncoupled"))
 
 
 def traced_peak(run):
