@@ -59,7 +59,7 @@ def marginal_distribution(index, amplitudes: np.ndarray, transition: str) -> np.
     array in label order ("0", "+", "-"), the order of
     ``PHASE_KEYS[transition]``.  This is the cross-check of
     :func:`time_series`, which reduces the same state through the
-    block-summed matrix R instead.
+    block-summed matrix R, or its merged spectral lines, instead.
     """
     states = rel_phase_eigenstates(transition, index)
     overlaps = np.einsum("bik,bi->bk", states.conj(), amplitudes)
