@@ -129,7 +129,9 @@ _READOUT_REAL[7::2] = -2.0 * _PRODUCTS[[3, 7, 6]].imag
 
 # q = v^dagger a of the 12 readout columns v as a real map of the float view
 # (Re a_1, Im a_1, ..., Im a_3) of a block's amplitudes to (Re q, Im q) per
-# column, so that one real einsum, with no BLAS call, projects a tile.
+# column.  The real einsum gives the bits of the complex einsum with
+# _READOUT.conj() and takes 105 us a chunk of PAIR_CHUNK blocks against
+# 233 us, which made scale_setup's line build 14 ms against 18 (one CPU).
 _PROJECT = np.zeros((6, 24))
 _PROJECT[0::2, 0::2] = _PROJECT[1::2, 1::2] = _READOUT.real
 _PROJECT[0::2, 1::2] = -_READOUT.imag
@@ -226,18 +228,30 @@ def phase_rounding(params: SystemParams, t_max: float, source: str = "the grid")
     return allowance
 
 
-def spectral_lines(prop: BlockDiagonalPropagator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pair_frequencies(prop: BlockDiagonalPropagator) -> np.ndarray:
+    """The ascending distinct pair frequencies w_k - w_l, k < l, of ``prop``'s blocks.
+
+    Pairs whose frequencies are bitwise equal make one line of
+    :func:`spectral_lines`, so its table has one row for each of these.
+    """
+    w = prop.frequencies
+    return np.unique(np.concatenate([w[0] - w[1], w[0] - w[2], w[1] - w[2]]))
+
+
+def spectral_lines(prop: BlockDiagonalPropagator,
+                   frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 12 readout columns of ``prop``'s state as a static term and merged lines.
 
     With a_k = V[:, k] c0_k the amplitudes of eigenmode k of a block, a
     readout column v reads |sum_k q_k exp(-i w_k t)|^2, q_k = v^dagger a_k,
     summed over the blocks: the static part sum |q_k|^2 plus, for each pair
-    k < l, Re G exp(-i (w_k - w_l) t) with G = 2 q_k conj(q_l).  Returns
+    k < l, Re G exp(-i (w_k - w_l) t) with G = 2 q_k conj(q_l).
+    ``frequencies`` are the blocks' :func:`pair_frequencies`.  Returns
     ``(static, frequencies, gains)``: the (12,) static term, the (L,)
-    ascending pair frequencies w_k - w_l and the (L, 12) complex G summed
-    over all pairs whose frequencies are bitwise equal.  A line at
-    frequency 0 never moves, so its Re G is added to the static term
-    instead, which makes that term each column's infinite-time mean.
+    ascending pair frequencies and the (L, 12) complex G summed over all
+    pairs at each.  A line at frequency 0 never moves, so its Re G is added
+    to the static term instead, which makes that term each column's
+    infinite-time mean.
 
     The blocks are read in the tiles of :func:`block_tiles`, in block
     order.  Each tile takes one stacked ``amplitudes_at(0.0, onehot)``
@@ -246,13 +260,12 @@ def spectral_lines(prop: BlockDiagonalPropagator) -> tuple[np.ndarray, np.ndarra
     eigenvectors.  Its blocks are then projected and paired PAIR_CHUNK at
     a time: a stable sort of the chunk's 3 x PAIR_CHUNK pair frequencies,
     ``np.add.reduceat`` over each run of equal ones, and an in-place sum
-    into the table, whose new frequencies are inserted in order.  Every
-    line is thus summed in one fixed order, and no (3B, 12) array is
-    formed: beside the propagator and the table, the build holds a tile's
-    amplitudes and a chunk's pairs.
+    into the table's rows.  Every line is thus summed in one fixed order,
+    and no (3B, 12) array is formed: beside the propagator and the table,
+    the build holds a tile's amplitudes and a chunk's pairs.
     """
     static = np.zeros(_READOUT.shape[1])
-    frequencies, gains = np.empty(0), np.empty((0, _READOUT.shape[1]), dtype=complex)
+    gains = np.zeros((len(frequencies), _READOUT.shape[1]), dtype=complex)
     for start, stop in block_tiles(len(prop.index)):
         tile = prop[start:stop]
         modes = tile.amplitudes_at(0.0, np.eye(3)[:, :, None] * tile.coeff0)
@@ -260,18 +273,14 @@ def spectral_lines(prop: BlockDiagonalPropagator) -> tuple[np.ndarray, np.ndarra
             chunk = slice(first, first + PAIR_CHUNK)
             part, w, g = _chunk_lines(tile.frequencies[:, chunk], modes[:, chunk])
             static += part
-            at = np.searchsorted(frequencies, w)
-            known = at < len(frequencies)
-            known[known] = frequencies[at[known]] == w[known]
-            gains[at[known]] += g[known]
-            if not known.all():
-                frequencies = np.insert(frequencies, at[~known], w[~known])
-                gains = np.insert(gains, at[~known], g[~known], axis=0)
+            gains[np.searchsorted(frequencies, w)] += g
         del modes  # the next tile's apply runs without this tile's amplitudes
     gains *= 2.0  # exact, so each line is the sum of its pairs' 2 q_k conj(q_l)
-    zero = frequencies == 0.0
-    static += np.sum(gains[zero].real, axis=0)
-    return static, frequencies[~zero], gains[~zero]
+    zero = np.flatnonzero(frequencies == 0.0)  # the frequencies are distinct
+    if len(zero):  # copies the table only when it has a line at 0
+        static += gains[zero[0]].real
+        frequencies, gains = np.delete(frequencies, zero), np.delete(gains, zero, axis=0)
+    return static, frequencies, gains
 
 
 def _chunk_lines(frequencies: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -405,6 +414,23 @@ def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
     return rows
 
 
+def lines_beat_walk(blocks: int, lines: int, samples: int) -> bool:
+    """Whether summing ``lines`` merged lines is cheaper than walking ``blocks`` blocks.
+
+    The costs are counted in block-samples of :func:`walk_rows`, which
+    also pays about SEGMENT of them a sample in calls.  Building the lines
+    takes about SEGMENT a block, and each line's power table and anchors
+    about 4 SEGMENT, after which a line costs about a quarter of a
+    block-sample at each sample.  Measured on one CPU: 1.0 us a block and
+    4.6 us a line to build, 3.2-4.6 ns a line-sample, against 17-25 ns a
+    block-sample on the walk.  So a few lines a block win from about a
+    hundred samples on, and the 2.2 lines a block of g 1/0.8 at nbar 20/20
+    (delta 0.2) from about 2000; at 16 samples they took 16 times as long
+    as the walk.
+    """
+    return SEGMENT * (blocks + 4 * lines) + lines * samples / 4 <= (blocks + SEGMENT) * samples
+
+
 def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray]:
     """Phase distributions and populations of all three transitions over a grid.
 
@@ -414,16 +440,21 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     probability is <phi|R|phi> for a relative-phase eigenstate phi of a
     full block, the populations are diag R and the norm is tr R.
 
-    Two evaluators share this, chosen by the rule that already picks the
-    closed-form eigensystems.  At two-photon resonance, delta_a ==
-    delta_b, every block's spectrum depends on the block only through its
-    coupling norm, so the pair frequencies w_k - w_l repeat bit for bit:
-    weak_long's 507 pairs are 69 lines and scale_setup's 49923 are 933.
-    There the propagator is reduced to :func:`spectral_lines`, released,
-    and each row is the static term plus the merged lines, summed by
+    Two evaluators share this.  At two-photon resonance, delta_a ==
+    delta_b, the rule that already picks the closed-form eigensystems,
+    every block's spectrum depends on the block only through its coupling
+    norm s = hypot(g_a sqrt(n_a + 1), g_b sqrt(n_b + 1)).  With equal
+    couplings s repeats across the blocks, and so do their pair
+    frequencies w_k - w_l, bit for bit: weak_long's 507 pairs are 69
+    distinct ones and scale_setup's 49923 are 933.  With unequal couplings
+    they hardly repeat (g 1/0.8, delta 0.2, nbar 20/20: 6559 of 9075).  So
+    a resonant run counts its distinct :func:`pair_frequencies`, and when
+    :func:`lines_beat_walk` finds that many lines cheaper than the walk,
+    the propagator is reduced to :func:`spectral_lines`, released, and
+    each row is the static term plus the merged lines, summed by
     :func:`line_rows`; weak_long calls ``amplitudes_at`` once instead of
-    256 times.  Detuned runs, where hardly any pair merges, walk the
-    blocks at every sample instead (:func:`walk_rows`).
+    256 times.  Every other run walks the blocks at every sample
+    (:func:`walk_rows`).
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
     ValueError for a grid that is not one-dimensional, holds a non-finite
@@ -438,11 +469,13 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
                          f"position {bad[0]}")
     phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
     prop = BlockDiagonalPropagator(params)
-    if params.delta_a != params.delta_b:
-        return dict(zip(SERIES_KEYS, walk_rows(prop, times).T))
-    lines = spectral_lines(prop)
-    del prop
-    return dict(zip(SERIES_KEYS, line_rows(*lines, times).T))
+    if params.delta_a == params.delta_b:
+        frequencies = pair_frequencies(prop)
+        if lines_beat_walk(len(prop.index), len(frequencies), len(times)):
+            lines = spectral_lines(prop, frequencies)
+            del prop
+            return dict(zip(SERIES_KEYS, line_rows(*lines, times).T))
+    return dict(zip(SERIES_KEYS, walk_rows(prop, times).T))
 
 
 def trapping_config(phi: float, nbar: float) -> SystemParams:

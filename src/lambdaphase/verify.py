@@ -150,13 +150,14 @@ def suite_relphase() -> list[CheckResult]:
     # the stepped walk and the merged lines against the exact twist, at the
     # edges of every segment: 49 segments of 181 blocks (two groups of up to
     # 45), two segments of 8463 detuned, complex-c blocks (two tiles), and
-    # three tiles of samples summed over the lines of the resonant blocks
+    # five tiles of samples summed over the lines of the resonant blocks,
+    # whose equal couplings merge their pairs into few enough lines
     worst = 0.0
     for grid_params, times in ((params, np.linspace(0.0, 30.0, 48 * relphase.SEGMENT + 10)),
                                (replace(params, nbar_a=50.0, nbar_b=50.0),
                                 np.linspace(0.0, 2.0, relphase.SEGMENT + 36)),
-                               (replace(params, delta_b=params.delta_a),
-                                np.linspace(0.0, 30.0, 2 * relphase.SEGMENT + 10))):
+                               (replace(params, g_b=params.g_a, delta_b=params.delta_a),
+                                np.linspace(0.0, 30.0, 4 * relphase.SEGMENT + 10))):
         series = relphase.time_series(grid_params, times)
         grid_prop = BlockDiagonalPropagator(grid_params)
         for start, stop in relphase.grid_segments(times)[1]:

@@ -32,8 +32,8 @@ from lambdaphase import algebra, oracle, verify
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   photon_window, truncation_cutoff)
-from lambdaphase.relphase import (SERIES_KEYS, rel_phase_eigenstates, spectral_lines,
-                                  time_series, trapping_config)
+from lambdaphase.relphase import (SERIES_KEYS, pair_frequencies, rel_phase_eigenstates,
+                                  spectral_lines, time_series, trapping_config)
 
 WINDOW = (0.3, 0.8)  # rescaled-time collapse window for the strong-field runs
 LEVEL_TOL = 5e-3  # windowed mean vs diagonal-ensemble level
@@ -356,7 +356,8 @@ def test_static_term_is_the_closed_form_collapse_level(name):
     taken at epsilon 1e-14, where that is below 1e-15.
     """
     config = dataclasses.replace(PRESETS[name], epsilon=1e-14)
-    static = spectral_lines(BlockDiagonalPropagator(config))[0]
+    prop = BlockDiagonalPropagator(config)
+    static = spectral_lines(prop, pair_frequencies(prop))[0]
     target = collapse_levels(config)
     assert abs(static[SERIES_KEYS.index("p13_0")] - target.p13_0) <= 1e-12
     assert abs(static[SERIES_KEYS.index("p23_0")] - target.p23_0) <= 1e-12

@@ -242,7 +242,8 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_line_sum(tmp_path):
     raw = dict(BASE_CONFIG, nbar_a=100.0, nbar_b=100.0, c=[1.0, 0.0, 0.0],
                tau_max=2.0, tau_steps=2 * relphase.SEGMENT + 1)
     prop = dynamics.BlockDiagonalPropagator(config_from_dict(raw))
-    assert len(relphase.spectral_lines(prop)[1]) == 933 > relphase.LINE_CHUNK
+    assert len(relphase.pair_frequencies(prop)) == 933 > relphase.LINE_CHUNK
+    assert relphase.lines_beat_walk(len(prop.index), 933, raw["tau_steps"])
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
 
@@ -692,8 +693,8 @@ def test_verify_projection_check_covers_the_stepped_walk(monkeypatch, name, faul
 
 def strongest_line(lines, fault):
     """spectral_lines with ``fault(frequencies, gains, k)`` applied at its strongest line k."""
-    def faulty(prop):
-        static, frequencies, gains = lines(prop)
+    def faulty(prop, distinct):
+        static, frequencies, gains = lines(prop, distinct)
         return (static, *fault(frequencies, gains, np.argmax(np.abs(gains).sum(axis=1))))
     return faulty
 

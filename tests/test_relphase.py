@@ -11,17 +11,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lambdaphase import algebra, dynamics, oracle
+from lambdaphase import algebra, dynamics, oracle, relphase
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
 from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
 from lambdaphase.oracle import (_ALGEBRA_MATRICES, _dressed_block_lowering,
                                 global_phase_exponential, verify_deformed_algebra,
                                 verify_deformed_polar)
 from lambdaphase.relphase import (MAX_PHASE_ROUNDING, PHASE_KEYS, REDUCE_CHUNK, SEGMENT,
-                                  SERIES_KEYS, block_tiles, grid_segments,
-                                  marginal_distribution, phase_rounding,
-                                  rel_phase_eigenstates, series_rows, spectral_lines,
-                                  time_series, trapping_config, walk_rows)
+                                  SERIES_KEYS, block_tiles, grid_segments, line_rows,
+                                  lines_beat_walk, marginal_distribution, pair_frequencies,
+                                  phase_rounding, rel_phase_eigenstates, series_rows,
+                                  spectral_lines, time_series, trapping_config, walk_rows)
 
 GROUND = (1.0, 0.0, 0.0)
 LABELS = ("0", "+", "-")
@@ -271,19 +271,26 @@ def test_time_series_refuses_a_grid_whose_phase_rounding_swamps_its_rows(monkeyp
         time_series(PRESETS["fig3a"], np.linspace(0.0, -t_max, 5))
 
 
-def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
-    # fig3a is refused from tau_max of about 75556; at 7.5e4 the columns,
-    # summed over the merged lines, lie within A = 9.9e-9 of the exact
-    # per-sample path (0.054 A here, and 0.046 A on the walk)
-    config = dataclasses.replace(PRESETS["fig3a"], tau_max=7.5e4, tau_steps=129)
+@pytest.mark.parametrize("deltas, tau_max, refused", [
+    ((0.0, 0.0), 7.5e4, 7.6e4), ((0.3, -0.2), 7.35e4, 7.4e4),
+], ids=["lines", "walk"])
+def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance(deltas, tau_max,
+                                                                              refused):
+    # fig3a is refused from tau_max of about 75556, and detuned by 0.3/-0.2
+    # from about 73903.  Just under, the columns lie within A = 9.9e-9 of
+    # the exact per-sample path: 0.096 A summed over the merged lines, and
+    # 0.041 A on the walk
+    config = dataclasses.replace(PRESETS["fig3a"], delta_a=deltas[0], delta_b=deltas[1],
+                                 tau_max=tau_max, tau_steps=4 * SEGMENT + 1)
     data = run_scenario(config)
     times = data["tau"] * time_scale(config)
+    assert takes_lines(config, times) == (deltas[0] == deltas[1])
     allowance = phase_rounding(config, times[-1])
     assert 0.99 * MAX_PHASE_ROUNDING < allowance <= MAX_PHASE_ROUNDING
-    assert len(grid_segments(times)[1]) == 3
+    assert len(grid_segments(times)[1]) == 5
     assert np.max(np.abs(series_table(data) - exact_rows(config, times))) <= allowance
-    with pytest.raises(ValueError, match="tau_max = 76000 reaches"):
-        run_scenario(dataclasses.replace(config, tau_max=7.6e4))
+    with pytest.raises(ValueError, match=f"tau_max = {refused:.6g} reaches"):
+        run_scenario(dataclasses.replace(config, tau_max=refused))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +342,23 @@ def series_table(series):
     return np.column_stack([series[key] for key in SERIES_KEYS])
 
 
-def test_recurrence_matches_exact_exp_on_a_long_grid():
+def takes_lines(params, times):
+    """Whether time_series sums merged lines for this run instead of walking it."""
+    prop = BlockDiagonalPropagator(params)
+    return (params.delta_a == params.delta_b
+            and lines_beat_walk(len(prop.index), len(pair_frequencies(prop)), len(times)))
+
+
+@pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.3, -0.2)], ids=["lines", "walk"])
+def test_recurrence_matches_exact_exp_on_a_long_grid(deltas):
     # weak_long's physics over tau 0..40: t reaches 251 and w t about 1300,
-    # over 157 tiles of the merged lines' anchored power table
-    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND)
+    # over 157 segments: tiles of the merged lines' anchored power table at
+    # resonance, and of the walk's stepped twists when detuned
+    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND,
+                          delta_a=deltas[0], delta_b=deltas[1])
     times = np.linspace(0.0, 40.0, 10001) * 2.0 * math.pi
     assert len(grid_segments(times)[1]) == 157
+    assert takes_lines(params, times) == (deltas[0] == deltas[1])
     got = series_table(time_series(params, times))
     assert np.max(np.abs(got - exact_rows(params, times))) < 1e-12
 
@@ -567,13 +585,20 @@ LINE_CASES = {
 }
 
 
+def lines_of(params):
+    """spectral_lines of the resonant run ``params``."""
+    prop = BlockDiagonalPropagator(params)
+    return spectral_lines(prop, pair_frequencies(prop))
+
+
 @pytest.mark.parametrize("name", LINE_CASES)
 def test_lines_match_the_walk_and_the_exact_rows(name):
     # every sample against the per-sample walk, and up to about 400 of them
-    # against the exact amplitudes_at(t) of each sample
+    # against the exact amplitudes_at(t) of each sample; the lines are
+    # summed here whichever evaluator time_series would pick
     params, times = LINE_CASES[name]
     assert params.delta_a == params.delta_b
-    got = series_table(time_series(params, times))
+    got = line_rows(*lines_of(params), times)
     assert got.shape == (len(times), len(SERIES_KEYS))
     walk = walk_rows(BlockDiagonalPropagator(params), times)
     assert np.max(np.abs(got - walk), initial=0.0) <= 1e-12
@@ -591,13 +616,41 @@ def test_resonant_pairs_merge_into_few_lines(name, blocks, lines):
     # the 3 B pairs of the closed-form spectra merge into L lines; no line
     # sits at frequency 0, whose pairs are static
     prop = BlockDiagonalPropagator(LINE_CASES[name][0])
-    static, frequencies, gains = spectral_lines(prop)
+    distinct = pair_frequencies(prop)
+    static, frequencies, gains = spectral_lines(prop, distinct)
     assert len(prop.index) == blocks
+    assert len(distinct) == lines + np.count_nonzero(distinct == 0.0)
     assert len(frequencies) == lines and gains.shape == (lines, 12) and static.shape == (12,)
     assert np.all(np.diff(frequencies) > 0) and np.all(frequencies != 0.0)
     w = prop.frequencies
     zero_pairs = np.count_nonzero([w[0] == w[1], w[0] == w[2], w[1] == w[2]])
     assert (zero_pairs > 0) == (name in ("gb0_delta_0.3", "uncoupled"))
+
+
+# equal detunings with unequal couplings: 6559 lines of 3025 blocks
+MANY_LINES = SystemParams(g_a=1.0, g_b=0.8, nbar_a=20.0, nbar_b=20.0, c=GROUND,
+                          delta_a=0.2, delta_b=0.2)
+
+
+@pytest.mark.parametrize("params, samples, lines", [
+    (WEAK_LONG, 10001, True), (SCALE_SETUP, 101, True), (PRESETS["fig3b"], 401, True),
+    (SCALE_SETUP, 16, False), (MANY_LINES, 401, False), (MANY_LINES, 2001, True),
+    (PRESETS["fig2"], 0, False), (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), 401, False),
+], ids=["weak_long", "scale_setup", "fig3b", "scale_setup_16", "many_lines_401",
+        "many_lines_2001", "empty", "detuned"])
+def test_time_series_sums_lines_only_where_they_beat_the_walk(monkeypatch, params, samples,
+                                                              lines):
+    # few lines a block pay for their build within about a hundred samples;
+    # unequal couplings hardly merge, and need about 2000; a short grid
+    # walks, and a detuned run never counts its pairs
+    ran = []
+    for name in ("line_rows", "walk_rows"):
+        def record(*args, evaluate=getattr(relphase, name), name=name):
+            ran.append(name)
+            return evaluate(*args)
+        monkeypatch.setattr(relphase, name, record)
+    time_series(params, np.linspace(0.0, 20.0, samples))
+    assert ran == ["line_rows" if lines else "walk_rows"]
 
 
 def traced_peak(run):
@@ -629,6 +682,27 @@ def test_line_path_memory_does_not_grow_with_the_blocks():
     assert beside[1] - beside[0] <= 64 * 1024, beside
     assert max(beside) <= 1.5 * 2**20, beside
 
+
+
+def test_line_path_memory_beside_the_line_table_does_not_grow_with_unmerged_lines():
+    # With unequal couplings hardly any pair merges, so the line table, 200
+    # bytes a line, grows with the blocks itself.  Beside it, the build's
+    # peak and the (T, 13) table, the line path holds the blocks' pair
+    # frequencies while it counts them, one tile's amplitudes and one
+    # chunk's pairs, then one power table and one tile's phases, and the
+    # table is not copied: tracemalloc read 1.48 MiB at nbar 20/20 (3025
+    # blocks, 6559 lines) and 1.27 MiB at 80/80 (13225 blocks, 18019 lines)
+    beside = []
+    for nbar in (20.0, 80.0):
+        params = dataclasses.replace(MANY_LINES, nbar_a=nbar, nbar_b=nbar)
+        times = np.linspace(0.0, 20.0, 2001)
+        assert takes_lines(params, times)
+        lines = len(pair_frequencies(BlockDiagonalPropagator(params)))
+        build = traced_peak(lambda: BlockDiagonalPropagator(params))
+        peak = traced_peak(lambda: time_series(params, times))
+        beside.append(peak - build - len(times) * len(SERIES_KEYS) * 8 - 200 * lines)
+    assert beside[1] - beside[0] <= 64 * 1024, beside
+    assert max(beside) <= 2 * 2**20, beside
 
 # ---------------------------------------------------------------------------
 # one-mode (Jaynes-Cummings) limits at scale
