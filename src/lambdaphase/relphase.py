@@ -421,9 +421,9 @@ def lines_beat_walk(blocks: int, lines: int, samples: int) -> bool:
     also pays about SEGMENT of them a sample in calls.  Building the lines
     takes about SEGMENT a block, and each line's power table and anchors
     about 4 SEGMENT, after which a line costs about a quarter of a
-    block-sample at each sample.  Measured on one CPU: 1.0 us a block and
-    4.6 us a line to build, 3.2-4.6 ns a line-sample, against 17-25 ns a
-    block-sample on the walk.  So a few lines a block win from about a
+    block-sample at each sample.  Measured on one CPU: fixed costs of
+    1.0 us a block and 4.6 us a line, then 3.2-4.6 ns a line-sample,
+    against 17-25 ns a block-sample on the walk.  So a few lines a block win from about a
     hundred samples on, and the 2.2 lines a block of g 1/0.8 at nbar 20/20
     (delta 0.2) from about 2000; at 16 samples they took 16 times as long
     as the walk.

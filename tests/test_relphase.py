@@ -271,26 +271,23 @@ def test_time_series_refuses_a_grid_whose_phase_rounding_swamps_its_rows(monkeyp
         time_series(PRESETS["fig3a"], np.linspace(0.0, -t_max, 5))
 
 
-@pytest.mark.parametrize("deltas, tau_max, refused", [
-    ((0.0, 0.0), 7.5e4, 7.6e4), ((0.3, -0.2), 7.35e4, 7.4e4),
-], ids=["lines", "walk"])
-def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance(deltas, tau_max,
-                                                                              refused):
+def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
     # fig3a is refused from tau_max of about 75556, and detuned by 0.3/-0.2
     # from about 73903.  Just under, the columns lie within A = 9.9e-9 of
     # the exact per-sample path: 0.096 A summed over the merged lines, and
     # 0.041 A on the walk
-    config = dataclasses.replace(PRESETS["fig3a"], delta_a=deltas[0], delta_b=deltas[1],
-                                 tau_max=tau_max, tau_steps=4 * SEGMENT + 1)
-    data = run_scenario(config)
-    times = data["tau"] * time_scale(config)
-    assert takes_lines(config, times) == (deltas[0] == deltas[1])
-    allowance = phase_rounding(config, times[-1])
-    assert 0.99 * MAX_PHASE_ROUNDING < allowance <= MAX_PHASE_ROUNDING
-    assert len(grid_segments(times)[1]) == 5
-    assert np.max(np.abs(series_table(data) - exact_rows(config, times))) <= allowance
-    with pytest.raises(ValueError, match=f"tau_max = {refused:.6g} reaches"):
-        run_scenario(dataclasses.replace(config, tau_max=refused))
+    for deltas, tau_max, refused in (((0.0, 0.0), 7.5e4, 7.6e4), ((0.3, -0.2), 7.35e4, 7.4e4)):
+        config = dataclasses.replace(PRESETS["fig3a"], delta_a=deltas[0], delta_b=deltas[1],
+                                     tau_max=tau_max, tau_steps=4 * SEGMENT + 1)
+        data = run_scenario(config)
+        times = data["tau"] * time_scale(config)
+        assert takes_lines(config, times) == (deltas[0] == deltas[1])
+        allowance = phase_rounding(config, times[-1])
+        assert 0.99 * MAX_PHASE_ROUNDING < allowance <= MAX_PHASE_ROUNDING
+        assert len(grid_segments(times)[1]) == 5
+        assert np.max(np.abs(series_table(data) - exact_rows(config, times))) <= allowance
+        with pytest.raises(ValueError, match=f"tau_max = {refused:.6g} reaches"):
+            run_scenario(dataclasses.replace(config, tau_max=refused))
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +346,18 @@ def takes_lines(params, times):
             and lines_beat_walk(len(prop.index), len(pair_frequencies(prop)), len(times)))
 
 
-@pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.3, -0.2)], ids=["lines", "walk"])
-def test_recurrence_matches_exact_exp_on_a_long_grid(deltas):
+def test_recurrence_matches_exact_exp_on_a_long_grid():
     # weak_long's physics over tau 0..40: t reaches 251 and w t about 1300,
     # over 157 segments: tiles of the merged lines' anchored power table at
     # resonance, and of the walk's stepped twists when detuned
-    params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND,
-                          delta_a=deltas[0], delta_b=deltas[1])
     times = np.linspace(0.0, 40.0, 10001) * 2.0 * math.pi
     assert len(grid_segments(times)[1]) == 157
-    assert takes_lines(params, times) == (deltas[0] == deltas[1])
-    got = series_table(time_series(params, times))
-    assert np.max(np.abs(got - exact_rows(params, times))) < 1e-12
+    for deltas in ((0.0, 0.0), (0.3, -0.2)):
+        params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND,
+                              delta_a=deltas[0], delta_b=deltas[1])
+        assert takes_lines(params, times) == (deltas[0] == deltas[1])
+        got = series_table(time_series(params, times))
+        assert np.max(np.abs(got - exact_rows(params, times))) < 1e-12, deltas
 
 
 @pytest.mark.parametrize("nbar, samples, uniform, blocks, group", [
