@@ -146,7 +146,9 @@ def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
     down, so an entry's rounding grows with its distance from the mode and
     not with nbar; no factorial is formed, and nothing passes through the
     subnormal range before the exponential, so probabilities far out in
-    either tail underflow to zero.  Raises ValueError for a negative or
+    either tail underflow to zero.  Only a subnormal nbar makes a quotient
+    nbar / k underflow to 0, whose log -inf gives that p(k) = 0 exactly
+    and raises no warning.  Raises ValueError for a negative or
     non-finite ``nbar`` and for a ``top`` that is not an integer >= 0.
     """
     if not (math.isfinite(nbar) and nbar >= 0):
@@ -158,7 +160,8 @@ def poisson_probabilities(nbar: float, top: int) -> np.ndarray:
     m = math.floor(nbar)
     anchor = (-nbar if m == 0 else
               -_stirlerr(m) - _bd0(m, nbar) - 0.5 * math.log(2.0 * math.pi * m))
-    steps = np.log(nbar / np.arange(1, max(top, m) + 1))  # log p(k) - log p(k - 1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: see the docstring
+        steps = np.log(nbar / np.arange(1, max(top, m) + 1))  # log p(k) - log p(k - 1)
     log_p = np.empty(len(steps) + 1)  # log p(k) - log p(m)
     log_p[m] = 0.0
     np.cumsum(steps[m:], out=log_p[m + 1:])

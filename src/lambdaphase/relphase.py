@@ -27,6 +27,7 @@ this for free: the missing member's slot holds zero amplitude.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def marginal_distribution(index, amplitudes: np.ndarray, transition: str) -> np.
     array in label order ("0", "+", "-"), the order of
     ``PHASE_KEYS[transition]``.  This is the cross-check of
     :func:`time_series`, which reduces the same state through the
-    block-summed matrix R, or its merged spectral lines, instead.
+    block-summed matrix R, or its spectral lines, instead.
     """
     states = rel_phase_eigenstates(transition, index)
     overlaps = np.einsum("bik,bi->bk", states.conj(), amplitudes)
@@ -103,6 +104,23 @@ PAIR_CHUNK = 512
 # its threads at points that can change the bits of a row, so a tile of
 # SEGMENT samples against 2 LINE_CHUNK floats of 12 columns stays below it.
 LINE_CHUNK = 2**18 // (24 * SEGMENT)
+
+# Oversampling ratio of the grid of :func:`spread_rows` over its window's
+# samples, and the half-width, in grid points, of its Gaussian kernel.
+SPREAD_RATIO = 2
+SPREAD_HALF_WIDTH = 16
+
+# Samples per window of :func:`spread_rows`, which sizes its grid; a longer
+# grid runs window by window.
+SPREAD_WINDOW = 1024
+
+# Blocks whose lines :func:`spread_rows` forms and spreads at once.
+SPREAD_CHUNK = 256
+
+# Lines per GEMM of :func:`spread_rows`: a group of SPREAD_HALF_WIDTH grid
+# points takes its lines' weights on 3 SPREAD_HALF_WIDTH points against their
+# 24 floats of gain, below the 2**18 multiply-adds of one OpenBLAS thread.
+SPREAD_LINES = 2**18 // (24 * 3 * SPREAD_HALF_WIDTH)
 
 # Largest phase rounding allowance A of :func:`phase_rounding` that a grid
 # may carry: the 1e-8 gate on the columns' agreement with the dense oracle.
@@ -296,16 +314,28 @@ def _chunk_lines(frequencies: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray
     the order of a stable sort of the pairs (pair (0, 1), (0, 2), (1, 2),
     each in block order).
     """
+    static, w, g = _chunk_pairs(frequencies, modes)
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    runs = np.flatnonzero(np.concatenate([[True], w[1:] != w[:-1]]))
+    return static, w[runs], np.add.reduceat(g[order], runs)
+
+
+def _chunk_pairs(frequencies: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Static part, and frequency and q_k conj(q_l) of every pair, of a chunk of blocks.
+
+    ``frequencies`` (3, c) and ``modes`` (3, c, 3) are as in
+    :func:`_chunk_lines`.  Returns the (12,) sum of |q_k|^2, the (3c,)
+    pair frequencies w_k - w_l and their (3c, 12) products q_k conj(q_l),
+    pair (0, 1), (0, 2), (1, 2), each in block order.
+    """
     q = np.einsum("kbx,xy->kby", np.ascontiguousarray(modes).view(float),
                   _PROJECT).view(complex)
     static = np.einsum("kbm,kbm->m", q.real, q.real) + np.einsum("kbm,kbm->m", q.imag, q.imag)
     w = np.concatenate([frequencies[0] - frequencies[1], frequencies[0] - frequencies[2],
                         frequencies[1] - frequencies[2]])
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    runs = np.flatnonzero(np.concatenate([[True], w[1:] != w[:-1]]))
     g = np.concatenate([q[0] * q[1].conj(), q[0] * q[2].conj(), q[1] * q[2].conj()])
-    return static, w[runs], np.add.reduceat(g[order], runs)
+    return static, w, g
 
 
 def line_rows(static: np.ndarray, frequencies: np.ndarray, gains: np.ndarray,
@@ -342,6 +372,132 @@ def line_rows(static: np.ndarray, frequencies: np.ndarray, gains: np.ndarray,
     np.add(rows[:, 9], rows[:, 10], out=rows[:, 12])
     rows[:, 12] += rows[:, 11]
     return rows
+
+
+def spread_points(samples: int) -> int:
+    """Points n of the grid of a :func:`spread_rows` window of ``samples`` samples.
+
+    n is the least multiple of SPREAD_HALF_WIDTH that is at least
+    SPREAD_RATIO x 2h, h = samples // 2 the window's largest |k|.
+    """
+    return SPREAD_HALF_WIDTH * max(1, -(-SPREAD_RATIO * 2 * (samples // 2) // SPREAD_HALF_WIDTH))
+
+
+def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
+    """The (T, 13) rows of ``prop``'s state on a uniform grid, from its gridded pair lines.
+
+    Each column is static + Re sum_l G_l exp(-i W_l t) over every pair
+    of every block, as in :func:`spectral_lines`, but no pair is merged
+    and no line table is formed.  The grid runs in windows of
+    SPREAD_WINDOW samples.  On a window of samples t_c + k dt, |k| <= h,
+    anchored at its centre t_c, the sum is f_k = sum_l c_l exp(-i k x_l)
+    with c_l = G_l exp(-i W_l t_c) and x_l = W_l dt: a type-1 non-uniform
+    FFT, summed by Gaussian gridding (Dutt and Rokhlin, SIAM J. Sci.
+    Comput. 14, 1368 (1993); Greengard and Lee, SIAM Rev. 46, 443
+    (2004)).  The blocks are read SPREAD_CHUNK at a time, with one
+    ``amplitudes_at(0.0, onehot)`` call and the projection of
+    :func:`_chunk_lines`.  Each line sits at u_l = x_l n / (2 pi) on a
+    periodic grid of n points, n the least multiple of
+    SPREAD_HALF_WIDTH = m of at least SPREAD_RATIO x 2h, and adds
+    c_l exp(-b (p - u_l)^2) to the points p of its group of m points and
+    m more on each side.  So each group is one real GEMM of its lines'
+    weights, (3m, lines), with their anchored gains, (lines, 24), in
+    block order and SPREAD_LINES lines at a time: at most 2**18
+    multiply-adds, which OpenBLAS runs on one thread.  One ``np.fft.fft``
+    of the grid then gives H_k = sqrt(pi/b) exp(-(pi k/n)^2/b) f_k.
+
+    Error bound: b = pi (n - h) / (n (m + 1/2)) balances the kernel's
+    tails past m + 1/2 points against its aliases past the band |k| <= h,
+    so each f_k is off by at most E sum |c_l| with E about
+    3 exp(-pi (m + 1/2) (n - 2h) / (n - h)), 3e-15 at n = 4h.  The |G_l|
+    add up to at most 2 (see :func:`phase_rounding`), so each column is
+    off by at most 2 E, plus the rounding of the FFT times the kernel's
+    largest inverse, about 75.  b comes from the n actually used, which
+    exceeds 4h unless h is a multiple of 4.  As on the walk, a sample
+    sits at its nominal t_c + k dt, within UNIFORM_ULPS ulp of its t.
+
+    Beside the rows, a window holds its grid, (n + 2m, 24) floats
+    transformed in place, and one chunk's lines and weights, whatever B
+    and T are.  Raises ValueError for a grid that :func:`grid_segments`
+    does not find uniform.
+    """
+    # imported here so that runs on the other evaluators do not load it
+    from numpy.fft import fft
+
+    dt = grid_segments(times)[0]
+    if not dt:
+        raise ValueError("spread_rows needs a uniform grid of at least two samples")
+    half_width = SPREAD_HALF_WIDTH
+    rows = np.empty((len(times), len(SERIES_KEYS)))
+    # one buffer for every window's grid: the first window is the largest
+    buffer = np.empty((spread_points(min(len(times), SPREAD_WINDOW)) + 2 * half_width, 24))
+    for first in range(0, len(times), SPREAD_WINDOW):
+        last = min(first + SPREAD_WINDOW, len(times))
+        centre = first + (last - first - 1) // 2
+        h = (last - first) // 2  # the largest |k| of the window
+        n = spread_points(last - first)
+        b = math.pi * (n - h) / (n * (half_width + 0.5))
+        grid = buffer[:n + 2 * half_width]  # points -m .. n + m - 1
+        grid.fill(0.0)
+        static = np.zeros(_READOUT.shape[1])
+        for start in range(0, len(prop.index), SPREAD_CHUNK):
+            chunk = prop[start:min(start + SPREAD_CHUNK, len(prop.index))]
+            static += _spread_chunk(grid, chunk, times[centre], dt * n / (2.0 * math.pi), b)
+        grid[n:n + half_width] += grid[:half_width]  # points -m .. -1 are n - m .. n - 1
+        grid[half_width:2 * half_width] += grid[n + half_width:]  # n .. n + m - 1 are 0 .. m - 1
+        spectrum = grid[half_width:n + half_width].view(complex)
+        fft(spectrum, axis=0, out=spectrum)
+        k = np.arange(first - centre, last - centre)
+        kernel = (2.0 / math.sqrt(math.pi / b)) * np.exp(np.square(math.pi / n * k) / b)
+        window = rows[first:last, :12]
+        np.multiply(kernel[:, None], spectrum.real[k], out=window)
+        window += static
+    np.add(rows[:, 9], rows[:, 10], out=rows[:, 12])
+    rows[:, 12] += rows[:, 11]
+    return rows
+
+
+def _spread_chunk(grid: np.ndarray, chunk: BlockDiagonalPropagator, anchor: float,
+                  scale: float, b: float) -> np.ndarray:
+    """Spread the pair lines of ``chunk`` onto ``grid``; return their (12,) static part.
+
+    ``grid`` is the float view, (n + 2m, 24), of the points -m .. n + m - 1
+    of a :func:`spread_rows` window anchored at t = ``anchor``; a line of
+    frequency W sits at u = W ``scale`` and has kernel exp(-b (p - u)^2).
+    The lines are taken in groups of their nearest point's group of m
+    points, in ascending order, and each group in block order.
+    """
+    half_width = SPREAD_HALF_WIDTH
+    span = 3 * half_width  # grid points a group's lines reach
+    n = len(grid) - 2 * half_width
+    modes = chunk.amplitudes_at(0.0, np.eye(3)[:, :, None] * chunk.coeff0)
+    static, w, g = _chunk_pairs(chunk.frequencies, modes)
+    g *= np.exp((-1j * anchor) * w)[:, None]
+    u = w * scale
+    nearest = np.rint(u)
+    point = np.mod(nearest, n)
+    group = point // half_width
+    order = np.argsort(group, kind="stable")
+    # each line's u from the first of its group's 3m points
+    weights = np.subtract.outer((point - half_width * group + half_width + (u - nearest))[order],
+                                np.arange(span))
+    np.square(weights, out=weights)
+    weights *= -b
+    np.exp(weights, out=weights)
+    gains = g[order].view(float)
+    group = group[order]
+    bounds = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1], [True]]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at = int(group[lo]) * half_width
+        for a in range(lo, hi, SPREAD_LINES):
+            z = min(a + SPREAD_LINES, hi)
+            grid[at:at + span] += weights[a:z].T @ gains[a:z]
+    return static
+
+
+def walk_group(widest: int, segments: int) -> int:
+    """Segments G that :func:`walk_rows` walks at once, for its widest tile's blocks."""
+    return max(1, min(segments, SEGMENT, REDUCE_CHUNK // widest))
 
 
 def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
@@ -387,7 +543,7 @@ def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
     dt, segments = grid_segments(times)
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
     widest = max(len(tile.index) for tile in tiles)
-    group = max(1, min(len(segments), SEGMENT, REDUCE_CHUNK // widest))
+    group = walk_group(widest, len(segments))
     # one step per segment of a group (1 on a non-uniform grid, never applied)
     steps = [np.tile(tile.phases(dt), (group, 1, 1)) for tile in tiles]
     twists = np.empty((group, 3, widest), dtype=complex)
@@ -417,21 +573,47 @@ def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
     return rows
 
 
-def lines_beat_walk(blocks: int, lines: int, samples: int) -> bool:
-    """Whether summing ``lines`` merged lines is cheaper than walking ``blocks`` blocks.
+def evaluator(blocks: int, times: np.ndarray, lines: Optional[int] = None) -> str:
+    """The evaluator, "walk", "lines" or "spread", that :func:`time_series` takes.
 
-    The costs are counted in block-samples of :func:`walk_rows`, which
-    also pays about SEGMENT of them a sample in calls.  Building the lines
-    takes about SEGMENT a block, and each line's power table and anchors
-    about 4 SEGMENT, after which a line costs about a quarter of a
-    block-sample at each sample.  Measured on one CPU: fixed costs of
-    1.0 us a block and 4.6 us a line, then 3.2-4.6 ns a line-sample,
-    against 17-25 ns a block-sample on the walk.  So a few lines a block win from about a
-    hundred samples on, and the 2.2 lines a block of g 1/0.8 at nbar 20/20
-    (delta 0.2) from about 2000; at 16 samples they took 16 times as long
-    as the walk.
+    ``lines`` is a resonant run's count of distinct :func:`pair_frequencies`,
+    and None for a detuned run, which never counts them.  Each candidate is
+    charged its measured cost in microseconds on one CPU, and the cheapest
+    is taken:
+
+    - :func:`walk_rows`, always: 12.1 a call of ``amplitudes_at``, its three
+      reductions and its step, 0.25 a sample and 0.0132 a block-sample, where
+      a call at a sample position of a group serves G segments of a tile;
+    - :func:`line_rows` with :func:`spectral_lines`, at resonance: 104, then
+      0.79 a block, 1.87 a line and 0.0038 a line-sample;
+    - :func:`spread_rows`, on a uniform grid of a detuned run: 131 a chunk
+      of SPREAD_CHUNK blocks and 1.39 a block in each window, then 0.27 a
+      point of each window's grid.
+
+    The costs were fitted to the minima of 348 timed runs (35 to 8463
+    blocks, 3 to 4001 samples over 2 and 20 units of tau) and pick the
+    fastest evaluator in 337; the 11 misses are within 1.33 of it but for
+    two, 1.8 and 2.0.  The walk's call is its per-sample overhead: up to
+    64 samples every sample is a call, so the lines and the spread, whose
+    costs do not grow with the calls, win from a few dozen samples at a
+    few hundred blocks.
     """
-    return SEGMENT * (blocks + 4 * lines) + lines * samples / 4 <= (blocks + SEGMENT) * samples
+    dt, segments = grid_segments(times)
+    tiles = block_tiles(blocks)
+    widest = max(stop - start for start, stop in tiles)
+    group = walk_group(widest, len(segments))
+    span = min(len(times), SEGMENT) if dt else 1  # sample positions of a segment
+    positions = span * -(-len(segments) // group)
+    costs = {"walk": positions * ((12.1 + 0.25 * group) * len(tiles) + 0.0132 * group * blocks)}
+    if lines is not None:
+        costs["lines"] = 104.0 + 0.79 * blocks + 1.87 * lines + 0.0038 * lines * len(times)
+    elif dt:
+        windows = [min(SPREAD_WINDOW, len(times) - first)
+                   for first in range(0, len(times), SPREAD_WINDOW)]
+        chunks = -(-blocks // SPREAD_CHUNK)
+        costs["spread"] = sum(131.0 * chunks + 1.39 * blocks + 0.27 * spread_points(samples)
+                              for samples in windows)
+    return min(costs, key=costs.get)
 
 
 def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray]:
@@ -443,20 +625,24 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     probability is <phi|R|phi> for a relative-phase eigenstate phi of a
     full block, the populations are diag R and the norm is tr R.
 
-    Two evaluators share this.  At two-photon resonance, delta_a ==
-    delta_b, the rule that already picks the closed-form eigensystems,
-    every block's spectrum depends on the block only through its coupling
-    norm s = hypot(g_a sqrt(n_a + 1), g_b sqrt(n_b + 1)).  With equal
+    Three evaluators share this, and :func:`evaluator` takes the one of
+    least measured cost.  At two-photon resonance, delta_a == delta_b,
+    the rule that already picks the closed-form eigensystems, every
+    block's spectrum depends on the block only through its coupling norm
+    s = hypot(g_a sqrt(n_a + 1), g_b sqrt(n_b + 1)).  With equal
     couplings s repeats across the blocks, and so do their pair
     frequencies w_k - w_l, bit for bit: weak_long's 507 pairs are 69
     distinct ones and scale_setup's 49923 are 933.  With unequal couplings
     they hardly repeat (g 1/0.8, delta 0.2, nbar 20/20: 6559 of 9075).  So
     a resonant run counts its distinct :func:`pair_frequencies`, and when
-    :func:`lines_beat_walk` finds that many lines cheaper than the walk,
-    the propagator is reduced to :func:`spectral_lines`, released, and
-    each row is the static term plus the merged lines, summed by
-    :func:`line_rows`; weak_long calls ``amplitudes_at`` once instead of
-    256 times.  Every other run walks the blocks at every sample
+    that many lines are the cheapest, the propagator is reduced to
+    :func:`spectral_lines`, released, and each row is the static term
+    plus the merged lines, summed by :func:`line_rows`; weak_long calls
+    ``amplitudes_at`` once instead of 256 times.  A detuned run on a
+    uniform grid may instead grid its unmerged pair lines onto an
+    oversampled FFT grid a window at a time (:func:`spread_rows`):
+    detuned_grid's 8463 blocks and 1001 samples take 34 chunks and one
+    FFT of 2000 points.  Every other run walks the blocks at every sample
     (:func:`walk_rows`).
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
@@ -472,13 +658,17 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
                          f"position {bad[0]}")
     phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
     prop = BlockDiagonalPropagator(params)
-    if params.delta_a == params.delta_b:
-        frequencies = pair_frequencies(prop)
-        if lines_beat_walk(len(prop.index), len(frequencies), len(times)):
-            lines = spectral_lines(prop, frequencies)
-            del prop
-            return dict(zip(SERIES_KEYS, line_rows(*lines, times).T))
-    return dict(zip(SERIES_KEYS, walk_rows(prop, times).T))
+    frequencies = pair_frequencies(prop) if params.delta_a == params.delta_b else None
+    choice = evaluator(len(prop.index), times, None if frequencies is None else len(frequencies))
+    if choice == "lines":
+        lines = spectral_lines(prop, frequencies)
+        del prop
+        rows = line_rows(*lines, times)
+    elif choice == "spread":
+        rows = spread_rows(prop, times)
+    else:
+        rows = walk_rows(prop, times)
+    return dict(zip(SERIES_KEYS, rows.T))
 
 
 def trapping_config(phi: float, nbar: float) -> SystemParams:

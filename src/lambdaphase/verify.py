@@ -147,27 +147,35 @@ def suite_relphase() -> list[CheckResult]:
     checks.append(CheckResult("marginal completeness", worst_sum, 1e-10))
     checks.append(CheckResult("zero-label population identity", worst_pop, 1e-10))
 
-    # the stepped walk and the merged lines against the exact twist, at the
-    # edges of every segment: 49 segments of 181 blocks (two groups of up to
-    # 45), two segments of 8463 detuned, complex-c blocks (two tiles), and
-    # five tiles of samples summed over the lines of the resonant blocks,
-    # whose equal couplings merge their pairs into few enough lines
+    # the stepped walk, the spread and the merged lines against the exact
+    # twist, at the edges of every segment: walk_rows on 49 segments of 181
+    # detuned blocks (two groups of up to 45) and on two segments of 8463
+    # detuned, complex-c blocks (two tiles); spread_rows on the first of these
+    # grids, three windows; and time_series on five tiles of samples summed
+    # over the lines of the resonant blocks, whose equal couplings merge
+    # their pairs into few enough lines
     worst = 0.0
-    for grid_params, times in ((params, np.linspace(0.0, 30.0, 48 * relphase.SEGMENT + 10)),
-                               (replace(params, nbar_a=50.0, nbar_b=50.0),
-                                np.linspace(0.0, 2.0, relphase.SEGMENT + 36)),
-                               (replace(params, g_b=params.g_a, delta_b=params.delta_a),
-                                np.linspace(0.0, 30.0, 4 * relphase.SEGMENT + 10))):
-        series = relphase.time_series(grid_params, times)
+    long_grid = np.linspace(0.0, 30.0, 48 * relphase.SEGMENT + 10)
+    for grid_params, times, evaluate in (
+            (params, long_grid, relphase.walk_rows),
+            (replace(params, nbar_a=50.0, nbar_b=50.0),
+             np.linspace(0.0, 2.0, relphase.SEGMENT + 36), relphase.walk_rows),
+            (params, long_grid, relphase.spread_rows),
+            (replace(params, g_b=params.g_a, delta_b=params.delta_a),
+             np.linspace(0.0, 30.0, 4 * relphase.SEGMENT + 10), None)):
         grid_prop = BlockDiagonalPropagator(grid_params)
+        if evaluate is None:
+            series = relphase.time_series(grid_params, times)
+            rows = np.column_stack([series[key] for key in relphase.SERIES_KEYS])
+        else:
+            rows = evaluate(grid_prop, times)
         for start, stop in relphase.grid_segments(times)[1]:
             for k in (start, stop - 1):
                 state = grid_prop.amplitudes_at(times[k])
                 exact = [*(relphase.marginal_distribution(grid_prop.index, state, trans)
                            for trans in algebra.ALL_TRANSITIONS),
                          np.sum(np.abs(state) ** 2, axis=0)]
-                got = [series[key][k] for key in relphase.SERIES_KEYS[:12]]
-                worst = max(worst, float(np.max(np.abs(np.concatenate(exact) - got))))
+                worst = max(worst, float(np.max(np.abs(np.concatenate(exact) - rows[k, :12]))))
     checks.append(CheckResult("projection vs closed form", worst, 1e-10))
 
     checks.append(CheckResult("deformed algebra brackets",

@@ -210,6 +210,8 @@ def test_runtime_loads_no_test_dependency(tmp_path):
     expected = ["lambdaphase"] + [f"lambdaphase.{name}" for name in (
         "algebra", "cli", "dynamics", "numfmt", "relphase", "svgplot")]
     assert loaded("import lambdaphase.cli", ("lambdaphase",)) == f"0 {expected}"
+    # fig2 sums its merged lines: only the detuned spread imports numpy.fft
+    assert "numpy.fft" not in loaded("import lambdaphase.cli", ("numpy",))
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -241,9 +243,25 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_line_sum(tmp_path):
     # each below the threshold
     raw = dict(BASE_CONFIG, nbar_a=100.0, nbar_b=100.0, c=[1.0, 0.0, 0.0],
                tau_max=2.0, tau_steps=2 * relphase.SEGMENT + 1)
-    prop = dynamics.BlockDiagonalPropagator(config_from_dict(raw))
+    config = config_from_dict(raw)
+    prop = dynamics.BlockDiagonalPropagator(config)
     assert len(relphase.pair_frequencies(prop)) == 933 > relphase.LINE_CHUNK
-    assert relphase.lines_beat_walk(len(prop.index), 933, raw["tau_steps"])
+    times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
+    assert relphase.evaluator(len(prop.index), times, 933) == "lines"
+    assert_blas_threads_keep_bytes(tmp_path, raw)
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_spread(tmp_path):
+    # detuned nbar 50/50, complex c: 8463 blocks over 201 samples take the
+    # spread, whose GEMMs of up to SPREAD_LINES lines against 3 x 16 grid
+    # points and 24 floats each stay below OpenBLAS's 2**18 multiply-adds
+    raw = dict(BASE_CONFIG, nbar_a=50.0, nbar_b=50.0, c=[[0.6, 0.0], [0.0, 0.48], [0.0, 0.64]],
+               delta_a=0.3, delta_b=-0.2, tau_max=2.0, tau_steps=201)
+    config = config_from_dict(raw)
+    prop = dynamics.BlockDiagonalPropagator(config)
+    times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
+    assert relphase.evaluator(len(prop.index), times) == "spread"
+    assert relphase.SPREAD_LINES * 3 * relphase.SPREAD_HALF_WIDTH * 24 <= 2**18
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
 
@@ -687,6 +705,19 @@ def test_verify_projection_check_covers_the_stepped_walk(monkeypatch, name, faul
     # a wrong step of the recurrence, or a tile left out of the reduction,
     # moves time_series' columns but not the exact per-sample state
     monkeypatch.setattr(relphase, name, fault(getattr(relphase, name)))
+    checks = {check.name: check for check in verify.suite_relphase()}
+    assert checks["projection vs closed form"].residual > 1e-8
+
+
+@pytest.mark.parametrize("name, value", [
+    ("SPREAD_HALF_WIDTH", 4),
+    ("_spread_chunk", lambda grid, chunk, anchor, scale, b, spread=relphase._spread_chunk:
+        spread(grid, chunk, 0.0, scale, b)),
+], ids=["narrow-kernel", "unanchored"])
+def test_verify_projection_check_covers_the_spread(monkeypatch, name, value):
+    # a kernel of 4 points on each side, or lines left at their phase at
+    # t = 0, moves the spread's columns but not the exact per-sample state
+    monkeypatch.setattr(relphase, name, value)
     checks = {check.name: check for check in verify.suite_relphase()}
     assert checks["projection vs closed form"].residual > 1e-8
 

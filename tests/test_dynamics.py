@@ -167,6 +167,13 @@ def test_initial_state_takes_the_strongest_fields_the_cap_admits(nbar_a):
     assert float(np.sum(np.abs(amplitudes) ** 2)) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_poisson_probabilities_of_a_subnormal_mean():
+    # nbar / 2 underflows to 0: its log is -inf, so p(2) = 0, with no
+    # RuntimeWarning (an error here and in CI's runtime steps)
+    table = poisson_probabilities(5e-324, 10)
+    assert table[0] == 1.0 and table[1] == 5e-324 and not np.any(table[2:])
+
+
 def test_poisson_probabilities_reject_negative_mean():
     with pytest.raises(ValueError, match="nbar"):
         poisson_probabilities(-1.0, 5)

@@ -18,10 +18,11 @@ from lambdaphase.oracle import (_ALGEBRA_MATRICES, _dressed_block_lowering,
                                 global_phase_exponential, verify_deformed_algebra,
                                 verify_deformed_polar)
 from lambdaphase.relphase import (MAX_PHASE_ROUNDING, PHASE_KEYS, REDUCE_CHUNK, SEGMENT,
-                                  SERIES_KEYS, block_tiles, grid_segments, line_rows,
-                                  lines_beat_walk, marginal_distribution, pair_frequencies,
-                                  phase_rounding, rel_phase_eigenstates, series_rows,
-                                  spectral_lines, time_series, trapping_config, walk_rows)
+                                  SERIES_KEYS, SPREAD_WINDOW, block_tiles, evaluator,
+                                  grid_segments, line_rows, marginal_distribution,
+                                  pair_frequencies, phase_rounding, rel_phase_eigenstates,
+                                  series_rows, spectral_lines, spread_rows, time_series,
+                                  trapping_config, walk_rows)
 
 GROUND = (1.0, 0.0, 0.0)
 LABELS = ("0", "+", "-")
@@ -275,13 +276,13 @@ def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
     # fig3a is refused from tau_max of about 75556, and detuned by 0.3/-0.2
     # from about 73903.  Just under, the columns lie within A = 9.9e-9 of
     # the exact per-sample path: 0.096 A summed over the merged lines, and
-    # 0.041 A on the walk
+    # 0.074 A on the spread (0.041 A on the walk)
     for deltas, tau_max, refused in (((0.0, 0.0), 7.5e4, 7.6e4), ((0.3, -0.2), 7.35e4, 7.4e4)):
         config = dataclasses.replace(PRESETS["fig3a"], delta_a=deltas[0], delta_b=deltas[1],
                                      tau_max=tau_max, tau_steps=4 * SEGMENT + 1)
         data = run_scenario(config)
         times = data["tau"] * time_scale(config)
-        assert takes_lines(config, times) == (deltas[0] == deltas[1])
+        assert evaluator_of(config, times) == ("lines" if deltas[0] == deltas[1] else "spread")
         allowance = phase_rounding(config, times[-1])
         assert 0.99 * MAX_PHASE_ROUNDING < allowance <= MAX_PHASE_ROUNDING
         assert len(grid_segments(times)[1]) == 5
@@ -339,25 +340,31 @@ def series_table(series):
     return np.column_stack([series[key] for key in SERIES_KEYS])
 
 
-def takes_lines(params, times):
-    """Whether time_series sums merged lines for this run instead of walking it."""
+def evaluator_of(params, times):
+    """The evaluator time_series takes for this run: "walk", "lines" or "spread"."""
     prop = BlockDiagonalPropagator(params)
-    return (params.delta_a == params.delta_b
-            and lines_beat_walk(len(prop.index), len(pair_frequencies(prop)), len(times)))
+    lines = len(pair_frequencies(prop)) if params.delta_a == params.delta_b else None
+    return evaluator(len(prop.index), times, lines)
 
 
 def test_recurrence_matches_exact_exp_on_a_long_grid():
     # weak_long's physics over tau 0..40: t reaches 251 and w t about 1300,
     # over 157 segments: tiles of the merged lines' anchored power table at
-    # resonance, and of the walk's stepped twists when detuned
+    # resonance; when detuned, the spread's ten windows, each anchored at its
+    # centre, and the walk's stepped twists
     times = np.linspace(0.0, 40.0, 10001) * 2.0 * math.pi
     assert len(grid_segments(times)[1]) == 157
     for deltas in ((0.0, 0.0), (0.3, -0.2)):
         params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND,
                               delta_a=deltas[0], delta_b=deltas[1])
-        assert takes_lines(params, times) == (deltas[0] == deltas[1])
+        resonant = deltas[0] == deltas[1]
+        assert evaluator_of(params, times) == ("lines" if resonant else "spread")
+        exact = exact_rows(params, times)
         got = series_table(time_series(params, times))
-        assert np.max(np.abs(got - exact_rows(params, times))) < 1e-12, deltas
+        assert np.max(np.abs(got - exact)) < 1e-12, deltas
+        if not resonant:
+            walk = walk_rows(BlockDiagonalPropagator(params), times)
+            assert np.max(np.abs(walk - exact)) < 1e-12
 
 
 @pytest.mark.parametrize("nbar, samples, uniform, blocks, group", [
@@ -368,8 +375,9 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
     (100.0, SEGMENT + 3, True, 16641, 1),  # three tiles of 5547 blocks, one segment a group
 ], ids=["fig2", "fig2_two_groups", "fig2_one_sample_tail", "fig2_non_uniform", "nbar100"])
 def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, uniform, blocks, group):
-    # the walk's grouping, pinned on detuned physics, which takes the walk:
-    # fig2's and nbar-100's resonant physics take the merged lines instead
+    # the walk's grouping, pinned on walk_rows itself: time_series takes the
+    # spread on most of these detuned grids, and fig2's and nbar-100's
+    # resonant physics take the merged lines
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
                           delta_a=0.3, delta_b=-0.2)
     times = np.linspace(0.0, 2.0, samples) * 2.0 * math.pi * math.sqrt(nbar)
@@ -380,8 +388,7 @@ def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, uniform, b
     widest = max(stop - start for start, stop in block_tiles(blocks))
     segments = grid_segments(times)[1]
     assert max(1, min(len(segments), SEGMENT, REDUCE_CHUNK // widest)) == group
-    got = series_table(time_series(params, times))
-    assert np.array_equal(got, stepped_rows(prop, times))
+    assert np.array_equal(walk_rows(prop, times), stepped_rows(prop, times))
 
 
 def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
@@ -398,14 +405,13 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, bound):
     # Resonant runs sum lines in tiles of SEGMENT samples and chunks of
     # LINE_CHUNK lines: beside the (T, 13) table sit the line table, one
     # power table and one tile's phases, 0.20 MiB at fig2's 69 lines and
-    # 0.07 MiB at 0.01/0.01 in tracemalloc.  On the detuned walk the group
-    # buffers and R rows are sized by SEGMENT and REDUCE_CHUNK, never by the
-    # grid: at a few blocks the group is capped at SEGMENT segments, so a
-    # group's R stays at SEGMENT**2 samples however long the grid is.  The
-    # rows are read straight into the table, so beside it sit only the
-    # group's twists, amplitudes, steps and six-entry R: 1.51 MiB at fig2's
-    # 169 blocks (G = 48) and 0.68 MiB at 0.01/0.01 (G = 64).  On either
-    # path only the table and the segment list grow with T.
+    # 0.07 MiB at 0.01/0.01 in tracemalloc.  Detuned runs this long take
+    # the spread, which runs window by window in one grid buffer sized by
+    # SPREAD_WINDOW, never by T: beside the table sit the grid and one
+    # chunk's pairs and weights, 0.90 MiB at fig2's 169 blocks and 0.63 MiB
+    # at 0.01/0.01.  (The walk's group buffers and R rows are sized by
+    # SEGMENT and REDUCE_CHUNK: 1.51 and 0.68 MiB.)  On every path only the
+    # table and the segment list grow with T.
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
                           delta_a=delta, delta_b=-delta)
     beside_table = []
@@ -426,14 +432,15 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, bound):
                                      (50.0, SEGMENT + 1)],
                          ids=["1", "2", str(SEGMENT), str(SEGMENT + 1), "nbar50"])
 def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
-    # nbar 50/50 has 8463 blocks, two tiles, so the exact twist at the
-    # second segment's start is pinned in each tile
+    # the walk's stepped twists, on walk_rows itself: time_series spreads
+    # some of these grids.  nbar 50/50 has 8463 blocks, two tiles, so the
+    # exact twist at the second segment's start is pinned in each tile
     params = desk_params(nbar_a=nbar, nbar_b=nbar, delta_a=0.35, delta_b=-0.2)
     times = np.linspace(0.3, 9.0, n)
+    prop = BlockDiagonalPropagator(params)
     if nbar == 50.0:
-        blocks = len(BlockDiagonalPropagator(params).index)
-        assert block_tiles(blocks) == [(0, 4231), (4231, 8463)]
-    got = series_table(time_series(params, times))
+        assert block_tiles(len(prop.index)) == [(0, 4231), (4231, 8463)]
+    got = walk_rows(prop, times)
     expected = exact_rows(params, times)
     assert np.max(np.abs(got - expected)) < 1e-12
     # each segment's first sample is the exact twist itself
@@ -629,25 +636,67 @@ MANY_LINES = SystemParams(g_a=1.0, g_b=0.8, nbar_a=20.0, nbar_b=20.0, c=GROUND,
                           delta_a=0.2, delta_b=0.2)
 
 
-@pytest.mark.parametrize("params, samples, lines", [
-    (WEAK_LONG, 10001, True), (SCALE_SETUP, 101, True), (PRESETS["fig3b"], 401, True),
-    (SCALE_SETUP, 16, False), (MANY_LINES, 401, False), (MANY_LINES, 2001, True),
-    (PRESETS["fig2"], 0, False), (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), 401, False),
-], ids=["weak_long", "scale_setup", "fig3b", "scale_setup_16", "many_lines_401",
-        "many_lines_2001", "empty", "detuned"])
-def test_time_series_sums_lines_only_where_they_beat_the_walk(monkeypatch, params, samples,
-                                                              lines):
-    # few lines a block pay for their build within about a hundred samples;
-    # unequal couplings hardly merge, and need about 2000; a short grid
-    # walks, and a detuned run never counts its pairs
+def evaluators_run(monkeypatch, params, times):
+    """The pair count and the evaluators that time_series calls for this run, in order."""
     ran = []
-    for name in ("line_rows", "walk_rows"):
+    for name in ("pair_frequencies", "line_rows", "walk_rows", "spread_rows"):
         def record(*args, evaluate=getattr(relphase, name), name=name):
             ran.append(name)
             return evaluate(*args)
         monkeypatch.setattr(relphase, name, record)
-    time_series(params, np.linspace(0.0, 20.0, samples))
-    assert ran == ["line_rows" if lines else "walk_rows"]
+    time_series(params, times)
+    return ran
+
+
+@pytest.mark.parametrize("params, samples, expected", [
+    (WEAK_LONG, 10001, "line_rows"), (SCALE_SETUP, 101, "line_rows"),
+    (PRESETS["fig3b"], 401, "line_rows"), (SCALE_SETUP, 16, "walk_rows"),
+    (MANY_LINES, 401, "walk_rows"), (MANY_LINES, 2001, "line_rows"),
+    (PRESETS["fig2"], 0, "walk_rows"),
+    (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), 401, "spread_rows"),
+    (PRESETS["fig2"], 16, "walk_rows"), (PRESETS["fig2"], 64, "line_rows"),
+    (PRESETS["fig2"], 101, "line_rows"),
+], ids=["weak_long", "scale_setup", "fig3b", "scale_setup_16", "many_lines_401",
+        "many_lines_2001", "empty", "detuned", "fig2_16", "fig2_64", "fig2_101"])
+def test_time_series_sums_lines_only_where_they_beat_the_walk(monkeypatch, params, samples,
+                                                              expected):
+    # few lines a block pay for their build within a few dozen samples, once
+    # the walk is charged its calls (fig2's 169 blocks took 1.33 and 1.59 ms
+    # on the walk over 64 and 101 samples, against 0.68 and 0.70 ms summing
+    # their 69 lines); unequal couplings hardly merge, and need about 2000; a
+    # short grid walks, and a detuned run never counts its pairs
+    resonant = params.delta_a == params.delta_b
+    ran = evaluators_run(monkeypatch, params, np.linspace(0.0, 20.0, samples))
+    assert ran == ["pair_frequencies"] * resonant + [expected]
+
+
+# the perfbench gate's small detuned physics (perfbench/test_perfbench.py): 377 blocks
+SMALL = SystemParams(g_a=1.0, g_b=0.8, nbar_a=3.0, nbar_b=2.0, c=(0.6, 0.64j, 0.48),
+                     delta_a=0.3, delta_b=-0.2)
+
+
+@pytest.mark.parametrize("params, times, expected", [
+    (SMALL, np.linspace(0.0, 2.0, 3), "walk_rows"),
+    (SMALL, np.linspace(0.0, 2.0, 41), "walk_rows"),
+    (SMALL, np.linspace(0.0, 2.0, 65), "spread_rows"),
+    (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), np.linspace(0.0, 20.0, 16), "walk_rows"),
+    (dataclasses.replace(PRESETS["fig2"], delta_b=0.1),
+     np.sort(np.random.default_rng(5).uniform(0.0, 20.0, 401)), "walk_rows"),
+    (desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2),
+     np.linspace(0.0, 2.0, 64), "walk_rows"),
+    (desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2),
+     np.linspace(0.0, 2.0, 201), "spread_rows"),
+], ids=["small_3", "small_41", "small_65", "fig2_detuned_16", "non_uniform", "nbar50_64",
+        "nbar50_201"])
+def test_time_series_spreads_detuned_lines_only_where_they_beat_the_walk(monkeypatch, params,
+                                                                         times, expected):
+    # the spread pays for its build and its grid per window, about 1.9 us a
+    # block, and the walk 12.5 us a call and 14 ns a block-sample: at 377
+    # blocks the walk took 0.62 ms over 41 samples against 0.98 ms, and the
+    # spread 0.95 ms over 65 against 1.29 ms.  A grid that is not uniform
+    # always walks.  perfbench's 3-sample SMALL run counts one amplitudes_at
+    # call a sample, so it must walk
+    assert evaluators_run(monkeypatch, params, times) == [expected]
 
 
 def traced_peak(run):
@@ -693,13 +742,95 @@ def test_line_path_memory_beside_the_line_table_does_not_grow_with_unmerged_line
     for nbar in (20.0, 80.0):
         params = dataclasses.replace(MANY_LINES, nbar_a=nbar, nbar_b=nbar)
         times = np.linspace(0.0, 20.0, 2001)
-        assert takes_lines(params, times)
+        assert evaluator_of(params, times) == "lines"
         lines = len(pair_frequencies(BlockDiagonalPropagator(params)))
         build = traced_peak(lambda: BlockDiagonalPropagator(params))
         peak = traced_peak(lambda: time_series(params, times))
         beside.append(peak - build - len(times) * len(SERIES_KEYS) * 8 - 200 * lines)
     assert beside[1] - beside[0] <= 64 * 1024, beside
     assert max(beside) <= 2 * 2**20, beside
+
+# ---------------------------------------------------------------------------
+# gridded pair lines of detuned runs
+# ---------------------------------------------------------------------------
+
+# seed-1 grid of the benchmark's detuned workload (perfbench/workloads.py)
+DETUNED_GRID = dataclasses.replace(
+    PRESETS["fig2"], g_b=0.8, nbar_a=50.0, nbar_b=50.0,
+    c=(-0.1327028917265215 + 0.46604450952279447j, 0.4447022864397816 - 0.5599759365894923j,
+       -0.3153352763159929 - 0.392966853637485j),
+    delta_a=-0.3487059781103158, delta_b=0.2364209210713588, tau_max=2.0, tau_steps=1001)
+
+DETUNED = desk_params(delta_a=0.35, delta_b=-0.2)
+
+SPREAD_CASES = {
+    "detuned_grid": (DETUNED_GRID, scenario_times(DETUNED_GRID)),
+    **{f"T{n}": (DETUNED, np.linspace(0.3, 9.0, n)) for n in (2, 3, 41, 65)},
+    # three windows, the last one short, on a grid running back in time
+    "three_windows": (DETUNED, np.linspace(5.0, -60.0, 2 * SPREAD_WINDOW + 37)),
+    # g_b = 0 leaves level 2 of the blocks with N_a = 0 at the energy of
+    # another member: 11 pairs of frequency 0, spread like any other
+    "zero_pair": (desk_params(g_b=0.0, delta_a=0.3, delta_b=0.0),
+                  np.linspace(0.0, 20.0, 2 * SEGMENT + 7)),
+}
+
+
+@pytest.mark.parametrize("name", SPREAD_CASES)
+def test_spread_matches_the_walk_and_the_exact_rows(name):
+    # every sample against the walk, and up to about 100 of them against the
+    # exact amplitudes_at(t) of each sample; the spread is taken here
+    # whichever evaluator time_series would pick
+    params, times = SPREAD_CASES[name]
+    prop = BlockDiagonalPropagator(params)
+    if name == "zero_pair":
+        w = prop.frequencies
+        assert np.count_nonzero([w[0] == w[1], w[0] == w[2], w[1] == w[2]]) == 11
+    got = spread_rows(prop, times)
+    assert got.shape == (len(times), len(SERIES_KEYS))
+    assert np.max(np.abs(got - walk_rows(prop, times))) <= 1e-12
+    every = max(1, len(times) // 100)
+    assert np.max(np.abs(got[::every] - exact_rows(params, times[::every]))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.floats(-20.0, 20.0), span=st.floats(1e-3, 100.0),
+       samples=st.integers(2, 2 * SPREAD_WINDOW + 3), nbar_a=st.floats(0.0, 3.0),
+       nbar_b=st.floats(0.0, 3.0), delta_a=st.floats(-1.0, 1.0), delta_b=st.floats(-1.0, 1.0))
+def test_spread_matches_the_walk_on_drawn_uniform_grids(start, span, samples, nbar_a, nbar_b,
+                                                         delta_a, delta_b):
+    params = desk_params(nbar_a=nbar_a, nbar_b=nbar_b, delta_a=delta_a, delta_b=delta_b)
+    times = np.linspace(start, start + span, samples)
+    assume(grid_segments(times)[0] != 0.0)
+    prop = BlockDiagonalPropagator(params)
+    got = spread_rows(prop, times)
+    assert np.max(np.abs(got - walk_rows(prop, times))) <= 1e-12
+    ends = [0, samples // 2, samples - 1]
+    assert np.max(np.abs(got[ends] - exact_rows(params, times[ends]))) <= 1e-12
+
+
+def test_spread_refuses_a_grid_that_is_not_uniform():
+    prop = BlockDiagonalPropagator(DETUNED)
+    for times in (np.array([0.0, 1.0, 3.0]), np.array([2.0]), np.empty(0)):
+        with pytest.raises(ValueError, match="spread_rows needs a uniform grid"):
+            spread_rows(prop, times)
+
+
+def test_spread_memory_does_not_grow_with_the_blocks():
+    # Beside the propagator and the (T, 13) table, the spread holds one
+    # window's grid, (2000 + 32) x 24 floats here, and one chunk of
+    # SPREAD_CHUNK blocks' amplitudes, pairs and weights, whatever the
+    # number of blocks; no line table is formed
+    beside = []
+    for nbar in (20.0, 50.0):
+        params = dataclasses.replace(DETUNED_GRID, nbar_a=nbar, nbar_b=nbar)
+        times = scenario_times(params)
+        assert evaluator_of(params, times) == "spread"
+        prop = BlockDiagonalPropagator(params)
+        peak = traced_peak(lambda: spread_rows(prop, times))
+        beside.append(peak - len(times) * len(SERIES_KEYS) * 8)
+    assert beside[1] - beside[0] <= 64 * 1024, beside
+    assert max(beside) <= 1.5 * 2**20, beside
+
 
 # ---------------------------------------------------------------------------
 # one-mode (Jaynes-Cummings) limits at scale
