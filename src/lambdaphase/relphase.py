@@ -156,7 +156,13 @@ _PROJECT[0::2, 1::2] = -_READOUT.imag
 _PROJECT[1::2, 0::2] = _READOUT.imag
 
 
-def grid_segments(times: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+# The step and segments of a time grid, as :func:`grid_segments` returns them.
+# Each evaluator takes them as ``grid`` when its caller has them, and
+# otherwise finds them from ``times``: :func:`time_series` checks once.
+Grid = tuple[float, list[tuple[int, int]]]
+
+
+def grid_segments(times: np.ndarray) -> Grid:
     """Step and [start, stop) sample ranges of the segments of a time grid.
 
     A grid is uniform when every t_k lies within UNIFORM_ULPS ulp (of the
@@ -339,7 +345,7 @@ def _chunk_pairs(frequencies: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray
 
 
 def line_rows(static: np.ndarray, frequencies: np.ndarray, gains: np.ndarray,
-              times: np.ndarray) -> np.ndarray:
+              times: np.ndarray, grid: Optional[Grid] = None) -> np.ndarray:
     """The (T, 13) rows static + Re sum_l G_l exp(-i W_l t) of :func:`spectral_lines`.
 
     The lines run in chunks of LINE_CHUNK, and the samples of each chunk
@@ -354,7 +360,7 @@ def line_rows(static: np.ndarray, frequencies: np.ndarray, gains: np.ndarray,
     phases of SEGMENT x LINE_CHUNK complex numbers are held, whatever L
     and T are.
     """
-    dt = grid_segments(times)[0]
+    dt = (grid or grid_segments(times))[0]
     rows = np.empty((len(times), len(SERIES_KEYS)))
     rows[:, :12] = static
     for c in range(0, len(frequencies), LINE_CHUNK):
@@ -383,7 +389,8 @@ def spread_points(samples: int) -> int:
     return SPREAD_HALF_WIDTH * max(1, -(-SPREAD_RATIO * 2 * (samples // 2) // SPREAD_HALF_WIDTH))
 
 
-def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
+def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
+                grid: Optional[Grid] = None) -> np.ndarray:
     """The (T, 13) rows of ``prop``'s state on a uniform grid, from its gridded pair lines.
 
     Each column is static + Re sum_l G_l exp(-i W_l t) over every pair
@@ -424,7 +431,7 @@ def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
     # imported here so that runs on the other evaluators do not load it
     from numpy.fft import fft
 
-    dt = grid_segments(times)[0]
+    dt = (grid or grid_segments(times))[0]
     if not dt:
         raise ValueError("spread_rows needs a uniform grid of at least two samples")
     half_width = SPREAD_HALF_WIDTH
@@ -500,7 +507,8 @@ def walk_group(widest: int, segments: int) -> int:
     return max(1, min(segments, SEGMENT, REDUCE_CHUNK // widest))
 
 
-def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
+def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
+              grid: Optional[Grid] = None) -> np.ndarray:
     """The (T, 13) rows of ``prop``'s state on a grid, walked sample by sample.
 
     Each readout vector is (upper -+ i partner)/sqrt(2) or a level, so the
@@ -540,7 +548,7 @@ def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
     R at SEGMENT**2 samples per tile, so the memory beside the (T, 13)
     table does not grow with the grid.
     """
-    dt, segments = grid_segments(times)
+    dt, segments = grid or grid_segments(times)
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
     widest = max(len(tile.index) for tile in tiles)
     group = walk_group(widest, len(segments))
@@ -573,10 +581,11 @@ def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray) -> np.ndarray:
     return rows
 
 
-def evaluator(blocks: int, times: np.ndarray, lines: Optional[int] = None) -> str:
+def evaluator(blocks: int, grid: Grid, lines: Optional[int] = None) -> str:
     """The evaluator, "walk", "lines" or "spread", that :func:`time_series` takes.
 
-    ``lines`` is a resonant run's count of distinct :func:`pair_frequencies`,
+    ``grid`` is :func:`grid_segments` of the run's times, whose last
+    segment ends at the sample count T.  ``lines`` is a resonant run's count of distinct :func:`pair_frequencies`,
     and None for a detuned run, which never counts them.  Each candidate is
     charged its measured cost in microseconds on one CPU, and the cheapest
     is taken:
@@ -598,18 +607,18 @@ def evaluator(blocks: int, times: np.ndarray, lines: Optional[int] = None) -> st
     costs do not grow with the calls, win from a few dozen samples at a
     few hundred blocks.
     """
-    dt, segments = grid_segments(times)
+    dt, segments = grid
+    samples = segments[-1][1] if segments else 0
     tiles = block_tiles(blocks)
     widest = max(stop - start for start, stop in tiles)
     group = walk_group(widest, len(segments))
-    span = min(len(times), SEGMENT) if dt else 1  # sample positions of a segment
+    span = min(samples, SEGMENT) if dt else 1  # sample positions of a segment
     positions = span * -(-len(segments) // group)
     costs = {"walk": positions * ((12.1 + 0.25 * group) * len(tiles) + 0.0132 * group * blocks)}
     if lines is not None:
-        costs["lines"] = 104.0 + 0.79 * blocks + 1.87 * lines + 0.0038 * lines * len(times)
+        costs["lines"] = 104.0 + 0.79 * blocks + 1.87 * lines + 0.0038 * lines * samples
     elif dt:
-        windows = [min(SPREAD_WINDOW, len(times) - first)
-                   for first in range(0, len(times), SPREAD_WINDOW)]
+        windows = [min(SPREAD_WINDOW, samples - first) for first in range(0, samples, SPREAD_WINDOW)]
         chunks = -(-blocks // SPREAD_CHUNK)
         costs["spread"] = sum(131.0 * chunks + 1.39 * blocks + 0.27 * spread_points(samples)
                               for samples in windows)
@@ -659,15 +668,16 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
     prop = BlockDiagonalPropagator(params)
     frequencies = pair_frequencies(prop) if params.delta_a == params.delta_b else None
-    choice = evaluator(len(prop.index), times, None if frequencies is None else len(frequencies))
+    grid = grid_segments(times)
+    choice = evaluator(len(prop.index), grid, None if frequencies is None else len(frequencies))
     if choice == "lines":
         lines = spectral_lines(prop, frequencies)
         del prop
-        rows = line_rows(*lines, times)
+        rows = line_rows(*lines, times, grid)
     elif choice == "spread":
-        rows = spread_rows(prop, times)
+        rows = spread_rows(prop, times, grid)
     else:
-        rows = walk_rows(prop, times)
+        rows = walk_rows(prop, times, grid)
     return dict(zip(SERIES_KEYS, rows.T))
 
 

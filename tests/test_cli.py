@@ -247,7 +247,7 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_line_sum(tmp_path):
     prop = dynamics.BlockDiagonalPropagator(config)
     assert len(relphase.pair_frequencies(prop)) == 933 > relphase.LINE_CHUNK
     times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
-    assert relphase.evaluator(len(prop.index), times, 933) == "lines"
+    assert relphase.evaluator(len(prop.index), relphase.grid_segments(times), 933) == "lines"
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
 
@@ -260,7 +260,7 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_spread(tmp_path):
     config = config_from_dict(raw)
     prop = dynamics.BlockDiagonalPropagator(config)
     times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
-    assert relphase.evaluator(len(prop.index), times) == "spread"
+    assert relphase.evaluator(len(prop.index), relphase.grid_segments(times)) == "spread"
     assert relphase.SPREAD_LINES * 3 * relphase.SPREAD_HALF_WIDTH * 24 <= 2**18
     assert_blas_threads_keep_bytes(tmp_path, raw)
 

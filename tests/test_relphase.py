@@ -276,7 +276,8 @@ def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
     # fig3a is refused from tau_max of about 75556, and detuned by 0.3/-0.2
     # from about 73903.  Just under, the columns lie within A = 9.9e-9 of
     # the exact per-sample path: 0.096 A summed over the merged lines, and
-    # 0.074 A on the spread (0.041 A on the walk)
+    # 0.074 A on the spread.  The walk, which still takes non-uniform and
+    # short grids, is pinned on the detuned grid too: 0.041 A
     for deltas, tau_max, refused in (((0.0, 0.0), 7.5e4, 7.6e4), ((0.3, -0.2), 7.35e4, 7.4e4)):
         config = dataclasses.replace(PRESETS["fig3a"], delta_a=deltas[0], delta_b=deltas[1],
                                      tau_max=tau_max, tau_steps=4 * SEGMENT + 1)
@@ -286,7 +287,11 @@ def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
         allowance = phase_rounding(config, times[-1])
         assert 0.99 * MAX_PHASE_ROUNDING < allowance <= MAX_PHASE_ROUNDING
         assert len(grid_segments(times)[1]) == 5
-        assert np.max(np.abs(series_table(data) - exact_rows(config, times))) <= allowance
+        exact = exact_rows(config, times)
+        assert np.max(np.abs(series_table(data) - exact)) <= allowance
+        if deltas[0] != deltas[1]:
+            walk = walk_rows(BlockDiagonalPropagator(config), times)
+            assert np.max(np.abs(walk - exact)) <= allowance
         with pytest.raises(ValueError, match=f"tau_max = {refused:.6g} reaches"):
             run_scenario(dataclasses.replace(config, tau_max=refused))
 
@@ -344,7 +349,7 @@ def evaluator_of(params, times):
     """The evaluator time_series takes for this run: "walk", "lines" or "spread"."""
     prop = BlockDiagonalPropagator(params)
     lines = len(pair_frequencies(prop)) if params.delta_a == params.delta_b else None
-    return evaluator(len(prop.index), times, lines)
+    return evaluator(len(prop.index), grid_segments(times), lines)
 
 
 def test_recurrence_matches_exact_exp_on_a_long_grid():
@@ -397,11 +402,13 @@ def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
     assert all(column.shape == (0,) for column in series.values())
 
 
-@pytest.mark.parametrize("nbar, delta, bound", [
-    (1.0, 0.0, 1.75 * 2**20), (0.01, 0.0, 0.875 * 2**20),
-    (1.0, 0.3, 1.75 * 2**20), (0.01, 0.3, 0.875 * 2**20),
-], ids=["fig2", "few_blocks", "fig2_detuned", "few_blocks_detuned"])
-def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, bound):
+@pytest.mark.parametrize("nbar, delta, rows, bound", [
+    (1.0, 0.0, None, 1.75 * 2**20), (0.01, 0.0, None, 0.875 * 2**20),
+    (1.0, 0.3, None, 1.75 * 2**20), (0.01, 0.3, None, 0.875 * 2**20),
+    (1.0, 0.3, walk_rows, 1.75 * 2**20), (0.01, 0.3, walk_rows, 0.875 * 2**20),
+], ids=["fig2", "few_blocks", "fig2_detuned", "few_blocks_detuned",
+        "fig2_detuned_walk", "few_blocks_detuned_walk"])
+def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, rows, bound):
     # Resonant runs sum lines in tiles of SEGMENT samples and chunks of
     # LINE_CHUNK lines: beside the (T, 13) table sit the line table, one
     # power table and one tile's phases, 0.20 MiB at fig2's 69 lines and
@@ -409,9 +416,13 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, bound):
     # the spread, which runs window by window in one grid buffer sized by
     # SPREAD_WINDOW, never by T: beside the table sit the grid and one
     # chunk's pairs and weights, 0.90 MiB at fig2's 169 blocks and 0.63 MiB
-    # at 0.01/0.01.  (The walk's group buffers and R rows are sized by
-    # SEGMENT and REDUCE_CHUNK: 1.51 and 0.68 MiB.)  On every path only the
-    # table and the segment list grow with T.
+    # at 0.01/0.01.  The walk, traced on the same detuned grids through
+    # walk_rows itself, sizes its group buffers and R rows by SEGMENT and
+    # REDUCE_CHUNK: at a few blocks the group is capped at SEGMENT segments,
+    # so a group's R stays at SEGMENT**2 samples however long the grid is;
+    # 1.51 MiB at fig2's 169 blocks (G = 48) and 0.68 MiB at 0.01/0.01
+    # (G = 64).  On every path only the table and the segment list grow
+    # with T.
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
                           delta_a=delta, delta_b=-delta)
     beside_table = []
@@ -419,7 +430,10 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, bound):
         times = np.linspace(0.0, 40.0, samples) * 2.0 * math.pi
         tracemalloc.start()
         try:
-            time_series(params, times)
+            if rows is None:
+                time_series(params, times)
+            else:
+                rows(BlockDiagonalPropagator(params), times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
