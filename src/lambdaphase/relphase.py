@@ -93,10 +93,9 @@ UNIFORM_ULPS = 4
 # block-samples a sample position.
 REDUCE_CHUNK = 8192
 
-# Largest number of blocks whose pairs :func:`spectral_lines` forms and merges
-# at once, which bounds its (3, PAIR_CHUNK, 12) projections and its
-# (3 PAIR_CHUNK, 12) pair gains to 0.3 MiB each.
-PAIR_CHUNK = 512
+# Blocks whose pairs :func:`spectral_lines` forms and merges at once, which
+# bounds its (3 PAIR_CHUNK, 6) pair entries to 0.28 MiB.
+PAIR_CHUNK = 1024
 
 # Largest number of lines in one GEMM of :func:`line_rows`.  OpenBLAS runs a
 # GEMM of m n k <= 2**18 multiply-adds (65536 times its default
@@ -119,8 +118,8 @@ SPREAD_CHUNK = 256
 
 # Lines per GEMM of :func:`spread_rows`: a group of SPREAD_HALF_WIDTH grid
 # points takes its lines' weights on 3 SPREAD_HALF_WIDTH points against their
-# 24 floats of gain, below the 2**18 multiply-adds of one OpenBLAS thread.
-SPREAD_LINES = 2**18 // (24 * 3 * SPREAD_HALF_WIDTH)
+# 12 floats of entries, below the 2**18 multiply-adds of one OpenBLAS thread.
+SPREAD_LINES = 2**18 // (12 * 3 * SPREAD_HALF_WIDTH)
 
 # Largest phase rounding allowance A of :func:`phase_rounding` that a grid
 # may carry: the 1e-8 gate on the columns' agreement with the dense oracle.
@@ -145,15 +144,14 @@ _READOUT_REAL[0:6:2] = _PRODUCTS[[0, 4, 8]].real
 _READOUT_REAL[7::2] = -2.0 * _PRODUCTS[[3, 7, 6]].imag
 
 
-# q = v^dagger a of the 12 readout columns v as a real map of the float view
-# (Re a_1, Im a_1, ..., Im a_3) of a block's amplitudes to (Re q, Im q) per
-# column.  The real einsum gives the bits of the complex einsum with
-# _READOUT.conj() and takes 105 us a chunk of PAIR_CHUNK blocks against
-# 233 us, which made scale_setup's line build 14 ms against 18 (one CPU).
-_PROJECT = np.zeros((6, 24))
-_PROJECT[0::2, 0::2] = _PROJECT[1::2, 1::2] = _READOUT.real
-_PROJECT[0::2, 1::2] = -_READOUT.imag
-_PROJECT[1::2, 0::2] = _READOUT.imag
+# A pair k < l of a block's eigenmodes, z = c_k conj(c_l), adds
+# z V_ik V_jl P + conj(z V_il V_jk P) to R_ij, P = exp(-i (w_k - w_l) t): to
+# the diagonal 2 Re z d_i P, d_i = V_ik V_il, and to Im R_ij, i > j,
+# Im z a_ij P, a_ij = V_ik V_jl - V_jk V_il.  So _READOUT_REAL with its
+# population rows doubled reads the columns off the float view of a pair's
+# six entries z (d_0, d_1, d_2, a_10, a_21, a_20) times P, in the order of
+# R's kept entries.
+_PAIR_READOUT = _READOUT_REAL * np.repeat([2.0, 2.0, 2.0, 1.0, 1.0, 1.0], 2)[:, None]
 
 
 # The step and segments of a time grid, as :func:`grid_segments` returns them.
@@ -185,9 +183,8 @@ def block_tiles(blocks: int) -> list[tuple[int, int]]:
 
     The tiles cover blocks 0..blocks-1 in order and differ in size by at
     most one block; up to REDUCE_CHUNK blocks are one tile.  This is the
-    one partition of every block reduction: :func:`walk_rows` keeps one
-    R per tile and :func:`series_rows` adds them in this order, and
-    :func:`spectral_lines` merges the tiles' pairs in this order.
+    one partition of the walk's block reduction: :func:`walk_rows` keeps
+    one R per tile and :func:`series_rows` adds them in this order.
     """
     count = max(1, -(-blocks // REDUCE_CHUNK))
     bounds = [blocks * k // count for k in range(count + 1)]
@@ -272,79 +269,69 @@ def spectral_lines(prop: BlockDiagonalPropagator,
     With a_k = V[:, k] c0_k the amplitudes of eigenmode k of a block, a
     readout column v reads |sum_k q_k exp(-i w_k t)|^2, q_k = v^dagger a_k,
     summed over the blocks: the static part sum |q_k|^2 plus, for each pair
-    k < l, Re G exp(-i (w_k - w_l) t) with G = 2 q_k conj(q_l).
-    ``frequencies`` are the blocks' :func:`pair_frequencies`.  Returns
-    ``(static, frequencies, gains)``: the (12,) static term, the (L,)
-    ascending pair frequencies and the (L, 12) complex G summed over all
-    pairs at each.  A line at frequency 0 never moves, so its Re G is added
-    to the static term instead, which makes that term each column's
-    infinite-time mean.
+    k < l, Re G exp(-i (w_k - w_l) t) with G = 2 q_k conj(q_l).  Every
+    readout vector has real |v_i|^2 and imaginary conj(v_i) v_j, i != j, so
+    G is the fixed real map ``_PAIR_READOUT`` of the pair's six complex
+    entries of :func:`_chunk_pairs`, and a line is kept as these entries
+    summed over its pairs.  ``frequencies`` are the blocks'
+    :func:`pair_frequencies`.  Returns ``(static, frequencies, entries)``:
+    the (12,) static term, the (L,) ascending pair frequencies and the
+    (L, 6) complex entries.  A line at frequency 0 never moves, so its Re G
+    is added to the static term instead, which makes that term each
+    column's infinite-time mean.
 
-    The blocks are read in the tiles of :func:`block_tiles`, in block
-    order.  Each tile takes one stacked ``amplitudes_at(0.0, onehot)``
-    call, with ``onehot[k]`` its ``coeff0`` masked to row k, so that only
-    :meth:`BlockDiagonalPropagator.amplitudes_at` applies the
-    eigenvectors.  Its blocks are then projected and paired PAIR_CHUNK at
-    a time: a stable sort of the chunk's 3 x PAIR_CHUNK pair frequencies,
-    ``np.add.reduceat`` over each run of equal ones, and an in-place sum
-    into the table's rows.  Every line is thus summed in one fixed order,
-    and no (3B, 12) array is formed: beside the propagator and the table,
-    the build holds a tile's amplitudes and a chunk's pairs.
+    The blocks are read PAIR_CHUNK at a time, in block order: a stable
+    sort of the chunk's 3 x PAIR_CHUNK pair frequencies, ``np.add.reduceat``
+    over each run of equal ones, and an in-place sum into the table's
+    rows.  Every line is thus summed in one fixed order, and no (3B, 6)
+    array is formed: beside the propagator and the table, the build holds
+    one chunk's pairs.
     """
     static = np.zeros(_READOUT.shape[1])
-    gains = np.zeros((len(frequencies), _READOUT.shape[1]), dtype=complex)
-    for start, stop in block_tiles(len(prop.index)):
-        tile = prop[start:stop]
-        modes = tile.amplitudes_at(0.0, np.eye(3)[:, :, None] * tile.coeff0)
-        for first in range(0, stop - start, PAIR_CHUNK):
-            chunk = slice(first, first + PAIR_CHUNK)
-            part, w, g = _chunk_lines(tile.frequencies[:, chunk], modes[:, chunk])
-            static += part
-            gains[np.searchsorted(frequencies, w)] += g
-        del modes  # the next tile's apply runs without this tile's amplitudes
-    gains *= 2.0  # exact, so each line is the sum of its pairs' 2 q_k conj(q_l)
+    entries = np.zeros((len(frequencies), 6), dtype=complex)
+    for start in range(0, len(prop.index), PAIR_CHUNK):
+        part, w, e = _chunk_pairs(prop[start:min(start + PAIR_CHUNK, len(prop.index))])
+        static += part
+        order = np.argsort(w, kind="stable")
+        w = w[order]
+        runs = np.flatnonzero(np.concatenate([[True], w[1:] != w[:-1]]))
+        entries[np.searchsorted(frequencies, w[runs])] += np.add.reduceat(e[order], runs)
     zero = np.flatnonzero(frequencies == 0.0)  # the frequencies are distinct
     if len(zero):  # copies the table only when it has a line at 0
-        static += gains[zero[0]].real
-        frequencies, gains = np.delete(frequencies, zero), np.delete(gains, zero, axis=0)
-    return static, frequencies, gains
+        static += entries[zero[0]].view(float) @ _PAIR_READOUT
+        frequencies, entries = np.delete(frequencies, zero), np.delete(entries, zero, axis=0)
+    return static, frequencies, entries
 
 
-def _chunk_lines(frequencies: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Static part, pair frequencies and summed q_k conj(q_l) of a chunk of blocks.
+def _chunk_pairs(chunk: BlockDiagonalPropagator,
+                 anchor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Static part, and frequency and six entries of every pair, of a chunk of blocks.
 
-    ``frequencies`` (3, c) and ``modes`` (3, c, 3) are the eigenfrequencies
-    and eigenmode amplitudes a_k of c blocks.  Returns the (12,) sum of
-    |q_k|^2, the ascending distinct pair frequencies w_k - w_l of the
-    chunk and, for each, the (12,) sum of q_k conj(q_l) over its pairs, in
-    the order of a stable sort of the pairs (pair (0, 1), (0, 2), (1, 2),
-    each in block order).
+    Returns the (12,) sum of |q_k|^2 over ``chunk``'s blocks, the (3c,) pair
+    frequencies W = w_k - w_l and their (3c, 6) entries z (d_0, d_1, d_2,
+    a_10, a_21, a_20) of ``_PAIR_READOUT``, pair (0, 1), (0, 2), (1, 2), each
+    in block order.  z = c_k conj(c_l) exp(-i W ``anchor``), the factor
+    left out at anchor 0.  |q_k|^2 = |c_k|^2 sum_i |v_i|^2 V_ik^2: the
+    imaginary conj(v_i) v_j cancel against their conjugates.
     """
-    static, w, g = _chunk_pairs(frequencies, modes)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    runs = np.flatnonzero(np.concatenate([[True], w[1:] != w[:-1]]))
-    return static, w[runs], np.add.reduceat(g[order], runs)
+    k, l = [0, 0, 1], [1, 2, 2]  # the pairs (0, 1), (0, 2), (1, 2)
+    v = np.ascontiguousarray(chunk.vectors[:, :, ::2])  # [i, k, b] = V_b[i, k]
+    c = chunk.coeff0
+    w = chunk.frequencies[k] - chunk.frequencies[l]
+    z = c[k] * c[l].conj()
+    if anchor:
+        z *= np.exp((-1j * anchor) * w)
+    vk, vl = v[:, k], v[:, l]  # [i, pair, b]
+    e = np.empty((6, 3, c.shape[1]))
+    np.multiply(vk, vl, out=e[:3])
+    np.multiply(vk[[1, 2, 2]], vl[[0, 1, 0]], out=e[3:])
+    e[3:] -= vk[[0, 1, 0]] * vl[[1, 2, 2]]
+    populations = np.einsum("ikb,kb->i", np.square(v), c.real * c.real + c.imag * c.imag)
+    return (populations @ _READOUT_REAL[0:6:2], w.ravel(),
+            (z[:, :, None] * e.transpose(1, 2, 0)).reshape(-1, 6))
 
 
-def _chunk_pairs(frequencies: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Static part, and frequency and q_k conj(q_l) of every pair, of a chunk of blocks.
-
-    ``frequencies`` (3, c) and ``modes`` (3, c, 3) are as in
-    :func:`_chunk_lines`.  Returns the (12,) sum of |q_k|^2, the (3c,)
-    pair frequencies w_k - w_l and their (3c, 12) products q_k conj(q_l),
-    pair (0, 1), (0, 2), (1, 2), each in block order.
-    """
-    q = np.einsum("kbx,xy->kby", np.ascontiguousarray(modes).view(float),
-                  _PROJECT).view(complex)
-    static = np.einsum("kbm,kbm->m", q.real, q.real) + np.einsum("kbm,kbm->m", q.imag, q.imag)
-    w = np.concatenate([frequencies[0] - frequencies[1], frequencies[0] - frequencies[2],
-                        frequencies[1] - frequencies[2]])
-    g = np.concatenate([q[0] * q[1].conj(), q[0] * q[2].conj(), q[1] * q[2].conj()])
-    return static, w, g
-
-
-def line_rows(static: np.ndarray, frequencies: np.ndarray, gains: np.ndarray,
+def line_rows(static: np.ndarray, frequencies: np.ndarray, entries: np.ndarray,
               times: np.ndarray, grid: Optional[Grid] = None) -> np.ndarray:
     """The (T, 13) rows static + Re sum_l G_l exp(-i W_l t) of :func:`spectral_lines`.
 
@@ -355,18 +342,19 @@ def line_rows(static: np.ndarray, frequencies: np.ndarray, gains: np.ndarray,
     exact ``exp``; on any other grid every sample takes an exact ``exp``.
     Re(G P) = Re G Re P - Im G Im P, so each chunk and tile is one real
     GEMM of the phases' float view (n, 2L) with the gains as rows Re G and
-    -Im G, (2L, 12), added to the static term in chunk order.  The norm is
-    pop1 + pop2 + pop3.  Beside the rows, a power table and a tile's
-    phases of SEGMENT x LINE_CHUNK complex numbers are held, whatever L
-    and T are.
+    -Im G = Re(i G), (2L, 12), which ``_PAIR_READOUT`` reads off the
+    chunk's entries e and i e, added to the static term in chunk order.
+    The norm is pop1 + pop2 + pop3.  Beside the rows, a chunk's gains, a
+    power table and a tile's phases of SEGMENT x LINE_CHUNK complex
+    numbers are held, whatever L and T are.
     """
     dt = (grid or grid_segments(times))[0]
     rows = np.empty((len(times), len(SERIES_KEYS)))
     rows[:, :12] = static
     for c in range(0, len(frequencies), LINE_CHUNK):
-        w, g = frequencies[c:c + LINE_CHUNK], gains[c:c + LINE_CHUNK]
-        operand = np.empty((2 * len(w), 12))
-        operand[0::2], operand[1::2] = g.real, -g.imag
+        w, e = frequencies[c:c + LINE_CHUNK], entries[c:c + LINE_CHUNK]
+        # 2 LINE_CHUNK x 12 x 12 multiply-adds, on one OpenBLAS thread
+        operand = np.stack([e, 1j * e], axis=1).view(float).reshape(-1, 12) @ _PAIR_READOUT
         powers = np.exp(np.multiply.outer(-1j * dt * np.arange(SEGMENT), w)) if dt else None
         for start in range(0, len(times), SEGMENT):
             span = times[start:start + SEGMENT]
@@ -395,35 +383,40 @@ def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
 
     Each column is static + Re sum_l G_l exp(-i W_l t) over every pair
     of every block, as in :func:`spectral_lines`, but no pair is merged
-    and no line table is formed.  The grid runs in windows of
+    and no line table is formed.  G_l is the fixed map ``_PAIR_READOUT``
+    of the pair's six complex entries e_l, so the entries are summed and
+    the map is applied to their sums.  The grid runs in windows of
     SPREAD_WINDOW samples.  On a window of samples t_c + k dt, |k| <= h,
-    anchored at its centre t_c, the sum is f_k = sum_l c_l exp(-i k x_l)
-    with c_l = G_l exp(-i W_l t_c) and x_l = W_l dt: a type-1 non-uniform
-    FFT, summed by Gaussian gridding (Dutt and Rokhlin, SIAM J. Sci.
-    Comput. 14, 1368 (1993); Greengard and Lee, SIAM Rev. 46, 443
-    (2004)).  The blocks are read SPREAD_CHUNK at a time, with one
-    ``amplitudes_at(0.0, onehot)`` call and the projection of
-    :func:`_chunk_lines`.  Each line sits at u_l = x_l n / (2 pi) on a
-    periodic grid of n points, n the least multiple of
-    SPREAD_HALF_WIDTH = m of at least SPREAD_RATIO x 2h, and adds
-    c_l exp(-b (p - u_l)^2) to the points p of its group of m points and
-    m more on each side.  So each group is one real GEMM of its lines'
-    weights, (3m, lines), with their anchored gains, (lines, 24), in
-    block order and SPREAD_LINES lines at a time: at most 2**18
-    multiply-adds, which OpenBLAS runs on one thread.  One ``np.fft.fft``
-    of the grid then gives H_k = sqrt(pi/b) exp(-(pi k/n)^2/b) f_k.
+    anchored at its centre t_c, each entry's sum is f_k = sum_l c_l
+    exp(-i k x_l) with c_l = e_l exp(-i W_l t_c) and x_l = W_l dt: a
+    type-1 non-uniform FFT, summed by Gaussian gridding (Dutt and
+    Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993); Greengard and Lee,
+    SIAM Rev. 46, 443 (2004)).  The blocks are read SPREAD_CHUNK at a
+    time, with their anchored entries from :func:`_chunk_pairs`.  Each
+    line sits at u_l = x_l n / (2 pi) on a periodic grid of n points, n
+    the least multiple of SPREAD_HALF_WIDTH = m of at least SPREAD_RATIO
+    x 2h, and adds c_l exp(-b (p - u_l)^2) to the points p of its group
+    of m points and m more on each side.  So each group is one real GEMM
+    of its lines' weights, (3m, lines), with their anchored entries,
+    (lines, 12) floats, in block order and SPREAD_LINES lines at a time:
+    at most 2**18 multiply-adds, which OpenBLAS runs on one thread.  One
+    ``np.fft.fft`` of the grid then gives H_k = sqrt(pi/b)
+    exp(-(pi k/n)^2/b) f_k of each entry, and the map reads the columns
+    off the corrected f_k.
 
     Error bound: b = pi (n - h) / (n (m + 1/2)) balances the kernel's
     tails past m + 1/2 points against its aliases past the band |k| <= h,
     so each f_k is off by at most E sum |c_l| with E about
-    3 exp(-pi (m + 1/2) (n - 2h) / (n - h)), 3e-15 at n = 4h.  The |G_l|
-    add up to at most 2 (see :func:`phase_rounding`), so each column is
-    off by at most 2 E, plus the rounding of the FFT times the kernel's
-    largest inverse, about 75.  b comes from the n actually used, which
-    exceeds 4h unless h is a multiple of 4.  As on the walk, a sample
-    sits at its nominal t_c + k dt, within UNIFORM_ULPS ulp of its t.
+    3 exp(-pi (m + 1/2) (n - 2h) / (n - h)), 3e-15 at n = 4h.  Over the
+    lines the |z d_i| add up to at most the mean population of level i,
+    and the |z a_ij| to at most those of levels i and j, so through the
+    map each column is off by at most 2 E, plus the rounding of the FFT
+    times the kernel's largest inverse, about 75.  b comes from the n
+    actually used, which exceeds 4h unless h is a multiple of 4.  As on
+    the walk, a sample sits at its nominal t_c + k dt, within
+    UNIFORM_ULPS ulp of its t.
 
-    Beside the rows, a window holds its grid, (n + 2m, 24) floats
+    Beside the rows, a window holds its grid, (n + 2m, 12) floats
     transformed in place, and one chunk's lines and weights, whatever B
     and T are.  Raises ValueError for a grid that :func:`grid_segments`
     does not find uniform.
@@ -437,7 +430,7 @@ def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
     half_width = SPREAD_HALF_WIDTH
     rows = np.empty((len(times), len(SERIES_KEYS)))
     # one buffer for every window's grid: the first window is the largest
-    buffer = np.empty((spread_points(min(len(times), SPREAD_WINDOW)) + 2 * half_width, 24))
+    buffer = np.empty((spread_points(min(len(times), SPREAD_WINDOW)) + 2 * half_width, 12))
     for first in range(0, len(times), SPREAD_WINDOW):
         last = min(first + SPREAD_WINDOW, len(times))
         centre = first + (last - first - 1) // 2
@@ -455,9 +448,11 @@ def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
         spectrum = grid[half_width:n + half_width].view(complex)
         fft(spectrum, axis=0, out=spectrum)
         k = np.arange(first - centre, last - centre)
-        kernel = (2.0 / math.sqrt(math.pi / b)) * np.exp(np.square(math.pi / n * k) / b)
+        kernel = np.exp(np.square(math.pi / n * k) / b) / math.sqrt(math.pi / b)
+        corrected = spectrum[k] * kernel[:, None]
         window = rows[first:last, :12]
-        np.multiply(kernel[:, None], spectrum.real[k], out=window)
+        # SPREAD_WINDOW x 12 x 12 multiply-adds at most, on one OpenBLAS thread
+        np.matmul(corrected.view(float), _PAIR_READOUT, out=window)
         window += static
     np.add(rows[:, 9], rows[:, 10], out=rows[:, 12])
     rows[:, 12] += rows[:, 11]
@@ -468,7 +463,7 @@ def _spread_chunk(grid: np.ndarray, chunk: BlockDiagonalPropagator, anchor: floa
                   scale: float, b: float) -> np.ndarray:
     """Spread the pair lines of ``chunk`` onto ``grid``; return their (12,) static part.
 
-    ``grid`` is the float view, (n + 2m, 24), of the points -m .. n + m - 1
+    ``grid`` is the float view, (n + 2m, 12), of the points -m .. n + m - 1
     of a :func:`spread_rows` window anchored at t = ``anchor``; a line of
     frequency W sits at u = W ``scale`` and has kernel exp(-b (p - u)^2).
     The lines are taken in groups of their nearest point's group of m
@@ -477,9 +472,7 @@ def _spread_chunk(grid: np.ndarray, chunk: BlockDiagonalPropagator, anchor: floa
     half_width = SPREAD_HALF_WIDTH
     span = 3 * half_width  # grid points a group's lines reach
     n = len(grid) - 2 * half_width
-    modes = chunk.amplitudes_at(0.0, np.eye(3)[:, :, None] * chunk.coeff0)
-    static, w, g = _chunk_pairs(chunk.frequencies, modes)
-    g *= np.exp((-1j * anchor) * w)[:, None]
+    static, w, e = _chunk_pairs(chunk, anchor)
     u = w * scale
     nearest = np.rint(u)
     point = np.mod(nearest, n)
@@ -491,14 +484,14 @@ def _spread_chunk(grid: np.ndarray, chunk: BlockDiagonalPropagator, anchor: floa
     np.square(weights, out=weights)
     weights *= -b
     np.exp(weights, out=weights)
-    gains = g[order].view(float)
+    entries = e[order].view(float)
     group = group[order]
     bounds = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1], [True]]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         at = int(group[lo]) * half_width
         for a in range(lo, hi, SPREAD_LINES):
             z = min(a + SPREAD_LINES, hi)
-            grid[at:at + span] += weights[a:z].T @ gains[a:z]
+            grid[at:at + span] += weights[a:z].T @ entries[a:z]
     return static
 
 
@@ -605,7 +598,12 @@ def evaluator(blocks: int, grid: Grid, lines: Optional[int] = None) -> str:
     two, 1.8 and 2.0.  The walk's call is its per-sample overhead: up to
     64 samples every sample is a call, so the lines and the spread, whose
     costs do not grow with the calls, win from a few dozen samples at a
-    few hundred blocks.
+    few hundred blocks.  The lines' and the spread's per-block terms
+    predate the six-entry pairs of :func:`_chunk_pairs` and now over-charge
+    them: measured again on one CPU, the line build costs about 0.36 a
+    block and 0.18 a line, and the spread about 1.0 a block a window in
+    all.  They are kept until the constants are fitted again, so that
+    every pick stays as it was.
     """
     dt, segments = grid
     samples = segments[-1][1] if segments else 0
@@ -646,8 +644,8 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     a resonant run counts its distinct :func:`pair_frequencies`, and when
     that many lines are the cheapest, the propagator is reduced to
     :func:`spectral_lines`, released, and each row is the static term
-    plus the merged lines, summed by :func:`line_rows`; weak_long calls
-    ``amplitudes_at`` once instead of 256 times.  A detuned run on a
+    plus the merged lines, summed by :func:`line_rows`; weak_long makes
+    no ``amplitudes_at`` call, where the walk makes 256.  A detuned run on a
     uniform grid may instead grid its unmerged pair lines onto an
     oversampled FFT grid a window at a time (:func:`spread_rows`):
     detuned_grid's 8463 blocks and 1001 samples take 34 chunks and one

@@ -251,17 +251,32 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_line_sum(tmp_path):
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
 
+def test_simulate_bytes_do_not_depend_on_blas_threads_in_unmerged_lines(tmp_path):
+    # equal detunings with unequal couplings hardly merge a pair: 6559
+    # lines of 3025 blocks over 2001 samples, whose line table, mapped to
+    # the GEMM operand one LINE_CHUNK at a time, grows with the lines
+    raw = dict(BASE_CONFIG, g_a=1.0, g_b=0.8, nbar_a=20.0, nbar_b=20.0, c=[1.0, 0.0, 0.0],
+               delta_a=0.2, delta_b=0.2, tau_max=2.0, tau_steps=2001)
+    config = config_from_dict(raw)
+    prop = dynamics.BlockDiagonalPropagator(config)
+    lines = len(relphase.pair_frequencies(prop))
+    assert (len(prop.index), lines) == (3025, 6559)
+    times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
+    assert relphase.evaluator(len(prop.index), relphase.grid_segments(times), lines) == "lines"
+    assert_blas_threads_keep_bytes(tmp_path, raw)
+
+
 def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_spread(tmp_path):
     # detuned nbar 50/50, complex c: 8463 blocks over 201 samples take the
     # spread, whose GEMMs of up to SPREAD_LINES lines against 3 x 16 grid
-    # points and 24 floats each stay below OpenBLAS's 2**18 multiply-adds
+    # points and 12 floats each stay below OpenBLAS's 2**18 multiply-adds
     raw = dict(BASE_CONFIG, nbar_a=50.0, nbar_b=50.0, c=[[0.6, 0.0], [0.0, 0.48], [0.0, 0.64]],
                delta_a=0.3, delta_b=-0.2, tau_max=2.0, tau_steps=201)
     config = config_from_dict(raw)
     prop = dynamics.BlockDiagonalPropagator(config)
     times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
     assert relphase.evaluator(len(prop.index), relphase.grid_segments(times)) == "spread"
-    assert relphase.SPREAD_LINES * 3 * relphase.SPREAD_HALF_WIDTH * 24 <= 2**18
+    assert relphase.SPREAD_LINES * 3 * relphase.SPREAD_HALF_WIDTH * 12 <= 2**18
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
 

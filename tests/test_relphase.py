@@ -635,14 +635,50 @@ def test_resonant_pairs_merge_into_few_lines(name, blocks, lines):
     # sits at frequency 0, whose pairs are static
     prop = BlockDiagonalPropagator(LINE_CASES[name][0])
     distinct = pair_frequencies(prop)
-    static, frequencies, gains = spectral_lines(prop, distinct)
+    static, frequencies, entries = spectral_lines(prop, distinct)
     assert len(prop.index) == blocks
     assert len(distinct) == lines + np.count_nonzero(distinct == 0.0)
-    assert len(frequencies) == lines and gains.shape == (lines, 12) and static.shape == (12,)
+    assert len(frequencies) == lines and entries.shape == (lines, 6) and static.shape == (12,)
     assert np.all(np.diff(frequencies) > 0) and np.all(frequencies != 0.0)
     w = prop.frequencies
     zero_pairs = np.count_nonzero([w[0] == w[1], w[0] == w[2], w[1] == w[2]])
     assert (zero_pairs > 0) == (name in ("gb0_delta_0.3", "uncoupled"))
+
+
+@pytest.mark.parametrize("params, anchor", [
+    (PRESETS["fig3a"], 0.0),  # resonant
+    (desk_params(delta_a=0.35, delta_b=-0.2), 3.7),  # detuned, complex c
+    (PRESETS["fig2"], 0.0),  # 13 blocks with a missing member
+    (desk_params(g_b=0.0, delta_a=0.3, delta_b=0.0), -1.3),  # pairs of frequency 0
+], ids=["resonant", "detuned", "missing_member", "zero_pairs"])
+def test_pair_entries_match_the_projected_pair_products(params, anchor):
+    # the six entries of each pair, mapped through the readout's |v_i|^2
+    # and Im conj(v_i) v_j, give G = 2 q_k conj(q_l) exp(-i W anchor) with
+    # q_k = v^dagger V[:, k] c0_k projected here with complex arithmetic.
+    # That rests on every readout vector, (upper -+ i partner)/sqrt(2) or a
+    # level, having conj(v_i) v_j exactly real for i == j and exactly
+    # imaginary otherwise
+    products = relphase._PRODUCTS.reshape(3, 3, -1)
+    diagonal = np.eye(3, dtype=bool)
+    assert np.all(products[diagonal].imag == 0.0)
+    assert np.all(products[~diagonal].real == 0.0)
+    prop = BlockDiagonalPropagator(params)
+    static, w, entries = relphase._chunk_pairs(prop, anchor)
+    modes = np.einsum("ikb,kb->kbi", prop.vectors[:, :, ::2], prop.coeff0)
+    q = modes @ relphase._READOUT.conj()  # [k, b, column]
+    k, l = [0, 0, 1], [1, 2, 2]
+    pair_w = (prop.frequencies[k] - prop.frequencies[l]).ravel()
+    expected = 2.0 * (q[k] * q[l].conj()).reshape(-1, 12) * np.exp(-1j * anchor * pair_w)[:, None]
+    gains = 2.0 * (entries[:, :3] @ products[diagonal].real
+                   + 1j * entries[:, 3:] @ products[[1, 2, 2], [0, 1, 0]].imag)
+    assert np.array_equal(w, pair_w)
+    assert np.max(np.abs(gains - expected)) <= 1e-15
+    read = np.ascontiguousarray(entries).view(float) @ relphase._PAIR_READOUT
+    assert np.max(np.abs(read - expected.real)) <= 1e-15
+    # the static part is a sum over every block, rounded over as many terms
+    assert np.max(np.abs(static - np.sum(np.abs(q) ** 2, axis=(0, 1)))) <= 1e-14
+    if params.g_b == 0.0:
+        assert np.count_nonzero(w == 0.0) > 0
 
 
 # equal detunings with unequal couplings: 6559 lines of 3025 blocks
@@ -725,12 +761,12 @@ def traced_peak(run):
 
 def test_line_path_memory_does_not_grow_with_the_blocks():
     # Beside the (T, 13) table and the peak of building the propagator, which
-    # every evaluator pays, the line path holds one tile's amplitudes and one
-    # chunk's pairs while it builds (the propagator is released before the
-    # sum), then the line table, one power table and one tile's phases.
+    # every evaluator pays, the line path holds one chunk's pairs while it
+    # builds (the propagator is released before the sum), then the line
+    # table, one chunk's gains, one power table and one tile's phases.
     # The chunks are of fixed size, so from nbar 100/100 (16641 blocks, 933
     # lines) to 200/200 (34225 blocks, 1316 lines) nothing beside the build
-    # grows: tracemalloc read 0.80 MiB at 100/100, and at 200/200 the
+    # grows: tracemalloc read 0.17 MiB at 100/100, and at 200/200 the
     # build's own peak stood above the line path's (-0.01 MiB).
     beside = []
     for nbar in (100.0, 200.0):
@@ -745,13 +781,13 @@ def test_line_path_memory_does_not_grow_with_the_blocks():
 
 
 def test_line_path_memory_beside_the_line_table_does_not_grow_with_unmerged_lines():
-    # With unequal couplings hardly any pair merges, so the line table, 200
+    # With unequal couplings hardly any pair merges, so the line table, 104
     # bytes a line, grows with the blocks itself.  Beside it, the build's
     # peak and the (T, 13) table, the line path holds the blocks' pair
-    # frequencies while it counts them, one tile's amplitudes and one
-    # chunk's pairs, then one power table and one tile's phases, and the
-    # table is not copied: tracemalloc read 1.48 MiB at nbar 20/20 (3025
-    # blocks, 6559 lines) and 1.27 MiB at 80/80 (13225 blocks, 18019 lines)
+    # frequencies while it counts them and one chunk's pairs, then one
+    # chunk's gains, one power table and one tile's phases, and the table is
+    # not copied: tracemalloc read 0.84 MiB at nbar 20/20 (3025 blocks, 6559
+    # lines) and 0.14 MiB at 80/80 (13225 blocks, 18019 lines)
     beside = []
     for nbar in (20.0, 80.0):
         params = dataclasses.replace(MANY_LINES, nbar_a=nbar, nbar_b=nbar)
@@ -760,7 +796,7 @@ def test_line_path_memory_beside_the_line_table_does_not_grow_with_unmerged_line
         lines = len(pair_frequencies(BlockDiagonalPropagator(params)))
         build = traced_peak(lambda: BlockDiagonalPropagator(params))
         peak = traced_peak(lambda: time_series(params, times))
-        beside.append(peak - build - len(times) * len(SERIES_KEYS) * 8 - 200 * lines)
+        beside.append(peak - build - len(times) * len(SERIES_KEYS) * 8 - 104 * lines)
     assert beside[1] - beside[0] <= 64 * 1024, beside
     assert max(beside) <= 2 * 2**20, beside
 
@@ -831,9 +867,9 @@ def test_spread_refuses_a_grid_that_is_not_uniform():
 
 def test_spread_memory_does_not_grow_with_the_blocks():
     # Beside the propagator and the (T, 13) table, the spread holds one
-    # window's grid, (2000 + 32) x 24 floats here, and one chunk of
-    # SPREAD_CHUNK blocks' amplitudes, pairs and weights, whatever the
-    # number of blocks; no line table is formed
+    # window's grid, (2000 + 32) x 12 floats here, and one chunk of
+    # SPREAD_CHUNK blocks' pair entries and weights, whatever the number of
+    # blocks; no line table is formed
     beside = []
     for nbar in (20.0, 50.0):
         params = dataclasses.replace(DETUNED_GRID, nbar_a=nbar, nbar_b=nbar)
