@@ -49,9 +49,11 @@ TABLE_TAIL = 1e-12
 # Rounding allowance of the captured-weight check in initial_state.
 CAPTURE_SLACK = 1e-12
 
-# Cap on the blocks of the grid initial_state allocates.  A run holds about
-# 460 bytes per block (state, eigensystems, twists), so the cap keeps it
-# near half a GB.
+# Cap on the blocks of the grid initial_state allocates.  The heaviest run, a
+# detuned one on a grid that is not uniform, peaks at about 630 bytes per
+# block (tracemalloc, 34595 blocks): the propagator's 280, the pair
+# frequencies and a line table of 104 bytes a line, three lines a block.  So
+# the cap keeps a run near 0.66 GB.
 MAX_BLOCKS = 2**20
 
 
@@ -519,38 +521,27 @@ class BlockDiagonalPropagator:
         ``coefficients`` are the eigenbasis coefficients at t as given by
         :meth:`twist`, or as stepped there by a caller walking a uniform
         grid; without them the twist is computed here with an exact
-        ``exp``.  A stack (S, 3, B) of coefficients, one set per sample,
-        gives the stack (S, B, 3) of their amplitudes, each slice bit for
-        bit the one-sample result; ``t`` is then unused.  The result is a
-        transposed view of a level-major array: a new one, or ``out``
-        when given, which must be a complex array of the coefficients'
-        shape with its last axis contiguous (other axes may be strided)
-        and is written in place.  The coefficients' last axis must be
-        contiguous too.  ValueError reports ``coefficients`` of another
-        dtype or layout, or of a shape other than ``coeff0``'s or a stack
-        of it, and an ``out`` of another shape, dtype or layout.
+        ``exp``, and with them ``t`` is unused.  The result is a transposed
+        view of a level-major (3, B) array: a new one, or ``out`` when
+        given, which must be a complex array of ``coeff0``'s shape with its
+        last axis contiguous and is written in place.  The coefficients'
+        last axis must be contiguous too.  ValueError reports
+        ``coefficients`` or ``out`` of another shape, dtype or layout.
         """
         if coefficients is None:
             coefficients = self.twist(t)
-        elif (coefficients.shape[-2:] != self.coeff0.shape or coefficients.ndim > 3
-              or coefficients.dtype != self.coeff0.dtype):
-            levels, blocks = self.coeff0.shape
-            raise ValueError(f"coefficients must be a {self.coeff0.dtype} array of shape "
-                             f"({levels}, {blocks}) or (S, {levels}, {blocks}), got "
-                             f"{coefficients.dtype} {coefficients.shape}")
-        elif coefficients.shape[-1] > 1 and coefficients.strides[-1] != coefficients.itemsize:
-            raise ValueError(f"coefficients must be an array with its last axis contiguous, "
-                             f"got strides {coefficients.strides}")
-        if out is not None:
-            if out.shape != coefficients.shape or out.dtype != self.coeff0.dtype:
-                raise ValueError(f"out must be a {self.coeff0.dtype} array of shape "
-                                 f"{coefficients.shape}, got {out.dtype} {out.shape}")
-            if out.shape[-1] > 1 and out.strides[-1] != out.itemsize:
-                raise ValueError(f"out must be an array with its last axis contiguous, got "
-                                 f"strides {out.strides}")
-            out = out.view(float)
-        real = np.einsum("ijk,...jk->...ik", self.vectors, coefficients.view(float), out=out)
-        return real.view(complex).swapaxes(-1, -2)
+        for name, array in (("coefficients", coefficients), ("out", out)):
+            if array is None:
+                continue
+            if array.shape != self.coeff0.shape or array.dtype != self.coeff0.dtype:
+                raise ValueError(f"{name} must be a {self.coeff0.dtype} array of shape "
+                                 f"{self.coeff0.shape}, got {array.dtype} {array.shape}")
+            if array.shape[-1] > 1 and array.strides[-1] != array.itemsize:
+                raise ValueError(f"{name} must be an array with its last axis contiguous, "
+                                 f"got strides {array.strides}")
+        real = np.einsum("ijk,jk->ik", self.vectors, coefficients.view(float),
+                         out=None if out is None else out.view(float))
+        return real.view(complex).T
 
     def propagators(self, t: float) -> np.ndarray:
         """Block propagators exp(-i H t), shape (B, 3, 3); negative t runs back."""

@@ -74,10 +74,10 @@ PHASE_KEYS = {t: (f"p{t}_0", f"p{t}_p", f"p{t}_m") for t in ALL_TRANSITIONS}
 SERIES_KEYS = (*(key for keys in PHASE_KEYS.values() for key in keys),
                "pop1", "pop2", "pop3", "norm")
 
-# Samples per segment of a uniform grid: each segment starts from an exact
-# eigenphase twist and steps the samples after it by one fixed factor.  The
-# merged lines are summed over tiles of as many samples, each from an exact
-# anchor times a power table of SEGMENT entries.
+# Most samples that :func:`walk_rows` walks: one segment of a uniform grid,
+# which starts from an exact eigenphase twist and steps the samples after it
+# by one fixed factor.  The merged lines are summed over tiles of as many
+# samples, each from an exact anchor times a power table of SEGMENT entries.
 SEGMENT = 64
 
 # Largest distance, in ulp of the grid's largest |t|, between a sample and
@@ -88,9 +88,7 @@ UNIFORM_ULPS = 4
 # dot product of the reduction.  OpenBLAS splits a dot product over its
 # threads above 10000 elements, at points that depend on the thread count,
 # which would make the bytes of a run depend on it; tiles this short stay
-# on one thread and are summed in a fixed order.  It also bounds the group
-# of segments that :func:`walk_rows` walks at once to about REDUCE_CHUNK
-# block-samples a sample position.
+# on one thread and are summed in a fixed order.
 REDUCE_CHUNK = 8192
 
 # Blocks whose pairs :func:`spectral_lines` forms and merges at once, which
@@ -154,19 +152,12 @@ _READOUT_REAL[7::2] = -2.0 * _PRODUCTS[[3, 7, 6]].imag
 _PAIR_READOUT = _READOUT_REAL * np.repeat([2.0, 2.0, 2.0, 1.0, 1.0, 1.0], 2)[:, None]
 
 
-# The step and segments of a time grid, as :func:`grid_segments` returns them.
-# Each evaluator takes them as ``grid`` when its caller has them, and
-# otherwise finds them from ``times``: :func:`time_series` checks once.
-Grid = tuple[float, list[tuple[int, int]]]
+def uniform_step(times: np.ndarray) -> float:
+    """Step dt of a uniform time grid, or 0.0 when the grid is not uniform.
 
-
-def grid_segments(times: np.ndarray) -> Grid:
-    """Step and [start, stop) sample ranges of the segments of a time grid.
-
-    A grid is uniform when every t_k lies within UNIFORM_ULPS ulp (of the
-    largest |t|) of t_0 + k dt, with dt = (t_last - t_0) / (n - 1); it is
-    cut into runs of SEGMENT samples.  On any other grid every sample is
-    a segment of its own and the step is 0.
+    A grid is uniform when it has at least two samples and every t_k lies
+    within UNIFORM_ULPS ulp (of the largest |t|) of t_0 + k dt, with
+    dt = (t_last - t_0) / (n - 1).
     """
     n = len(times)
     if n > 1:
@@ -174,8 +165,8 @@ def grid_segments(times: np.ndarray) -> Grid:
         nominal = times[0] + dt * np.arange(n)
         spacing = np.spacing(np.max(np.abs(times)))
         if np.all(np.abs(times - nominal) <= UNIFORM_ULPS * spacing):
-            return float(dt), [(s, min(s + SEGMENT, n)) for s in range(0, n, SEGMENT)]
-    return 0.0, [(k, k + 1) for k in range(n)]
+            return float(dt)
+    return 0.0
 
 
 def block_tiles(blocks: int) -> list[tuple[int, int]]:
@@ -332,14 +323,15 @@ def _chunk_pairs(chunk: BlockDiagonalPropagator,
 
 
 def line_rows(static: np.ndarray, frequencies: np.ndarray, entries: np.ndarray,
-              times: np.ndarray, grid: Optional[Grid] = None) -> np.ndarray:
+              times: np.ndarray, dt: Optional[float] = None) -> np.ndarray:
     """The (T, 13) rows static + Re sum_l G_l exp(-i W_l t) of :func:`spectral_lines`.
 
     The lines run in chunks of LINE_CHUNK, and the samples of each chunk
-    in tiles of SEGMENT.  On a uniform grid (:func:`grid_segments`) a
-    tile starting at t_s takes the exact anchor exp(-i W t_s) times a
-    power table exp(-i W j dt), j < SEGMENT, made once per chunk with an
-    exact ``exp``; on any other grid every sample takes an exact ``exp``.
+    in tiles of SEGMENT.  On a uniform grid of step ``dt``, by default
+    :func:`uniform_step` of ``times``, a tile starting at t_s takes the
+    exact anchor exp(-i W t_s) times a power table exp(-i W j dt),
+    j < SEGMENT, made once per chunk with an exact ``exp``; on any other
+    grid (``dt`` 0) every sample takes an exact ``exp``.
     Re(G P) = Re G Re P - Im G Im P, so each chunk and tile is one real
     GEMM of the phases' float view (n, 2L) with the gains as rows Re G and
     -Im G = Re(i G), (2L, 12), which ``_PAIR_READOUT`` reads off the
@@ -348,7 +340,8 @@ def line_rows(static: np.ndarray, frequencies: np.ndarray, entries: np.ndarray,
     power table and a tile's phases of SEGMENT x LINE_CHUNK complex
     numbers are held, whatever L and T are.
     """
-    dt = (grid or grid_segments(times))[0]
+    if dt is None:
+        dt = uniform_step(times)
     rows = np.empty((len(times), len(SERIES_KEYS)))
     rows[:, :12] = static
     for c in range(0, len(frequencies), LINE_CHUNK):
@@ -378,7 +371,7 @@ def spread_points(samples: int) -> int:
 
 
 def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
-                grid: Optional[Grid] = None) -> np.ndarray:
+                dt: Optional[float] = None) -> np.ndarray:
     """The (T, 13) rows of ``prop``'s state on a uniform grid, from its gridded pair lines.
 
     Each column is static + Re sum_l G_l exp(-i W_l t) over every pair
@@ -418,13 +411,14 @@ def spread_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
 
     Beside the rows, a window holds its grid, (n + 2m, 12) floats
     transformed in place, and one chunk's lines and weights, whatever B
-    and T are.  Raises ValueError for a grid that :func:`grid_segments`
-    does not find uniform.
+    and T are.  ``dt`` is the grid's step, by default its
+    :func:`uniform_step`; ValueError reports a grid that is not uniform.
     """
     # imported here so that runs on the other evaluators do not load it
     from numpy.fft import fft
 
-    dt = (grid or grid_segments(times))[0]
+    if dt is None:
+        dt = uniform_step(times)
     if not dt:
         raise ValueError("spread_rows needs a uniform grid of at least two samples")
     half_width = SPREAD_HALF_WIDTH
@@ -495,131 +489,96 @@ def _spread_chunk(grid: np.ndarray, chunk: BlockDiagonalPropagator, anchor: floa
     return static
 
 
-def walk_group(widest: int, segments: int) -> int:
-    """Segments G that :func:`walk_rows` walks at once, for its widest tile's blocks."""
-    return max(1, min(segments, SEGMENT, REDUCE_CHUNK // widest))
-
-
 def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
-              grid: Optional[Grid] = None) -> np.ndarray:
-    """The (T, 13) rows of ``prop``'s state on a grid, walked sample by sample.
+              dt: Optional[float] = None) -> np.ndarray:
+    """The (T, 13) rows of ``prop``'s state on one segment of a uniform grid.
 
     Each readout vector is (upper -+ i partner)/sqrt(2) or a level, so the
     columns read only the populations and Im of the three coherences: R is
     kept as its six entries R_00, R_11, R_22, R_10, R_21, R_20, and the
     three above the diagonal, their conjugates, are never formed.
 
-    The grid is walked in the segments of :func:`grid_segments`, G =
-    min(segments, SEGMENT, max(1, REDUCE_CHUNK // b)) segments at a time
-    for the widest tile's b blocks, and each group in the tiles of
-    :func:`block_tiles`, one ``BlockDiagonalPropagator[a:b]`` each.  In a
-    tile each segment starts from the exact twist exp(-i w t_s) coeff0,
-    written by :meth:`BlockDiagonalPropagator.twist` into its slot, and,
-    on a uniform grid, multiplies it by exp(-i w dt) for each later
-    sample, so the complex exponential runs once per segment and tile
-    instead of once per sample.  The group's twists sit in one reused
-    (G, 3, b) buffer, beside the step repeated to the same shape: at each
-    sample position one flat in-place multiply steps every segment of the
-    group, one stacked ``amplitudes_at`` applies them and three ``vecdot``
-    calls reduce them into the tile's own slot of the group's
-    (tiles, G x SEGMENT, 6) R: the populations, the coherences R_10 and
-    R_21 of adjacent levels, and R_20.  The grid's last segment may be
-    shorter than the others; it runs on with them past its end, into R
-    slots beyond the grid's last sample that are never read.  Every dot
-    product is a complex one of at most REDUCE_CHUNK blocks, below the
-    length at which OpenBLAS splits it over threads.  So a position costs
-    one call for all G samples, and a tile's eigenvectors and step with the
-    group's twists and amplitudes, at most about REDUCE_CHUNK
-    block-samples, stay in cache over the group's samples instead of the
-    whole state streaming through it once per sample.  On a non-uniform
-    grid every segment is one sample, so a group is G samples with exact
-    twists.  The rows of a group come from :func:`series_rows`, which
-    adds the tiles' R in tile order and writes them straight into the
-    (T, 13) table.  Each sample keeps its exact twist and its own steps,
-    and each reduction and row is formed on its own, so the bytes depend
-    neither on G nor on the loop order.  G at most SEGMENT keeps a group's
-    R at SEGMENT**2 samples per tile, so the memory beside the (T, 13)
-    table does not grow with the grid.
+    The blocks are walked in the tiles of :func:`block_tiles`, one
+    ``BlockDiagonalPropagator[a:b]`` each.  A tile starts from the exact
+    twist exp(-i w t_0) coeff0 of :meth:`BlockDiagonalPropagator.twist`
+    and multiplies it by exp(-i w dt) for each later sample, so the
+    complex exponential runs once per tile instead of once per sample.  At
+    each sample one ``amplitudes_at`` call applies the twist and three
+    ``vecdot`` calls reduce the amplitudes into the tile's slot of the
+    (tiles, T, 6) R: the populations, the coherences R_10 and R_21 of
+    adjacent levels, and R_20.  Every dot product is a complex one of at
+    most REDUCE_CHUNK blocks, below the length at which OpenBLAS splits it
+    over threads.  :func:`series_rows` adds the tiles' R in tile order and
+    reads the rows off them, each on its own.
+
+    ``dt`` is the grid's step, by default its :func:`uniform_step`; a
+    caller walking one segment of a longer grid gives that grid's step.
+    Raises ValueError for a grid that is not uniform or is longer than
+    SEGMENT samples: such grids sum their pair lines instead.
     """
-    dt, segments = grid or grid_segments(times)
+    if dt is None:
+        dt = uniform_step(times)
+    if not dt or not 0 < len(times) <= SEGMENT:
+        raise ValueError(f"walk_rows needs a uniform grid of at most {SEGMENT} samples, got "
+                         f"{'a' if dt else 'a non-uniform'} grid of {len(times)}")
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
-    widest = max(len(tile.index) for tile in tiles)
-    group = walk_group(widest, len(segments))
-    # one step per segment of a group (1 on a non-uniform grid, never applied)
-    steps = [np.tile(tile.phases(dt), (group, 1, 1)) for tile in tiles]
-    twists = np.empty((group, 3, widest), dtype=complex)
-    levels = np.empty((group, 3, widest), dtype=complex)
-    r = np.empty((len(tiles), group * SEGMENT, 6), dtype=complex)
-    rows = np.empty((len(times), len(SERIES_KEYS)))
-    for g in range(0, len(segments), group):
-        part = segments[g:g + group]
-        first, last = part[0][0], part[-1][1]
-        span = part[0][1] - first  # every segment but the grid's last is this long
-        for i, (tile, step) in enumerate(zip(tiles, steps)):
-            twisted, step = twists[:len(part), :, :len(tile.index)], step[:len(part)]
-            a = levels[:len(part), :, :len(tile.index)]
-            for s, (start, _) in enumerate(part):
-                tile.twist(times[start], out=twisted[s])
-            # a short last segment runs on into slots past last - first, never read
-            slots = r[i, :len(part) * span].reshape(len(part), span, 6)
-            pairs, outer = (a[:, :2], a[:, 1:]), (a[:, 0], a[:, 2])
-            for j in range(span):
-                if j:
-                    twisted *= step
-                tile.amplitudes_at(times[first + j], twisted, out=a)
-                np.vecdot(a, a, out=slots[:, j, :3])
-                np.vecdot(*pairs, out=slots[:, j, 3:5])
-                np.vecdot(*outer, out=slots[:, j, 5])
-        series_rows(r[:, :last - first], out=rows[first:last])
-    return rows
+    r = np.empty((len(tiles), len(times), 6), dtype=complex)
+    for tile, slots in zip(tiles, r):
+        step = tile.phases(dt)
+        twisted = tile.twist(times[0])
+        a = np.empty_like(twisted)
+        for j, t in enumerate(times):
+            if j:
+                twisted *= step
+            tile.amplitudes_at(t, twisted, out=a)
+            np.vecdot(a, a, out=slots[j, :3])
+            np.vecdot(a[:2], a[1:], out=slots[j, 3:5])
+            np.vecdot(a[:1], a[2:], out=slots[j, 5:])
+    return series_rows(r, np.empty((len(times), len(SERIES_KEYS))))
 
 
-def evaluator(blocks: int, grid: Grid, lines: Optional[int] = None) -> str:
+def evaluator(blocks: int, samples: int, dt: float, lines: Optional[int] = None) -> str:
     """The evaluator, "walk", "lines" or "spread", that :func:`time_series` takes.
 
-    ``grid`` is :func:`grid_segments` of the run's times, whose last
-    segment ends at the sample count T.  ``lines`` is a resonant run's count of distinct :func:`pair_frequencies`,
-    and None for a detuned run, which never counts them.  Each candidate is
-    charged its measured cost in microseconds on one CPU, and the cheapest
-    is taken:
+    ``samples`` is the run's sample count T and ``dt`` its grid's
+    :func:`uniform_step`.  ``lines`` is the run's count of distinct
+    :func:`pair_frequencies`, and None when they are not counted.  A grid
+    that is not uniform, one of fewer than two samples included, takes the
+    lines.  On a uniform grid each candidate is charged its measured cost
+    in microseconds on one CPU, and the cheapest is taken:
 
-    - :func:`walk_rows`, always: 12.1 a call of ``amplitudes_at``, its three
-      reductions and its step, 0.25 a sample and 0.0132 a block-sample, where
-      a call at a sample position of a group serves G segments of a tile;
-    - :func:`line_rows` with :func:`spectral_lines`, at resonance: 104, then
-      0.79 a block, 1.87 a line and 0.0038 a line-sample;
-    - :func:`spread_rows`, on a uniform grid of a detuned run: 131 a chunk
-      of SPREAD_CHUNK blocks and 1.39 a block in each window, then 0.27 a
-      point of each window's grid.
+    - :func:`walk_rows`, up to SEGMENT samples: 12.1 a call of
+      ``amplitudes_at``, one a sample and tile, 0.25 for its three
+      reductions and its step, and 0.0132 a block-sample;
+    - :func:`line_rows` with :func:`spectral_lines`, when the lines are
+      counted: 104, then 0.79 a block, 1.87 a line and 0.0038 a
+      line-sample;
+    - :func:`spread_rows`, always: 131 a chunk of SPREAD_CHUNK blocks and
+      1.39 a block in each window, then 0.27 a point of each window's grid.
 
     The costs were fitted to the minima of 348 timed runs (35 to 8463
     blocks, 3 to 4001 samples over 2 and 20 units of tau) and pick the
     fastest evaluator in 337; the 11 misses are within 1.33 of it but for
-    two, 1.8 and 2.0.  The walk's call is its per-sample overhead: up to
-    64 samples every sample is a call, so the lines and the spread, whose
-    costs do not grow with the calls, win from a few dozen samples at a
-    few hundred blocks.  The lines' and the spread's per-block terms
-    predate the six-entry pairs of :func:`_chunk_pairs` and now over-charge
-    them: measured again on one CPU, the line build costs about 0.36 a
-    block and 0.18 a line, and the spread about 1.0 a block a window in
-    all.  They are kept until the constants are fitted again, so that
-    every pick stays as it was.
+    two, 1.8 and 2.0.  The walk's call is its per-sample overhead, so the
+    lines and the spread, whose costs do not grow with the calls, win from
+    a few dozen samples at a few hundred blocks.  The lines' and the
+    spread's per-block terms predate the six-entry pairs of
+    :func:`_chunk_pairs` and now over-charge them: measured again on one
+    CPU, the line build costs about 0.36 a block and 0.18 a line, and the
+    spread about 1.0 a block a window in all.  They are kept until the
+    constants are fitted again.
     """
-    dt, segments = grid
-    samples = segments[-1][1] if segments else 0
-    tiles = block_tiles(blocks)
-    widest = max(stop - start for start, stop in tiles)
-    group = walk_group(widest, len(segments))
-    span = min(samples, SEGMENT) if dt else 1  # sample positions of a segment
-    positions = span * -(-len(segments) // group)
-    costs = {"walk": positions * ((12.1 + 0.25 * group) * len(tiles) + 0.0132 * group * blocks)}
+    if not dt:
+        return "lines"
+    costs = {}
+    if samples <= SEGMENT:
+        costs["walk"] = samples * ((12.1 + 0.25) * len(block_tiles(blocks)) + 0.0132 * blocks)
     if lines is not None:
         costs["lines"] = 104.0 + 0.79 * blocks + 1.87 * lines + 0.0038 * lines * samples
-    elif dt:
-        windows = [min(SPREAD_WINDOW, samples - first) for first in range(0, samples, SPREAD_WINDOW)]
-        chunks = -(-blocks // SPREAD_CHUNK)
-        costs["spread"] = sum(131.0 * chunks + 1.39 * blocks + 0.27 * spread_points(samples)
-                              for samples in windows)
+    windows = [min(SPREAD_WINDOW, samples - first) for first in range(0, samples, SPREAD_WINDOW)]
+    chunks = -(-blocks // SPREAD_CHUNK)
+    costs["spread"] = sum(131.0 * chunks + 1.39 * blocks + 0.27 * spread_points(window)
+                          for window in windows)
     return min(costs, key=costs.get)
 
 
@@ -645,12 +604,14 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     that many lines are the cheapest, the propagator is reduced to
     :func:`spectral_lines`, released, and each row is the static term
     plus the merged lines, summed by :func:`line_rows`; weak_long makes
-    no ``amplitudes_at`` call, where the walk makes 256.  A detuned run on a
-    uniform grid may instead grid its unmerged pair lines onto an
-    oversampled FFT grid a window at a time (:func:`spread_rows`):
-    detuned_grid's 8463 blocks and 1001 samples take 34 chunks and one
-    FFT of 2000 points.  Every other run walks the blocks at every sample
-    (:func:`walk_rows`).
+    no ``amplitudes_at`` call.  Any run on a uniform grid may instead grid
+    its unmerged pair lines onto an oversampled FFT grid a window at a
+    time (:func:`spread_rows`): detuned_grid's 8463 blocks and 1001
+    samples take 34 chunks and one FFT of 2000 points.  A uniform grid of
+    at most SEGMENT samples may also be walked, block by block at every
+    sample (:func:`walk_rows`).  A grid that is not uniform always sums
+    its lines, counted for a detuned run too, with an exact ``exp`` a
+    sample.
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
     ValueError for a grid that is not one-dimensional, holds a non-finite
@@ -665,17 +626,19 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
                          f"position {bad[0]}")
     phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
     prop = BlockDiagonalPropagator(params)
-    frequencies = pair_frequencies(prop) if params.delta_a == params.delta_b else None
-    grid = grid_segments(times)
-    choice = evaluator(len(prop.index), grid, None if frequencies is None else len(frequencies))
+    dt = uniform_step(times)
+    counted = params.delta_a == params.delta_b or not dt
+    frequencies = pair_frequencies(prop) if counted else None
+    choice = evaluator(len(prop.index), len(times), dt,
+                       None if frequencies is None else len(frequencies))
     if choice == "lines":
         lines = spectral_lines(prop, frequencies)
         del prop
-        rows = line_rows(*lines, times, grid)
+        rows = line_rows(*lines, times, dt)
     elif choice == "spread":
-        rows = spread_rows(prop, times, grid)
+        rows = spread_rows(prop, times, dt)
     else:
-        rows = walk_rows(prop, times, grid)
+        rows = walk_rows(prop, times, dt)
     return dict(zip(SERIES_KEYS, rows.T))
 
 

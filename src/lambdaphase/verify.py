@@ -147,30 +147,34 @@ def suite_relphase() -> list[CheckResult]:
     checks.append(CheckResult("marginal completeness", worst_sum, 1e-10))
     checks.append(CheckResult("zero-label population identity", worst_pop, 1e-10))
 
-    # the stepped walk, the spread and the merged lines against the exact
-    # twist, at the edges of every segment: walk_rows on 49 segments of 181
-    # detuned blocks (two groups of up to 45) and on two segments of 8463
-    # detuned, complex-c blocks (two tiles); spread_rows on the first of these
-    # grids, three windows; and time_series on five tiles of samples summed
-    # over the lines of the resonant blocks, whose equal couplings merge
-    # their pairs into few enough lines
+    # the stepped walk, the spread and the lines against the exact twist, at
+    # the first and last sample of every run of SEGMENT: walk_rows on one
+    # segment of 181 detuned blocks and on one of 8463 detuned, complex-c
+    # blocks (two tiles); spread_rows on a detuned grid of three windows;
+    # and time_series on a detuned grid that is not uniform, which sums the
+    # blocks' unmerged pair lines, on a resonant grid with unequal
+    # couplings, which spreads them, and on one with equal couplings, whose
+    # pairs merge into few lines
     worst = 0.0
-    long_grid = np.linspace(0.0, 30.0, 48 * relphase.SEGMENT + 10)
+    segment = relphase.SEGMENT
+    resonant = replace(params, delta_b=params.delta_a)
     for grid_params, times, evaluate in (
-            (params, long_grid, relphase.walk_rows),
-            (replace(params, nbar_a=50.0, nbar_b=50.0),
-             np.linspace(0.0, 2.0, relphase.SEGMENT + 36), relphase.walk_rows),
-            (params, long_grid, relphase.spread_rows),
-            (replace(params, g_b=params.g_a, delta_b=params.delta_a),
-             np.linspace(0.0, 30.0, 4 * relphase.SEGMENT + 10), None)):
+            (params, np.linspace(0.0, 30.0, segment), relphase.walk_rows),
+            (replace(params, nbar_a=50.0, nbar_b=50.0), np.linspace(0.0, 2.0, segment),
+             relphase.walk_rows),
+            (params, np.linspace(0.0, 30.0, 48 * segment + 10), relphase.spread_rows),
+            (params, 30.0 * np.linspace(0.0, 1.0, 2 * segment + 10) ** 2, None),
+            (resonant, np.linspace(0.0, 30.0, 4 * segment + 10), None),
+            (replace(resonant, g_b=params.g_a), np.linspace(0.0, 30.0, 16 * segment + 10),
+             None)):
         grid_prop = BlockDiagonalPropagator(grid_params)
         if evaluate is None:
             series = relphase.time_series(grid_params, times)
             rows = np.column_stack([series[key] for key in relphase.SERIES_KEYS])
         else:
             rows = evaluate(grid_prop, times)
-        for start, stop in relphase.grid_segments(times)[1]:
-            for k in (start, stop - 1):
+        for start in range(0, len(times), segment):
+            for k in (start, min(start + segment, len(times)) - 1):
                 state = grid_prop.amplitudes_at(times[k])
                 exact = [*(relphase.marginal_distribution(grid_prop.index, state, trans)
                            for trans in algebra.ALL_TRANSITIONS),

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -247,14 +248,15 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_line_sum(tmp_path):
     prop = dynamics.BlockDiagonalPropagator(config)
     assert len(relphase.pair_frequencies(prop)) == 933 > relphase.LINE_CHUNK
     times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
-    assert relphase.evaluator(len(prop.index), relphase.grid_segments(times), 933) == "lines"
+    assert relphase.evaluator(len(prop.index), len(times), relphase.uniform_step(times),
+                              933) == "lines"
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads_in_unmerged_lines(tmp_path):
     # equal detunings with unequal couplings hardly merge a pair: 6559
-    # lines of 3025 blocks over 2001 samples, whose line table, mapped to
-    # the GEMM operand one LINE_CHUNK at a time, grows with the lines
+    # lines of 3025 blocks, which over 2001 samples take the spread of their
+    # unmerged pairs, at resonance as when detuned
     raw = dict(BASE_CONFIG, g_a=1.0, g_b=0.8, nbar_a=20.0, nbar_b=20.0, c=[1.0, 0.0, 0.0],
                delta_a=0.2, delta_b=0.2, tau_max=2.0, tau_steps=2001)
     config = config_from_dict(raw)
@@ -262,8 +264,45 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_unmerged_lines(tmp_path
     lines = len(relphase.pair_frequencies(prop))
     assert (len(prop.index), lines) == (3025, 6559)
     times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
-    assert relphase.evaluator(len(prop.index), relphase.grid_segments(times), lines) == "lines"
+    assert relphase.evaluator(len(prop.index), len(times), relphase.uniform_step(times),
+                              lines) == "spread"
     assert_blas_threads_keep_bytes(tmp_path, raw)
+
+
+NON_UNIFORM_ROWS = """\
+import sys
+import numpy as np
+from lambdaphase import relphase
+from lambdaphase.dynamics import SystemParams
+params = SystemParams(g_a=1.0, g_b=0.8, nbar_a=20.0, nbar_b=20.0, c=(0.6, 0.64j, 0.48),
+                      delta_a=0.3, delta_b=-0.2)
+times = np.sort(np.random.default_rng(11).uniform(0.0, 2.0, 401))
+series = relphase.time_series(params, times)
+rows = np.column_stack([series[key] for key in relphase.SERIES_KEYS])
+if __name__ == "__main__":
+    sys.stdout.buffer.write(rows.tobytes())
+"""
+
+
+def test_time_series_bytes_do_not_depend_on_blas_threads_on_a_non_uniform_grid(tmp_path):
+    # a grid that is not uniform, which only the library makes, sums every
+    # pair line with an exact exp a sample: detuned nbar 20/20 has 3135
+    # blocks and 9405 unmerged lines, far more than one LINE_CHUNK, each
+    # chunk mapped to the GEMM operand and summed on its own.  Child
+    # processes under 1 and 2 BLAS threads print the in-process rows' bytes
+    script = tmp_path / "rows.py"
+    script.write_text(NON_UNIFORM_ROWS)
+    run = runpy.run_path(str(script))
+    prop = dynamics.BlockDiagonalPropagator(run["params"])
+    assert relphase.uniform_step(run["times"]) == 0.0
+    assert len(relphase.pair_frequencies(prop)) == 3 * len(prop.index) == 9405
+    src = str(Path(lambdaphase.__file__).resolve().parents[1])
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, str(script)], env=env, check=True,
+                              capture_output=True, timeout=120)
+        assert done.stdout == run["rows"].tobytes(), blas
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_spread(tmp_path):
@@ -275,7 +314,8 @@ def test_simulate_bytes_do_not_depend_on_blas_threads_in_the_spread(tmp_path):
     config = config_from_dict(raw)
     prop = dynamics.BlockDiagonalPropagator(config)
     times = np.linspace(0.0, raw["tau_max"], raw["tau_steps"]) * time_scale(config)
-    assert relphase.evaluator(len(prop.index), relphase.grid_segments(times)) == "spread"
+    assert relphase.evaluator(len(prop.index), len(times),
+                              relphase.uniform_step(times)) == "spread"
     assert relphase.SPREAD_LINES * 3 * relphase.SPREAD_HALF_WIDTH * 12 <= 2**18
     assert_blas_threads_keep_bytes(tmp_path, raw)
 
@@ -704,16 +744,8 @@ def test_verify_poisson_check_sees_a_scaled_table(monkeypatch):
     assert not checks["poisson weight normalization"].passed
 
 
-def long_step(segments):
-    """grid_segments with its step one part in 1e6 too long."""
-    def faulty(times):
-        dt, ranges = segments(times)
-        return dt * (1 + 1e-6), ranges
-    return faulty
-
-
 @pytest.mark.parametrize("name, fault", [
-    ("grid_segments", long_step),
+    ("uniform_step", lambda step: lambda times: step(times) * (1 + 1e-6)),
     ("block_tiles", lambda tiles: lambda blocks: tiles(blocks)[:1]),
 ], ids=["long-step", "dropped-tile"])
 def test_verify_projection_check_covers_the_stepped_walk(monkeypatch, name, fault):

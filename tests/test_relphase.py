@@ -19,10 +19,10 @@ from lambdaphase.oracle import (_ALGEBRA_MATRICES, _dressed_block_lowering,
                                 verify_deformed_polar)
 from lambdaphase.relphase import (MAX_PHASE_ROUNDING, PHASE_KEYS, REDUCE_CHUNK, SEGMENT,
                                   SERIES_KEYS, SPREAD_WINDOW, block_tiles, evaluator,
-                                  grid_segments, line_rows, marginal_distribution,
-                                  pair_frequencies, phase_rounding, rel_phase_eigenstates,
-                                  series_rows, spectral_lines, spread_rows, time_series,
-                                  trapping_config, walk_rows)
+                                  line_rows, marginal_distribution, pair_frequencies,
+                                  phase_rounding, rel_phase_eigenstates, series_rows,
+                                  spectral_lines, spread_rows, time_series, trapping_config,
+                                  uniform_step, walk_rows)
 
 GROUND = (1.0, 0.0, 0.0)
 LABELS = ("0", "+", "-")
@@ -209,10 +209,10 @@ def test_projection_agrees_with_closed_form_series():
 
 
 def test_time_series_columns_over_segments():
-    # three segments, so the identities hold across segment boundaries
+    # three runs of SEGMENT samples, the last one short, so the identities
+    # hold across the boundaries of the lines' tiles
     params = desk_params()
     times = np.linspace(0.0, 2.0, 2 * SEGMENT + 5)
-    assert len(grid_segments(times)[1]) == 3
     series = time_series(params, times)
     assert tuple(series) == SERIES_KEYS
     total = series["pop1"] + series["pop2"] + series["pop3"]
@@ -276,8 +276,8 @@ def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
     # fig3a is refused from tau_max of about 75556, and detuned by 0.3/-0.2
     # from about 73903.  Just under, the columns lie within A = 9.9e-9 of
     # the exact per-sample path: 0.096 A summed over the merged lines, and
-    # 0.074 A on the spread.  The walk, which still takes non-uniform and
-    # short grids, is pinned on the detuned grid too: 0.041 A
+    # 0.074 A on the spread.  The walk, which takes one segment at most, is
+    # pinned on the detuned grid's last segment, at the same tau_max
     for deltas, tau_max, refused in (((0.0, 0.0), 7.5e4, 7.6e4), ((0.3, -0.2), 7.35e4, 7.4e4)):
         config = dataclasses.replace(PRESETS["fig3a"], delta_a=deltas[0], delta_b=deltas[1],
                                      tau_max=tau_max, tau_steps=4 * SEGMENT + 1)
@@ -286,12 +286,12 @@ def test_a_grid_just_under_the_phase_rounding_limit_runs_within_its_allowance():
         assert evaluator_of(config, times) == ("lines" if deltas[0] == deltas[1] else "spread")
         allowance = phase_rounding(config, times[-1])
         assert 0.99 * MAX_PHASE_ROUNDING < allowance <= MAX_PHASE_ROUNDING
-        assert len(grid_segments(times)[1]) == 5
+        assert uniform_step(times) > 0.0
         exact = exact_rows(config, times)
         assert np.max(np.abs(series_table(data) - exact)) <= allowance
         if deltas[0] != deltas[1]:
-            walk = walk_rows(BlockDiagonalPropagator(config), times)
-            assert np.max(np.abs(walk - exact)) <= allowance
+            walk = walk_rows(BlockDiagonalPropagator(config), times[-SEGMENT:])
+            assert np.max(np.abs(walk - exact[-SEGMENT:])) <= allowance
         with pytest.raises(ValueError, match=f"tau_max = {refused:.6g} reaches"):
             run_scenario(dataclasses.replace(config, tau_max=refused))
 
@@ -326,19 +326,27 @@ def exact_rows(params, times):
     return np.array([one_sample_rows(prop.amplitudes_at(float(t))) for t in times])
 
 
-def stepped_rows(prop, times):
-    """time_series one sample at a time: the stepped twist of each segment,
-    amplitudes_at and a one-sample reduction per sample."""
-    dt, segments = grid_segments(times)
+def stepped_rows(prop, times, dt):
+    """The walk one sample at a time: an exact twist at the start of each run
+    of SEGMENT samples, stepped by exp(-i w dt) after it, amplitudes_at and a
+    one-sample reduction per sample."""
     step = prop.phases(dt)
     rows = []
-    for start, stop in segments:
+    for start in range(0, len(times), SEGMENT):
         twisted = prop.twist(times[start])
-        for k in range(start, stop):
+        for k in range(start, min(start + SEGMENT, len(times))):
             if k > start:
                 twisted *= step
             rows.append(one_sample_rows(prop.amplitudes_at(times[k], twisted)))
     return np.array(rows)
+
+
+def walked_rows(prop, times, dt=None):
+    """walk_rows on each run of SEGMENT samples of a grid, stepped by ``dt``,
+    by default the grid's uniform_step."""
+    dt = uniform_step(times) if dt is None else dt
+    return np.concatenate([walk_rows(prop, times[start:start + SEGMENT], dt)
+                           for start in range(0, len(times), SEGMENT)])
 
 
 def series_table(series):
@@ -348,17 +356,19 @@ def series_table(series):
 def evaluator_of(params, times):
     """The evaluator time_series takes for this run: "walk", "lines" or "spread"."""
     prop = BlockDiagonalPropagator(params)
-    lines = len(pair_frequencies(prop)) if params.delta_a == params.delta_b else None
-    return evaluator(len(prop.index), grid_segments(times), lines)
+    dt = uniform_step(times)
+    counted = params.delta_a == params.delta_b or not dt
+    return evaluator(len(prop.index), len(times), dt,
+                     len(pair_frequencies(prop)) if counted else None)
 
 
 def test_recurrence_matches_exact_exp_on_a_long_grid():
     # weak_long's physics over tau 0..40: t reaches 251 and w t about 1300,
-    # over 157 segments: tiles of the merged lines' anchored power table at
-    # resonance; when detuned, the spread's ten windows, each anchored at its
-    # centre, and the walk's stepped twists
+    # over 157 tiles of the merged lines' anchored power table at resonance;
+    # when detuned, the spread's ten windows, each anchored at its centre,
+    # and the walk's stepped twists over the grid's last segment
     times = np.linspace(0.0, 40.0, 10001) * 2.0 * math.pi
-    assert len(grid_segments(times)[1]) == 157
+    assert uniform_step(times) > 0.0
     for deltas in ((0.0, 0.0), (0.3, -0.2)):
         params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=1.0, nbar_b=1.0, c=GROUND,
                               delta_a=deltas[0], delta_b=deltas[1])
@@ -368,32 +378,27 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
         got = series_table(time_series(params, times))
         assert np.max(np.abs(got - exact)) < 1e-12, deltas
         if not resonant:
-            walk = walk_rows(BlockDiagonalPropagator(params), times)
-            assert np.max(np.abs(walk - exact)) < 1e-12
+            walk = walk_rows(BlockDiagonalPropagator(params), times[-SEGMENT:])
+            assert np.max(np.abs(walk - exact[-SEGMENT:])) < 1e-12
 
 
-@pytest.mark.parametrize("nbar, samples, uniform, blocks, group", [
-    (1.0, 2 * SEGMENT + 5, True, 169, 3),  # fig2's blocks: one group, last segment short
-    (1.0, 49 * SEGMENT + 5, True, 169, 48),  # two groups, the second a full and a short segment
-    (1.0, 49 * SEGMENT + 1, True, 169, 48),  # a one-sample last segment runs on 63 positions
-    (1.0, 100, False, 169, 48),  # one-sample segments with exact twists, three groups
-    (100.0, SEGMENT + 3, True, 16641, 1),  # three tiles of 5547 blocks, one segment a group
-], ids=["fig2", "fig2_two_groups", "fig2_one_sample_tail", "fig2_non_uniform", "nbar100"])
-def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, uniform, blocks, group):
-    # the walk's grouping, pinned on walk_rows itself: time_series takes the
-    # spread on most of these detuned grids, and fig2's and nbar-100's
-    # resonant physics take the merged lines
+@pytest.mark.parametrize("nbar, samples, blocks, tiles", [
+    (1.0, 2 * SEGMENT + 5, 169, 1),  # fig2's blocks: three segments, the last one short
+    (1.0, 49 * SEGMENT + 5, 169, 1),  # 50 segments
+    (1.0, 49 * SEGMENT + 1, 169, 1),  # a last segment of one sample
+    (100.0, SEGMENT + 3, 16641, 3),  # three tiles of 5547 blocks
+], ids=["fig2", "fig2_two_groups", "fig2_one_sample_tail", "nbar100"])
+def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, blocks, tiles):
+    # the walk's rows, pinned on walk_rows itself, one segment at a time with
+    # the grid's step: each sample keeps its segment's exact twist and its
+    # own steps, and each row is reduced on its own.  time_series spreads
+    # these detuned grids, or walks them when they are this short
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
                           delta_a=0.3, delta_b=-0.2)
     times = np.linspace(0.0, 2.0, samples) * 2.0 * math.pi * math.sqrt(nbar)
-    if not uniform:
-        times = np.sort(np.random.default_rng(samples).uniform(0.0, times[-1], samples))
     prop = BlockDiagonalPropagator(params)
-    assert len(prop.index) == blocks
-    widest = max(stop - start for start, stop in block_tiles(blocks))
-    segments = grid_segments(times)[1]
-    assert max(1, min(len(segments), SEGMENT, REDUCE_CHUNK // widest)) == group
-    assert np.array_equal(walk_rows(prop, times), stepped_rows(prop, times))
+    assert len(prop.index) == blocks and len(block_tiles(blocks)) == tiles
+    assert np.array_equal(walked_rows(prop, times), stepped_rows(prop, times, uniform_step(times)))
 
 
 def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
@@ -402,13 +407,15 @@ def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
     assert all(column.shape == (0,) for column in series.values())
 
 
-@pytest.mark.parametrize("nbar, delta, rows, bound", [
-    (1.0, 0.0, None, 1.75 * 2**20), (0.01, 0.0, None, 0.875 * 2**20),
-    (1.0, 0.3, None, 1.75 * 2**20), (0.01, 0.3, None, 0.875 * 2**20),
-    (1.0, 0.3, walk_rows, 1.75 * 2**20), (0.01, 0.3, walk_rows, 0.875 * 2**20),
+@pytest.mark.parametrize("nbar, delta, grid, bound", [
+    (1.0, 0.0, "uniform", 1.75 * 2**20), (0.01, 0.0, "uniform", 0.875 * 2**20),
+    (1.0, 0.3, "uniform", 1.75 * 2**20), (0.01, 0.3, "uniform", 0.875 * 2**20),
+    (1.0, 0.3, "walk", 1.75 * 2**20), (0.01, 0.3, "walk", 0.875 * 2**20),
+    (1.0, 0.3, "non_uniform", 1.75 * 2**20), (0.01, 0.3, "non_uniform", 0.875 * 2**20),
 ], ids=["fig2", "few_blocks", "fig2_detuned", "few_blocks_detuned",
-        "fig2_detuned_walk", "few_blocks_detuned_walk"])
-def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, rows, bound):
+        "fig2_detuned_walk", "few_blocks_detuned_walk",
+        "fig2_detuned_non_uniform", "few_blocks_detuned_non_uniform"])
+def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, grid, bound):
     # Resonant runs sum lines in tiles of SEGMENT samples and chunks of
     # LINE_CHUNK lines: beside the (T, 13) table sit the line table, one
     # power table and one tile's phases, 0.20 MiB at fig2's 69 lines and
@@ -416,24 +423,25 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, rows, bound
     # the spread, which runs window by window in one grid buffer sized by
     # SPREAD_WINDOW, never by T: beside the table sit the grid and one
     # chunk's pairs and weights, 0.90 MiB at fig2's 169 blocks and 0.63 MiB
-    # at 0.01/0.01.  The walk, traced on the same detuned grids through
-    # walk_rows itself, sizes its group buffers and R rows by SEGMENT and
-    # REDUCE_CHUNK: at a few blocks the group is capped at SEGMENT segments,
-    # so a group's R stays at SEGMENT**2 samples however long the grid is;
-    # 1.51 MiB at fig2's 169 blocks (G = 48) and 0.68 MiB at 0.01/0.01
-    # (G = 64).  On every path only the table and the segment list grow
-    # with T.
+    # at 0.01/0.01.  A grid that is not uniform sums its 3 B unmerged lines
+    # with an exact exp a sample, in the same tiles and chunks: 0.66 MiB at
+    # fig2's 169 blocks and 0.29 MiB at 0.01/0.01.  The walk, traced through
+    # walk_rows itself on a quarter and on all of one segment, holds one R of
+    # six entries a tile and sample beside its twist, step and amplitudes:
+    # 0.11 and 0.02 MiB.  On every path only the table grows with T.
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
                           delta_a=delta, delta_b=-delta)
     beside_table = []
-    for samples in (5001, 20001):
+    for samples in (SEGMENT // 4, SEGMENT) if grid == "walk" else (5001, 20001):
         times = np.linspace(0.0, 40.0, samples) * 2.0 * math.pi
+        if grid == "non_uniform":
+            times = np.sort(np.random.default_rng(samples).uniform(0.0, times[-1], samples))
         tracemalloc.start()
         try:
-            if rows is None:
-                time_series(params, times)
+            if grid == "walk":
+                walk_rows(BlockDiagonalPropagator(params), times)
             else:
-                rows(BlockDiagonalPropagator(params), times)
+                time_series(params, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,15 +454,18 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, rows, bound
                                      (50.0, SEGMENT + 1)],
                          ids=["1", "2", str(SEGMENT), str(SEGMENT + 1), "nbar50"])
 def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
-    # the walk's stepped twists, on walk_rows itself: time_series spreads
-    # some of these grids.  nbar 50/50 has 8463 blocks, two tiles, so the
-    # exact twist at the second segment's start is pinned in each tile
+    # the walk's stepped twists, on walk_rows itself, one segment at a time
+    # with the grid's step: time_series spreads or sums the lines of some of
+    # these grids.  One sample is no uniform grid; it is walked here as the
+    # one-sample last segment of a longer grid would be, with that grid's
+    # step.  nbar 50/50 has 8463 blocks, two tiles, so the exact twist at the
+    # second segment's start is pinned in each tile
     params = desk_params(nbar_a=nbar, nbar_b=nbar, delta_a=0.35, delta_b=-0.2)
     times = np.linspace(0.3, 9.0, n)
     prop = BlockDiagonalPropagator(params)
     if nbar == 50.0:
         assert block_tiles(len(prop.index)) == [(0, 4231), (4231, 8463)]
-    got = walk_rows(prop, times)
+    got = walked_rows(prop, times, uniform_step(times) or 0.1)
     expected = exact_rows(params, times)
     assert np.max(np.abs(got - expected)) < 1e-12
     # each segment's first sample is the exact twist itself
@@ -534,21 +545,37 @@ def test_block_tiles_are_the_fewest_equal_tiles_in_order(blocks):
 
 
 def test_non_uniform_grid_is_the_exact_path():
+    # a detuned run on a grid that is not uniform sums its unmerged pair
+    # lines with an exact exp a sample; the walk refuses such a grid
     params = desk_params(delta_a=-0.25, delta_b=0.4)
     times = np.sort(np.random.default_rng(7).uniform(0.0, 12.0, SEGMENT + 9))
-    dt, segments = grid_segments(times)
-    assert dt == 0.0 and segments == [(k, k + 1) for k in range(len(times))]
+    assert uniform_step(times) == 0.0
+    assert evaluator_of(params, times) == "lines"
     got = series_table(time_series(params, times))
-    assert np.array_equal(got, exact_rows(params, times))
+    assert np.max(np.abs(got - exact_rows(params, times))) <= 1e-12
 
 
-def test_grid_segments_tolerate_only_rounding():
+def test_walk_refuses_a_grid_that_is_not_one_uniform_segment():
+    # longer grids spread or sum their lines, and so do grids that are not
+    # uniform, one sample or none included; given the step of a longer
+    # grid, one segment of it walks, a one-sample last segment too
+    prop = BlockDiagonalPropagator(DETUNED)
+    for times in (np.array([0.0, 1.0, 3.0]), np.array([2.0]), np.empty(0),
+                  np.linspace(0.0, 2.0, SEGMENT + 1)):
+        with pytest.raises(ValueError, match="walk_rows needs a uniform grid"):
+            walk_rows(prop, times)
+    assert walk_rows(prop, np.array([2.0]), 0.1).shape == (1, len(SERIES_KEYS))
+    with pytest.raises(ValueError, match="walk_rows needs a uniform grid"):
+        walk_rows(prop, np.linspace(0.0, 2.0, SEGMENT + 1), 2.0 / SEGMENT)
+
+
+def test_uniform_step_tolerates_only_rounding():
     times = np.linspace(0.0, 3.0, 200) * 2.0 * math.pi * math.sqrt(50.0)
-    dt, segments = grid_segments(times)
-    assert dt > 0.0 and len(segments) == 4 and segments[-1] == (192, 200)
+    assert uniform_step(times) == (times[-1] - times[0]) / 199
     nudged = times.copy()
     nudged[77] += 1e-9
-    assert grid_segments(nudged)[1] == [(k, k + 1) for k in range(200)]
+    assert uniform_step(nudged) == 0.0
+    assert uniform_step(times[:1]) == uniform_step(times[:0]) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -556,15 +583,16 @@ def test_grid_segments_tolerate_only_rounding():
        g_a=st.floats(0.01, 10.0), nbar_a=st.floats(0.0, 1000.0))
 def test_scenario_grids_take_the_stepped_path(tau_max, tau_steps, g_a, nbar_a):
     # every grid built as run_scenario builds it must be uniform: were
-    # UNIFORM_ULPS too tight for one, that run would fall back to the exact
-    # per-sample exp with the same columns, and nothing else would show it.
+    # UNIFORM_ULPS too tight for one, that run would sum its pair lines with
+    # an exact exp a sample, with the same columns up to rounding, and
+    # nothing else would show it.
     # A tau or t grid spaced in subnormals (tau_max near 1e-308) has too few
     # bits to be uniform to a few ulp and takes the exact path; it is left out.
     params = SystemParams(g_a=g_a, g_b=1.0, nbar_a=nbar_a, nbar_b=1.0, c=GROUND)
     taus = np.linspace(0.0, tau_max, tau_steps)
     times = taus * time_scale(params)
     assume(min(taus[1], times[1]) >= np.finfo(float).tiny)
-    assert len(grid_segments(times)[1]) == -(-tau_steps // SEGMENT)
+    assert uniform_step(times) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +639,17 @@ def lines_of(params):
 
 @pytest.mark.parametrize("name", LINE_CASES)
 def test_lines_match_the_walk_and_the_exact_rows(name):
-    # every sample against the per-sample walk, and up to about 400 of them
-    # against the exact amplitudes_at(t) of each sample; the lines are
-    # summed here whichever evaluator time_series would pick
+    # every sample of a uniform grid against the walk, one segment at a
+    # time, and up to about 400 of them against the exact amplitudes_at(t)
+    # of each sample; the lines are summed here whichever evaluator
+    # time_series would pick
     params, times = LINE_CASES[name]
     assert params.delta_a == params.delta_b
     got = line_rows(*lines_of(params), times)
     assert got.shape == (len(times), len(SERIES_KEYS))
-    walk = walk_rows(BlockDiagonalPropagator(params), times)
-    assert np.max(np.abs(got - walk), initial=0.0) <= 1e-12
+    if uniform_step(times):
+        walk = walked_rows(BlockDiagonalPropagator(params), times)
+        assert np.max(np.abs(got - walk)) <= 1e-12
     every = max(1, len(times) // 400)
     exact = exact_rows(params, times[::every]).reshape(-1, len(SERIES_KEYS))
     assert np.max(np.abs(got[::every] - exact), initial=0.0) <= 1e-12
@@ -701,8 +731,8 @@ def evaluators_run(monkeypatch, params, times):
 @pytest.mark.parametrize("params, samples, expected", [
     (WEAK_LONG, 10001, "line_rows"), (SCALE_SETUP, 101, "line_rows"),
     (PRESETS["fig3b"], 401, "line_rows"), (SCALE_SETUP, 16, "walk_rows"),
-    (MANY_LINES, 401, "walk_rows"), (MANY_LINES, 2001, "line_rows"),
-    (PRESETS["fig2"], 0, "walk_rows"),
+    (MANY_LINES, 401, "spread_rows"), (MANY_LINES, 2001, "spread_rows"),
+    (PRESETS["fig2"], 0, "line_rows"),
     (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), 401, "spread_rows"),
     (PRESETS["fig2"], 16, "walk_rows"), (PRESETS["fig2"], 64, "line_rows"),
     (PRESETS["fig2"], 101, "line_rows"),
@@ -713,8 +743,10 @@ def test_time_series_sums_lines_only_where_they_beat_the_walk(monkeypatch, param
     # few lines a block pay for their build within a few dozen samples, once
     # the walk is charged its calls (fig2's 169 blocks took 1.33 and 1.59 ms
     # on the walk over 64 and 101 samples, against 0.68 and 0.70 ms summing
-    # their 69 lines); unequal couplings hardly merge, and need about 2000; a
-    # short grid walks, and a detuned run never counts its pairs
+    # their 69 lines); unequal couplings hardly merge, and spread their
+    # unmerged lines instead; a short grid walks, an empty one is no uniform
+    # grid and sums its lines, and a detuned run on a uniform grid never
+    # counts its pairs
     resonant = params.delta_a == params.delta_b
     ran = evaluators_run(monkeypatch, params, np.linspace(0.0, 20.0, samples))
     assert ran == ["pair_frequencies"] * resonant + [expected]
@@ -731,9 +763,9 @@ SMALL = SystemParams(g_a=1.0, g_b=0.8, nbar_a=3.0, nbar_b=2.0, c=(0.6, 0.64j, 0.
     (SMALL, np.linspace(0.0, 2.0, 65), "spread_rows"),
     (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), np.linspace(0.0, 20.0, 16), "walk_rows"),
     (dataclasses.replace(PRESETS["fig2"], delta_b=0.1),
-     np.sort(np.random.default_rng(5).uniform(0.0, 20.0, 401)), "walk_rows"),
+     np.sort(np.random.default_rng(5).uniform(0.0, 20.0, 401)), "line_rows"),
     (desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2),
-     np.linspace(0.0, 2.0, 64), "walk_rows"),
+     np.linspace(0.0, 2.0, SEGMENT), "walk_rows"),
     (desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2),
      np.linspace(0.0, 2.0, 201), "spread_rows"),
 ], ids=["small_3", "small_41", "small_65", "fig2_detuned_16", "non_uniform", "nbar50_64",
@@ -743,10 +775,12 @@ def test_time_series_spreads_detuned_lines_only_where_they_beat_the_walk(monkeyp
     # the spread pays for its build and its grid per window, about 1.9 us a
     # block, and the walk 12.5 us a call and 14 ns a block-sample: at 377
     # blocks the walk took 0.62 ms over 41 samples against 0.98 ms, and the
-    # spread 0.95 ms over 65 against 1.29 ms.  A grid that is not uniform
-    # always walks.  perfbench's 3-sample SMALL run counts one amplitudes_at
-    # call a sample, so it must walk
-    assert evaluators_run(monkeypatch, params, times) == [expected]
+    # spread 0.95 ms over 65 against 1.29 ms.  The walk takes one segment at
+    # most, so a grid past SEGMENT samples spreads, and one that is not
+    # uniform counts its pairs and sums its lines.  perfbench's 3-sample
+    # SMALL run counts one amplitudes_at call a sample, so it must walk
+    counted = ["pair_frequencies"] * (expected == "line_rows")
+    assert evaluators_run(monkeypatch, params, times) == counted + [expected]
 
 
 def traced_peak(run):
@@ -782,16 +816,17 @@ def test_line_path_memory_does_not_grow_with_the_blocks():
 
 def test_line_path_memory_beside_the_line_table_does_not_grow_with_unmerged_lines():
     # With unequal couplings hardly any pair merges, so the line table, 104
-    # bytes a line, grows with the blocks itself.  Beside it, the build's
-    # peak and the (T, 13) table, the line path holds the blocks' pair
-    # frequencies while it counts them and one chunk's pairs, then one
-    # chunk's gains, one power table and one tile's phases, and the table is
-    # not copied: tracemalloc read 0.84 MiB at nbar 20/20 (3025 blocks, 6559
-    # lines) and 0.14 MiB at 80/80 (13225 blocks, 18019 lines)
+    # bytes a line, grows with the blocks itself.  Such runs spread on a
+    # uniform grid, so the lines are summed here on a grid that is not.
+    # Beside the table, the build's peak and the (T, 13) table, the line
+    # path holds the blocks' pair frequencies while it counts them and one
+    # chunk's pairs, then one chunk's gains and one tile's phases, and the
+    # table is not copied: tracemalloc read 0.84 MiB at nbar 20/20 (3025
+    # blocks, 6559 lines) and 0.14 MiB at 80/80 (13225 blocks, 18019 lines)
     beside = []
     for nbar in (20.0, 80.0):
         params = dataclasses.replace(MANY_LINES, nbar_a=nbar, nbar_b=nbar)
-        times = np.linspace(0.0, 20.0, 2001)
+        times = np.sort(np.random.default_rng(3).uniform(0.0, 20.0, 2001))
         assert evaluator_of(params, times) == "lines"
         lines = len(pair_frequencies(BlockDiagonalPropagator(params)))
         build = traced_peak(lambda: BlockDiagonalPropagator(params))
@@ -827,9 +862,9 @@ SPREAD_CASES = {
 
 @pytest.mark.parametrize("name", SPREAD_CASES)
 def test_spread_matches_the_walk_and_the_exact_rows(name):
-    # every sample against the walk, and up to about 100 of them against the
-    # exact amplitudes_at(t) of each sample; the spread is taken here
-    # whichever evaluator time_series would pick
+    # every sample against the walk, one segment at a time, and up to about
+    # 100 of them against the exact amplitudes_at(t) of each sample; the
+    # spread is taken here whichever evaluator time_series would pick
     params, times = SPREAD_CASES[name]
     prop = BlockDiagonalPropagator(params)
     if name == "zero_pair":
@@ -837,7 +872,7 @@ def test_spread_matches_the_walk_and_the_exact_rows(name):
         assert np.count_nonzero([w[0] == w[1], w[0] == w[2], w[1] == w[2]]) == 11
     got = spread_rows(prop, times)
     assert got.shape == (len(times), len(SERIES_KEYS))
-    assert np.max(np.abs(got - walk_rows(prop, times))) <= 1e-12
+    assert np.max(np.abs(got - walked_rows(prop, times))) <= 1e-12
     every = max(1, len(times) // 100)
     assert np.max(np.abs(got[::every] - exact_rows(params, times[::every]))) <= 1e-12
 
@@ -850,12 +885,32 @@ def test_spread_matches_the_walk_on_drawn_uniform_grids(start, span, samples, nb
                                                          delta_a, delta_b):
     params = desk_params(nbar_a=nbar_a, nbar_b=nbar_b, delta_a=delta_a, delta_b=delta_b)
     times = np.linspace(start, start + span, samples)
-    assume(grid_segments(times)[0] != 0.0)
+    assume(uniform_step(times) != 0.0)
     prop = BlockDiagonalPropagator(params)
     got = spread_rows(prop, times)
-    assert np.max(np.abs(got - walk_rows(prop, times))) <= 1e-12
+    assert np.max(np.abs(got - walked_rows(prop, times))) <= 1e-12
     ends = [0, samples // 2, samples - 1]
     assert np.max(np.abs(got[ends] - exact_rows(params, times[ends]))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["many_lines", "gb0_delta_0.3"])
+def test_resonant_spread_matches_the_lines_and_the_exact_rows(name):
+    # spread_rows reads any propagator: at resonance with unequal couplings,
+    # whose pairs hardly merge, and with g_b = 0, whose blocks with N_a = 0
+    # have pairs of frequency 0, which the lines fold into the static term
+    # and the spread grids like any other.  Every sample against the merged
+    # lines, and about 100 against the exact amplitudes_at(t) of each sample
+    if name == "many_lines":
+        params, times = MANY_LINES, np.linspace(0.0, 20.0, 401)
+        assert evaluator_of(params, times) == "spread"
+    else:
+        params, times = LINE_CASES[name]
+        w = BlockDiagonalPropagator(params).frequencies
+        assert np.count_nonzero([w[0] == w[1], w[0] == w[2], w[1] == w[2]]) > 0
+    got = spread_rows(BlockDiagonalPropagator(params), times)
+    assert np.max(np.abs(got - line_rows(*lines_of(params), times))) <= 1e-12
+    every = max(1, len(times) // 100)
+    assert np.max(np.abs(got[::every] - exact_rows(params, times[::every]))) <= 1e-12
 
 
 def test_spread_refuses_a_grid_that_is_not_uniform():
