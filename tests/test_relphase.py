@@ -392,7 +392,7 @@ def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, blocks, ti
     # the walk's rows, pinned on walk_rows itself, one segment at a time with
     # the grid's step: each sample keeps its segment's exact twist and its
     # own steps, and each row is reduced on its own.  time_series spreads
-    # these detuned grids, or walks them when they are this short
+    # these detuned grids, which are longer than one segment
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
                           delta_a=0.3, delta_b=-0.2)
     times = np.linspace(0.0, 2.0, samples) * 2.0 * math.pi * math.sqrt(nbar)
