@@ -13,8 +13,10 @@ slot holds zero amplitude.  This is exact: the slot's coupling to the
 surviving member carries a factor sqrt(0), so no amplitude ever enters
 it.  Every block Hamiltonian is then a real symmetric 3x3 matrix.  At
 two-photon resonance (equal detunings) a closed-form dark/bright split
-diagonalizes all of them; otherwise one cyclic Jacobi solve, vectorized
-over all blocks, does.  Either gives the exact propagator of every block.
+diagonalizes all of them; otherwise analytic eigenvalues and
+cross-product eigenvectors do, vectorized over all blocks, and a cyclic
+Jacobi solve takes the few blocks whose eigenvalues nearly meet.  Either
+gives the exact propagator of every block.
 
 Initial states are an atomic superposition times a two-mode coherent state
 with real (zero-phase) Poissonian amplitudes.  The coherent ensemble is
@@ -259,10 +261,14 @@ def block_hamiltonians(params: SystemParams, index) -> np.ndarray:
     decoupled from the surviving member, because their coupling carries a
     factor sqrt(0).
     """
-    x, y = block_couplings(params, index)
+    return _arrowheads(params.delta_a, params.delta_b, *block_couplings(params, index))
+
+
+def _arrowheads(delta_a: float, delta_b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The blocks [[-delta_a, 0, x], [0, -delta_b, y], [x, y, 0]], shape (B, 3, 3)."""
     h = np.zeros((len(x), 3, 3))
-    h[:, 0, 0] = -params.delta_a
-    h[:, 1, 1] = -params.delta_b
+    h[:, 0, 0] = -delta_a
+    h[:, 1, 1] = -delta_b
     h[:, 0, 2] = h[:, 2, 0] = x
     h[:, 1, 2] = h[:, 2, 1] = y
     return h
@@ -314,8 +320,9 @@ def initial_state(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     return index, amplitudes.T
 
 
-# Sweep cap of :func:`jacobi_eigh`; the blocks of the presets converge in
-# four sweeps.
+# Sweep cap of :func:`jacobi_eigh`.  Every block of the benchmark's detuned
+# workload converges in four sweeps, and the blocks that detuned_eigh hands
+# over, whose eigenvalues nearly meet, in two.
 _JACOBI_SWEEPS = 24
 
 # One cyclic Jacobi sweep: the rotation plane (p, q), then the rows of the
@@ -444,12 +451,182 @@ def resonant_eigh(delta: float, x: np.ndarray,
     return values.T, vectors.transpose(2, 0, 1)
 
 
+# Acceptance bounds of :func:`detuned_eigh`, in units of eps: the largest
+# entry of a block's residual H V - V diag(lambda) against its largest
+# |eigenvalue|, and the largest entry of V^T V - I.
+_DETUNED_RESIDUAL = 5.0
+_DETUNED_GRAM = 8.0
+
+
+def _arrowhead_eigenvalues(a: np.ndarray, b: np.ndarray, x: np.ndarray,
+                           y: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (3, B) of the blocks [[a, 0, x], [0, b, y], [x, y, 0]].
+
+    With m the mean of the diagonal, K = H - m I, p = |K|_F^2 / 6 and
+    q = det(K) / 2, they are m + 2 sqrt(p) cos(phi + 2 pi k / 3) for
+    k = 1, 2, 0, with phi = arccos(q / p^(3/2)) / 3 in [0, pi / 3] (Smith,
+    Commun. ACM 4, 168 (1961)).
+    """
+    m = (a + b) / 3.0
+    ka, kb = a - m, b - m
+    x2, y2 = x * x, y * y
+    p = (ka * ka + kb * kb + m * m + 2.0 * (x2 + y2)) / 6.0
+    q = (ka * (-m * kb - y2) - kb * x2) / 2.0
+    root = np.sqrt(p)
+    phi = np.arccos(np.clip(q / (p * root), -1.0, 1.0)) / 3.0
+    # cos(phi -+ 2 pi / 3) = -(cos(phi) +- sqrt(3) sin(phi)) / 2
+    cos, sin = np.cos(phi), math.sqrt(3.0) * np.sin(phi)
+    values = np.stack([-(cos + sin), sin - cos, 2.0 * cos])
+    values *= root
+    values += m
+    return values
+
+
+def _arrowhead_eigenvectors(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
+                            values: np.ndarray) -> np.ndarray:
+    """Eigenvectors (3, 3, B), [i, j, b] = V_b[i, j], of the blocks of
+    :func:`_arrowhead_eigenvalues` for their ascending ``values``.
+
+    The lowest and the highest are each the largest of the three cross
+    products of the rows (a - lambda, 0, x), (0, b - lambda, y) and
+    (x, y, -lambda) of H - lambda I.  The highest is orthogonalized
+    against the lowest, and the middle one is their cross product.
+    """
+    vectors = np.empty((3, 3, len(a)))
+    ends = vectors[:, ::2]  # the lowest and the highest, (3, 2, B)
+    ends_values = values[::2]
+    da, db = a - ends_values, b - ends_values
+    xy = x * y
+
+    def cross(k: int, out: np.ndarray) -> None:
+        """Cross product k of the rows, up to sign, into ``out`` (3, 2, B)."""
+        if k == 0:  # rows 0 and 1
+            np.multiply(x, db, out=out[0])
+            np.multiply(y, da, out=out[1])
+            np.multiply(da, db, out=out[2])
+            np.negative(out[2], out=out[2])
+        elif k == 1:  # rows 0 and 2
+            out[0] = -xy
+            np.multiply(ends_values, da, out=out[1])
+            out[1] += x * x
+            np.multiply(y, da, out=out[2])
+        else:  # rows 1 and 2
+            np.multiply(ends_values, db, out=out[0])
+            out[0] += y * y
+            out[1] = -xy
+            np.multiply(x, db, out=out[2])
+
+    # the (2, B) and larger arrays are written in place: fresh ones of that
+    # size cost more to allocate than to compute
+    cross(0, ends)
+    size = np.einsum("ijk,ijk->jk", ends, ends)
+    candidate, candidate_size = np.empty_like(ends), np.empty_like(size)
+    for k in (1, 2):
+        cross(k, candidate)
+        np.einsum("ijk,ijk->jk", candidate, candidate, out=candidate_size)
+        larger = candidate_size > size
+        np.copyto(ends, candidate, where=larger)
+        np.copyto(size, candidate_size, where=larger)
+    ends /= np.sqrt(size, out=size)
+    low, high = vectors[:, 0], vectors[:, 2]
+    high -= np.einsum("ik,ik->k", low, high) * low
+    high /= np.sqrt(np.einsum("ik,ik->k", high, high))
+    for i in range(3):  # the middle one, high x low (np.cross is slower)
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(high[j], low[k], out=vectors[i, 1])
+        vectors[i, 1] -= high[k] * low[j]
+    return vectors
+
+
+def _rayleigh_quotients(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
+                        vectors: np.ndarray) -> np.ndarray:
+    """v^T H v of the unit eigenvectors ``vectors`` (3, 3, B) of the blocks, shape (3, B).
+
+    a v_0^2 + b v_1^2 + 2 v_2 (x v_0 + y v_1): its error is second order
+    in the error of v, so it sharpens the eigenvalues that v was built from.
+    """
+    values = x * vectors[0]
+    values += y * vectors[1]
+    values *= 2.0 * vectors[2]
+    square = np.square(vectors[0])
+    square *= a
+    values += square
+    np.square(vectors[1], out=square)
+    square *= b
+    values += square
+    return values
+
+
+def _accepted(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
+              values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Blocks whose eigensystem passes the checks of :func:`detuned_eigh`, shape (B,)."""
+    eps = np.finfo(float).eps
+    # the rows of the residual H V - V diag(lambda), in place as in
+    # _arrowhead_eigenvectors
+    row = a - values
+    row *= vectors[0]
+    row += x * vectors[2]
+    residual = np.abs(row)
+    np.subtract(b, values, out=row)
+    row *= vectors[1]
+    row += y * vectors[2]
+    np.maximum(residual, np.abs(row, out=row), out=residual)
+    np.multiply(x, vectors[0], out=row)
+    row += y * vectors[1]
+    row -= values * vectors[2]
+    np.maximum(residual, np.abs(row, out=row), out=residual)
+    gram = np.einsum("ijk,ilk->jlk", vectors, vectors).reshape(9, -1)
+    gram[::4] -= 1.0
+    return ((np.max(residual, axis=0)
+             <= _DETUNED_RESIDUAL * eps * np.max(np.abs(values), axis=0))
+            & (np.max(np.abs(gram, out=gram), axis=0) <= _DETUNED_GRAM * eps)
+            & (values[0] <= values[1]) & (values[1] <= values[2]))
+
+
+def detuned_eigh(delta_a: float, delta_b: float, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems of the blocks [[-delta_a, 0, x], [0, -delta_b, y], [x, y, 0]].
+
+    The counterpart of :func:`resonant_eigh` for unequal detunings, in a
+    fixed number of whole-array passes with no sweeps: analytic
+    eigenvalues (:func:`_arrowhead_eigenvalues`), cross-product
+    eigenvectors for them (:func:`_arrowhead_eigenvectors`) and the
+    vectors' Rayleigh quotients as the final eigenvalues, the hybrid of
+    Kopp (Int. J. Mod. Phys. C 19, 523 (2008)).  Each block is first
+    scaled by a power of two to a largest entry in [1/2, 1), which is
+    exact.  A block is accepted when its eigenvalues ascend, its columns
+    are orthonormal to _DETUNED_GRAM eps and its residual is at most
+    _DETUNED_RESIDUAL eps times its largest |eigenvalue|; NaN fails.
+    Cross products lose their accuracy where two eigenvalues nearly meet,
+    and the blocks they fail on go to :func:`jacobi_eigh` in one stack.
+    Returns what :func:`jacobi_eigh` returns for the same blocks.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    exponent = np.frexp(np.maximum(np.maximum(x, y), max(abs(delta_a), abs(delta_b))))[1]
+    a, b = np.ldexp(-delta_a, -exponent), np.ldexp(-delta_b, -exponent)
+    xs, ys = np.ldexp(x, -exponent), np.ldexp(y, -exponent)
+    # a degenerate or zero block makes 0 / 0 on its way to the check, which
+    # NaN fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _arrowhead_eigenvalues(a, b, xs, ys)
+        vectors = _arrowhead_eigenvectors(a, b, xs, ys, values)
+        values = _rayleigh_quotients(a, b, xs, ys, vectors)
+        rejected = np.flatnonzero(~_accepted(a, b, xs, ys, values, vectors))
+    values = np.ldexp(values, exponent)
+    if len(rejected):
+        fallback_values, fallback_vectors = jacobi_eigh(
+            _arrowheads(delta_a, delta_b, x[rejected], y[rejected]))
+        values[:, rejected] = fallback_values.T
+        vectors[:, :, rejected] = fallback_vectors.transpose(1, 2, 0)
+    return values.T, vectors.transpose(2, 0, 1)
+
+
 class BlockDiagonalPropagator:
     """Amortized evolution of the initial state over a time grid.
 
     Blocks are time independent, so every block Hamiltonian is
     eigendecomposed once over all blocks at construction: by
-    :func:`resonant_eigh` when delta_a == delta_b, by :func:`jacobi_eigh`
+    :func:`resonant_eigh` when delta_a == delta_b, by :func:`detuned_eigh`
     otherwise.  The state at a time t then costs one phase twist of the
     eigenbasis coefficients and one real 3x3 contraction per block.
     ``index`` and ``initial`` are the excitation pairs and amplitudes
@@ -473,7 +650,8 @@ class BlockDiagonalPropagator:
             eigvals, eigvecs = resonant_eigh(params.delta_a,
                                              *block_couplings(params, self.index))
         else:
-            eigvals, eigvecs = jacobi_eigh(block_hamiltonians(params, self.index))
+            eigvals, eigvecs = detuned_eigh(params.delta_a, params.delta_b,
+                                            *block_couplings(params, self.index))
         self.frequencies = np.ascontiguousarray(eigvals.T)
         self.vectors = np.repeat(eigvecs.transpose(1, 2, 0), 2, axis=2)
         initial = np.ascontiguousarray(self.initial.T).view(float)

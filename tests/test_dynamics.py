@@ -12,9 +12,9 @@ from scipy.linalg import expm
 
 from lambdaphase import dynamics
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
-                                  block_hamiltonians, block_members,
-                                  initial_state, jacobi_eigh, photon_window,
-                                  poisson_probabilities,
+                                  block_couplings, block_hamiltonians, block_members,
+                                  detuned_eigh, initial_state, jacobi_eigh,
+                                  photon_window, poisson_probabilities,
                                   resonant_eigh, truncation_cutoff)
 from lambdaphase.relphase import time_series
 
@@ -404,36 +404,149 @@ def assert_eigensystems(h, solve=jacobi_eigh):
     assert np.max(np.abs(gram - np.eye(3))) <= 16 * EPS + FLOOR
 
 
-@given(ga=st.floats(0, 5), gb=st.floats(0, 5), da=st.floats(-3, 3),
-       db=st.floats(-3, 3), lo_a=st.integers(0, 300), lo_b=st.integers(0, 300),
-       width=st.integers(1, 8))
-@settings(max_examples=60)
-# a block of subnormal norm leaves a residual of one subnormal unit
-@example(ga=0.0, gb=5e-324, da=5e-324, db=5e-324, lo_a=0, lo_b=0, width=2)
-def test_jacobi_matches_eigh(ga, gb, da, db, lo_a, lo_b, width):
+def detuned_solve(h):
+    """:func:`detuned_eigh` of blocks with one pair of detunings, read off ``h``."""
+    delta_a, delta_b = -h[0, 0, 0], -h[0, 1, 1]
+    assert np.all(h[:, 0, 0] == -delta_a) and np.all(h[:, 1, 1] == -delta_b)
+    return detuned_eigh(delta_a, delta_b, h[:, 0, 2], h[:, 1, 2])
+
+
+def assert_window_eigensystems(solve, ga, gb, da, db, lo_a, lo_b, width):
     # windows at lo 0 hold one-member blocks
     params = SystemParams(g_a=ga, g_b=gb, nbar_a=1, nbar_b=1, c=GROUND,
                           delta_a=da, delta_b=db)
     h = window_blocks(params, lo_a, lo_b, width)
     if len(h):
-        assert_eigensystems(h)
+        assert_eigensystems(h, solve)
 
 
-@pytest.mark.parametrize("fields", [
+WINDOW_CASES = given(ga=st.floats(0, 5), gb=st.floats(0, 5), da=st.floats(-3, 3),
+                     db=st.floats(-3, 3), lo_a=st.integers(0, 300),
+                     lo_b=st.integers(0, 300), width=st.integers(1, 8))
+
+# a block of subnormal norm leaves a residual of one subnormal unit
+SUBNORMAL_BLOCK = dict(ga=0.0, gb=5e-324, da=5e-324, db=5e-324, lo_a=0, lo_b=0, width=2)
+
+
+@WINDOW_CASES
+@settings(max_examples=60)
+@example(**SUBNORMAL_BLOCK)
+def test_jacobi_matches_eigh(ga, gb, da, db, lo_a, lo_b, width):
+    assert_window_eigensystems(jacobi_eigh, ga, gb, da, db, lo_a, lo_b, width)
+
+
+@WINDOW_CASES
+@settings(max_examples=60)
+@example(**SUBNORMAL_BLOCK)
+# blocks of norm 5.4e-81: test_detuned_eigh_scales_tiny_blocks
+@example(ga=3e-81, gb=4e-81, da=5.4e-81, db=-2e-81, lo_a=1, lo_b=1, width=2)
+def test_detuned_eigh_matches_eigh(ga, gb, da, db, lo_a, lo_b, width):
+    assert_window_eigensystems(detuned_solve, ga, gb, da, db, lo_a, lo_b, width)
+
+
+EDGE_CASES = [
     dict(g_a=0.0, g_b=0.0),
     dict(g_a=1.0, g_b=0.0, delta_a=0.3, delta_b=0.3),
     dict(g_a=1e-9, g_b=1.0, delta_a=0.2),
     dict(g_a=1.0, g_b=0.5, delta_a=1e6, delta_b=-1e6),
     dict(g_a=1.0, g_b=0.5, delta_a=-1e6, delta_b=-1e6),
     dict(g_a=1e-163, g_b=5.0, delta_a=-1e-318, delta_b=0.3),
-], ids=["zero", "degenerate_pair", "tiny_coupling", "huge_detuning", "huge_equal_detunings",
-        "underflowing_rotation"])
+]
+EDGE_IDS = ["zero", "degenerate_pair", "tiny_coupling", "huge_detuning", "huge_equal_detunings",
+            "underflowing_rotation"]
+
+
+@pytest.mark.parametrize("fields", EDGE_CASES, ids=EDGE_IDS)
 def test_jacobi_edge_cases(fields):
     # underflowing_rotation: in block (1, 3) the scaled entry (0, 2) and the
     # subnormal d = a_22 - a_00 both square to 0, which must not make the
     # rotation's tangent 2 a_02 / |d|
     params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND, **fields)
     assert_eigensystems(window_blocks(params, 0, 0, 12))
+
+
+@pytest.mark.parametrize("fields", EDGE_CASES + [
+    dict(g_a=1.0, g_b=0.7, delta_a=0.37, delta_b=np.nextafter(0.37, np.inf)),
+    dict(g_a=1.0, g_b=0.7, delta_a=0.35, delta_b=-0.2),
+    dict(g_a=1e-9, g_b=0.31, delta_a=1.0),
+], ids=EDGE_IDS + ["next_float", "lo0_window", "near_crossing"])
+def test_detuned_eigh_edge_cases(fields):
+    # the equal detunings of zero, degenerate_pair and huge_equal_detunings
+    # give double eigenvalues, which only the Jacobi fallback resolves; in
+    # near_crossing the level-1 eigenvalue, about -1, lies within 2% of
+    # -0.31 sqrt(10), and the closed form's residual there is 8.7-10.2 eps.
+    # The windows start at lo 0, so they hold one-member blocks
+    params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND, **fields)
+    assert_eigensystems(window_blocks(params, 0, 0, 12), detuned_solve)
+
+
+def jacobi_spy(monkeypatch):
+    """Stacks of blocks that reach :func:`jacobi_eigh`, one per call."""
+    sent = []
+    monkeypatch.setattr(dynamics, "jacobi_eigh", lambda h: sent.append(h) or jacobi_eigh(h))
+    return sent
+
+
+def rows_of(h, stack):
+    """Rows of ``h`` that ``stack`` holds, in the order of ``h``."""
+    return np.flatnonzero(np.any(np.all(h[:, None] == stack[None], axis=(2, 3)), axis=1))
+
+
+def test_detuned_eigh_hands_exactly_its_rejected_blocks_to_jacobi(monkeypatch):
+    # a tiny g_a leaves eigenvalues close enough in some blocks for the
+    # cross products to lose digits
+    params = SystemParams(g_a=1e-9, g_b=0.8, nbar_a=5, nbar_b=5, c=GROUND,
+                          delta_a=3.0, delta_b=-0.2)
+    index, _ = initial_state(params)
+    x, y = block_couplings(params, index)
+    h = block_hamiltonians(params, index)
+    sent = jacobi_spy(monkeypatch)
+    values, vectors = detuned_eigh(params.delta_a, params.delta_b, x, y)
+    assert_eigensystems(h, lambda _: (values, vectors))
+    (stack,) = sent
+    # the closed forms, with bounds that accept every finite ascending
+    # result; NaN or unordered ones still reach Jacobi
+    monkeypatch.setattr(dynamics, "_DETUNED_RESIDUAL", np.inf)
+    monkeypatch.setattr(dynamics, "_DETUNED_GRAM", np.inf)
+    closed_values, closed_vectors = detuned_eigh(params.delta_a, params.delta_b, x, y)
+    unordered = rows_of(h, np.concatenate(sent[1:]))
+    # the documented check, on the closed forms: residual 5 eps, Gram 8 eps
+    residual = np.max(np.abs(h @ closed_vectors - closed_vectors * closed_values[:, None]),
+                      axis=(1, 2))
+    gram = np.einsum("bki,bkj->bij", closed_vectors, closed_vectors) - np.eye(3)
+    accepted = ((residual <= 5.0 * EPS * np.max(np.abs(closed_values), axis=1))
+                & (np.max(np.abs(gram), axis=(1, 2)) <= 8.0 * EPS))
+    accepted[unordered] = False
+    rejected = np.flatnonzero(~accepted)
+    assert len(h) == 676 and len(rejected) == 26 and len(unordered) == 1
+    assert np.array_equal(stack, h[rejected])
+    fallback_values, fallback_vectors = jacobi_eigh(stack)
+    assert np.array_equal(values[rejected], fallback_values)
+    assert np.array_equal(vectors[rejected], fallback_vectors)
+    assert np.array_equal(values[accepted], closed_values[accepted])
+    assert np.array_equal(vectors[accepted], closed_vectors[accepted])
+
+
+def test_detuned_eigh_scales_tiny_blocks(monkeypatch):
+    # unscaled, these blocks of norm 5.4e-81 would normalize their cross
+    # products through subnormal squared norms
+    params = SystemParams(g_a=3e-81, g_b=4e-81, nbar_a=1, nbar_b=1, c=GROUND,
+                          delta_a=5.4e-81, delta_b=-2e-81)
+    h = window_blocks(params, 1, 1, 2)
+    sent = jacobi_spy(monkeypatch)
+    assert_eigensystems(h, detuned_solve)
+    assert sent == []
+
+
+def test_detuned_eigh_hands_no_benchmark_block_to_jacobi(monkeypatch):
+    # seed-1 physics of the benchmark's detuned workload (perfbench/workloads.py)
+    c = (-0.1327028917265215 + 0.46604450952279447j, 0.4447022864397816 - 0.5599759365894923j,
+         -0.3153352763159929 - 0.392966853637485j)
+    params = SystemParams(g_a=1.0, g_b=0.8, nbar_a=50.0, nbar_b=50.0, c=c,
+                          delta_a=-0.3487059781103158, delta_b=0.2364209210713588)
+    sent = jacobi_spy(monkeypatch)
+    prop = BlockDiagonalPropagator(params)
+    assert len(prop.index) == 8463 and sent == []
 
 
 @given(g_a=st.floats(0, 5), g_b=st.floats(0, 5), delta=st.floats(-3, 3),

@@ -218,13 +218,14 @@ def test_padded_blocks_match_oracle(g_a, g_b, delta_a, delta_b, nbar_a, nbar_b,
 
 
 @pytest.mark.parametrize("delta_b, solver", [(0.37, "resonant_eigh"),
-                                             (np.nextafter(0.37, np.inf), "jacobi_eigh")],
+                                             (np.nextafter(0.37, np.inf), "detuned_eigh")],
                          ids=["resonant", "next_float"])
 def test_resonant_and_next_float_detunings_match_oracle(monkeypatch, delta_b, solver):
     # delta_a == delta_b takes the closed-form dark/bright eigensystems; one
-    # float more takes the Jacobi solver, and both must match the oracle
+    # float more takes the detuned closed form, which hands no block to the
+    # Jacobi solver here, and both must match the oracle
     calls = []
-    for name in ("jacobi_eigh", "resonant_eigh"):
+    for name in ("jacobi_eigh", "resonant_eigh", "detuned_eigh"):
         spied = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name, lambda *args, name=name, spied=spied:
                             calls.append(name) or spied(*args))
