@@ -16,7 +16,8 @@ two-photon resonance (equal detunings) a closed-form dark/bright split
 diagonalizes all of them; otherwise analytic eigenvalues and
 cross-product eigenvectors do, vectorized over all blocks, and a cyclic
 Jacobi solve takes the few blocks whose eigenvalues nearly meet.  Either
-gives the exact propagator of every block.
+gives the exact propagator of every block, and the state is held as the
+three eigenmode amplitudes of each block.
 
 Initial states are an atomic superposition times a two-mode coherent state
 with real (zero-phase) Poissonian amplitudes.  The coherent ensemble is
@@ -52,10 +53,10 @@ TABLE_TAIL = 1e-12
 CAPTURE_SLACK = 1e-12
 
 # Cap on the blocks of the grid initial_state allocates.  The heaviest run, a
-# detuned one on a grid that is not uniform, peaks at about 630 bytes per
-# block (tracemalloc, 34595 blocks): the propagator's 280, the pair
+# detuned one on a grid that is not uniform, peaks at about 540 bytes per
+# block (tracemalloc, 34595 blocks): the propagator's 184, the pair
 # frequencies and a line table of 104 bytes a line, three lines a block.  So
-# the cap keeps a run near 0.66 GB.
+# the cap keeps a run near 0.56 GB.
 MAX_BLOCKS = 2**20
 
 
@@ -621,23 +622,39 @@ def detuned_eigh(delta_a: float, delta_b: float, x: np.ndarray,
     return values.T, vectors.transpose(2, 0, 1)
 
 
+def block_eigensystems(params: SystemParams, index) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenfrequencies (3, B) and real eigenvectors (3, 3, B) of the blocks ``index``.
+
+    ``vectors[i, k, b]`` is entry i of the eigenvector of ``frequencies[k, b]``,
+    ascending in k.  This is the one choice of eigensolver:
+    :func:`resonant_eigh` when delta_a == delta_b, :func:`detuned_eigh` otherwise.
+    """
+    couplings = block_couplings(params, index)
+    if params.delta_a == params.delta_b:
+        values, vectors = resonant_eigh(params.delta_a, *couplings)
+    else:
+        values, vectors = detuned_eigh(params.delta_a, params.delta_b, *couplings)
+    return values.T, vectors.transpose(1, 2, 0)
+
+
+def block_propagators(params: SystemParams, index, t: float) -> np.ndarray:
+    """Propagators exp(-i H t) of the blocks ``index``, shape (B, 3, 3); negative t runs back."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be a finite time, got {t!r}")
+    frequencies, vectors = block_eigensystems(params, index)
+    return np.einsum("ikb,kb,jkb->bij", vectors, np.exp((-1j * t) * frequencies), vectors)
+
+
 class BlockDiagonalPropagator:
-    """Amortized evolution of the initial state over a time grid.
+    """The initial state held as the eigenmode amplitudes of every block.
 
-    Blocks are time independent, so every block Hamiltonian is
-    eigendecomposed once over all blocks at construction: by
-    :func:`resonant_eigh` when delta_a == delta_b, by :func:`detuned_eigh`
-    otherwise.  The state at a time t then costs one phase twist of the
-    eigenbasis coefficients and one real 3x3 contraction per block.
-    ``index`` and ``initial`` are the excitation pairs and amplitudes
-    returned by :func:`initial_state`.
-
-    Per-block arrays are held once, level-major: ``frequencies`` (3, B),
-    ``coeff0`` (3, B) and the real eigenvectors ``vectors`` (3, 3, 2B), each
-    entry written twice so that it meets the real and the imaginary part
-    of the interleaved complex amplitudes.  The eigenvectors are real
-    because every block Hamiltonian is real symmetric, so ``coeff0`` is
-    one real contraction of ``vectors`` with the interleaved ``initial``.
+    Every block state evolves as a sum of three eigenmodes,
+    a(t) = sum_k exp(-i w_k t) a_k, with a_k = V[:, k] c0_k and
+    c0 = V^T a(0) for the real eigenvectors V of :func:`block_eigensystems`
+    and the amplitudes a(0) of :func:`initial_state`.  Three per-block
+    arrays are kept, 184 bytes a block: the excitation pairs ``index``
+    (B, 2), the w_k as ``frequencies`` (3, B) and the a_k as ``modes``
+    (3, 3, B) complex, ``modes[i, k, b]`` = V_b[i, k] c0_b[k].
 
     ``prop[a:b]`` is the propagator of the contiguous blocks a..b-1: its
     arrays are views of these, and every method gives the same slice of
@@ -645,17 +662,14 @@ class BlockDiagonalPropagator:
     """
 
     def __init__(self, params: SystemParams):
-        self.index, self.initial = initial_state(params)
-        if params.delta_a == params.delta_b:
-            eigvals, eigvecs = resonant_eigh(params.delta_a,
-                                             *block_couplings(params, self.index))
-        else:
-            eigvals, eigvecs = detuned_eigh(params.delta_a, params.delta_b,
-                                            *block_couplings(params, self.index))
-        self.frequencies = np.ascontiguousarray(eigvals.T)
-        self.vectors = np.repeat(eigvecs.transpose(1, 2, 0), 2, axis=2)
-        initial = np.ascontiguousarray(self.initial.T).view(float)
-        self.coeff0 = np.einsum("ijk,ik->jk", self.vectors, initial).view(complex)
+        self.index, initial = initial_state(params)
+        self.frequencies, vectors = block_eigensystems(params, self.index)
+        # c0 = V^T a(0) on a(0)'s float view; a(0) goes before the modes exist
+        coefficients = np.einsum("ikb,ibr->kbr", vectors,
+                                 initial.T.view(float).reshape(3, -1, 2))
+        del initial
+        self.modes = np.empty(vectors.shape, dtype=complex)
+        np.multiply(vectors, coefficients.view(complex)[:, :, 0], out=self.modes)
 
     def __getitem__(self, blocks: slice) -> "BlockDiagonalPropagator":
         """Propagator of the blocks in ``blocks``, a slice a:b with 0 <= a < b <= B.
@@ -669,59 +683,39 @@ class BlockDiagonalPropagator:
             stop = count if blocks.stop is None else blocks.stop
             if 0 <= start < stop <= count:
                 tile = object.__new__(BlockDiagonalPropagator)
-                tile.index, tile.initial = self.index[start:stop], self.initial[start:stop]
+                tile.index = self.index[start:stop]
                 tile.frequencies = self.frequencies[:, start:stop]
-                tile.vectors = self.vectors[:, :, 2 * start:2 * stop]
-                tile.coeff0 = self.coeff0[:, start:stop]
+                tile.modes = self.modes[:, :, start:stop]
                 return tile
         raise ValueError(f"blocks must be a slice a:b with 0 <= a < b <= {count}, "
                          f"got {blocks!r}")
 
     def phases(self, t: float) -> np.ndarray:
-        """Eigenphase factors exp(-i w t) of every block, shape (3, B).
-
-        Raises ValueError for a non-finite ``t``.
-        """
+        """Eigenphases exp(-i w t) of every block, shape (3, B); ValueError for a non-finite t."""
         if not math.isfinite(t):
             raise ValueError(f"t must be a finite time, got {t!r}")
         phases = (-1j * t) * self.frequencies
         return np.exp(phases, out=phases)
 
-    def twist(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Eigenbasis coefficients exp(-i w t) coeff0 at t, shape (3, B), in ``out`` if given."""
-        return np.multiply(self.phases(t), self.coeff0, out=out)
-
-    def amplitudes_at(self, t: float, coefficients: Optional[np.ndarray] = None, *,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Member amplitudes of every block at time t, shape (B, 3).
+    def amplitudes_at(self, t: float, phases: Optional[np.ndarray] = None) -> np.ndarray:
+        """Member amplitudes sum_k phases_k a_k of every block at time t, shape (B, 3).
 
         Rows follow ``index``; columns are the atomic levels 1, 2, 3.
-        ``coefficients`` are the eigenbasis coefficients at t as given by
-        :meth:`twist`, or as stepped there by a caller walking a uniform
-        grid; without them the twist is computed here with an exact
-        ``exp``, and with them ``t`` is unused.  The result is a transposed
-        view of a level-major (3, B) array: a new one, or ``out`` when
-        given, which must be a complex array of ``coeff0``'s shape with its
-        last axis contiguous and is written in place.  The coefficients'
-        last axis must be contiguous too.  ValueError reports
-        ``coefficients`` or ``out`` of another shape, dtype or layout.
+        ``phases`` are :meth:`phases` at t, or as a caller walking a uniform
+        grid stepped them, and then ``t`` is unused.  ValueError reports
+        ``phases`` of another shape or dtype, which would broadcast.  The
+        result is a transposed view of the first of the three new level-major
+        (3, B) terms phases_k a_k that the sum is formed in.
         """
-        if coefficients is None:
-            coefficients = self.twist(t)
-        for name, array in (("coefficients", coefficients), ("out", out)):
-            if array is None:
-                continue
-            if array.shape != self.coeff0.shape or array.dtype != self.coeff0.dtype:
-                raise ValueError(f"{name} must be a {self.coeff0.dtype} array of shape "
-                                 f"{self.coeff0.shape}, got {array.dtype} {array.shape}")
-            if array.shape[-1] > 1 and array.strides[-1] != array.itemsize:
-                raise ValueError(f"{name} must be an array with its last axis contiguous, "
-                                 f"got strides {array.strides}")
-        real = np.einsum("ijk,jk->ik", self.vectors, coefficients.view(float),
-                         out=None if out is None else out.view(float))
-        return real.view(complex).T
-
-    def propagators(self, t: float) -> np.ndarray:
-        """Block propagators exp(-i H t), shape (B, 3, 3); negative t runs back."""
-        eigvecs = self.vectors[:, :, ::2]
-        return np.einsum("ijb,jb,kjb->bik", eigvecs, self.phases(t), eigvecs)
+        if phases is None:
+            phases = self.phases(t)
+        elif phases.shape != self.frequencies.shape or phases.dtype != self.modes.dtype:
+            raise ValueError(f"phases must be a complex128 array of shape "
+                             f"{self.frequencies.shape}, got {phases.dtype} {phases.shape}")
+        # one broadcast product into mode-major terms summed in place: numpy's
+        # per-call cost dominates at a few hundred blocks, so fewer calls pay
+        terms = np.empty((3, *phases.shape), dtype=complex)  # [k, i, b] = phases_k a_ik
+        np.multiply(self.modes.transpose(1, 0, 2), phases[:, None], out=terms)
+        terms[0] += terms[1]
+        terms[0] += terms[2]
+        return terms[0].T

@@ -75,7 +75,7 @@ SERIES_KEYS = (*(key for keys in PHASE_KEYS.values() for key in keys),
                "pop1", "pop2", "pop3", "norm")
 
 # Most samples that :func:`walk_rows` walks: one segment of a uniform grid,
-# which starts from an exact eigenphase twist and steps the samples after it
+# which starts from exact eigenphases and steps the samples after it
 # by one fixed factor.  The merged lines are summed over tiles of as many
 # samples, each from an exact anchor times a power table of SEGMENT entries.
 SEGMENT = 64
@@ -142,13 +142,13 @@ _READOUT_REAL[0:6:2] = _PRODUCTS[[0, 4, 8]].real
 _READOUT_REAL[7::2] = -2.0 * _PRODUCTS[[3, 7, 6]].imag
 
 
-# A pair k < l of a block's eigenmodes, z = c_k conj(c_l), adds
-# z V_ik V_jl P + conj(z V_il V_jk P) to R_ij, P = exp(-i (w_k - w_l) t): to
-# the diagonal 2 Re z d_i P, d_i = V_ik V_il, and to Im R_ij, i > j,
-# Im z a_ij P, a_ij = V_ik V_jl - V_jk V_il.  So _READOUT_REAL with its
-# population rows doubled reads the columns off the float view of a pair's
-# six entries z (d_0, d_1, d_2, a_10, a_21, a_20) times P, in the order of
-# R's kept entries.
+# A pair k < l of a block's eigenmode amplitudes a_k (entries a_ik) adds
+# a_ik conj(a_jl) P + conj(a_jk conj(a_il) P) to R_ij, P = exp(-i (w_k - w_l) t):
+# to the diagonal 2 Re d_i P, d_i = a_ik conj(a_il), and to Im R_ij, i > j,
+# Im a_ij P, a_ij = a_ik conj(a_jl) - a_jk conj(a_il).  So _READOUT_REAL with
+# its population rows doubled reads the columns off the float view of a
+# pair's six entries (d_0, d_1, d_2, a_10, a_21, a_20) times P, in the order
+# of R's kept entries.
 _PAIR_READOUT = _READOUT_REAL * np.repeat([2.0, 2.0, 2.0, 1.0, 1.0, 1.0], 2)[:, None]
 
 
@@ -257,7 +257,7 @@ def spectral_lines(prop: BlockDiagonalPropagator,
                    frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 12 readout columns of ``prop``'s state as a static term and merged lines.
 
-    With a_k = V[:, k] c0_k the amplitudes of eigenmode k of a block, a
+    With a_k the amplitudes of eigenmode k of a block, ``prop.modes``, a
     readout column v reads |sum_k q_k exp(-i w_k t)|^2, q_k = v^dagger a_k,
     summed over the blocks: the static part sum |q_k|^2 plus, for each pair
     k < l, Re G exp(-i (w_k - w_l) t) with G = 2 q_k conj(q_l).  Every
@@ -299,27 +299,26 @@ def _chunk_pairs(chunk: BlockDiagonalPropagator,
     """Static part, and frequency and six entries of every pair, of a chunk of blocks.
 
     Returns the (12,) sum of |q_k|^2 over ``chunk``'s blocks, the (3c,) pair
-    frequencies W = w_k - w_l and their (3c, 6) entries z (d_0, d_1, d_2,
+    frequencies W = w_k - w_l and their (3c, 6) entries (d_0, d_1, d_2,
     a_10, a_21, a_20) of ``_PAIR_READOUT``, pair (0, 1), (0, 2), (1, 2), each
-    in block order.  z = c_k conj(c_l) exp(-i W ``anchor``), the factor
-    left out at anchor 0.  |q_k|^2 = |c_k|^2 sum_i |v_i|^2 V_ik^2: the
-    imaginary conj(v_i) v_j cancel against their conjugates.
+    in block order: d_i = a_ik conj(a_il) and a_ij = a_ik conj(a_jl) -
+    a_jk conj(a_il) of the modes a_k, times exp(-i W ``anchor``), the factor
+    left out at anchor 0.  |q_k|^2 = sum_i |v_i|^2 |a_ik|^2, as a_ik conj(a_jk)
+    is real and symmetric and the imaginary conj(v_i) v_j cancel.
     """
     k, l = [0, 0, 1], [1, 2, 2]  # the pairs (0, 1), (0, 2), (1, 2)
-    v = np.ascontiguousarray(chunk.vectors[:, :, ::2])  # [i, k, b] = V_b[i, k]
-    c = chunk.coeff0
+    modes = chunk.modes
     w = chunk.frequencies[k] - chunk.frequencies[l]
-    z = c[k] * c[l].conj()
+    ak, al = modes[:, k], modes[:, l].conj()  # [i, pair, b]
     if anchor:
-        z *= np.exp((-1j * anchor) * w)
-    vk, vl = v[:, k], v[:, l]  # [i, pair, b]
-    e = np.empty((6, 3, c.shape[1]))
-    np.multiply(vk, vl, out=e[:3])
-    np.multiply(vk[[1, 2, 2]], vl[[0, 1, 0]], out=e[3:])
-    e[3:] -= vk[[0, 1, 0]] * vl[[1, 2, 2]]
-    populations = np.einsum("ikb,kb->i", np.square(v), c.real * c.real + c.imag * c.imag)
-    return (populations @ _READOUT_REAL[0:6:2], w.ravel(),
-            (z[:, :, None] * e.transpose(1, 2, 0)).reshape(-1, 6))
+        ak *= np.exp((-1j * anchor) * w)
+    e = np.empty((3, modes.shape[2], 6), dtype=complex)  # [pair, b, entry]
+    entries = e.transpose(2, 0, 1)
+    np.multiply(ak, al, out=entries[:3])
+    np.multiply(ak[[1, 2, 2]], al[[0, 1, 0]], out=entries[3:])
+    entries[3:] -= ak[[0, 1, 0]] * al[[1, 2, 2]]
+    populations = np.sum(np.square(modes.view(float)), axis=(1, 2))
+    return populations @ _READOUT_REAL[0:6:2], w.ravel(), e.reshape(-1, 6)
 
 
 def line_rows(static: np.ndarray, frequencies: np.ndarray, entries: np.ndarray,
@@ -500,40 +499,40 @@ def walk_rows(prop: BlockDiagonalPropagator, times: np.ndarray,
 
     The blocks are walked in the tiles of :func:`block_tiles`, one
     ``BlockDiagonalPropagator[a:b]`` each.  A tile starts from the exact
-    twist exp(-i w t_0) coeff0 of :meth:`BlockDiagonalPropagator.twist`
-    and multiplies it by exp(-i w dt) for each later sample, so the
+    eigenphases exp(-i w t_0) of :meth:`BlockDiagonalPropagator.phases`
+    and multiplies them by exp(-i w dt) for each later sample, so the
     complex exponential runs once per tile instead of once per sample.  At
-    each sample one ``amplitudes_at`` call applies the twist and three
-    ``vecdot`` calls reduce the amplitudes into the tile's slot of the
-    (tiles, T, 6) R: the populations, the coherences R_10 and R_21 of
-    adjacent levels, and R_20.  Every dot product is a complex one of at
+    each sample one ``amplitudes_at`` call sums the tile's modes with them,
+    and three ``vecdot`` calls reduce the amplitudes into the tile's slot
+    of the (tiles, T, 6) R: the populations, the coherences R_10 and R_21
+    of adjacent levels, and R_20.  Every dot product is a complex one of at
     most REDUCE_CHUNK blocks, below the length at which OpenBLAS splits it
     over threads.  :func:`series_rows` adds the tiles' R in tile order and
     reads the rows off them, each on its own.
 
     ``dt`` is the grid's step, by default its :func:`uniform_step`; a
-    caller walking one segment of a longer grid gives that grid's step.
-    Raises ValueError for a grid that is not uniform or is longer than
-    SEGMENT samples: such grids sum their pair lines instead.
+    caller walking one segment of a longer grid gives that grid's step, and
+    a grid of one sample needs none.  Raises ValueError for any other grid
+    that is not uniform or is longer than SEGMENT samples.
     """
     if dt is None:
         dt = uniform_step(times)
-    if not dt or not 0 < len(times) <= SEGMENT:
+    if not 0 < len(times) <= SEGMENT or (len(times) > 1 and not dt):
         raise ValueError(f"walk_rows needs a uniform grid of at most {SEGMENT} samples, got "
                          f"{'a' if dt else 'a non-uniform'} grid of {len(times)}")
     tiles = [prop[start:stop] for start, stop in block_tiles(len(prop.index))]
     r = np.empty((len(tiles), len(times), 6), dtype=complex)
     for tile, slots in zip(tiles, r):
         step = tile.phases(dt)
-        twisted = tile.twist(times[0])
-        a = np.empty_like(twisted)
+        phases = tile.phases(times[0])
         for j, t in enumerate(times):
             if j:
-                twisted *= step
-            tile.amplitudes_at(t, twisted, out=a)
+                phases *= step
+            a = tile.amplitudes_at(t, phases).T
             np.vecdot(a, a, out=slots[j, :3])
             np.vecdot(a[:2], a[1:], out=slots[j, 3:5])
             np.vecdot(a[:1], a[2:], out=slots[j, 5:])
+            del a  # the next sample's terms then reuse its memory, warm in cache
     return series_rows(r, np.empty((len(times), len(SERIES_KEYS))))
 
 
@@ -543,9 +542,9 @@ def evaluator(blocks: int, samples: int, dt: float, lines: Optional[int] = None)
     ``samples`` is the run's sample count T and ``dt`` its grid's
     :func:`uniform_step`.  ``lines`` is the run's count of distinct
     :func:`pair_frequencies`, and None when they are not counted.  A grid
-    that is not uniform, one of fewer than two samples included, takes the
-    lines.  On a uniform grid each candidate is charged its measured cost
-    in microseconds on one CPU, and the cheapest is taken:
+    of one sample is walked, and any other grid that is not uniform takes
+    the lines.  On a uniform grid each candidate is charged its measured
+    cost in microseconds on one CPU, and the cheapest is taken:
 
     - :func:`walk_rows`, up to SEGMENT samples: 12.1 a call of
       ``amplitudes_at``, one a sample and tile, 0.25 for its three
@@ -568,6 +567,8 @@ def evaluator(blocks: int, samples: int, dt: float, lines: Optional[int] = None)
     spread about 1.0 a block a window in all.  They are kept until the
     constants are fitted again.
     """
+    if samples == 1:
+        return "walk"
     if not dt:
         return "lines"
     costs = {}
@@ -609,9 +610,9 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     time (:func:`spread_rows`): detuned_grid's 8463 blocks and 1001
     samples take 34 chunks and one FFT of 2000 points.  A uniform grid of
     at most SEGMENT samples may also be walked, block by block at every
-    sample (:func:`walk_rows`).  A grid that is not uniform always sums
-    its lines, counted for a detuned run too, with an exact ``exp`` a
-    sample.
+    sample (:func:`walk_rows`), and so is one of one sample.  Any other
+    grid that is not uniform sums its lines, counted for a detuned run too,
+    with an exact ``exp`` a sample.
 
     Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
     ValueError for a grid that is not one-dimensional, holds a non-finite
@@ -627,7 +628,7 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
     prop = BlockDiagonalPropagator(params)
     dt = uniform_step(times)
-    counted = params.delta_a == params.delta_b or not dt
+    counted = len(times) != 1 and (params.delta_a == params.delta_b or not dt)
     frequencies = pair_frequencies(prop) if counted else None
     choice = evaluator(len(prop.index), len(times), dt,
                        None if frequencies is None else len(frequencies))

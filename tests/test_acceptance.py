@@ -30,7 +30,7 @@ import pytest
 
 from lambdaphase import algebra, oracle, verify
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
-from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
+from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams, initial_state,
                                   photon_window, truncation_cutoff)
 from lambdaphase.relphase import (SERIES_KEYS, pair_frequencies, rel_phase_eigenstates,
                                   spectral_lines, time_series, trapping_config)
@@ -183,7 +183,7 @@ def test_criterion_3_oracle_equivalence():
     # populated block is exactly representable on both paths
     assert photon_window(params.nbar_a, params.epsilon) == (0, cutoff - 1)
     prop = BlockDiagonalPropagator(params)
-    psi0 = oracle.embed_state(prop.index, prop.initial, cutoff, cutoff)
+    psi0 = oracle.embed_state(*initial_state(params), cutoff, cutoff)
     scale = time_scale(params)
     worst = 0.0
     for tau in np.linspace(0.0, 2.0, 50):
@@ -294,7 +294,7 @@ def test_strong_weak_layout_matches_oracle():
     assert full.matrix.dtype == np.float64
     energies, modes = np.linalg.eigh(full.matrix)
     prop = BlockDiagonalPropagator(params)
-    coeff0 = modes.T @ oracle.embed_state(prop.index, prop.initial, cut_a + 1, cut_b + 1)
+    coeff0 = modes.T @ oracle.embed_state(*initial_state(params), cut_a + 1, cut_b + 1)
     worst = 0.0
     for tau in (0.01, 0.3, 0.55, 0.8):
         t = tau * time_scale(params)

@@ -216,9 +216,9 @@ def test_runtime_loads_no_test_dependency(tmp_path):
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # fig3b's ~8.3k blocks over 67 samples cross one segment boundary;
-    # child processes under different BLAS thread counts must write the
-    # bytes of the in-process run
+    # fig3b's 8281 blocks over 67 samples sum their 629 merged lines, in
+    # two tiles of samples; child processes under different BLAS thread
+    # counts must write the bytes of the in-process run
     raw = {field.name: getattr(PRESETS["fig3b"], field.name)
            for field in dataclasses.fields(RunConfig)}
     raw.update(c=[1.0, 0.0, 0.0], tau_steps=67, transitions=list(raw["transitions"]))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lambdaphase import dynamics, oracle
 from lambdaphase.algebra import ALL_TRANSITIONS, phase_eigensystem
 from lambdaphase.dynamics import (MU, NU, BlockDiagonalPropagator, SystemParams,
-                                  block_hamiltonians, block_members,
+                                  block_hamiltonians, block_members, initial_state,
                                   photon_window)
 from lambdaphase.relphase import SERIES_KEYS, time_series
 
@@ -122,7 +122,7 @@ def test_block_and_full_evolution_agree():
     assert cuts == (8, 8)
     full = oracle.build_full_hamiltonian(params, *cuts)
     prop = BlockDiagonalPropagator(params)
-    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
+    psi0 = oracle.embed_state(*initial_state(params), *cuts)
     assert abs(np.linalg.norm(psi0) - 1.0) < 1e-12
     worst = 0.0
     for tau in np.linspace(0.0, 2.0, 11):
@@ -212,7 +212,7 @@ def test_padded_blocks_match_oracle(g_a, g_b, delta_a, delta_b, nbar_a, nbar_b,
     prop = BlockDiagonalPropagator(params)
     cuts = oracle_cutoffs(params)
     full = oracle.build_full_hamiltonian(params, *cuts)
-    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
+    psi0 = oracle.embed_state(*initial_state(params), *cuts)
     block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), *cuts)
     assert np.max(np.abs(block_vec - oracle.full_evolve(full, psi0, t))) < 1e-8
 
@@ -235,7 +235,7 @@ def test_resonant_and_next_float_detunings_match_oracle(monkeypatch, delta_b, so
     prop = BlockDiagonalPropagator(params)
     assert calls == [solver]
     full = oracle.build_full_hamiltonian(params, *cuts)
-    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
+    psi0 = oracle.embed_state(*initial_state(params), *cuts)
     for t in (0.7, 5.3, 31.0):
         block_vec = oracle.embed_state(prop.index, prop.amplitudes_at(t), *cuts)
         assert np.max(np.abs(block_vec - oracle.full_evolve(full, psi0, t))) < 1e-8
@@ -246,8 +246,7 @@ def test_full_evolution_conserves_norm_and_excitations():
     cuts = oracle_cutoffs(params)
     assert cuts == (6, 6)
     full = oracle.build_full_hamiltonian(params, *cuts)
-    prop = BlockDiagonalPropagator(params)
-    psi0 = oracle.embed_state(prop.index, prop.initial, *cuts)
+    psi0 = oracle.embed_state(*initial_state(params), *cuts)
     diag_a, diag_b = oracle.excitation_diagonals(*cuts)
     exp_a0 = float(np.sum(np.abs(psi0) ** 2 * diag_a))
     exp_b0 = float(np.sum(np.abs(psi0) ** 2 * diag_b))
@@ -263,9 +262,8 @@ def test_embed_state_rejects_members_outside_space():
     # short of its edge blocks' members
     params = make_params(epsilon=0.01)
     cut_a, cut_b = oracle_cutoffs(params)
-    prop = BlockDiagonalPropagator(params)
     with pytest.raises(ValueError, match="outside"):
-        oracle.embed_state(prop.index, prop.initial, cut_a - 1, cut_b - 1)
+        oracle.embed_state(*initial_state(params), cut_a - 1, cut_b - 1)
 
 
 def loop_hamiltonian(params, cutoff_a, cutoff_b):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from lambdaphase import algebra, dynamics, oracle, relphase
 from lambdaphase.cli import PRESETS, run_scenario, time_scale
-from lambdaphase.dynamics import BlockDiagonalPropagator, SystemParams
+from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams, block_eigensystems,
+                                  initial_state)
 from lambdaphase.oracle import (_ALGEBRA_MATRICES, _dressed_block_lowering,
                                 global_phase_exponential, verify_deformed_algebra,
                                 verify_deformed_polar)
@@ -138,9 +139,9 @@ def test_block_exponential_ladder_action():
 
 def test_joint_distribution_vacuum_ground_atom():
     params = SystemParams(g_a=1, g_b=1, nbar_a=0.0, nbar_b=0.0, c=GROUND)
-    prop = BlockDiagonalPropagator(params)
-    assert prop.index.tolist() == [[0, 1]]
-    dist = marginal_distribution(prop.index, prop.initial, "13")
+    index, initial = initial_state(params)
+    assert index.tolist() == [[0, 1]]
+    dist = marginal_distribution(index, initial, "13")
     assert dist.shape == (3,)
     assert dist.sum() == pytest.approx(1.0)
     assert dist[1] == pytest.approx(0.5)
@@ -155,11 +156,11 @@ def test_joint_distribution_sums_to_one():
 
 
 def test_initial_marginals_ground_atom():
-    prop = BlockDiagonalPropagator(desk_params(c=GROUND))
-    d23 = marginal_distribution(prop.index, prop.initial, "23")
+    index, initial = initial_state(desk_params(c=GROUND))
+    d23 = marginal_distribution(index, initial, "23")
     assert d23[0] == pytest.approx(1.0, abs=1e-12)
     assert d23[1] == pytest.approx(0.0, abs=1e-12)
-    d13 = marginal_distribution(prop.index, prop.initial, "13")
+    d13 = marginal_distribution(index, initial, "13")
     assert d13[0] == pytest.approx(0.0, abs=1e-12)
     assert d13[1] == pytest.approx(0.5, abs=1e-12)
     assert d13[2] == pytest.approx(0.5, abs=1e-12)
@@ -327,17 +328,17 @@ def exact_rows(params, times):
 
 
 def stepped_rows(prop, times, dt):
-    """The walk one sample at a time: an exact twist at the start of each run
-    of SEGMENT samples, stepped by exp(-i w dt) after it, amplitudes_at and a
-    one-sample reduction per sample."""
+    """The walk one sample at a time: exact eigenphases at the start of each
+    run of SEGMENT samples, stepped by exp(-i w dt) after it, amplitudes_at
+    and a one-sample reduction per sample."""
     step = prop.phases(dt)
     rows = []
     for start in range(0, len(times), SEGMENT):
-        twisted = prop.twist(times[start])
+        phases = prop.phases(times[start])
         for k in range(start, min(start + SEGMENT, len(times))):
             if k > start:
-                twisted *= step
-            rows.append(one_sample_rows(prop.amplitudes_at(times[k], twisted)))
+                phases *= step
+            rows.append(one_sample_rows(prop.amplitudes_at(times[k], phases)))
     return np.array(rows)
 
 
@@ -366,7 +367,7 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
     # weak_long's physics over tau 0..40: t reaches 251 and w t about 1300,
     # over 157 tiles of the merged lines' anchored power table at resonance;
     # when detuned, the spread's ten windows, each anchored at its centre,
-    # and the walk's stepped twists over the grid's last segment
+    # and the walk's stepped phases over the grid's last segment
     times = np.linspace(0.0, 40.0, 10001) * 2.0 * math.pi
     assert uniform_step(times) > 0.0
     for deltas in ((0.0, 0.0), (0.3, -0.2)):
@@ -390,7 +391,7 @@ def test_recurrence_matches_exact_exp_on_a_long_grid():
 ], ids=["fig2", "fig2_two_groups", "fig2_one_sample_tail", "nbar100"])
 def test_time_series_matches_a_per_sample_loop_bitwise(nbar, samples, blocks, tiles):
     # the walk's rows, pinned on walk_rows itself, one segment at a time with
-    # the grid's step: each sample keeps its segment's exact twist and its
+    # the grid's step: each sample keeps its segment's exact phases and its
     # own steps, and each row is reduced on its own.  time_series spreads
     # these detuned grids, which are longer than one segment
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
@@ -427,7 +428,7 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, grid, bound
     # with an exact exp a sample, in the same tiles and chunks: 0.66 MiB at
     # fig2's 169 blocks and 0.29 MiB at 0.01/0.01.  The walk, traced through
     # walk_rows itself on a quarter and on all of one segment, holds one R of
-    # six entries a tile and sample beside its twist, step and amplitudes:
+    # six entries a tile and sample beside its phases, step and amplitudes:
     # 0.11 and 0.02 MiB.  On every path only the table grows with T.
     params = SystemParams(g_a=1.0, g_b=1.0, nbar_a=nbar, nbar_b=nbar, c=GROUND,
                           delta_a=delta, delta_b=-delta)
@@ -454,12 +455,12 @@ def test_time_series_memory_does_not_grow_with_the_grid(nbar, delta, grid, bound
                                      (50.0, SEGMENT + 1)],
                          ids=["1", "2", str(SEGMENT), str(SEGMENT + 1), "nbar50"])
 def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
-    # the walk's stepped twists, on walk_rows itself, one segment at a time
+    # the walk's stepped phases, on walk_rows itself, one segment at a time
     # with the grid's step: time_series spreads or sums the lines of some of
-    # these grids.  One sample is no uniform grid; it is walked here as the
-    # one-sample last segment of a longer grid would be, with that grid's
-    # step.  nbar 50/50 has 8463 blocks, two tiles, so the exact twist at the
-    # second segment's start is pinned in each tile
+    # these grids.  One sample walks whatever the step; here it takes that of
+    # a longer grid, as a one-sample last segment would.  nbar 50/50 has 8463
+    # blocks, two tiles, so the exact phases at the second segment's start
+    # are pinned in each tile
     params = desk_params(nbar_a=nbar, nbar_b=nbar, delta_a=0.35, delta_b=-0.2)
     times = np.linspace(0.3, 9.0, n)
     prop = BlockDiagonalPropagator(params)
@@ -468,7 +469,7 @@ def test_recurrence_matches_exact_exp_at_segment_edges(nbar, n):
     got = walked_rows(prop, times, uniform_step(times) or 0.1)
     expected = exact_rows(params, times)
     assert np.max(np.abs(got - expected)) < 1e-12
-    # each segment's first sample is the exact twist itself
+    # each segment's first sample takes the exact phases themselves
     assert np.array_equal(got[0], expected[0])
     if n > SEGMENT:
         assert np.array_equal(got[SEGMENT], expected[SEGMENT])
@@ -557,14 +558,15 @@ def test_non_uniform_grid_is_the_exact_path():
 
 def test_walk_refuses_a_grid_that_is_not_one_uniform_segment():
     # longer grids spread or sum their lines, and so do grids that are not
-    # uniform, one sample or none included; given the step of a longer
-    # grid, one segment of it walks, a one-sample last segment too
+    # uniform, none included; given the step of a longer grid, one segment
+    # of it walks, and a one-sample grid walks whatever its step
     prop = BlockDiagonalPropagator(DETUNED)
-    for times in (np.array([0.0, 1.0, 3.0]), np.array([2.0]), np.empty(0),
-                  np.linspace(0.0, 2.0, SEGMENT + 1)):
+    for times in (np.array([0.0, 1.0, 3.0]), np.empty(0), np.linspace(0.0, 2.0, SEGMENT + 1)):
         with pytest.raises(ValueError, match="walk_rows needs a uniform grid"):
             walk_rows(prop, times)
-    assert walk_rows(prop, np.array([2.0]), 0.1).shape == (1, len(SERIES_KEYS))
+    one = walk_rows(prop, np.array([2.0]))
+    assert one.shape == (1, len(SERIES_KEYS))
+    assert np.array_equal(walk_rows(prop, np.array([2.0]), 0.1), one)
     with pytest.raises(ValueError, match="walk_rows needs a uniform grid"):
         walk_rows(prop, np.linspace(0.0, 2.0, SEGMENT + 1), 2.0 / SEGMENT)
 
@@ -684,7 +686,8 @@ def test_resonant_pairs_merge_into_few_lines(name, blocks, lines):
 def test_pair_entries_match_the_projected_pair_products(params, anchor):
     # the six entries of each pair, mapped through the readout's |v_i|^2
     # and Im conj(v_i) v_j, give G = 2 q_k conj(q_l) exp(-i W anchor) with
-    # q_k = v^dagger V[:, k] c0_k projected here with complex arithmetic.
+    # q_k = v^dagger V[:, k] c0_k, c0 = V^T a(0), projected here with complex
+    # arithmetic from the eigensystems and the initial amplitudes.
     # That rests on every readout vector, (upper -+ i partner)/sqrt(2) or a
     # level, having conj(v_i) v_j exactly real for i == j and exactly
     # imaginary otherwise
@@ -694,7 +697,9 @@ def test_pair_entries_match_the_projected_pair_products(params, anchor):
     assert np.all(products[~diagonal].real == 0.0)
     prop = BlockDiagonalPropagator(params)
     static, w, entries = relphase._chunk_pairs(prop, anchor)
-    modes = np.einsum("ikb,kb->kbi", prop.vectors[:, :, ::2], prop.coeff0)
+    _, vectors = block_eigensystems(params, prop.index)
+    _, initial = initial_state(params)
+    modes = np.einsum("ikb,jkb,bj->kbi", vectors, vectors, initial)
     q = modes @ relphase._READOUT.conj()  # [k, b, column]
     k, l = [0, 0, 1], [1, 2, 2]
     pair_w = (prop.frequencies[k] - prop.frequencies[l]).ravel()
@@ -735,9 +740,10 @@ def evaluators_run(monkeypatch, params, times):
     (PRESETS["fig2"], 0, "line_rows"),
     (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), 401, "spread_rows"),
     (PRESETS["fig2"], 16, "walk_rows"), (PRESETS["fig2"], 64, "line_rows"),
-    (PRESETS["fig2"], 101, "line_rows"),
+    (PRESETS["fig2"], 101, "line_rows"), (SCALE_SETUP, 1, "walk_rows"),
 ], ids=["weak_long", "scale_setup", "fig3b", "scale_setup_16", "many_lines_401",
-        "many_lines_2001", "empty", "detuned", "fig2_16", "fig2_64", "fig2_101"])
+        "many_lines_2001", "empty", "detuned", "fig2_16", "fig2_64", "fig2_101",
+        "scale_setup_one_sample"])
 def test_time_series_sums_lines_only_where_they_beat_the_walk(monkeypatch, params, samples,
                                                               expected):
     # few lines a block pay for their build within a few dozen samples, once
@@ -745,11 +751,11 @@ def test_time_series_sums_lines_only_where_they_beat_the_walk(monkeypatch, param
     # on the walk over 64 and 101 samples, against 0.68 and 0.70 ms summing
     # their 69 lines); unequal couplings hardly merge, and spread their
     # unmerged lines instead; a short grid walks, an empty one is no uniform
-    # grid and sums its lines, and a detuned run on a uniform grid never
-    # counts its pairs
-    resonant = params.delta_a == params.delta_b
+    # grid and sums its lines, and neither a detuned run on a uniform grid
+    # nor a one-sample run counts its pairs
+    counted = params.delta_a == params.delta_b and samples != 1
     ran = evaluators_run(monkeypatch, params, np.linspace(0.0, 20.0, samples))
-    assert ran == ["pair_frequencies"] * resonant + [expected]
+    assert ran == ["pair_frequencies"] * counted + [expected]
 
 
 # the perfbench gate's small detuned physics (perfbench/test_perfbench.py): 377 blocks
@@ -768,8 +774,10 @@ SMALL = SystemParams(g_a=1.0, g_b=0.8, nbar_a=3.0, nbar_b=2.0, c=(0.6, 0.64j, 0.
      np.linspace(0.0, 2.0, SEGMENT), "walk_rows"),
     (desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2),
      np.linspace(0.0, 2.0, 201), "spread_rows"),
+    (desk_params(nbar_a=50.0, nbar_b=50.0, delta_a=0.3, delta_b=-0.2), np.array([2.3]),
+     "walk_rows"),
 ], ids=["small_3", "small_41", "small_65", "fig2_detuned_16", "non_uniform", "nbar50_64",
-        "nbar50_201"])
+        "nbar50_201", "nbar50_one_sample"])
 def test_time_series_spreads_detuned_lines_only_where_they_beat_the_walk(monkeypatch, params,
                                                                          times, expected):
     # the spread pays for its build and its grid per window, about 1.9 us a
@@ -777,7 +785,9 @@ def test_time_series_spreads_detuned_lines_only_where_they_beat_the_walk(monkeyp
     # blocks the walk took 0.62 ms over 41 samples against 0.98 ms, and the
     # spread 0.95 ms over 65 against 1.29 ms.  The walk takes one segment at
     # most, so a grid past SEGMENT samples spreads, and one that is not
-    # uniform counts its pairs and sums its lines.  perfbench's 3-sample
+    # uniform counts its pairs and sums its lines, but for one of one sample,
+    # which walks: at 8463 blocks counting, sorting and tabling 3B lines took
+    # 14.7 ms, and the walk 4.6 ms with its build.  perfbench's 3-sample
     # SMALL run counts one amplitudes_at call a sample, so it must walk
     counted = ["pair_frequencies"] * (expected == "line_rows")
     assert evaluators_run(monkeypatch, params, times) == counted + [expected]
