@@ -14,8 +14,8 @@ surviving member carries a factor sqrt(0), so no amplitude ever enters
 it.  Every block Hamiltonian is then a real symmetric 3x3 matrix.  At
 two-photon resonance (equal detunings) a closed-form dark/bright split
 diagonalizes all of them; otherwise analytic eigenvalues and
-cross-product eigenvectors do, vectorized over all blocks, and a cyclic
-Jacobi solve takes the few blocks whose eigenvalues nearly meet.  Either
+cross-product eigenvectors do, vectorized over all blocks, and LAPACK's
+``eigh`` takes the few blocks whose eigenvalues nearly meet.  Either
 gives the exact propagator of every block, and the state is held as the
 three eigenmode amplitudes of each block.
 
@@ -321,26 +321,6 @@ def initial_state(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     return index, amplitudes.T
 
 
-# Sweep cap of :func:`jacobi_eigh`.  Every block of the benchmark's detuned
-# workload converges in four sweeps, and the blocks that detuned_eigh hands
-# over, whose eigenvalues nearly meet, in two.
-_JACOBI_SWEEPS = 24
-
-# One cyclic Jacobi sweep: the rotation plane (p, q), then the rows of the
-# off-diagonal entries (p, q), (r, p) and (r, q), r being the third index,
-# in the (3, B) array that holds (0, 1), (0, 2) and (1, 2).
-_JACOBI_PAIRS = ((0, 1, 0, 1, 2), (0, 2, 1, 0, 2), (1, 2, 2, 0, 1))
-
-
-def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-    """(x, y) <- (c x - s y, s x + c y), in place."""
-    x_old = x.copy()
-    x *= c
-    x -= s * y
-    y *= c
-    y += s * x_old
-
-
 def _jacobi_rotation(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
     """tan, cos and sin of the rotation that zeroes a_pq, with d = a_qq - a_pp.
 
@@ -361,54 +341,6 @@ def _jacobi_rotation(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
     return t, c, t * c
 
 
-def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystems of a stack of real symmetric 3x3 matrices, shape (B, 3, 3).
-
-    Returns what ``np.linalg.eigh`` returns: the eigenvalues (B, 3) in
-    ascending order and the eigenvectors (B, 3, 3) as matching columns.
-    The method is cyclic Jacobi, vectorized over the stack (Kopp, Int. J.
-    Mod. Phys. C 19, 523 (2008)): each sweep zeroes the entries (0, 1),
-    (0, 2) and (1, 2) in turn by the rotation with
-
-        t = tan(theta) = 2 a_pq sgn(d) / (|d| + hypot(d, 2 a_pq)),  d = a_qq - a_pp,
-
-    and t = 0 where the denominator is 0.  Each matrix is first scaled by
-    a power of two to a largest entry in [1/2, 1); the scaling is exact,
-    and no difference d of its diagonal entries can overflow.  Sweeps run
-    until every matrix's off-diagonal entries are at most eps times its
-    largest entry; RuntimeError reports the residual if _JACOBI_SWEEPS
-    sweeps do not get there.
-    """
-    h = np.asarray(h, dtype=float)
-    scale, exponent = np.frexp(np.max(np.abs(h), axis=(1, 2)))
-    diag = np.ldexp(np.einsum("bii->ib", h), -exponent)
-    off = np.ldexp(np.stack([h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]]), -exponent)
-    tolerance = np.finfo(float).eps * scale
-    vectors = np.repeat(np.eye(3)[:, :, None], len(h), axis=2)  # [i, j, b] = V_b[i, j]
-    for sweep in range(_JACOBI_SWEEPS + 1):
-        worst = np.max(np.abs(off), axis=0)
-        if np.all(worst <= tolerance):
-            break
-        if sweep == _JACOBI_SWEEPS:
-            residual = np.max(worst / np.where(scale > 0, scale, 1.0))
-            raise RuntimeError(f"Jacobi eigensolver left an off-diagonal residual of "
-                               f"{residual:.3g} of the largest entry after "
-                               f"{_JACOBI_SWEEPS} sweeps")
-        for p, q, pq, rp, rq in _JACOBI_PAIRS:
-            a = off[pq]
-            t, c, s = _jacobi_rotation(a, diag[q] - diag[p])
-            t *= a  # now the shift t a_pq of the two diagonal entries
-            diag[p] -= t
-            diag[q] += t
-            a[:] = 0.0
-            _rotate(off[rp], off[rq], c, s)
-            _rotate(vectors[:, p], vectors[:, q], c, s)
-    order = np.argsort(diag, axis=0)
-    eigenvalues = np.ldexp(np.take_along_axis(diag, order, axis=0), exponent)
-    vectors = np.take_along_axis(vectors, order[None], axis=1)
-    return eigenvalues.T, vectors.transpose(2, 0, 1)
-
-
 def resonant_eigh(delta: float, x: np.ndarray,
                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigensystems of the blocks [[-delta, 0, x], [0, -delta, y], [x, y, 0]].
@@ -423,7 +355,8 @@ def resonant_eigh(delta: float, x: np.ndarray,
         min(-delta, 0) - t s  <=  -delta  <=  max(-delta, 0) + t s
 
     come out ascending, so nothing is sorted.  Returns what
-    :func:`jacobi_eigh` returns for the same blocks.
+    ``np.linalg.eigh`` returns: the eigenvalues (B, 3) in ascending order
+    and the eigenvectors (B, 3, 3) as matching columns.
     """
     # (x, y) is scaled by a power of two, which is exact: a subnormal
     # (x, y) would lose the norm of (x, y, 0)/s.  _jacobi_rotation scales
@@ -599,8 +532,8 @@ def detuned_eigh(delta_a: float, delta_b: float, x: np.ndarray,
     are orthonormal to _DETUNED_GRAM eps and its residual is at most
     _DETUNED_RESIDUAL eps times its largest |eigenvalue|; NaN fails.
     Cross products lose their accuracy where two eigenvalues nearly meet,
-    and the blocks they fail on go to :func:`jacobi_eigh` in one stack.
-    Returns what :func:`jacobi_eigh` returns for the same blocks.
+    and the blocks they fail on go to ``np.linalg.eigh`` in one stack.
+    Returns what ``np.linalg.eigh`` returns, as :func:`resonant_eigh` does.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     exponent = np.frexp(np.maximum(np.maximum(x, y), max(abs(delta_a), abs(delta_b))))[1]
@@ -615,7 +548,7 @@ def detuned_eigh(delta_a: float, delta_b: float, x: np.ndarray,
         rejected = np.flatnonzero(~_accepted(a, b, xs, ys, values, vectors))
     values = np.ldexp(values, exponent)
     if len(rejected):
-        fallback_values, fallback_vectors = jacobi_eigh(
+        fallback_values, fallback_vectors = np.linalg.eigh(
             _arrowheads(delta_a, delta_b, x[rejected], y[rejected]))
         values[:, rejected] = fallback_values.T
         vectors[:, :, rejected] = fallback_vectors.transpose(1, 2, 0)

@@ -614,7 +614,8 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
     grid that is not uniform sums its lines, counted for a detuned run too,
     with an exact ``exp`` a sample.
 
-    Returns a dict with one array per entry of ``SERIES_KEYS``.  Raises
+    Returns a dict with one array per entry of ``SERIES_KEYS``; an empty
+    grid gets empty arrays, and no block is built for it.  Raises
     ValueError for a grid that is not one-dimensional, holds a non-finite
     time or reaches a |t| whose :func:`phase_rounding` is too large.
     """
@@ -626,6 +627,8 @@ def time_series(params: SystemParams, times: np.ndarray) -> dict[str, np.ndarray
         raise ValueError(f"times must be finite, got {times[bad[0]]} at "
                          f"position {bad[0]}")
     phase_rounding(params, float(np.max(np.abs(times), initial=0.0)))
+    if not len(times):
+        return dict(zip(SERIES_KEYS, np.empty((len(SERIES_KEYS), 0))))
     prop = BlockDiagonalPropagator(params)
     dt = uniform_step(times)
     counted = len(times) != 1 and (params.delta_a == params.delta_b or not dt)

@@ -15,8 +15,7 @@ from lambdaphase import dynamics
 from lambdaphase.dynamics import (BlockDiagonalPropagator, SystemParams,
                                   block_couplings, block_eigensystems, block_hamiltonians,
                                   block_members, block_propagators, detuned_eigh,
-                                  initial_state, jacobi_eigh,
-                                  photon_window, poisson_probabilities,
+                                  initial_state, photon_window, poisson_probabilities,
                                   resonant_eigh, truncation_cutoff)
 from lambdaphase.relphase import time_series
 
@@ -382,17 +381,19 @@ def resonant_solve(h):
     return resonant_eigh(delta, h[:, 0, 2], h[:, 1, 2])
 
 
-def assert_eigensystems(h, solve=jacobi_eigh):
+def assert_eigensystems(h, solve):
     """A block eigensolver against eigvalsh and the eigen-equation, at the eps level.
 
     The solvers are backward stable, so each eigenvalue differs from
-    eigvalsh's by a few eps times the block's norm; the bounds leave a
-    factor two over the worst of 192000 random blocks for jacobi_eigh.
-    Each bound also has the absolute term FLOOR.  eigvalsh gets each block
-    with level 3 first, an exact similarity: on blocks whose entries span
-    hundreds of decades, LAPACK's reduction in level order was off from
-    40-digit arithmetic by up to 4.6e14 eps ||H|| over 20000 random
-    blocks, and with level 3 first by at most 5.9 eps ||H||.
+    eigvalsh's by a few eps times the block's norm.  On 192000 random
+    blocks like those of test_detuned_eigh_matches_eigh, LAPACK's eigh in
+    level order, the fallback of detuned_eigh, came to at most 8.2, 6.6
+    and 10 eps against the eigenvalue, residual and Gram bounds of 16, 8
+    and 16 eps.  Each bound also has the absolute term FLOOR.  eigvalsh
+    gets each block with level 3 first, an exact similarity: on blocks
+    whose entries span hundreds of decades, LAPACK's reduction in level
+    order was off from 40-digit arithmetic by up to 4.6e14 eps ||H|| over
+    20000 random blocks, and with level 3 first by at most 5.9 eps ||H||.
     """
     eigenvalues, vectors = solve(h)
     assert eigenvalues.shape == (len(h), 3) and vectors.shape == (len(h), 3, 3)
@@ -413,80 +414,72 @@ def detuned_solve(h):
     return detuned_eigh(delta_a, delta_b, h[:, 0, 2], h[:, 1, 2])
 
 
-def assert_window_eigensystems(solve, ga, gb, da, db, lo_a, lo_b, width):
-    # windows at lo 0 hold one-member blocks
-    params = SystemParams(g_a=ga, g_b=gb, nbar_a=1, nbar_b=1, c=GROUND,
-                          delta_a=da, delta_b=db)
-    h = window_blocks(params, lo_a, lo_b, width)
-    if len(h):
-        assert_eigensystems(h, solve)
+def lapack_spy(monkeypatch):
+    """Stacks of blocks that reach ``np.linalg.eigh``, one per call."""
+    sent, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: sent.append(h) or eigh(h))
+    return sent
 
 
-WINDOW_CASES = given(ga=st.floats(0, 5), gb=st.floats(0, 5), da=st.floats(-3, 3),
-                     db=st.floats(-3, 3), lo_a=st.integers(0, 300),
-                     lo_b=st.integers(0, 300), width=st.integers(1, 8))
+def fallback_solve(h):
+    """:func:`detuned_solve` with every block rejected, so that all reach LAPACK's eigh."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sent = lapack_spy(monkeypatch)
+        monkeypatch.setattr(dynamics, "_DETUNED_RESIDUAL", -1.0)
+        solved = detuned_solve(h)
+    assert len(sent) == 1 and np.array_equal(sent[0], h)
+    return solved
+
 
 # a block of subnormal norm leaves a residual of one subnormal unit
 SUBNORMAL_BLOCK = dict(ga=0.0, gb=5e-324, da=5e-324, db=5e-324, lo_a=0, lo_b=0, width=2)
 
 
-@WINDOW_CASES
-@settings(max_examples=60)
-@example(**SUBNORMAL_BLOCK)
-def test_jacobi_matches_eigh(ga, gb, da, db, lo_a, lo_b, width):
-    assert_window_eigensystems(jacobi_eigh, ga, gb, da, db, lo_a, lo_b, width)
-
-
-@WINDOW_CASES
-@settings(max_examples=60)
-@example(**SUBNORMAL_BLOCK)
+@given(ga=st.floats(0, 5), gb=st.floats(0, 5), da=st.floats(-3, 3), db=st.floats(-3, 3),
+       lo_a=st.integers(0, 300), lo_b=st.integers(0, 300), width=st.integers(1, 8),
+       fallback=st.booleans())
+@settings(max_examples=120)
+@example(**SUBNORMAL_BLOCK, fallback=False)
+@example(**SUBNORMAL_BLOCK, fallback=True)
 # blocks of norm 5.4e-81: test_detuned_eigh_scales_tiny_blocks
-@example(ga=3e-81, gb=4e-81, da=5.4e-81, db=-2e-81, lo_a=1, lo_b=1, width=2)
-def test_detuned_eigh_matches_eigh(ga, gb, da, db, lo_a, lo_b, width):
-    assert_window_eigensystems(detuned_solve, ga, gb, da, db, lo_a, lo_b, width)
+@example(ga=3e-81, gb=4e-81, da=5.4e-81, db=-2e-81, lo_a=1, lo_b=1, width=2, fallback=False)
+def test_detuned_eigh_matches_eigh(ga, gb, da, db, lo_a, lo_b, width, fallback):
+    # windows at lo 0 hold one-member blocks; fallback sends every block to
+    # LAPACK's eigh, whichever the closed form would accept
+    params = SystemParams(g_a=ga, g_b=gb, nbar_a=1, nbar_b=1, c=GROUND,
+                          delta_a=da, delta_b=db)
+    h = window_blocks(params, lo_a, lo_b, width)
+    if len(h):
+        assert_eigensystems(h, fallback_solve if fallback else detuned_solve)
 
 
-EDGE_CASES = [
-    dict(g_a=0.0, g_b=0.0),
-    dict(g_a=1.0, g_b=0.0, delta_a=0.3, delta_b=0.3),
-    dict(g_a=1e-9, g_b=1.0, delta_a=0.2),
-    dict(g_a=1.0, g_b=0.5, delta_a=1e6, delta_b=-1e6),
-    dict(g_a=1.0, g_b=0.5, delta_a=-1e6, delta_b=-1e6),
-    dict(g_a=1e-163, g_b=5.0, delta_a=-1e-318, delta_b=0.3),
-]
-EDGE_IDS = ["zero", "degenerate_pair", "tiny_coupling", "huge_detuning", "huge_equal_detunings",
-            "underflowing_rotation"]
+EDGE_CASES = {
+    "zero": dict(g_a=0.0, g_b=0.0),
+    "degenerate_pair": dict(g_a=1.0, g_b=0.0, delta_a=0.3, delta_b=0.3),
+    "tiny_coupling": dict(g_a=1e-9, g_b=1.0, delta_a=0.2),
+    "huge_detuning": dict(g_a=1.0, g_b=0.5, delta_a=1e6, delta_b=-1e6),
+    "huge_equal_detunings": dict(g_a=1.0, g_b=0.5, delta_a=-1e6, delta_b=-1e6),
+    "underflowing_rotation": dict(g_a=1e-163, g_b=5.0, delta_a=-1e-318, delta_b=0.3),
+    "next_float": dict(g_a=1.0, g_b=0.7, delta_a=0.37, delta_b=np.nextafter(0.37, np.inf)),
+    "lo0_window": dict(g_a=1.0, g_b=0.7, delta_a=0.35, delta_b=-0.2),
+    "near_crossing": dict(g_a=1e-9, g_b=0.31, delta_a=1.0),
+}
 
 
-@pytest.mark.parametrize("fields", EDGE_CASES, ids=EDGE_IDS)
-def test_jacobi_edge_cases(fields):
-    # underflowing_rotation: in block (1, 3) the scaled entry (0, 2) and the
-    # subnormal d = a_22 - a_00 both square to 0, which must not make the
-    # rotation's tangent 2 a_02 / |d|
-    params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND, **fields)
-    assert_eigensystems(window_blocks(params, 0, 0, 12))
-
-
-@pytest.mark.parametrize("fields", EDGE_CASES + [
-    dict(g_a=1.0, g_b=0.7, delta_a=0.37, delta_b=np.nextafter(0.37, np.inf)),
-    dict(g_a=1.0, g_b=0.7, delta_a=0.35, delta_b=-0.2),
-    dict(g_a=1e-9, g_b=0.31, delta_a=1.0),
-], ids=EDGE_IDS + ["next_float", "lo0_window", "near_crossing"])
-def test_detuned_eigh_edge_cases(fields):
+@pytest.mark.parametrize("name", [*EDGE_CASES, *(f"{name}_fallback" for name in EDGE_CASES)])
+def test_detuned_eigh_edge_cases(name):
     # the equal detunings of zero, degenerate_pair and huge_equal_detunings
-    # give double eigenvalues, which only the Jacobi fallback resolves; in
+    # give double eigenvalues, which only the LAPACK fallback resolves; in
     # near_crossing the level-1 eigenvalue, about -1, lies within 2% of
     # -0.31 sqrt(10), and the closed form's residual there is 8.7-10.2 eps.
-    # The windows start at lo 0, so they hold one-member blocks
-    params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND, **fields)
-    assert_eigensystems(window_blocks(params, 0, 0, 12), detuned_solve)
-
-
-def jacobi_spy(monkeypatch):
-    """Stacks of blocks that reach :func:`jacobi_eigh`, one per call."""
-    sent = []
-    monkeypatch.setattr(dynamics, "jacobi_eigh", lambda h: sent.append(h) or jacobi_eigh(h))
-    return sent
+    # In underflowing_rotation the squares of g_a = 1e-163 and of the
+    # subnormal delta_a underflow to 0.  The windows start at lo 0, so
+    # they hold one-member blocks.  The _fallback cases send every block
+    # to LAPACK's eigh
+    params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND,
+                          **EDGE_CASES[name.removesuffix("_fallback")])
+    solve = fallback_solve if name.endswith("_fallback") else detuned_solve
+    assert_eigensystems(window_blocks(params, 0, 0, 12), solve)
 
 
 def rows_of(h, stack):
@@ -494,7 +487,7 @@ def rows_of(h, stack):
     return np.flatnonzero(np.any(np.all(h[:, None] == stack[None], axis=(2, 3)), axis=1))
 
 
-def test_detuned_eigh_hands_exactly_its_rejected_blocks_to_jacobi(monkeypatch):
+def test_detuned_eigh_hands_exactly_its_rejected_blocks_to_lapack(monkeypatch):
     # a tiny g_a leaves eigenvalues close enough in some blocks for the
     # cross products to lose digits
     params = SystemParams(g_a=1e-9, g_b=0.8, nbar_a=5, nbar_b=5, c=GROUND,
@@ -502,12 +495,12 @@ def test_detuned_eigh_hands_exactly_its_rejected_blocks_to_jacobi(monkeypatch):
     index, _ = initial_state(params)
     x, y = block_couplings(params, index)
     h = block_hamiltonians(params, index)
-    sent = jacobi_spy(monkeypatch)
+    sent = lapack_spy(monkeypatch)
     values, vectors = detuned_eigh(params.delta_a, params.delta_b, x, y)
     assert_eigensystems(h, lambda _: (values, vectors))
     (stack,) = sent
     # the closed forms, with bounds that accept every finite ascending
-    # result; NaN or unordered ones still reach Jacobi
+    # result; NaN or unordered ones still reach LAPACK
     monkeypatch.setattr(dynamics, "_DETUNED_RESIDUAL", np.inf)
     monkeypatch.setattr(dynamics, "_DETUNED_GRAM", np.inf)
     closed_values, closed_vectors = detuned_eigh(params.delta_a, params.delta_b, x, y)
@@ -522,7 +515,7 @@ def test_detuned_eigh_hands_exactly_its_rejected_blocks_to_jacobi(monkeypatch):
     rejected = np.flatnonzero(~accepted)
     assert len(h) == 676 and len(rejected) == 26 and len(unordered) == 1
     assert np.array_equal(stack, h[rejected])
-    fallback_values, fallback_vectors = jacobi_eigh(stack)
+    fallback_values, fallback_vectors = np.linalg.eigh(stack)
     assert np.array_equal(values[rejected], fallback_values)
     assert np.array_equal(vectors[rejected], fallback_vectors)
     assert np.array_equal(values[accepted], closed_values[accepted])
@@ -535,7 +528,7 @@ def test_detuned_eigh_scales_tiny_blocks(monkeypatch):
     params = SystemParams(g_a=3e-81, g_b=4e-81, nbar_a=1, nbar_b=1, c=GROUND,
                           delta_a=5.4e-81, delta_b=-2e-81)
     h = window_blocks(params, 1, 1, 2)
-    sent = jacobi_spy(monkeypatch)
+    sent = lapack_spy(monkeypatch)
     assert_eigensystems(h, detuned_solve)
     assert sent == []
 
@@ -546,7 +539,7 @@ def test_detuned_eigh_hands_no_benchmark_block_to_jacobi(monkeypatch):
          -0.3153352763159929 - 0.392966853637485j)
     params = SystemParams(g_a=1.0, g_b=0.8, nbar_a=50.0, nbar_b=50.0, c=c,
                           delta_a=-0.3487059781103158, delta_b=0.2364209210713588)
-    sent = jacobi_spy(monkeypatch)
+    sent = lapack_spy(monkeypatch)
     prop = BlockDiagonalPropagator(params)
     assert len(prop.index) == 8463 and sent == []
 
@@ -558,7 +551,7 @@ def test_detuned_eigh_rejects_a_block_on_its_gram_bound_alone(monkeypatch):
     params = desk_params(nbar_a=5.0, nbar_b=5.0, delta_a=0.35, delta_b=-0.2)
     index, _ = initial_state(params)
     x, y = block_couplings(params, index)
-    sent = jacobi_spy(monkeypatch)
+    sent = lapack_spy(monkeypatch)
     values, vectors = detuned_eigh(params.delta_a, params.delta_b, x, y)
     assert sent == []
     # the block of least Gram error and residual, so that only the Gram
@@ -606,17 +599,6 @@ def test_resonant_eigh_edge_cases(fields):
     # for the tiny couplings
     params = SystemParams(nbar_a=1, nbar_b=1, c=GROUND, **fields)
     assert_eigensystems(window_blocks(params, 0, 0, 12), resonant_solve)
-
-
-def test_jacobi_sweep_cap_raises(monkeypatch):
-    h = window_blocks(desk_params(delta_a=0.4), 1, 1, 3)
-    monkeypatch.setattr(dynamics, "_JACOBI_SWEEPS", 1)
-    with pytest.raises(RuntimeError, match="residual of .* after 1 sweeps"):
-        jacobi_eigh(h)
-    # diagonal blocks need no sweep at all
-    monkeypatch.setattr(dynamics, "_JACOBI_SWEEPS", 0)
-    eigenvalues, _ = jacobi_eigh(np.diag([2.0, -1.0, 0.5])[None])
-    assert np.array_equal(eigenvalues, [[-1.0, 0.5, 2.0]])
 
 
 # ---------------------------------------------------------------------------

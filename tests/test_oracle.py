@@ -222,12 +222,13 @@ def test_padded_blocks_match_oracle(g_a, g_b, delta_a, delta_b, nbar_a, nbar_b,
                          ids=["resonant", "next_float"])
 def test_resonant_and_next_float_detunings_match_oracle(monkeypatch, delta_b, solver):
     # delta_a == delta_b takes the closed-form dark/bright eigensystems; one
-    # float more takes the detuned closed form, which hands no block to the
-    # Jacobi solver here, and both must match the oracle
+    # float more takes the detuned closed form, which hands no block to
+    # LAPACK's eigh here, and both must match the oracle
     calls = []
-    for name in ("jacobi_eigh", "resonant_eigh", "detuned_eigh"):
-        spied = getattr(dynamics, name)
-        monkeypatch.setattr(dynamics, name, lambda *args, name=name, spied=spied:
+    for module, name in ((np.linalg, "eigh"), (dynamics, "resonant_eigh"),
+                         (dynamics, "detuned_eigh")):
+        spied = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, spied=spied:
                             calls.append(name) or spied(*args))
     params = make_params(g_b=0.7, nbar_a=0.9, nbar_b=1.3, delta_a=0.37, delta_b=delta_b,
                          c=(0.6, 0.48j, -0.64), epsilon=1e-3)

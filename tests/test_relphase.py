@@ -408,6 +408,17 @@ def test_time_series_of_an_empty_grid_is_thirteen_empty_columns():
     assert all(column.shape == (0,) for column in series.values())
 
 
+def test_time_series_of_an_empty_grid_builds_no_propagator(monkeypatch):
+    def refuse(params):
+        raise AssertionError("an empty grid built the propagator")
+
+    monkeypatch.setattr(relphase, "BlockDiagonalPropagator", refuse)
+    series = time_series(desk_params(delta_a=0.3, delta_b=-0.2), np.empty(0))
+    assert tuple(series) == SERIES_KEYS
+    assert all(column.shape == (0,) and column.dtype == np.float64
+               for column in series.values())
+
+
 @pytest.mark.parametrize("nbar, delta, grid, bound", [
     (1.0, 0.0, "uniform", 1.75 * 2**20), (0.01, 0.0, "uniform", 0.875 * 2**20),
     (1.0, 0.3, "uniform", 1.75 * 2**20), (0.01, 0.3, "uniform", 0.875 * 2**20),
@@ -737,7 +748,7 @@ def evaluators_run(monkeypatch, params, times):
     (WEAK_LONG, 10001, "line_rows"), (SCALE_SETUP, 101, "line_rows"),
     (PRESETS["fig3b"], 401, "line_rows"), (SCALE_SETUP, 16, "walk_rows"),
     (MANY_LINES, 401, "spread_rows"), (MANY_LINES, 2001, "spread_rows"),
-    (PRESETS["fig2"], 0, "line_rows"),
+    (PRESETS["fig2"], 0, None),
     (dataclasses.replace(PRESETS["fig2"], delta_b=0.1), 401, "spread_rows"),
     (PRESETS["fig2"], 16, "walk_rows"), (PRESETS["fig2"], 64, "line_rows"),
     (PRESETS["fig2"], 101, "line_rows"), (SCALE_SETUP, 1, "walk_rows"),
@@ -750,12 +761,12 @@ def test_time_series_sums_lines_only_where_they_beat_the_walk(monkeypatch, param
     # the walk is charged its calls (fig2's 169 blocks took 1.33 and 1.59 ms
     # on the walk over 64 and 101 samples, against 0.68 and 0.70 ms summing
     # their 69 lines); unequal couplings hardly merge, and spread their
-    # unmerged lines instead; a short grid walks, an empty one is no uniform
-    # grid and sums its lines, and neither a detuned run on a uniform grid
-    # nor a one-sample run counts its pairs
-    counted = params.delta_a == params.delta_b and samples != 1
+    # unmerged lines instead; a short grid walks, an empty one runs nothing,
+    # and neither a detuned run on a uniform grid nor a one-sample run
+    # counts its pairs
+    counted = params.delta_a == params.delta_b and samples > 1
     ran = evaluators_run(monkeypatch, params, np.linspace(0.0, 20.0, samples))
-    assert ran == ["pair_frequencies"] * counted + [expected]
+    assert ran == ["pair_frequencies"] * counted + [expected] * (samples > 0)
 
 
 # the perfbench gate's small detuned physics (perfbench/test_perfbench.py): 377 blocks
@@ -1028,9 +1039,9 @@ def one_mode_columns(coupled, g, nbar, nbar_other, delta, delta_other, c, times)
 
 @pytest.mark.parametrize("coupled, g, nbar, nbar_other, delta, delta_other", [
     (1, 1.0, 1000.0, 2.0, 0.3, 0.3),  # g_b = 0, resonant_eigh with y = 0
-    (1, 1.0, 1000.0, 2.0, 0.3, -0.2),  # g_b = 0, Jacobi
+    (1, 1.0, 1000.0, 2.0, 0.3, -0.2),  # g_b = 0, detuned_eigh with y = 0
     (2, 0.8, 1000.0, 0.5, -0.3, -0.3),  # g_a = 0, resonant_eigh with x = 0
-    (2, 0.8, 1000.0, 0.5, -0.2, 0.3),  # g_a = 0, Jacobi
+    (2, 0.8, 1000.0, 0.5, -0.2, 0.3),  # g_a = 0, detuned_eigh with x = 0
     (1, 1.0, 2e4, 2.0, 0.3, 0.3),  # nbar_a 2e4, where the table summed from n = 1 failed
     (1, 1.0, 2e4, 2.0, 0.3, -0.2),
 ], ids=["gb0_resonant", "gb0_detuned", "ga0_resonant", "ga0_detuned",
